@@ -1,7 +1,14 @@
 package experiments
 
 import (
+	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -22,13 +29,112 @@ func TestEveryExperimentHasPlan(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from the current reports")
+
+// goldenPath holds one SHA-256 per report at the Small profile, in
+// sha256sum format ("<hex>  <id>.txt"), after a "# resultSchemaVersion"
+// header line. The hashed bytes are exactly what `cdlab run all -o dir`
+// writes to <dir>/<id>.txt, so scripts/ci.sh checks the CLI's files
+// against the same lines with `sha256sum -c`.
+const goldenPath = "testdata/golden/small.sha256"
+
+const goldenHeader = "# resultSchemaVersion " + resultSchemaVersion
+
+func reportHash(text string) string {
+	sum := sha256.Sum256([]byte(text))
+	return hex.EncodeToString(sum[:])
+}
+
+// readGolden parses goldenPath into its header line and an id → hash map.
+func readGolden(t *testing.T) (string, map[string]string) {
+	t.Helper()
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		t.Fatalf("golden report hashes: %v (generate with -update)", err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	if !sc.Scan() {
+		t.Fatalf("%s: empty file", goldenPath)
+	}
+	header := sc.Text()
+	want := map[string]string{}
+	for sc.Scan() {
+		sum, name, ok := strings.Cut(sc.Text(), "  ")
+		id, isTxt := strings.CutSuffix(name, ".txt")
+		if !ok || !isTxt || len(sum) != sha256.Size*2 {
+			t.Fatalf("%s: malformed line %q", goldenPath, sc.Text())
+		}
+		want[id] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return header, want
+}
+
+func writeGolden(t *testing.T, got map[string]string) {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(goldenHeader + "\n")
+	for _, e := range All() {
+		sum, ok := got[e.ID]
+		if !ok {
+			t.Fatalf("-update needs every experiment's report; %s did not run", e.ID)
+		}
+		fmt.Fprintf(&b, "%s  %s.txt\n", sum, e.ID)
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkGolden compares the hashes of the reports that ran against the
+// committed goldens: reports must stay byte-identical from one revision
+// to the next unless the change means them to move.
+func checkGolden(t *testing.T, got map[string]string) {
+	t.Helper()
+	if *update {
+		writeGolden(t, got)
+		return
+	}
+	const howTo = "if the change is intended, bump resultSchemaVersion in experiments.go " +
+		"and regenerate in the same change: go test ./internal/experiments -run TestSerialParallelBitIdentical -update"
+	header, want := readGolden(t)
+	if header != goldenHeader {
+		t.Errorf("%s header is %q, want %q; %s", goldenPath, header, goldenHeader, howTo)
+	}
+	registered := map[string]bool{}
+	for _, e := range All() {
+		registered[e.ID] = true
+		golden, ok := want[e.ID]
+		switch sum, ran := got[e.ID]; {
+		case !ok:
+			t.Errorf("%s: no golden hash for %s; %s", goldenPath, e.ID, howTo)
+		case ran && sum != golden:
+			t.Errorf("%s report moved: sha256 %s, golden %s; %s", e.ID, sum, golden, howTo)
+		}
+	}
+	for id := range want {
+		if !registered[id] {
+			t.Errorf("%s: golden hash for unregistered experiment %s; %s", goldenPath, id, howTo)
+		}
+	}
+}
+
 // TestSerialParallelBitIdentical is the engine's end-to-end determinism
 // regression: for every registered experiment, the serial reference path
 // (workers=1) and a 4-worker parallel run must render byte-identical
 // output. The formerly-serial experiments (fig21–fig23, sec61, ttf, the
-// ablations) are covered by the registry sweep like everything else.
+// ablations) are covered by the registry sweep like everything else. The
+// serial renders are then hashed against the committed goldens, which
+// pins the same bytes across revisions (-update rewrites them).
 func TestSerialParallelBitIdentical(t *testing.T) {
 	cfg := Small()
+	got := map[string]string{}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -43,8 +149,10 @@ func TestSerialParallelBitIdentical(t *testing.T) {
 			if s, p := serial.String(), parallel.String(); s != p {
 				t.Fatalf("serial and -j 4 output differ for %s:\n--- serial ---\n%s\n--- parallel ---\n%s", e.ID, s, p)
 			}
+			got[e.ID] = reportHash(serial.String())
 		})
 	}
+	checkGolden(t, got)
 }
 
 // TestShardLabelsCanonical pins the shard-label contract for the whole

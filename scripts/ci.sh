@@ -55,6 +55,11 @@ go build -o "$tmp/cdlab" ./cmd/cdlab
 # Cold sweep populates the cache; the warm sweep must be served entirely
 # from it (no "cached":false shard event) and write byte-identical reports.
 "$tmp/cdlab" run all -j 2 -o "$tmp/out1" -cache-dir "$tmp/cache" > /dev/null
+# The cold sweep's report files must match the committed golden hashes
+# (TestSerialParallelBitIdentical checks the same file in-process); the
+# first line is the resultSchemaVersion header.
+golden="$PWD/internal/experiments/testdata/golden/small.sha256"
+tail -n +2 "$golden" | (cd "$tmp/out1" && sha256sum -c --quiet -)
 "$tmp/cdlab" run all -j 2 -o "$tmp/out2" -cache-dir "$tmp/cache" -json \
     > "$tmp/events-all.jsonl" 2> "$tmp/warm-stderr.txt"
 if grep -q '"cached":false' "$tmp/events-all.jsonl"; then
