@@ -20,9 +20,9 @@ import (
 
 // This file is the typed experiment-execution API: a Request names what to
 // run (experiment IDs + profile + overrides + run options), a Runner
-// executes it, and every front-end — the deprecated RunExperiment shims,
-// `cdlab run`, `cdlab serve`, and the remote client package — is a view
-// over the same three concepts. Two Runner implementations exist:
+// executes it, and every front-end — `cdlab run`, `cdlab serve`, and the
+// remote client package — is a view over the same three concepts. Two
+// Runner implementations exist:
 // LocalRunner (this package) executes in-process on the experiment
 // service's shared pool, and client.New (package columndisturb/client)
 // speaks the /v1 HTTP API against a `cdlab serve` process. Because both

@@ -6,17 +6,25 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"columndisturb/internal/experiments"
 )
 
 // TestLocalRunnerMultiExperiment: one request fans several experiments
 // onto the shared pool and returns reports in request order, identical to
-// the deprecated single-experiment entry points.
+// serial single-experiment runs.
 func TestLocalRunnerMultiExperiment(t *testing.T) {
 	r, err := NewLocalRunner(LocalOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+
+	serial, err := NewLocalRunner(LocalOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serial.Close()
 
 	ids := []string{"table1", "sec61"}
 	res, err := r.Run(context.Background(), Request{Experiments: ids})
@@ -31,12 +39,12 @@ func TestLocalRunnerMultiExperiment(t *testing.T) {
 		if rep == nil || rep.ID != id {
 			t.Fatalf("report %d = %+v, want id %s", i, rep, id)
 		}
-		old, err := RunExperiment(id, false)
+		one, err := serial.Run(context.Background(), Request{Experiments: []string{id}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Text != old.Text {
-			t.Fatalf("%s: typed API report differs from deprecated entry point", id)
+		if rep.Text != one.Reports[0].Text {
+			t.Fatalf("%s: batched report differs from a serial single-experiment run", id)
 		}
 		if res.Report(id) != rep {
 			t.Fatalf("Report(%q) lookup failed", id)
@@ -120,6 +128,21 @@ func TestRunnerSubscribe(t *testing.T) {
 		if first.Type != EventJobQueued || last.Type != EventJobFinished {
 			t.Fatalf("job %s: stream %s..%s", job, first.Type, last.Type)
 		}
+		// shard_done events count progress: Done rises by one per shard,
+		// each names its shard, and the last one reaches Total.
+		done, total := 0, 0
+		for _, ev := range evs {
+			if ev.Type != EventShardDone {
+				continue
+			}
+			if ev.Done != done+1 || ev.Shard == "" {
+				t.Fatalf("job %s: shard_done %d/%d %q after %d", job, ev.Done, ev.Total, ev.Shard, done)
+			}
+			done, total = ev.Done, ev.Total
+		}
+		if done == 0 || done != total {
+			t.Fatalf("job %s: progress ended at %d/%d", job, done, total)
+		}
 	}
 }
 
@@ -167,49 +190,63 @@ func TestRunnerProfileAndOverrides(t *testing.T) {
 	}
 }
 
+var errSyntheticShard = errors.New("synthetic shard failure")
+
+var failingExpOnce sync.Once
+
+// registerFailingExperiment installs a two-shard experiment whose second
+// shard always fails (the registry is global and rejects duplicates).
+func registerFailingExperiment() {
+	failingExpOnce.Do(func() {
+		experiments.Register(experiments.Experiment{
+			ID:    "api-test-fail",
+			Paper: "test",
+			Title: "synthetic failing sweep",
+			Plan: func(cfg experiments.Config) (*experiments.Plan, error) {
+				ok := func(context.Context) (any, error) { return []string{"ok"}, nil }
+				fail := func(context.Context) (any, error) { return nil, errSyntheticShard }
+				return &experiments.Plan{
+					Shards: []experiments.Shard{
+						{Label: "api-test-fail/shard=0", Run: ok},
+						{Label: "api-test-fail/shard=1", Run: fail},
+					},
+					Merge: func([]any) (*experiments.Result, error) {
+						return nil, errors.New("merge of a failed plan")
+					},
+				}, nil
+			},
+		})
+	})
+}
+
 // TestRunnerPartialFailure: one failing experiment in a batch surfaces at
 // its position while the rest complete.
 func TestRunnerPartialFailure(t *testing.T) {
-	// The deprecated shim path keeps its contract too.
-	if _, err := RunExperiment("nope", false); err == nil {
-		t.Fatal("unknown experiment accepted by shim")
-	}
-
+	registerFailingExperiment()
 	r, err := NewLocalRunner(LocalOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+
+	res, err := r.Run(context.Background(), Request{Experiments: []string{"api-test-fail", "table1"}})
+	if res == nil {
+		t.Fatalf("batch with one failing experiment returned no result: %v", err)
+	}
+	if err == nil || res.Err() == nil {
+		t.Fatalf("partial failure not reported: Run err %v, Result.Err %v", err, res.Err())
+	}
+	if !errors.Is(res.Errors[0], errSyntheticShard) || res.Reports[0] != nil {
+		t.Fatalf("position 0: error %v, report %+v; want the shard's failure and no report", res.Errors[0], res.Reports[0])
+	}
+	if res.Errors[1] != nil || res.Reports[1] == nil || res.Reports[1].ID != "table1" {
+		t.Fatalf("position 1: error %v, report %+v; want table1's report", res.Errors[1], res.Reports[1])
+	}
+
 	// Cancelled context: Run returns ctx.Err().
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := r.Run(ctx, Request{Experiments: []string{"table1"}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run error = %v", err)
-	}
-}
-
-// TestDeprecatedShimProgress: RunExperimentWith's progress callback still
-// fires, now fed by shard_done events.
-func TestDeprecatedShimProgress(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
-	lastDone, total := 0, 0
-	rep, err := RunExperimentWith(context.Background(), "table1", false, 2, func(done, tot int, label string) {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		if done != lastDone+1 || label == "" {
-			panic("progress out of order or unlabeled")
-		}
-		lastDone, total = done, tot
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep == nil || rep.ID != "table1" {
-		t.Fatalf("report = %+v", rep)
-	}
-	if calls == 0 || lastDone != total {
-		t.Fatalf("progress: %d calls, %d/%d", calls, lastDone, total)
 	}
 }

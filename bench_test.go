@@ -2,7 +2,7 @@ package columndisturb
 
 // The benchmark harness regenerates every table and figure of the paper
 // (one benchmark per artifact, at the benchmark-scale configuration; use
-// `cmd/cdlab run <id> -full` for the paper-breadth sweeps) plus micro
+// `cdlab run <id> -profile full` for the paper-breadth sweeps) plus micro
 // benchmarks of the core machinery. Run with:
 //
 //	go test -bench=. -benchmem
@@ -82,6 +82,9 @@ func benchRunAll(b *testing.B, workers int, warm bool) {
 	b.Helper()
 	var ids []string
 	for _, e := range experiments.All() {
+		if e.Paper == "test" {
+			continue // synthetic experiments the package's tests register
+		}
 		ids = append(ids, e.ID)
 	}
 	opts := LocalOptions{Workers: workers}

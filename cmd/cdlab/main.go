@@ -23,10 +23,9 @@
 //	cdlab workers -remote addr                # list a serve's attached workers
 //	cdlab trace <job> -remote addr            # shard-span timeline of one job
 //
-// Run flags: -profile p, -set k=v (repeatable), -full (deprecated alias of
-// -profile full), -remote addr, -token t, -retries N, -j N, -o dir,
-// -progress, -json, -cache-dir d, -cache-entries N, -cache-bytes N,
-// -no-cache.
+// Run flags: -profile p, -set k=v (repeatable), -remote addr, -token t,
+// -retries N, -j N, -o dir, -progress, -json, -cache-dir d,
+// -cache-entries N, -cache-bytes N, -no-cache.
 // Serve flags: -addr, -j, -max-active, -cache-dir, -cache-entries,
 // -cache-bytes, -wal, -no-wal, -auth-token, -no-local-shards, -lease-ttl,
 // -retain, -log-level, -pprof.
@@ -130,7 +129,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: cdlab catalog
        cdlab list
        cdlab profiles
-       cdlab run <id>...|all [-profile p] [-set k=v]... [-full] [-remote addr] [-token t]
+       cdlab run <id>...|all [-profile p] [-set k=v]... [-remote addr] [-token t]
                  [-j N] [-progress] [-json] [-o dir] [-cache-dir d] [-cache-entries N]
                  [-cache-bytes N] [-no-cache]
        cdlab serve [-addr a] [-j N] [-max-active N] [-cache-dir d] [-cache-entries N]
@@ -238,7 +237,6 @@ func runExperiments(args []string) int {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	profile := fs.String("profile", "", "named configuration profile (default small; see `cdlab profiles`)")
 	fs.Var(overrides, "set", "configuration override `key=value` (repeatable; see `cdlab profiles`)")
-	full := fs.Bool("full", false, "deprecated: alias of -profile full")
 	remote := fs.String("remote", "", "run against a `cdlab serve` server at this address instead of locally")
 	token := fs.String("token", "", "bearer token for a server started with -auth-token (default $CDLAB_TOKEN)")
 	retries := fs.Int("retries", 0, "consecutive fruitless reconnect attempts tolerated per event stream (0 = default of 5; raise to ride through a server restart)")
@@ -265,15 +263,6 @@ func runExperiments(args []string) int {
 	}
 	if *workers < 1 {
 		fmt.Fprintln(os.Stderr, "cdlab: -j must be at least 1")
-		return 2
-	}
-
-	// Fold the deprecated -full into the profile vocabulary.
-	switch {
-	case *full && *profile == "":
-		*profile = "full"
-	case *full && *profile != "full":
-		fmt.Fprintf(os.Stderr, "cdlab: -full conflicts with -profile %s\n", *profile)
 		return 2
 	}
 
