@@ -88,12 +88,15 @@ func TestDistributedRunByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var workerShards, totalShards atomic.Int64
+	var workerShards, timedShards, totalShards atomic.Int64
 	stop := remote.Subscribe(func(ev columndisturb.Event) {
 		if ev.Type == columndisturb.EventShardDone {
 			totalShards.Add(1)
 			if ev.Worker != "" {
 				workerShards.Add(1)
+			}
+			if ev.ElapsedMs > 0 {
+				timedShards.Add(1)
 			}
 		}
 	})
@@ -123,6 +126,12 @@ func TestDistributedRunByteIdentical(t *testing.T) {
 	if totalShards.Load() == 0 || workerShards.Load() != totalShards.Load() {
 		t.Fatalf("%d of %d shard events attribute a worker; with -no-local-shards all must",
 			workerShards.Load(), totalShards.Load())
+	}
+	// Every remotely computed shard reports the dispatcher's measured
+	// lease→complete wall time.
+	if timedShards.Load() != totalShards.Load() {
+		t.Fatalf("%d of %d remotely computed shard events carry elapsed_ms > 0",
+			timedShards.Load(), totalShards.Load())
 	}
 }
 

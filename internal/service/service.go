@@ -131,7 +131,6 @@ type Service struct {
 	opts    Options
 	backend engine.Backend
 	codec   cache.Codec
-	costs   costModel // learned shard wall times, keyed by shard label
 	log     *slog.Logger
 	journal *Journal
 
@@ -1123,11 +1122,9 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 	}
 	wrapped := engine.Shard{
 		Label: label,
-		// The plan's static estimate, overridden by the learned wall time
-		// once this label has run anywhere — a warm rerun reorders its
-		// queue on evidence. Cost is a hint to cost-aware backends only; it
-		// never reaches the result or its digest.
-		Cost: s.costs.costFor(label, sh.Cost),
+		// The plan's static estimate, a hint to cost-aware backends only;
+		// it never reaches the result or its digest.
+		Cost: sh.Cost,
 		Span: span,
 		Run: func(ctx context.Context) (any, error) {
 			if v, ok := probe(); ok {
@@ -1145,7 +1142,6 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 				return nil, err
 			}
 			elapsedMs := float64(time.Since(start)) / float64(time.Millisecond)
-			s.costs.observe(label, elapsedMs)
 			if useCache {
 				if data, err := s.codec.Encode(v); err == nil {
 					// Spill failures only cost future hits.
@@ -1184,12 +1180,9 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 				span.Complete(from, false)
 				return nil, fmt.Errorf("service: %s: decode worker reply: %w", label, err)
 			}
-			// The dispatcher's lease→complete measurement includes transport
-			// and worker-side queueing — exactly the latency a scheduler
-			// wants to predict, so it feeds the same learned-cost table as
-			// local runs.
+			// The dispatcher's lease→complete measurement, which includes
+			// transport and worker-side queueing.
 			elapsedMs := float64(elapsed) / float64(time.Millisecond)
-			s.costs.observe(label, elapsedMs)
 			if useCache {
 				// The reply IS the codec's encoding — store it verbatim,
 				// so local and remote fills are byte-identical entries.

@@ -6,13 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"columndisturb/internal/cache"
-	"columndisturb/internal/dispatch"
 	"columndisturb/internal/experiments"
 )
 
@@ -545,132 +543,5 @@ func TestNoCacheBypassesStore(t *testing.T) {
 	}
 	if got := store.Stats().Puts; got != puts {
 		t.Fatalf("NoCache job stored %d entries", got-puts)
-	}
-}
-
-// TestLearnedCostsReorderWarmRerun: the first run of a plan with no static
-// cost hints leases FIFO and teaches the service each shard's wall time;
-// an identical second job must then lease its slow shard FIRST, because
-// the learned costs override the (absent) static estimates and reorder the
-// dispatch queue.
-func TestLearnedCostsReorderWarmRerun(t *testing.T) {
-	const id = "svc-test-costs"
-	labels := []string{"fast-a", "fast-b", "slow", "fast-c"}
-	experiments.Register(experiments.Experiment{
-		ID:    id,
-		Paper: "test",
-		Title: "synthetic skewed sweep",
-		Plan: func(cfg experiments.Config) (*experiments.Plan, error) {
-			plan := &experiments.Plan{}
-			for _, l := range labels {
-				l := l
-				dur := 2 * time.Millisecond
-				if l == "slow" {
-					dur = 60 * time.Millisecond
-				}
-				plan.Shards = append(plan.Shards, experiments.Shard{
-					Label: l,
-					Run: func(ctx context.Context) (any, error) {
-						time.Sleep(dur)
-						return l, nil
-					},
-				})
-			}
-			plan.Merge = func(parts []any) (*experiments.Result, error) {
-				res := &experiments.Result{ID: id, Title: "costs"}
-				for _, p := range parts {
-					res.AddRow(p.(string))
-				}
-				return res, nil
-			}
-			return plan, nil
-		},
-	})
-
-	d := dispatch.New(dispatch.Options{NoLocal: true, LeaseTTL: 5 * time.Second})
-	svc := New(Options{Dispatcher: d})
-	defer svc.Close()
-	reg, err := d.Register("cost-worker", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A hand-rolled single-slot worker recording the lease order.
-	var mu sync.Mutex
-	var order []string
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			g, err := d.Lease(context.Background(), reg.WorkerID, 50*time.Millisecond)
-			if err != nil || g == nil {
-				continue
-			}
-			spec, err := dispatch.DecodeTask(g.Spec)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			order = append(order, spec.Label)
-			mu.Unlock()
-			reply, execErr := dispatch.ExecuteTask(context.Background(), g.Spec)
-			if execErr != nil {
-				d.Complete(reg.WorkerID, g.TaskID, nil, execErr.Error())
-			} else {
-				d.Complete(reg.WorkerID, g.TaskID, reply, "")
-			}
-		}
-	}()
-
-	runJob := func() *Job {
-		t.Helper()
-		j, err := svc.Submit(JobSpec{Experiment: id})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := j.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-
-	runJob() // cold: no static hints, FIFO order; teaches the cost model
-	mu.Lock()
-	cold := append([]string(nil), order...)
-	order = nil
-	mu.Unlock()
-	if len(cold) != len(labels) || cold[0] != "fast-a" {
-		t.Fatalf("cold run leased %v, want FIFO starting with fast-a", cold)
-	}
-
-	warm := runJob() // warm: learned wall times reorder the queue
-	mu.Lock()
-	reordered := append([]string(nil), order...)
-	mu.Unlock()
-	close(stop)
-	wg.Wait()
-	if len(reordered) != len(labels) || reordered[0] != "slow" {
-		t.Fatalf("warm rerun leased %v, want the learned-slow shard first", reordered)
-	}
-	// Every recomputed shard_done event carries its measured wall time and
-	// its worker attribution.
-	for _, ev := range warm.EventHistory() {
-		if ev.Type != EventShardDone {
-			continue
-		}
-		if ev.ElapsedMs <= 0 {
-			t.Fatalf("shard_done %q without elapsed_ms: %+v", ev.Shard, ev)
-		}
-		if ev.Worker == "" {
-			t.Fatalf("shard_done %q without worker attribution: %+v", ev.Shard, ev)
-		}
 	}
 }
