@@ -406,7 +406,7 @@ func runExperiments(args []string) int {
 }
 
 // workers lists the remote workers attached to a `cdlab serve` process,
-// with the throughput statistics the cost-weighted scheduler keys on.
+// with each one's completed tasks, busy time and average task time.
 func workers(args []string) int {
 	fs := flag.NewFlagSet("workers", flag.ContinueOnError)
 	remote := fs.String("remote", "", "`cdlab serve` address to query (required)")

@@ -10,16 +10,12 @@
 // lost worker. The queue is cost-ordered, not FIFO: tasks carry the
 // shard's Cost hint and the most expensive pending task sits at the front,
 // so the shards that dominate a sweep's critical path start earliest
-// (costless tasks degrade to exact FIFO). Remote leasing adds a soft
-// big-shard→big-worker affinity: a worker may defer a task far costlier
-// than the runner-up when a strictly stronger worker (capacity × observed
-// completion throughput) has a free slot, bounded by a per-task skip
-// budget so nothing starves. Determinism survives distribution because
-// placement only decides WHERE and WHEN a shard computes, never WHAT:
-// results land in the task's input slot and are collected in canonical
-// order, and every shard is a pure function of (experiment, config, shard
-// key), so a distributed run's merged report is byte-identical to a serial
-// local one.
+// (costless tasks degrade to exact FIFO). Determinism survives
+// distribution because placement only decides WHERE and WHEN a shard
+// computes, never WHAT: results land in the task's input slot and are
+// collected in canonical order, and every shard is a pure function of
+// (experiment, config, shard key), so a distributed run's merged report is
+// byte-identical to a serial local one.
 //
 // Failure handling is lease-based. A worker proves liveness by
 // heartbeating (and by polling for leases); a worker silent for longer
@@ -130,11 +126,6 @@ const (
 	taskDone                     // settled
 )
 
-// maxAffinitySkips bounds how many times the affinity rule may pass over
-// a big task in favor of a stronger worker before any worker gets it —
-// affinity is an optimization, never a reason to starve.
-const maxAffinitySkips = 3
-
 // task is one shard's lifecycle through the queue. doneCh closes exactly
 // once, when the task settles.
 type task struct {
@@ -144,12 +135,11 @@ type task struct {
 	report func(label string)
 	cost   float64 // shard.Cost, immutable scheduling weight
 
-	// boost, skips and enqueuedAt are queue-scheduling state guarded by the
+	// boost and enqueuedAt are queue-scheduling state guarded by the
 	// dispatcher's mu (not t.mu): boost marks requeued interrupted work,
-	// which outranks any cost; skips counts affinity deferrals; enqueuedAt
-	// anchors the queue-wait latency metric.
+	// which outranks any cost; enqueuedAt anchors the queue-wait latency
+	// metric.
 	boost      bool
-	skips      int
 	enqueuedAt time.Time
 
 	mu             sync.Mutex
@@ -205,17 +195,7 @@ type workerState struct {
 	lastSeen  time.Time
 	leases    map[string]*leaseEntry // task ID → lease
 	completed int64
-	busyNs    int64   // summed lease→complete wall time of completed tasks
-	costDone  float64 // summed cost weight of completed tasks (min 1 each)
-}
-
-// rate is the worker's observed completion throughput in cost units per
-// busy second; 0 until the worker has completed something.
-func (w *workerState) rate() float64 {
-	if w.busyNs <= 0 || w.costDone <= 0 {
-		return 0
-	}
-	return w.costDone / (float64(w.busyNs) / 1e9)
+	busyNs    int64 // summed lease→complete wall time of completed tasks
 }
 
 // New starts a dispatcher: LocalWorkers executor goroutines (unless
@@ -435,103 +415,41 @@ func (d *Dispatcher) enqueueLocked(t *task) {
 	d.pending.PushBack(t)
 }
 
-// popLocked removes and claims the next runnable task for the given
-// placement (w == nil means a local executor), pruning settled and
-// cancelled entries as it scans. The queue is cost-ordered, so the first
-// eligible task is the most urgent; a remote pop may defer a task far
-// costlier than the runner-up to a strictly stronger worker with a free
-// slot (the affinity rule), bounded by the task's skip budget. Caller
-// holds d.mu; nil means the queue holds nothing for this placement.
-func (d *Dispatcher) popLocked(w *workerState) *task {
-	remote := w != nil
-rescan:
-	for {
-		// Collect the first two eligible entries (pruning dead ones on the
-		// way): the head is the default grant, the runner-up is what the
-		// affinity rule would hand out instead.
-		var elig []*list.Element
-		for el := d.pending.Front(); el != nil && len(elig) < 2; {
-			next := el.Next()
-			t := el.Value.(*task)
-			t.mu.Lock()
-			switch {
-			case t.state != taskPending:
-				// Settled while queued (cancellation watcher); prune lazily.
-				d.pending.Remove(el)
-			case t.ctx.Err() != nil:
-				// Don't start a shard whose job already died.
-				d.pending.Remove(el)
-				t.finishLocked(nil, t.ctx.Err())
-			case remote && (t.localOnly || t.shard.Remote == nil):
-				// Not remote-eligible: leave it for a local executor.
-			default:
-				elig = append(elig, el)
-			}
-			t.mu.Unlock()
-			el = next
-		}
-		if len(elig) == 0 {
-			return nil
-		}
-		grant := elig[0]
-		if remote && len(elig) == 2 {
-			head, alt := grant.Value.(*task), elig[1].Value.(*task)
-			if head.cost > 0 && head.cost >= 2*alt.cost &&
-				head.skips < maxAffinitySkips && d.strongerFreeWorkerLocked(w) {
-				head.skips++
-				grant = elig[1]
-			}
-		}
-		t := grant.Value.(*task)
-		d.pending.Remove(grant)
+// popLocked removes and claims the next runnable task for a remote lease
+// or a local executor, pruning settled and cancelled entries as it scans.
+// The queue is cost-ordered, so the first eligible task is the most
+// urgent. Caller holds d.mu; nil means the queue holds nothing for this
+// placement.
+func (d *Dispatcher) popLocked(remote bool) *task {
+	for el := d.pending.Front(); el != nil; {
+		next := el.Next()
+		t := el.Value.(*task)
 		t.mu.Lock()
-		if t.state != taskPending {
-			// Settled between the eligibility scan and the claim (the
-			// cancellation watcher holds only t.mu): rescan.
+		switch {
+		case t.state != taskPending:
+			// Settled while queued (cancellation watcher); prune lazily.
+			d.pending.Remove(el)
+		case t.ctx.Err() != nil:
+			// Don't start a shard whose job already died.
+			d.pending.Remove(el)
+			t.finishLocked(nil, t.ctx.Err())
+		case remote && (t.localOnly || t.shard.Remote == nil):
+			// Not remote-eligible: leave it for a local executor.
+		default:
+			d.pending.Remove(el)
+			if remote {
+				t.state = taskLeased
+			} else {
+				t.state = taskLocal
+			}
 			t.mu.Unlock()
-			continue rescan
-		}
-		if remote {
-			t.state = taskLeased
-		} else {
-			t.state = taskLocal
+			d.leaseWait.Observe(float64(time.Since(t.enqueuedAt)) / float64(time.Millisecond))
+			return t
 		}
 		t.mu.Unlock()
-		d.leaseWait.Observe(float64(time.Since(t.enqueuedAt)) / float64(time.Millisecond))
-		return t
+		el = next
 	}
-}
-
-// strengthLocked scores a worker for the affinity rule: declared capacity
-// scaled by observed throughput relative to the fleet mean. A worker with
-// no completions yet scores on capacity alone, so affinity works from the
-// first grant and measurements only refine it. Caller holds d.mu.
-func (d *Dispatcher) strengthLocked(w *workerState) float64 {
-	factor := 1.0
-	if r := w.rate(); r > 0 {
-		var sum float64
-		n := 0
-		for _, o := range d.workers {
-			if or := o.rate(); or > 0 {
-				sum += or
-				n++
-			}
-		}
-		factor = r * float64(n) / sum
-	}
-	return float64(w.capacity) * factor
-}
-
-// strongerFreeWorkerLocked reports whether any other registered worker
-// with a free lease slot is strictly stronger than w. Caller holds d.mu.
-func (d *Dispatcher) strongerFreeWorkerLocked(w *workerState) bool {
-	ws := d.strengthLocked(w)
-	for _, o := range d.workers {
-		if o != w && len(o.leases) < o.capacity && d.strengthLocked(o) > ws {
-			return true
-		}
-	}
-	return false
+	return nil
 }
 
 // requeueLocked pushes a lost worker's leased tasks back into the queue
@@ -581,7 +499,7 @@ func (d *Dispatcher) localLoop() {
 			d.mu.Unlock()
 			return
 		}
-		t := d.popLocked(nil)
+		t := d.popLocked(false)
 		notify := d.notify
 		d.mu.Unlock()
 		if t == nil {
@@ -726,7 +644,7 @@ func (d *Dispatcher) Lease(ctx context.Context, workerID string, wait time.Durat
 		w.lastSeen = time.Now()
 		var t *task
 		if len(w.leases) < w.capacity {
-			t = d.popLocked(w)
+			t = d.popLocked(true)
 		}
 		notify := d.notify
 		if t != nil {
@@ -866,11 +784,6 @@ func (d *Dispatcher) Complete(workerID, taskID string, result []byte, workerErr 
 		if cur := d.workers[workerID]; cur == w {
 			w.completed++
 			w.busyNs += int64(elapsed)
-			weight := t.cost
-			if weight < 1 {
-				weight = 1
-			}
-			w.costDone += weight
 		}
 		d.mu.Unlock()
 	}

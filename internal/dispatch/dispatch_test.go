@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -140,7 +141,8 @@ func TestDispatcherRemoteLeaseComplete(t *testing.T) {
 		out, err := d.Run(context.Background(), shards, engine.Options{})
 		done <- res{out, err}
 	}()
-	// Lease all three, then complete them in reverse order.
+	// Lease all three, hold them for a measurable busy time, then complete
+	// them in reverse order.
 	var grants []*LeaseGrant
 	for len(grants) < 3 {
 		g, err := d.Lease(context.Background(), reg.WorkerID, 200*time.Millisecond)
@@ -151,6 +153,8 @@ func TestDispatcherRemoteLeaseComplete(t *testing.T) {
 			grants = append(grants, g)
 		}
 	}
+	const held = 5 * time.Millisecond
+	time.Sleep(held)
 	for i := len(grants) - 1; i >= 0; i-- {
 		spec := string(grants[i].Spec) // the shard label, per remoteShard
 		if err := d.Complete(reg.WorkerID, grants[i].TaskID, []byte("r"+spec), ""); err != nil {
@@ -170,6 +174,16 @@ func TestDispatcherRemoteLeaseComplete(t *testing.T) {
 	ws := d.RemoteWorkers()
 	if len(ws) != 1 || ws[0].Completed != 3 || ws[0].Inflight != 0 {
 		t.Fatalf("worker snapshot %+v, want 3 completed 0 inflight", ws)
+	}
+	// Busy time sums each lease→complete span; the average divides it by
+	// the completions.
+	heldMs := float64(held) / float64(time.Millisecond)
+	w := ws[0]
+	if float64(w.BusyMs) < 3*heldMs || w.AvgTaskMs < heldMs {
+		t.Fatalf("worker stats %+v, want busy >= %vms and avg >= %vms", w, 3*heldMs, heldMs)
+	}
+	if avgOfBusy := float64(w.BusyMs) / 3; math.Abs(w.AvgTaskMs-avgOfBusy) > 1 {
+		t.Fatalf("avg_task_ms %v disagrees with busy_ms/completed %v", w.AvgTaskMs, avgOfBusy)
 	}
 }
 
@@ -499,116 +513,6 @@ func TestDispatcherCostOrderedLeasing(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("lease order %v, want %v (largest first, FIFO among equals)", order, want)
 		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDispatcherBigShardAffinity is the acceptance scenario: a 1-big +
-// N-small plan and two unequal workers. Even when the weak worker polls
-// first, the big shard must land on the higher-capacity worker — the weak
-// worker defers it (affinity) and takes a small shard instead.
-func TestDispatcherBigShardAffinity(t *testing.T) {
-	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
-	defer d.Close()
-	weak, _ := d.Register("weak", 1)
-	strong, _ := d.Register("strong", 4)
-	shards := []engine.Shard{
-		costShard("big", 100),
-		costShard("s1", 1), costShard("s2", 1), costShard("s3", 1), costShard("s4", 1),
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := d.Run(context.Background(), shards, engine.Options{})
-		done <- err
-	}()
-	waitFor(t, 2*time.Second, func() bool {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return d.pending.Len() == len(shards)
-	}, "plan enqueued")
-
-	// The weak worker polls first: the big shard sits at the queue head,
-	// but a strictly stronger worker has free slots, so the weak worker
-	// must be handed a small shard instead.
-	gw, err := d.Lease(context.Background(), weak.WorkerID, 100*time.Millisecond)
-	if err != nil || gw == nil {
-		t.Fatalf("weak lease: %+v, %v", gw, err)
-	}
-	if string(gw.Spec) == "big" {
-		t.Fatal("big shard leased to the weak worker despite a free stronger worker")
-	}
-	gs, err := d.Lease(context.Background(), strong.WorkerID, 100*time.Millisecond)
-	if err != nil || gs == nil {
-		t.Fatalf("strong lease: %+v, %v", gs, err)
-	}
-	if string(gs.Spec) != "big" {
-		t.Fatalf("strong worker leased %q, want the big shard", gs.Spec)
-	}
-
-	// Drain: complete the two grants, then the rest through the strong
-	// worker.
-	for _, c := range []struct {
-		id string
-		g  *LeaseGrant
-	}{{weak.WorkerID, gw}, {strong.WorkerID, gs}} {
-		if err := d.Complete(c.id, c.g.TaskID, []byte("v"), ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for remaining := 3; remaining > 0; {
-		g, err := d.Lease(context.Background(), strong.WorkerID, 100*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g == nil {
-			continue
-		}
-		if err := d.Complete(strong.WorkerID, g.TaskID, []byte("v"), ""); err != nil {
-			t.Fatal(err)
-		}
-		remaining--
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// The stats that feed the affinity weighting moved: both workers
-	// completed work and report busy time.
-	for _, w := range d.RemoteWorkers() {
-		if w.Completed == 0 || w.BusyMs < 0 || w.AvgTaskMs < 0 {
-			t.Fatalf("worker stats not tracked: %+v", w)
-		}
-	}
-}
-
-// TestDispatcherAffinitySkipBudget: with no small shard to fall back on,
-// the weak worker still gets the big shard — affinity may defer, never
-// starve.
-func TestDispatcherAffinitySkipBudget(t *testing.T) {
-	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
-	defer d.Close()
-	weak, _ := d.Register("weak", 1)
-	d.Register("strong", 4) // stronger and free, but never polls
-	done := make(chan error, 1)
-	go func() {
-		_, err := d.Run(context.Background(), []engine.Shard{costShard("big", 100)}, engine.Options{})
-		done <- err
-	}()
-	var g *LeaseGrant
-	waitFor(t, 2*time.Second, func() bool {
-		var err error
-		g, err = d.Lease(context.Background(), weak.WorkerID, 50*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g != nil
-	}, "solitary big shard leased to the only polling worker")
-	if string(g.Spec) != "big" {
-		t.Fatalf("leased %q, want big", g.Spec)
-	}
-	if err := d.Complete(weak.WorkerID, g.TaskID, []byte("v"), ""); err != nil {
-		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)

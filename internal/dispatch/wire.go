@@ -175,8 +175,7 @@ type WorkerInfo struct {
 	LastSeenMs int64 `json:"last_seen_ms"`
 	// Completed counts tasks the worker has finished successfully.
 	Completed int64 `json:"completed"`
-	// BusyMs is the summed lease→complete wall time of those tasks — the
-	// raw material of the scheduler's throughput-weighted affinity.
+	// BusyMs is the summed lease→complete wall time of those tasks.
 	BusyMs int64 `json:"busy_ms"`
 	// AvgTaskMs is BusyMs averaged over Completed (0 until the first
 	// completion).
