@@ -135,43 +135,6 @@ func BenchmarkRunAllParallel(b *testing.B) { benchRunAll(b, 0, false) }
 // the floor of the perf trajectory (pure decode + merge, no simulation).
 func BenchmarkRunAllWarmCache(b *testing.B) { benchRunAll(b, 0, true) }
 
-// --- Parallel experiment engine ---
-
-// benchEngine runs the repo's widest sweep grid (fig15: manufacturer ×
-// temperature × interval, 60 shards) through the experiment engine at the
-// given worker bound. Serial vs parallel on the same workload measures the
-// engine's scaling; results are bit-identical by construction (see
-// internal/engine).
-func benchEngine(b *testing.B, workers int) {
-	b.Helper()
-	e, ok := experiments.ByID("fig15")
-	if !ok {
-		b.Fatal("fig15 missing")
-	}
-	cfg := experiments.Small()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := e.RunWith(context.Background(), cfg, workers, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// BenchmarkEngineSerial is the single-worker reference path.
-func BenchmarkEngineSerial(b *testing.B) { benchEngine(b, 1) }
-
-// BenchmarkEngineParallel runs the same sweep at GOMAXPROCS workers. On a
-// machine with GOMAXPROCS >= 4 this shows the engine's speedup over
-// BenchmarkEngineSerial (the sweep is embarrassingly parallel across its
-// 60 shards); on a single-core machine the two coincide. Serial/parallel
-// byte-identity is pinned by TestSerialParallelBitIdentical in
-// internal/experiments.
-func BenchmarkEngineParallel(b *testing.B) { benchEngine(b, 0) }
-
 // --- Micro benchmarks of the core machinery ---
 
 // BenchmarkDeviceReadRow measures the cell-explicit tier's hot path: a

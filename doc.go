@@ -39,8 +39,7 @@
 //     and lease shards from it, with heartbeat-deadline requeue making
 //     worker death invisible to results. Subscribe observes the per-job
 //     event stream (queued/started/shard_done with cache hit/miss and the
-//     executing worker, finished/failed). The deprecated
-//     RunExperiment/RunExperimentWith entry points delegate to this path.
+//     executing worker, finished/failed).
 //   - Analyses: the §6 mitigation arithmetic and RAIDR sweeps
 //     (AnalyzeMitigations, RAIDRSweep).
 //
@@ -52,11 +51,10 @@
 // under (experiment, config digest, canonical shard label), so output is
 // bit-identical for every worker count, every placement (local,
 // distributed, mid-run worker loss), and warm or cold caches — there is no
-// serial special case. Shards additionally carry cost estimates (static
-// plan hints in estimated single-core milliseconds, overridden by wall
-// times the service learns from earlier runs) that the dispatcher uses for
-// largest-first lease ordering and big-shard→fast-worker affinity
-// (DESIGN.md §12); costs steer scheduling only and never change results.
+// serial special case. Shards additionally carry static cost hints
+// (estimated single-core milliseconds) that the dispatcher uses for
+// largest-first lease ordering (DESIGN.md §12); costs steer scheduling
+// only and never change results.
 // Plan builders also consume their own hints: a shard whose estimate
 // exceeds a configurable share of the plan total (Config.MaxShardShare,
 // default 10%) is subdivided along its atom list — runs, blast cells,

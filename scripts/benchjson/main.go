@@ -56,7 +56,7 @@ var required = []string{
 // benchRegexp selects the sweep trajectory plus the inner-loop micro
 // benchmarks, skipping the per-artifact figure benchmarks (those are
 // subsets of RunAll and would double CI's bench wall time).
-const benchRegexp = "^Benchmark(RunAll|Engine|DeviceReadRow|Hammer512ms|" +
+const benchRegexp = "^Benchmark(RunAll|DeviceReadRow|Hammer512ms|" +
 	"StatisticalSubarray|TTFSample|SECDecode|Memsim|RowCloneScan|" +
 	"ShardSplitPlan|DiffReadsFiltered|CouplingEval)"
 
