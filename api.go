@@ -24,7 +24,7 @@ import (
 // remote client package — is a view over the same three concepts. Two
 // Runner implementations exist:
 // LocalRunner (this package) executes in-process on the experiment
-// service's shared pool, and client.New (package columndisturb/client)
+// service's shared dispatcher, and client.New (package columndisturb/client)
 // speaks the /v1 HTTP API against a `cdlab serve` process. Because both
 // resolve configurations through the same path, a remote run of a request
 // renders byte-identical reports to a local run of the same request.
@@ -43,7 +43,7 @@ type Request struct {
 	Overrides map[string]string
 	// Workers bounds shard parallelism for runners that execute locally
 	// (<= 0 selects the runner's default, normally GOMAXPROCS). A remote
-	// runner ignores it: the server's pool is sized by `cdlab serve -j`.
+	// runner ignores it: the server's executors are sized by `cdlab serve -j`.
 	Workers int
 	// NoCache bypasses the shard-result cache for this request: every
 	// shard recomputes and nothing is stored.
@@ -103,7 +103,7 @@ const (
 )
 
 // Runner executes experiment requests. Implementations: NewLocalRunner
-// (in-process, shared worker pool) and the client package's New (remote,
+// (in-process, shared dispatcher) and the client package's New (remote,
 // /v1 HTTP against `cdlab serve`).
 type Runner interface {
 	// Run executes every experiment in the request and returns their
@@ -185,25 +185,20 @@ type CacheStats struct {
 
 // LocalOptions configures a LocalRunner.
 type LocalOptions struct {
-	// Workers sizes the shared worker pool (<= 0 defers to the first
-	// request's Workers, then GOMAXPROCS). With Dispatch it sizes the
-	// dispatcher's local executors instead.
+	// Workers sizes the shard dispatcher's local executors (<= 0 defers to
+	// the first request's Workers, then GOMAXPROCS). Every shard runs
+	// either on a local executor or on a `cdlab worker -connect` process
+	// leased through Handler()'s /v1 worker API — reassembled in canonical
+	// order, so reports stay byte-identical to a serial local run no matter
+	// where shards computed.
 	Workers int
 	// MaxActiveJobs bounds how many jobs run concurrently (0 = unlimited).
 	MaxActiveJobs int
-	// Dispatch replaces the in-process pool with the distributed shard
-	// backend (internal/dispatch): Handler() additionally serves the /v1
-	// worker API, `cdlab worker -connect` processes attach to it, and every
-	// shard runs either on a local executor or on a leased worker —
-	// reassembled in canonical order, so reports stay byte-identical to a
-	// serial local run no matter where shards computed.
-	Dispatch bool
-	// NoLocalShards (with Dispatch) disables local shard execution: the
-	// process becomes a pure scheduler and every shard waits for a remote
-	// worker lease.
+	// NoLocalShards disables local shard execution: the process becomes a
+	// pure scheduler and every cache miss waits for a remote worker lease.
 	NoLocalShards bool
-	// LeaseTTL (with Dispatch) is the worker heartbeat deadline after which
-	// a silent worker is dropped and its shards requeued (0 selects 15s).
+	// LeaseTTL is the worker heartbeat deadline after which a silent worker
+	// is dropped and its shards requeued (0 selects 15s).
 	LeaseTTL time.Duration
 	// RetainJobs, when > 0, retires the oldest settled jobs — event
 	// history, report and ID — once more than this many have settled,
@@ -236,8 +231,8 @@ type LocalOptions struct {
 }
 
 // LocalRunner executes requests in-process through the experiment service:
-// every submitted experiment's shards interleave on ONE shared worker
-// pool, results cache under (experiment, config digest, shard label) when
+// every submitted experiment's shards interleave on ONE shared shard
+// dispatcher, results cache under (experiment, config digest, shard label) when
 // caching is enabled, and subscribers observe the service's event stream.
 // A LocalRunner is safe for concurrent use and must be released with
 // Close. Its HTTP face is Handler — `cdlab serve` is exactly
@@ -252,7 +247,7 @@ type LocalRunner struct {
 	closed bool
 }
 
-// NewLocalRunner creates a runner. The worker pool itself is created
+// NewLocalRunner creates a runner. The dispatcher itself is created
 // lazily by the first Run (or Handler) call, sized by LocalOptions.Workers
 // first, that request's Workers second, GOMAXPROCS otherwise; later
 // requests share it.
@@ -288,30 +283,23 @@ func (r *LocalRunner) ensureService(reqWorkers int) (*service.Service, error) {
 		// metrics and service job/shard/cache metrics export together at
 		// GET /v1/metrics.
 		reg := obs.NewRegistry()
-		var d *dispatch.Dispatcher
-		if r.opts.Dispatch {
-			d = dispatch.New(dispatch.Options{
-				LocalWorkers: workers,
-				NoLocal:      r.opts.NoLocalShards,
-				LeaseTTL:     r.opts.LeaseTTL,
-				Metrics:      reg,
-				Logger:       r.opts.Logger,
-			})
-		}
 		var jn *service.Journal
 		var recovered *service.Recovered
 		if r.opts.WALDir != "" {
 			var err error
 			jn, recovered, err = service.OpenJournal(r.opts.WALDir, r.opts.Logger)
 			if err != nil {
-				if d != nil {
-					d.Close()
-				}
 				return nil, err
 			}
 		}
+		d := dispatch.New(dispatch.Options{
+			LocalWorkers: workers,
+			NoLocal:      r.opts.NoLocalShards,
+			LeaseTTL:     r.opts.LeaseTTL,
+			Metrics:      reg,
+			Logger:       r.opts.Logger,
+		})
 		opts := service.Options{
-			Workers:       workers,
 			MaxActiveJobs: r.opts.MaxActiveJobs,
 			Dispatcher:    d,
 			RetainJobs:    r.opts.RetainJobs,
@@ -362,8 +350,8 @@ func (r *LocalRunner) CacheStats() CacheStats {
 }
 
 // Handler exposes the runner's service over HTTP: the /v1 experiment API
-// (submit, status, event streams with replay, reports) plus the legacy
-// unversioned aliases. `cdlab serve` is this handler behind
+// (submit, status, event streams with replay, reports), the /v1 worker
+// API, plus the legacy unversioned aliases. `cdlab serve` is this handler behind
 // http.ListenAndServe.
 func (r *LocalRunner) Handler() (http.Handler, error) {
 	svc, err := r.ensureService(0)
@@ -374,7 +362,7 @@ func (r *LocalRunner) Handler() (http.Handler, error) {
 }
 
 // Close cancels every running job, waits for them to settle and releases
-// the worker pool. With a WAL, the cancellations are final: a restart
+// the dispatcher. With a WAL, the cancellations are final: a restart
 // will not re-run them.
 func (r *LocalRunner) Close() {
 	r.mu.Lock()
@@ -417,8 +405,8 @@ func validateIDs(ids []string) []string {
 }
 
 // Run implements Runner: it validates the whole request up front (IDs,
-// profile, overrides), submits every experiment to the shared pool at
-// once, and collects reports in request order.
+// profile, overrides), submits every experiment to the shared dispatcher
+// at once, and collects reports in request order.
 func (r *LocalRunner) Run(ctx context.Context, req Request) (*Result, error) {
 	if len(req.Experiments) == 0 {
 		return nil, fmt.Errorf("columndisturb: empty request: no experiments named")

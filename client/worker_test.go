@@ -1,9 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,20 +19,18 @@ import (
 )
 
 // Integration coverage for the distributed dispatch failure paths, driven
-// end to end through the real stack: LocalRunner with the dispatch
-// backend, its HTTP handler, client.RunWorker loops, and the remote job
+// end to end through the real stack: LocalRunner and its dispatcher, its
+// HTTP handler, client.RunWorker loops, and the remote job
 // client — all in-process, with worker death simulated by severing the
 // worker's transport (exactly what a killed process looks like from the
 // server's side: silence).
 
-// newDispatchServer starts a dispatch-enabled runner (no local shard
-// execution, so every shard MUST flow through workers) behind an
-// httptest.Server.
+// newDispatchServer starts a runner with no local shard execution (so
+// every shard MUST flow through workers) behind an httptest.Server.
 func newDispatchServer(t *testing.T, leaseTTL time.Duration) (*columndisturb.LocalRunner, *httptest.Server) {
 	t.Helper()
 	runner, err := columndisturb.NewLocalRunner(columndisturb.LocalOptions{
 		Workers:       2,
-		Dispatch:      true,
 		NoLocalShards: true,
 		LeaseTTL:      leaseTTL,
 	})
@@ -144,7 +144,6 @@ func TestDistributedRunByteIdentical(t *testing.T) {
 func TestFormerlySerialExperimentsDistributed(t *testing.T) {
 	runner, err := columndisturb.NewLocalRunner(columndisturb.LocalOptions{
 		Workers:       2,
-		Dispatch:      true,
 		NoLocalShards: true,
 		LeaseTTL:      2 * time.Second,
 		CacheEntries:  4096, // server-side shard cache for the warm assertion
@@ -425,31 +424,25 @@ func TestSilentWorkerDroppedFromLeaseTable(t *testing.T) {
 func TestWorkerReRegistersAfterDrop(t *testing.T) {
 	_, ts := newDispatchServer(t, 150*time.Millisecond)
 
-	var registrations atomic.Int64
-	var mu sync.Mutex
-	var lines []string
+	var logs lockedBuffer
 	startWorker(t, ts.URL, WorkerOptions{
 		Name:         "flappy",
 		Capacity:     1,
 		PollWait:     20 * time.Millisecond,
 		RetryBackoff: 400 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			line := fmt.Sprintf(format, args...)
-			mu.Lock()
-			lines = append(lines, line)
-			mu.Unlock()
-			// A fresh identity logs "registered as <id>"; an identity taken
-			// after a server-side drop logs the eviction-gap warning instead.
-			if strings.Contains(line, "registered as") ||
-				strings.Contains(line, "re-registered after server-side eviction") {
-				registrations.Add(1)
-			}
-		},
+		Logger:       slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	})
+	// A fresh identity logs "registered as <id>"; an identity taken after a
+	// server-side drop logs the eviction-gap warning instead.
+	registrations := func() int {
+		out := logs.String()
+		return strings.Count(out, "registered as") +
+			strings.Count(out, "re-registered after server-side eviction")
+	}
 	// Wait for the first registration, then force the drop by deleting the
 	// worker server-side (an operator evicting it, or a restart losing the
 	// table).
-	waitForCond(t, 5*time.Second, func() bool { return registrations.Load() >= 1 }, "first registration")
+	waitForCond(t, 5*time.Second, func() bool { return registrations() >= 1 }, "first registration")
 	resp, err := http.Get(ts.URL + "/v1/workers")
 	if err != nil {
 		t.Fatal(err)
@@ -462,15 +455,13 @@ func TestWorkerReRegistersAfterDrop(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	waitForCond(t, 10*time.Second, func() bool { return registrations.Load() >= 2 }, "re-registration after eviction")
+	waitForCond(t, 10*time.Second, func() bool { return registrations() >= 2 }, "re-registration after eviction")
 
 	// The re-register after an eviction must warn with the blackout window
 	// (the eviction-to-reregister gap), so operators can see how long the
 	// fleet ran a worker short.
 	waitForCond(t, 5*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, line := range lines {
+		for _, line := range strings.Split(logs.String(), "\n") {
 			if strings.Contains(line, "re-registered after server-side eviction") &&
 				strings.Contains(line, "gap_ms=") {
 				return true
@@ -478,6 +469,24 @@ func TestWorkerReRegistersAfterDrop(t *testing.T) {
 		}
 		return false
 	}, "eviction-gap warning with gap_ms")
+}
+
+// lockedBuffer is a log sink safe for the worker's concurrent goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func waitForCond(t *testing.T, d time.Duration, cond func() bool, what string) {

@@ -6,7 +6,7 @@
 // A run is one Request: experiment IDs, a named configuration profile
 // (-profile small|full|..., see `cdlab profiles`), per-run overrides
 // (-set key=value, repeatable), and execution options. Locally the request
-// executes on one shared worker pool with optional shard-result caching;
+// executes on one shared shard dispatcher with optional result caching;
 // with -remote it is submitted to a server over the /v1 HTTP API and the
 // report comes back byte-identical to the same request run locally —
 // config resolution is shared, so both sides even agree on cache keys.
@@ -274,7 +274,7 @@ func runExperiments(args []string) int {
 		}
 	}
 
-	// Build the runner: local shared-pool execution, or the /v1 client.
+	// Build the runner: local dispatcher execution, or the /v1 client.
 	var runner columndisturb.Runner
 	if *remote != "" {
 		if *cacheDir != "" || *cacheEntries != 0 || *cacheBytes != 0 {
@@ -493,13 +493,12 @@ func serve(args []string) int {
 	case *walDir == "" && *cacheDir != "":
 		*walDir = filepath.Join(*cacheDir, "wal")
 	}
-	// A serve process is always dispatch-enabled: with no workers attached
-	// the dispatcher's local executors behave exactly like the plain pool,
-	// and any `cdlab worker -connect` extends capacity at runtime.
+	// Shards run on the runner's dispatcher: its local executors (unless
+	// -no-local-shards) and any `cdlab worker -connect` that attaches at
+	// runtime. Cache hits never reach it.
 	runner, err := columndisturb.NewLocalRunner(columndisturb.LocalOptions{
 		Workers:       *workers,
 		MaxActiveJobs: *maxActive,
-		Dispatch:      true,
 		NoLocalShards: *noLocal,
 		LeaseTTL:      *leaseTTL,
 		RetainJobs:    *retain,

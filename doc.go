@@ -30,8 +30,8 @@
 //     experiment IDs, a configuration Profile ("small", "full", or a
 //     registered scenario profile) and per-run Overrides; a Runner
 //     executes it. NewLocalRunner runs in-process — every experiment's
-//     shards interleave on ONE shared worker pool with optional two-level
-//     result caching — and the client package (columndisturb/client) is
+//     shards interleave on ONE shared shard dispatcher with optional
+//     two-level result caching — and the client package (columndisturb/client) is
 //     the same Runner interface speaking the /v1 HTTP API against a
 //     `cdlab serve` process, with byte-identical reports. A serve process
 //     is also a distributed scheduler (DESIGN.md §10): `cdlab worker
@@ -46,12 +46,13 @@
 // Experiments execute on the parallel experiment engine (internal/engine)
 // under ONE contract (DESIGN.md §11): every experiment is a Plan — a list
 // of independent shards with per-shard keyed RNG streams plus a
-// canonical-order merge. Shards run on a bounded worker pool or fan out to
-// remote worker processes through the dispatch backend, and results cache
-// under (experiment, config digest, canonical shard label), so output is
-// bit-identical for every worker count, every placement (local,
-// distributed, mid-run worker loss), and warm or cold caches — there is no
-// serial special case. Shards additionally carry static cost hints
+// canonical-order merge. The service looks every shard up in the result
+// cache — keyed by (experiment, config digest, canonical shard label) —
+// before scheduling anything; only the misses go to the dispatcher, which
+// runs them on its bounded local executors or fans them out to remote
+// worker processes. Output is bit-identical for every worker count, every
+// placement (local, distributed, mid-run worker loss), and warm or cold
+// caches — there is no serial special case. Shards additionally carry static cost hints
 // (estimated single-core milliseconds) that the dispatcher uses for
 // largest-first lease ordering (DESIGN.md §12); costs steer scheduling
 // only and never change results.

@@ -18,7 +18,7 @@
 // Disk entries are checksummed; a corrupted or truncated file is treated
 // as a miss, deleted to reclaim its bytes, and silently repaired by the
 // next Put, never surfaced as an error. Values are opaque bytes — encoding
-// is the caller's business (see Codec and Gob).
+// is the caller's business (see Gob).
 package cache
 
 import (
@@ -472,19 +472,14 @@ func (s *Store) writeDisk(k Key, digest string, data []byte) error {
 	return nil
 }
 
-// Codec turns shard results into cacheable bytes and back. Implementations
-// must round-trip values exactly: the service's byte-identical-report
-// guarantee rests on Decode(Encode(v)) being indistinguishable from v to
-// the experiment's merge step.
-type Codec interface {
-	Encode(v any) ([]byte, error)
-	Decode(data []byte) (any, error)
-}
-
-// Gob is the default Codec: encoding/gob behind an interface envelope, so
-// one codec serves every experiment. Each experiment registers the
-// concrete type of its shard results once via RegisterType (gob needs the
-// type name ↔ type mapping on both ends).
+// Gob turns shard results into cacheable bytes and back: encoding/gob
+// behind an interface envelope, so one codec serves every experiment, the
+// cache and the remote worker reply path alike. It must round-trip values
+// exactly: the byte-identical-report guarantee rests on
+// Decode(Encode(v)) being indistinguishable from v to the experiment's
+// merge step. Each experiment registers the concrete type of its shard
+// results once via RegisterType (gob needs the type name ↔ type mapping
+// on both ends).
 type Gob struct{}
 
 // RegisterType records a concrete shard-result type with the gob codec.

@@ -1,7 +1,9 @@
-// Package dispatch is the distributed shard-execution backend: an
-// engine.Backend that routes every shard either to a local executor
-// goroutine or to a remote worker process (`cdlab worker`) leased over the
-// /v1 worker HTTP verbs (see wire.go for the protocol).
+// Package dispatch is the service's shard-execution backend: it routes
+// every shard either to a local executor goroutine or to a remote worker
+// process (`cdlab worker`) leased over the /v1 worker HTTP verbs (see
+// wire.go for the protocol). `cdlab run` and `cdlab serve` both execute
+// through it; a run with no worker attached is simply one whose local
+// executors claim every task.
 //
 // The scheduling model is one pull-based task queue shared by every
 // placement. A Run call enqueues its shards as tasks; local executors and
@@ -26,6 +28,10 @@
 // (when local executors exist) so one poisonous worker loop cannot starve
 // a job forever. Genuine shard errors reported by a worker fail the job,
 // exactly as a local shard error would.
+//
+// The dispatcher never consults the result cache: the service looks every
+// shard up before scheduling and hands Run only the misses, so a warm
+// rerun needs no executor and no worker at all.
 //
 // Cancellation mirrors the engine contract: when a Run call's context dies
 // its queued tasks settle with ctx.Err(), in-flight local shards finish on
@@ -75,10 +81,6 @@ type Options struct {
 	// LeaseTTL is the worker heartbeat deadline (<= 0 selects 15s): a
 	// worker silent for longer is dropped and its leases requeue.
 	LeaseTTL time.Duration
-	// MaxRemoteAttempts bounds how many times a task may be requeued off
-	// lost workers before it is pinned to local execution (<= 0 selects 3).
-	// The pin only applies when local executors exist.
-	MaxRemoteAttempts int
 	// Metrics, when non-nil, receives the dispatcher's queue/lease metrics
 	// (nil creates a private registry, so recording sites never nil-check).
 	// Share one registry with the service to export everything at /v1/metrics.
@@ -88,8 +90,13 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Dispatcher is the distributed engine.Backend. It must be released with
-// Close; all methods are goroutine-safe.
+// maxRemoteAttempts bounds how many times a task may be requeued off lost
+// workers before it is pinned to local execution. The pin only applies
+// when local executors exist.
+const maxRemoteAttempts = 3
+
+// Dispatcher is the shard backend. It must be released with Close; all
+// methods are goroutine-safe.
 type Dispatcher struct {
 	opts  Options
 	local int // local executor count
@@ -114,8 +121,6 @@ type Dispatcher struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 }
-
-var _ engine.Backend = (*Dispatcher)(nil)
 
 type taskState int
 
@@ -164,7 +169,7 @@ func (t *task) finishLocked(v any, err error) {
 // discarded; first completion wins). ran selects progress reporting:
 // executed shards report, cancellation skips do not (the engine contract).
 // The report fires before doneCh closes so every OnProgress callback
-// happens-before its Run call returns, matching the engine pool.
+// happens-before its Run call returns, matching engine.Run.
 func (t *task) finish(v any, err error, ran bool) bool {
 	t.mu.Lock()
 	if t.state == taskDone {
@@ -203,9 +208,6 @@ type workerState struct {
 func New(opts Options) *Dispatcher {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 15 * time.Second
-	}
-	if opts.MaxRemoteAttempts <= 0 {
-		opts.MaxRemoteAttempts = 3
 	}
 	local := opts.LocalWorkers
 	if local <= 0 {
@@ -259,8 +261,8 @@ func New(opts Options) *Dispatcher {
 	return d
 }
 
-// Workers implements engine.Backend: the local parallelism bound. Remote
-// capacity attaches and detaches at runtime; see RemoteWorkers.
+// Workers reports the local parallelism bound. Remote capacity attaches
+// and detaches at runtime; see RemoteWorkers.
 func (d *Dispatcher) Workers() int { return d.local }
 
 // LeaseTTL returns the effective worker heartbeat deadline.
@@ -299,10 +301,10 @@ func (d *Dispatcher) wakeLocked() {
 	d.notify = make(chan struct{})
 }
 
-// Run implements engine.Backend with the package-level engine semantics:
-// results in input order, failures joined via engine.ShardError, and
-// cancellation reported as ctx.Err() while other callers keep running.
-// Concurrent Run calls interleave their tasks on the same queue.
+// Run executes the shards with engine.Run's semantics: results in input
+// order, failures joined via engine.ShardError, and cancellation reported
+// as ctx.Err() while other callers keep running. Concurrent Run calls
+// interleave their tasks on the same queue.
 func (d *Dispatcher) Run(ctx context.Context, shards []engine.Shard, opts engine.Options) ([]any, error) {
 	if len(shards) == 0 {
 		return nil, ctx.Err()
@@ -471,7 +473,7 @@ func (d *Dispatcher) requeueLocked(w *workerState) {
 			continue
 		}
 		t.remoteAttempts++
-		if t.remoteAttempts >= d.opts.MaxRemoteAttempts && d.local > 0 {
+		if t.remoteAttempts >= maxRemoteAttempts && d.local > 0 {
 			t.localOnly = true
 		}
 		t.state = taskPending
@@ -617,9 +619,7 @@ func (d *Dispatcher) Deregister(workerID string) error {
 // appear. A nil grant with nil error means the poll elapsed empty (HTTP
 // 204); a dead ctx returns ctx.Err(), so a severed caller is never mistaken
 // for a healthy empty poll. Leasing also proves liveness, so a busy worker
-// that polls needs no separate heartbeat. Tasks whose server-side Probe
-// (the shard cache) already holds the result settle inline and are never
-// shipped.
+// that polls needs no separate heartbeat.
 func (d *Dispatcher) Lease(ctx context.Context, workerID string, wait time.Duration) (*LeaseGrant, error) {
 	// Cap the poll at half the lease TTL inside the dispatcher itself, not
 	// just in the HTTP layer: lastSeen renews only when the loop re-enters,
@@ -648,42 +648,6 @@ func (d *Dispatcher) Lease(ctx context.Context, workerID string, wait time.Durat
 		}
 		notify := d.notify
 		if t != nil {
-			if probe := t.shard.Remote.Probe; probe != nil {
-				// Probe outside d.mu: it touches the result cache and emits
-				// events. The task is claimed (taskLeased), so no other
-				// placement can race for it.
-				d.mu.Unlock()
-				if v, ok := probe(); ok {
-					t.finish(v, nil, true)
-					continue
-				}
-				d.mu.Lock()
-				if d.workers[workerID] != w {
-					// The worker expired (or re-registered) while we probed:
-					// put the task back and report the stale identity.
-					t.mu.Lock()
-					if t.state == taskLeased {
-						t.state = taskPending
-						t.mu.Unlock()
-						d.enqueueLocked(t)
-						d.wakeLocked()
-					} else {
-						t.mu.Unlock()
-					}
-					d.mu.Unlock()
-					return nil, ErrUnknownWorker
-				}
-			}
-			// The task may have settled while unlocked (its job cancelled
-			// during the probe): granting it would make a worker compute a
-			// whole shard only for Complete to discard the reply.
-			t.mu.Lock()
-			stillLeased := t.state == taskLeased
-			t.mu.Unlock()
-			if !stillLeased {
-				d.mu.Unlock()
-				continue
-			}
 			w.leases[t.id] = &leaseEntry{t: t, grantedAt: time.Now()}
 			d.mu.Unlock()
 			t.shard.Span.Record(obs.SpanLeased, workerID)

@@ -310,50 +310,6 @@ func TestDispatcherDeregisterRequeues(t *testing.T) {
 	}
 }
 
-// TestDispatcherProbeShortCircuit: a task whose server-side probe (the
-// shard cache) already holds the value settles inline and is never
-// shipped to a worker.
-func TestDispatcherProbeShortCircuit(t *testing.T) {
-	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
-	defer d.Close()
-	reg, _ := d.Register("tester", 1)
-	sh := engine.Shard{
-		Label: "cached",
-		Run:   func(context.Context) (any, error) { t.Error("local Run must not execute"); return nil, nil },
-		Remote: &engine.RemoteSpec{
-			Spec:  []byte("cached"),
-			Probe: func() (any, bool) { return "hit", true },
-			Accept: func(string, time.Duration, []byte) (any, error) {
-				t.Error("Accept must not execute for a probe hit")
-				return nil, nil
-			},
-		},
-	}
-	done := make(chan struct {
-		out []any
-		err error
-	}, 1)
-	go func() {
-		out, err := d.Run(context.Background(), []engine.Shard{sh}, engine.Options{})
-		done <- struct {
-			out []any
-			err error
-		}{out, err}
-	}()
-	// The poll settles the task through the probe and returns empty.
-	g, err := d.Lease(context.Background(), reg.WorkerID, 300*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g != nil {
-		t.Fatalf("probe-hit task was leased: %+v", g)
-	}
-	r := <-done
-	if r.err != nil || r.out[0].(string) != "hit" {
-		t.Fatalf("probe result %v / %v, want hit", r.out, r.err)
-	}
-}
-
 // TestDispatcherCancellationUnblocksRun: with no capacity anywhere, a
 // cancelled context settles queued tasks promptly and reports ctx.Err(),
 // and the dispatcher keeps serving later calls.
@@ -396,10 +352,13 @@ func TestDispatcherCancellationUnblocksRun(t *testing.T) {
 }
 
 // TestDispatcherConcurrentRunsInterleave: many Run calls share the queue
-// and each observes only its own results — the shared-pool contract.
+// and each observes only its own results, while the executors bound the
+// total parallelism — the shared-backend contract.
 func TestDispatcherConcurrentRunsInterleave(t *testing.T) {
-	d := New(Options{LocalWorkers: 4, LeaseTTL: time.Second})
+	const workers = 4
+	d := New(Options{LocalWorkers: workers, LeaseTTL: time.Second})
 	defer d.Close()
+	var inFlight, peak atomic.Int64
 	var wg sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		r := r
@@ -408,7 +367,22 @@ func TestDispatcherConcurrentRunsInterleave(t *testing.T) {
 			defer wg.Done()
 			var shards []engine.Shard
 			for i := 0; i < 10; i++ {
-				shards = append(shards, localShard(fmt.Sprintf("r%d-s%d", r, i), r*100+i))
+				v := r*100 + i
+				shards = append(shards, engine.Shard{
+					Label: fmt.Sprintf("r%d-s%d", r, i),
+					Run: func(context.Context) (any, error) {
+						cur := inFlight.Add(1)
+						for {
+							p := peak.Load()
+							if cur <= p || peak.CompareAndSwap(p, cur) {
+								break
+							}
+						}
+						time.Sleep(100 * time.Microsecond)
+						inFlight.Add(-1)
+						return v, nil
+					},
+				})
 			}
 			out, err := d.Run(context.Background(), shards, engine.Options{})
 			if err != nil {
@@ -423,6 +397,11 @@ func TestDispatcherConcurrentRunsInterleave(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// Every Run call shares the same executors: the number of shards
+	// executing at once never exceeds LocalWorkers.
+	if p := peak.Load(); p > workers {
+		t.Fatalf("peak concurrency %d exceeds LocalWorkers %d", p, workers)
+	}
 }
 
 // costShard is remoteShard with a declared scheduling cost.

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"columndisturb/internal/sim/rng"
 )
@@ -197,12 +195,9 @@ func TestWorkerDefaultAndClamp(t *testing.T) {
 
 // TestCancellationStopsScheduling is the engine's cancellation contract:
 // cancelling mid-sweep stops handing out new shards, the Run call reports
-// context.Canceled, and the shared pool keeps serving other callers.
+// context.Canceled, and skipped shards carry no results.
 func TestCancellationStopsScheduling(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-
-	const n = 50
+	const n, workers = 50, 2
 	started := make(chan int, n)
 	release := make(chan struct{})
 	var ran atomic.Int64
@@ -226,7 +221,7 @@ func TestCancellationStopsScheduling(t *testing.T) {
 	out := []any(nil)
 	go func() {
 		defer close(doneRun)
-		out, runErr = pool.Run(ctx, shards, Options{})
+		out, runErr = Run(ctx, shards, Options{Workers: workers})
 	}()
 
 	// Wait until both workers hold a shard, then cancel and unblock them.
@@ -239,83 +234,19 @@ func TestCancellationStopsScheduling(t *testing.T) {
 	if !errors.Is(runErr, context.Canceled) {
 		t.Fatalf("cancelled run error = %v, want context.Canceled", runErr)
 	}
-	// At most the two in-flight shards (plus possibly one queued task that
-	// raced the cancel) may have started; the bulk of the sweep must not.
-	if got := ran.Load(); got > 4 {
-		t.Fatalf("%d shards ran after cancellation, want <= 4", got)
+	// Only the two in-flight shards may have started: every later claim
+	// sees the cancelled context before running its shard.
+	if got := ran.Load(); got != workers {
+		t.Fatalf("%d shards ran, want %d (the in-flight ones)", got, workers)
 	}
-	// Unstarted shards carry no results.
 	nonNil := 0
 	for _, v := range out {
 		if v != nil {
 			nonNil++
 		}
 	}
-	if nonNil > 4 {
-		t.Fatalf("%d results materialized after cancellation", nonNil)
-	}
-
-	// The pool must remain usable after a cancelled job.
-	out2, err := pool.Run(context.Background(), intShards(20, func(i int) (any, error) { return i, nil }), Options{})
-	if err != nil {
-		t.Fatalf("pool unusable after cancellation: %v", err)
-	}
-	for i, v := range out2 {
-		if v.(int) != i {
-			t.Fatalf("post-cancel run out[%d] = %v", i, v)
-		}
-	}
-}
-
-// TestSharedPoolConcurrentRuns submits several Run calls to one pool at
-// once: every call must collect its own ordered results, and the number of
-// simultaneously executing shards must never exceed the pool size.
-func TestSharedPoolConcurrentRuns(t *testing.T) {
-	const workers = 3
-	pool := NewPool(workers)
-	defer pool.Close()
-
-	var inFlight, peak atomic.Int64
-	mkShards := func(base int) []Shard {
-		return intShards(40, func(i int) (any, error) {
-			cur := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			time.Sleep(100 * time.Microsecond)
-			inFlight.Add(-1)
-			return base + i, nil
-		})
-	}
-
-	var wg sync.WaitGroup
-	results := make([][]any, 4)
-	errs := make([]error, 4)
-	for j := 0; j < 4; j++ {
-		j := j
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[j], errs[j] = pool.Run(context.Background(), mkShards(j*1000), Options{})
-		}()
-	}
-	wg.Wait()
-
-	for j := 0; j < 4; j++ {
-		if errs[j] != nil {
-			t.Fatalf("job %d: %v", j, errs[j])
-		}
-		for i, v := range results[j] {
-			if v.(int) != j*1000+i {
-				t.Fatalf("job %d out[%d] = %v, want %d", j, i, v, j*1000+i)
-			}
-		}
-	}
-	if p := peak.Load(); p > workers {
-		t.Fatalf("peak concurrency %d exceeds pool size %d", p, workers)
+	if nonNil != workers {
+		t.Fatalf("%d results materialized, want %d", nonNil, workers)
 	}
 }
 

@@ -45,51 +45,3 @@ func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
 func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
 func (nopHandler) WithAttrs([]slog.Attr) slog.Handler        { return nopHandler{} }
 func (nopHandler) WithGroup(string) slog.Handler             { return nopHandler{} }
-
-// NewCallbackLogger bridges slog onto a printf-style sink. It exists for
-// one caller: client.WorkerOptions.Logf, the legacy logging hook that
-// tests and embedders already depend on. Each record renders as
-// "LEVEL msg k=v k=v" through a single fn call.
-func NewCallbackLogger(level slog.Level, fn func(format string, args ...any)) *slog.Logger {
-	return slog.New(&callbackHandler{level: level, fn: fn})
-}
-
-type callbackHandler struct {
-	level slog.Level
-	fn    func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h *callbackHandler) Enabled(_ context.Context, l slog.Level) bool {
-	return l >= h.level
-}
-
-func (h *callbackHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.WriteString(r.Level.String())
-	b.WriteByte(' ')
-	b.WriteString(r.Message)
-	writeAttr := func(a slog.Attr) bool {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Resolve().Any())
-		return true
-	}
-	for _, a := range h.attrs {
-		writeAttr(a)
-	}
-	r.Attrs(writeAttr)
-	h.fn("%s", b.String())
-	return nil
-}
-
-func (h *callbackHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	merged := make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	merged = append(merged, h.attrs...)
-	merged = append(merged, attrs...)
-	return &callbackHandler{level: h.level, fn: h.fn, attrs: merged}
-}
-
-func (h *callbackHandler) WithGroup(name string) slog.Handler {
-	// Groups are rare in this codebase; flatten by prefixing would need
-	// per-attr state. Keep it simple: ignore the group name.
-	return h
-}

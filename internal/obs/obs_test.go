@@ -157,34 +157,3 @@ func TestParseLevel(t *testing.T) {
 		t.Fatal("unknown level accepted")
 	}
 }
-
-func TestCallbackLogger(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
-	log := NewCallbackLogger(0, func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		lines = append(lines, strings.TrimSpace(strings.ReplaceAll(format, "%s", "")+sprint(args...)))
-	})
-	log.With("worker", "w1").Info("leased task", "shard", "fig6/arm=0")
-	mu.Lock()
-	defer mu.Unlock()
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines, want 1", len(lines))
-	}
-	for _, want := range []string{"INFO", "leased task", "worker=w1", "shard=fig6/arm=0"} {
-		if !strings.Contains(lines[0], want) {
-			t.Fatalf("line %q missing %q", lines[0], want)
-		}
-	}
-}
-
-func sprint(args ...any) string {
-	var b strings.Builder
-	for _, a := range args {
-		if s, ok := a.(string); ok {
-			b.WriteString(s)
-		}
-	}
-	return b.String()
-}

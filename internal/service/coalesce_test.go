@@ -15,7 +15,7 @@ import (
 // execution counter, so single-flight tests can assert how many times
 // each shard actually computed.
 func registerCountingExperiment(id string, shards int, execs *atomic.Int64, started chan<- string, release <-chan struct{}) {
-	experiments.Register(experiments.Experiment{
+	registerSynthetic(experiments.Experiment{
 		ID:    id,
 		Paper: "test",
 		Title: "synthetic counting sweep",

@@ -12,8 +12,8 @@ type EventType string
 const (
 	// EventJobQueued is emitted once when Submit accepts the job.
 	EventJobQueued EventType = "job_queued"
-	// EventJobStarted is emitted when the scheduler hands the job to the
-	// shared pool.
+	// EventJobStarted is emitted when the scheduler starts the job's
+	// flight.
 	EventJobStarted EventType = "job_started"
 	// EventShardDone is emitted after each shard completes, with Done/Total
 	// progress and whether the shard was served from the result cache.

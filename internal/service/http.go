@@ -32,9 +32,9 @@ import (
 //	GET    /v1/jobs/<id>/trace       the job's span set (obs.TraceRecord; DESIGN.md §13)
 //	GET    /v1/metrics               fleet metrics in the Prometheus text format
 //
-// When the service runs on the distributed dispatch backend (a
-// Dispatcher in Options), the worker protocol mounts alongside — these
-// are the verbs `cdlab worker` speaks (wire bodies in internal/dispatch):
+// The worker protocol mounts alongside — these are the verbs `cdlab
+// worker` speaks to the service's dispatcher (wire bodies in
+// internal/dispatch):
 //
 //	GET    /v1/workers                     list attached workers
 //	POST   /v1/workers                     register (RegisterRequest → RegisterResponse)
@@ -65,10 +65,8 @@ func (s *Service) Handler() http.Handler {
 	}
 	mux.HandleFunc("/v1/profiles", s.handleProfiles)
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
-	if s.opts.Dispatcher != nil {
-		mux.HandleFunc("/v1/workers", s.handleWorkers)
-		mux.HandleFunc("/v1/workers/", s.handleWorker)
-	}
+	mux.HandleFunc("/v1/workers", s.handleWorkers)
+	mux.HandleFunc("/v1/workers/", s.handleWorker)
 	if s.opts.AuthToken != "" {
 		return authMiddleware(s.opts.AuthToken, mux)
 	}
@@ -323,7 +321,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleWorkers serves the /v1/workers collection: GET lists the attached
 // workers, POST registers a new one.
 func (s *Service) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	d := s.opts.Dispatcher
+	d := s.d
 	switch r.Method {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, d.RemoteWorkers())
@@ -353,7 +351,7 @@ func (s *Service) handleWorkers(w http.ResponseWriter, r *http.Request) {
 
 // handleWorker routes /v1/workers/<id>[/heartbeat|/lease|/tasks/<task>].
 func (s *Service) handleWorker(w http.ResponseWriter, r *http.Request) {
-	d := s.opts.Dispatcher
+	d := s.d
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/workers/")
 	id, sub, _ := strings.Cut(rest, "/")
 	if id == "" {

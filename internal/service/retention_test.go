@@ -9,13 +9,9 @@ import (
 )
 
 // registerQuickExperiment installs a trivial sharded experiment for
-// retention tests. Registration is global (and permanent — re-runs with
-// -count>1 reuse it), so each test uses a unique ID.
+// retention tests.
 func registerQuickExperiment(id string, shards int) {
-	if _, ok := experiments.ByID(id); ok {
-		return
-	}
-	experiments.Register(experiments.Experiment{
+	registerSynthetic(experiments.Experiment{
 		ID:    id,
 		Paper: "test",
 		Title: "synthetic quick sweep",

@@ -1,6 +1,7 @@
 // Package service is the experiment service subsystem (DESIGN.md §8): a
 // job queue and cross-experiment scheduler that executes any number of
-// concurrently submitted experiments on ONE shared engine pool, with
+// concurrently submitted experiments on ONE shared shard backend (the
+// dispatcher, internal/dispatch), with
 // shard-level result caching, a typed JSONL event stream per job,
 // single-flight coalescing of identical submissions, and (with a Journal)
 // WAL-backed crash recovery.
@@ -14,16 +15,19 @@
 //     independent event streams and reports (DESIGN.md §14).
 //   - A flight is the unit of execution. The scheduler starts queued
 //     flights (optionally bounded by MaxActiveJobs); a started flight
-//     feeds its shards into the shared engine.Pool, where they interleave
-//     with every other in-flight flight's shards.
-//   - Before a shard executes, the service consults the result cache under
-//     (experiment ID, config digest, shard label). A hit decodes the
-//     stored bytes and skips the computation; a miss runs the shard and
-//     stores its encoded result. Because shards are pure functions of
-//     (config, shard key), a warm re-run recomputes zero shards and still
-//     merges a byte-identical report — which is also why crash recovery
-//     can simply re-run journaled jobs: their settled shards are cache
-//     hits, and the re-merged report is byte-identical by construction.
+//     feeds its shards into the shared dispatcher, where they interleave
+//     with every other in-flight flight's shards on local executors or
+//     remote workers.
+//   - Before anything is scheduled, the service looks every shard up in
+//     the result cache under (experiment ID, config digest, shard label).
+//     A hit decodes the stored bytes and becomes its part directly; only
+//     the misses reach the dispatcher, which runs them and stores their
+//     encoded results. Because shards are pure functions of (config, shard
+//     key), a warm re-run recomputes zero shards — on zero executors and
+//     zero workers — and still merges a byte-identical report, which is
+//     also why crash recovery can simply re-run journaled jobs: their
+//     settled shards are cache hits, and the re-merged report is
+//     byte-identical by construction.
 //   - Every state transition is emitted on each member job's event stream
 //     (Event), consumable live (Job.Events replays history then follows)
 //     and serialized as JSON lines by the front-ends: `cdlab run -json`
@@ -58,9 +62,9 @@ var ErrClosed = errors.New("service: closed")
 
 // Options configures a Service.
 type Options struct {
-	// Workers sizes the shared engine pool (<= 0 selects GOMAXPROCS).
-	// Ignored when Dispatcher is set (the dispatcher's own options size its
-	// local executors).
+	// Workers sizes the local executors of the dispatcher New builds when
+	// Dispatcher is nil (<= 0 selects GOMAXPROCS). Ignored when Dispatcher
+	// is set (the dispatcher's own options size its local executors).
 	Workers int
 	// MaxActiveJobs bounds how many flights run concurrently (0 =
 	// unlimited). Shard-level parallelism is always bounded by Workers;
@@ -68,11 +72,10 @@ type Options struct {
 	// latency predictable. Coalesced followers ride their flight and do
 	// not consume a slot.
 	MaxActiveJobs int
-	// Dispatcher, when non-nil, replaces the in-process engine pool with
-	// the distributed shard backend: shards run on the dispatcher's local
-	// executors or on remote workers leased over the /v1 worker API (which
-	// Handler mounts exactly when this is set). The service takes ownership
-	// and Closes it.
+	// Dispatcher is the shard backend: shards run on its local executors or
+	// on remote workers leased over the /v1 worker API, which Handler
+	// mounts. Nil makes New build one with Workers local executors. The
+	// service takes ownership and Closes it.
 	Dispatcher *dispatch.Dispatcher
 	// RetainJobs, when > 0, bounds the in-memory job table: once more than
 	// this many jobs have settled, the oldest settled jobs are retired —
@@ -88,14 +91,10 @@ type Options struct {
 	// Cache, when non-nil, enables shard-result caching. *cache.Store is
 	// the in-process implementation; the interface seam exists so replicas
 	// can later share one content-addressed backend.
+	// Entries are cache.Gob encodings: worker replies travel in that
+	// encoding and are stored verbatim, so local and remote fills are
+	// byte-identical entries.
 	Cache cache.Backend
-	// Codec encodes shard results for the cache (nil selects cache.Gob).
-	// With a Dispatcher it MUST be cache.Gob (or nil): worker replies
-	// travel in the wire gob encoding and are stored in the cache
-	// verbatim, so a different server-side codec could neither decode them
-	// nor share entries with locally computed shards (New panics on the
-	// combination).
-	Codec cache.Codec
 	// Journal, when non-nil, gives the service a write-ahead log: Submit
 	// acknowledges only after the job is durable, computed shards and
 	// settles are journaled, and Recover rebuilds the job table after a
@@ -111,7 +110,8 @@ type Options struct {
 	OnEvent func(Event)
 	// Metrics, when non-nil, receives the service's job/shard/cache metrics
 	// (nil creates a private registry). Share one registry with the
-	// Dispatcher so GET /v1/metrics exports the whole serve plane.
+	// Dispatcher so GET /v1/metrics exports the whole serve plane; the
+	// dispatcher New builds shares it automatically.
 	Metrics *obs.Registry
 	// Logger receives structured job-lifecycle logs. Nil discards them.
 	Logger *slog.Logger
@@ -125,12 +125,11 @@ type coalesceKey struct {
 	digest     string
 }
 
-// Service owns the shard backend (shared pool or dispatcher), the job
-// table and the scheduler.
+// Service owns the shard backend (the dispatcher), the job table and the
+// scheduler.
 type Service struct {
 	opts    Options
-	backend engine.Backend
-	codec   cache.Codec
+	d       *dispatch.Dispatcher
 	log     *slog.Logger
 	journal *Journal
 
@@ -167,22 +166,6 @@ type Service struct {
 // to suspend for a journal-backed restart). When the service was built
 // from a replayed journal, call Recover before accepting submissions.
 func New(opts Options) *Service {
-	codec := opts.Codec
-	if codec == nil {
-		codec = cache.Gob{}
-	}
-	var backend engine.Backend
-	if opts.Dispatcher != nil {
-		if _, ok := codec.(cache.Gob); !ok {
-			// Programmer error, caught at construction: remote workers
-			// always reply in the wire gob encoding (dispatch.ExecuteTask),
-			// which a foreign codec could not decode or cache-share.
-			panic("service: a Dispatcher requires the cache.Gob codec")
-		}
-		backend = opts.Dispatcher
-	} else {
-		backend = engine.NewPool(opts.Workers)
-	}
 	log := opts.Logger
 	if log == nil {
 		log = obs.NopLogger()
@@ -191,11 +174,14 @@ func New(opts Options) *Service {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	d := opts.Dispatcher
+	if d == nil {
+		d = dispatch.New(dispatch.Options{LocalWorkers: opts.Workers, Metrics: reg, Logger: log})
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		opts:       opts,
-		backend:    backend,
-		codec:      codec,
+		d:          d,
 		log:        log,
 		journal:    opts.Journal,
 		metrics:    reg,
@@ -238,13 +224,11 @@ func (s *Service) registerMetrics(reg *obs.Registry) {
 		})
 	reg.GaugeFunc("cdlab_backend_workers",
 		"The shard backend's local parallelism bound.", func() float64 {
-			return float64(s.backend.Workers())
+			return float64(s.d.Workers())
 		})
-	if busy, ok := s.backend.(interface{ Busy() int }); ok {
-		reg.GaugeFunc("cdlab_backend_busy",
-			"Shards currently executing on the backend (local executors plus remote leases).",
-			func() float64 { return float64(busy.Busy()) })
-	}
+	reg.GaugeFunc("cdlab_backend_busy",
+		"Shards currently executing on the backend (local executors plus remote leases).",
+		func() float64 { return float64(s.d.Busy()) })
 	if jn := s.journal; jn != nil {
 		reg.CounterFunc("cdlab_wal_records_total",
 			"Journal records appended since this process opened the WAL.", func() float64 {
@@ -295,13 +279,6 @@ func (s *Service) registerMetrics(reg *obs.Registry) {
 // Metrics returns the service's metric registry (the /v1/metrics source).
 func (s *Service) Metrics() *obs.Registry { return s.metrics }
 
-// Workers returns the shard backend's local parallelism bound.
-func (s *Service) Workers() int { return s.backend.Workers() }
-
-// Dispatcher returns the distributed backend (nil when the service runs on
-// a plain in-process pool).
-func (s *Service) Dispatcher() *dispatch.Dispatcher { return s.opts.Dispatcher }
-
 // CacheStats returns the result cache's counters (zero Stats when caching
 // is disabled).
 func (s *Service) CacheStats() cache.Stats {
@@ -312,7 +289,7 @@ func (s *Service) CacheStats() cache.Stats {
 }
 
 // Close cancels every running job, waits for them to settle and releases
-// the pool. Jobs still queued are failed with context.Canceled. With a
+// the dispatcher. Jobs still queued are failed with context.Canceled. With a
 // journal, the cancellations are journaled as final — a later replay does
 // not resurrect them — and a clean-shutdown record closes the log.
 func (s *Service) Close() { s.shutdown(false) }
@@ -336,7 +313,7 @@ func (s *Service) shutdown(suspend bool) {
 	s.mu.Unlock()
 	s.baseCancel()
 	s.wg.Wait()
-	s.backend.Close()
+	s.d.Close()
 	if s.journal != nil {
 		s.journal.close(nextSeq, true)
 		if suspend {
@@ -458,7 +435,7 @@ type flight struct {
 	digest    string
 	key       coalesceKey
 	coalesce  bool // participates in s.inflight (NoCache jobs do not)
-	recovered bool // crash-recovered: shards enter the backend queue boosted
+	recovered bool // crash-recovered: shards enter the dispatch queue boosted
 	anchor    time.Time
 	ctx       context.Context
 	cancel    context.CancelFunc
@@ -631,7 +608,6 @@ func (f *flight) finish(res *experiments.Result, err error) {
 		if cb != nil {
 			cb(out)
 		}
-		close(j.done)
 	}
 	f.emitMu.Unlock()
 
@@ -654,7 +630,10 @@ func (f *flight) finish(res *experiments.Result, err error) {
 		if !(draining && state == JobCanceled) {
 			s.journal.settled(j.id, state, errText)
 		}
+		// done closes last: once Wait returns, the job already counts as
+		// settled for retention.
 		s.noteSettled(j.id)
+		close(j.done)
 	}
 }
 
@@ -722,7 +701,6 @@ func (f *flight) drop(j *Job) {
 	if cb := s.opts.OnEvent; cb != nil {
 		cb(ev)
 	}
-	close(j.done)
 	f.emitMu.Unlock()
 
 	if last {
@@ -741,6 +719,7 @@ func (f *flight) drop(j *Job) {
 		s.journal.settled(j.id, JobCanceled, err.Error())
 	}
 	s.noteSettled(j.id)
+	close(j.done)
 }
 
 // Job is one submitted experiment run: a member of a flight. Coalesced
@@ -1022,7 +1001,8 @@ func (s *Service) flightSettled() {
 	s.wg.Done()
 }
 
-// runFlight executes one flight end to end on the shared pool.
+// runFlight executes one flight end to end: cache hits become their parts
+// directly, and only the misses are scheduled on the dispatcher.
 func (s *Service) runFlight(f *flight) {
 	defer s.flightSettled()
 
@@ -1053,14 +1033,35 @@ func (s *Service) runFlight(f *flight) {
 	}
 	f.setShards(len(shards))
 
-	wrapped := make([]engine.Shard, len(shards))
+	parts := make([]any, len(shards))
+	var misses []engine.Shard
+	var missAt []int // plan index of each miss
 	for i, sh := range shards {
-		wrapped[i] = s.wrapShard(f, i, len(shards), sh)
+		if v, ok := s.cached(f, sh.Label); ok {
+			f.trace.NewSpan(sh.Label).Complete("", true)
+			f.shardDone(sh.Label, len(shards), true, "", 0)
+			parts[i] = v
+			continue
+		}
+		misses = append(misses, s.wrapShard(f, i, len(shards), sh))
+		missAt = append(missAt, i)
 	}
-	parts, err := s.backend.Run(f.ctx, wrapped, engine.Options{Recovered: f.recovered})
+	computed, err := s.d.Run(f.ctx, misses, engine.Options{Recovered: f.recovered})
 	if err != nil {
+		// The dispatcher numbers failed shards among the misses; report
+		// them by plan index instead.
+		if joined, ok := err.(interface{ Unwrap() []error }); ok {
+			for _, e := range joined.Unwrap() {
+				if se, ok := e.(*engine.ShardError); ok {
+					se.Index = missAt[se.Index]
+				}
+			}
+		}
 		f.finish(nil, fmt.Errorf("service: %s: %w", f.spec.Experiment, err))
 		return
+	}
+	for k, i := range missAt {
+		parts[i] = computed[k]
 	}
 	res, err := safeMerge(f.spec.Experiment, merge, parts)
 	f.finish(res, err)
@@ -1093,45 +1094,41 @@ func safeMerge(id string, merge func([]any) (*experiments.Result, error), parts 
 	return merge(parts)
 }
 
-// wrapShard layers the result cache and event emission around one shard,
-// and attaches the remote-execution contract the dispatch backend needs:
-// a serialized task descriptor, a cache probe consulted before any remote
-// dispatch, and an Accept hook that ingests a worker's gob reply with the
-// same cache fill and event emission the local path performs. A plain
-// engine pool ignores the attachment, so one wrapping serves every
-// backend. A NoCache job runs every shard and stores nothing — useful to
-// force a recomputation without retiring the store's existing entries.
+// cached looks one shard up in the result cache. A NoCache flight, or a
+// service without a cache, always misses.
+func (s *Service) cached(f *flight, label string) (any, bool) {
+	if s.opts.Cache == nil || f.spec.NoCache {
+		return nil, false
+	}
+	data, ok := s.opts.Cache.Get(cache.Key{Experiment: f.spec.Experiment, ConfigDigest: f.digest, Shard: label})
+	if !ok {
+		return nil, false
+	}
+	v, err := cache.Gob{}.Decode(data)
+	// An undecodable entry (e.g. the part type changed) is a miss: the
+	// shard recomputes and its Put repairs the entry.
+	return v, err == nil
+}
+
+// wrapShard layers the cache fill and event emission around one missed
+// shard, and attaches the remote-execution contract: a serialized task
+// descriptor naming the shard by its plan index, and an Accept hook that
+// ingests a worker's gob reply with the same cache fill and event emission
+// the local path performs. A NoCache job stores nothing — useful to force
+// a recomputation without retiring the store's existing entries.
 func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine.Shard {
 	run := sh.Run
 	label := sh.Label
 	useCache := s.opts.Cache != nil && !f.spec.NoCache
 	key := cache.Key{Experiment: f.spec.Experiment, ConfigDigest: f.digest, Shard: label}
 	span := f.trace.NewSpan(label)
-	probe := func() (any, bool) {
-		if !useCache {
-			return nil, false
-		}
-		if data, ok := s.opts.Cache.Get(key); ok {
-			if v, err := s.codec.Decode(data); err == nil {
-				return v, true
-			}
-			// Undecodable entry (e.g. the part type changed): treat as a
-			// miss and recompute; the Put after the run repairs it.
-		}
-		return nil, false
-	}
-	wrapped := engine.Shard{
+	return engine.Shard{
 		Label: label,
-		// The plan's static estimate, a hint to cost-aware backends only;
-		// it never reaches the result or its digest.
+		// The plan's static estimate, a hint to the dispatch queue only; it
+		// never reaches the result or its digest.
 		Cost: sh.Cost,
 		Span: span,
 		Run: func(ctx context.Context) (any, error) {
-			if v, ok := probe(); ok {
-				span.Complete("", true)
-				f.shardDone(label, total, true, "", 0)
-				return v, nil
-			}
 			span.Record(obs.SpanExecuting, "")
 			start := time.Now()
 			v, err := run(ctx)
@@ -1143,7 +1140,7 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 			}
 			elapsedMs := float64(time.Since(start)) / float64(time.Millisecond)
 			if useCache {
-				if data, err := s.codec.Encode(v); err == nil {
+				if data, err := (cache.Gob{}).Encode(v); err == nil {
 					// Spill failures only cost future hits.
 					_ = s.opts.Cache.Put(key, data)
 				}
@@ -1152,48 +1149,34 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 			f.shardDone(label, total, false, "", elapsedMs)
 			return v, nil
 		},
-	}
-	if s.opts.Dispatcher == nil {
-		// A plain pool would ignore the attachment; skip serializing a
-		// task descriptor nothing can read.
-		return wrapped
-	}
-	wrapped.Remote = &engine.RemoteSpec{
-		Spec: dispatch.EncodeTask(dispatch.TaskSpec{
-			Experiment: f.spec.Experiment,
-			Config:     f.cfg,
-			Shard:      index,
-			Label:      label,
-			TraceID:    f.spec.TraceID,
-		}),
-		Probe: func() (any, bool) {
-			v, ok := probe()
-			if ok {
-				span.Complete("", true)
-				f.shardDone(label, total, true, "", 0)
-			}
-			return v, ok
-		},
-		Accept: func(from string, elapsed time.Duration, reply []byte) (any, error) {
-			v, err := s.codec.Decode(reply)
-			if err != nil {
+		Remote: &engine.RemoteSpec{
+			Spec: dispatch.EncodeTask(dispatch.TaskSpec{
+				Experiment: f.spec.Experiment,
+				Config:     f.cfg,
+				Shard:      index,
+				Label:      label,
+				TraceID:    f.spec.TraceID,
+			}),
+			Accept: func(from string, elapsed time.Duration, reply []byte) (any, error) {
+				v, err := cache.Gob{}.Decode(reply)
+				if err != nil {
+					span.Complete(from, false)
+					return nil, fmt.Errorf("service: %s: decode worker reply: %w", label, err)
+				}
+				// The dispatcher's lease→complete measurement, which includes
+				// transport and worker-side queueing.
+				elapsedMs := float64(elapsed) / float64(time.Millisecond)
+				if useCache {
+					// The reply IS the gob encoding — store it verbatim, so
+					// local and remote fills are byte-identical entries.
+					_ = s.opts.Cache.Put(key, reply)
+				}
 				span.Complete(from, false)
-				return nil, fmt.Errorf("service: %s: decode worker reply: %w", label, err)
-			}
-			// The dispatcher's lease→complete measurement, which includes
-			// transport and worker-side queueing.
-			elapsedMs := float64(elapsed) / float64(time.Millisecond)
-			if useCache {
-				// The reply IS the codec's encoding — store it verbatim,
-				// so local and remote fills are byte-identical entries.
-				_ = s.opts.Cache.Put(key, reply)
-			}
-			span.Complete(from, false)
-			f.shardDone(label, total, false, from, elapsedMs)
-			return v, nil
+				f.shardDone(label, total, false, from, elapsedMs)
+				return v, nil
+			},
 		},
 	}
-	return wrapped
 }
 
 // ID returns the job's identifier.

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"columndisturb/internal/cache"
+	"columndisturb/internal/dispatch"
 	"columndisturb/internal/experiments"
 )
 
@@ -204,12 +206,38 @@ func TestConfigChangeMissesCache(t *testing.T) {
 	}
 }
 
+var (
+	syntheticMu    sync.Mutex
+	syntheticPlans = map[string]func(experiments.Config) (*experiments.Plan, error){}
+)
+
+// registerSynthetic installs a synthetic experiment for service tests.
+// The registry is global and rejects duplicate IDs, so the first call per
+// ID registers a plan that forwards to the latest registration's Plan:
+// a test rerun under -count=N then drives its own closures and channels,
+// not those of the first run. Each test still uses a unique ID.
+func registerSynthetic(e experiments.Experiment) {
+	syntheticMu.Lock()
+	defer syntheticMu.Unlock()
+	if _, ok := syntheticPlans[e.ID]; !ok {
+		id := e.ID
+		forward := e
+		forward.Plan = func(cfg experiments.Config) (*experiments.Plan, error) {
+			syntheticMu.Lock()
+			plan := syntheticPlans[id]
+			syntheticMu.Unlock()
+			return plan(cfg)
+		}
+		experiments.Register(forward)
+	}
+	syntheticPlans[e.ID] = e.Plan
+}
+
 // registerBlockingExperiment installs a synthetic sharded experiment whose
 // shards block until released (or their context is cancelled), giving the
-// cancellation tests a controllable mid-sweep state. Registration is
-// global, so each test uses a unique ID.
+// cancellation tests a controllable mid-sweep state.
 func registerBlockingExperiment(id string, shards int, started chan<- string, release <-chan struct{}) {
-	experiments.Register(experiments.Experiment{
+	registerSynthetic(experiments.Experiment{
 		ID:    id,
 		Paper: "test",
 		Title: "synthetic blocking sweep",
@@ -371,7 +399,7 @@ func TestMaxActiveJobsSerializes(t *testing.T) {
 // TestMergePanicFailsOnlyThatJob: a panicking merge (e.g. over a foreign
 // cached part type) must fail its job, not kill the service.
 func TestMergePanicFailsOnlyThatJob(t *testing.T) {
-	experiments.Register(experiments.Experiment{
+	registerSynthetic(experiments.Experiment{
 		ID:    "svc-test-merge-panic",
 		Paper: "test",
 		Title: "merge panics",
@@ -543,5 +571,157 @@ func TestNoCacheBypassesStore(t *testing.T) {
 	}
 	if got := store.Stats().Puts; got != puts {
 		t.Fatalf("NoCache job stored %d entries", got-puts)
+	}
+}
+
+// TestWarmRerunNeedsNoWorker: the service looks every shard up in the
+// cache before scheduling, so a warm rerun on a pure scheduler — no local
+// executors, no worker attached — settles from the cache alone.
+func TestWarmRerunNeedsNoWorker(t *testing.T) {
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primer := New(Options{Workers: 2, Cache: store})
+	j, err := primer.Submit(JobSpec{Experiment: "fig6"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := j.Wait(context.Background())
+	primer.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc := New(Options{Dispatcher: dispatch.New(dispatch.Options{NoLocal: true}), Cache: store})
+	defer svc.Close()
+	j, err = svc.Submit(JobSpec{Experiment: "fig6"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	warm, err := j.Wait(ctx)
+	if err != nil {
+		t.Fatalf("warm rerun on a scheduler with no worker: %v", err)
+	}
+	if warm.String() != cold.String() {
+		t.Fatal("warm report differs from cold")
+	}
+	hits, misses := j.CacheCounts()
+	if _, total := j.Progress(); misses != 0 || hits != total {
+		t.Fatalf("warm rerun: hits=%d misses=%d of %d shards", hits, misses, total)
+	}
+}
+
+// TestMissTaskSpecKeepsPlanIndex: when only some shards miss the cache,
+// the task a worker leases still names its shard by plan index, not by
+// its position among the misses.
+func TestMissTaskSpecKeepsPlanIndex(t *testing.T) {
+	const id = "svc-test-plan-index"
+	registerQuickExperiment(id, 3)
+	cfg, err := experiments.ResolveConfig("small", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1} {
+		data, err := cache.Gob{}.Encode([]string{fmt.Sprint(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := cache.Key{Experiment: id, ConfigDigest: cfg.Digest(), Shard: fmt.Sprintf("%s shard %d", id, i)}
+		if err := store.Put(key, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := dispatch.New(dispatch.Options{NoLocal: true, LeaseTTL: time.Minute})
+	svc := New(Options{Dispatcher: d, Cache: store})
+	defer svc.Close()
+	j, err := svc.Submit(JobSpec{Experiment: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := d.Register("tester", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := d.Lease(context.Background(), reg.WorkerID, 2*time.Second)
+	if err != nil || g == nil {
+		t.Fatalf("lease: grant %v, err %v", g, err)
+	}
+	spec, err := dispatch.DecodeTask(g.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%s shard 2", id); spec.Shard != 2 || spec.Label != want {
+		t.Fatalf("leased task names shard %d %q, want 2 %q", spec.Shard, spec.Label, want)
+	}
+	reply, err := cache.Gob{}.Encode([]string{"2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Complete(reg.WorkerID, g.TaskID, reply, ""); err != nil {
+		t.Fatal(err)
+	}
+	res, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range res.Rows {
+		if row[0] != fmt.Sprint(i) {
+			t.Fatalf("row %d = %v: parts not scattered back by plan index", i, row)
+		}
+	}
+}
+
+// TestMissErrorKeepsPlanIndex: a failing shard behind cache hits is
+// reported by its plan index, not its position among the misses.
+func TestMissErrorKeepsPlanIndex(t *testing.T) {
+	const id = "svc-test-fail-index"
+	registerSynthetic(experiments.Experiment{
+		ID: id, Paper: "test", Title: "failing last shard",
+		Plan: func(experiments.Config) (*experiments.Plan, error) {
+			plan := &experiments.Plan{Merge: func([]any) (*experiments.Result, error) {
+				return &experiments.Result{ID: id}, nil
+			}}
+			for i := 0; i < 3; i++ {
+				i := i
+				plan.Shards = append(plan.Shards, experiments.Shard{
+					Label: fmt.Sprintf("%s shard %d", id, i),
+					Run: func(context.Context) (any, error) {
+						if i == 2 {
+							return nil, errors.New("boom")
+						}
+						return []string{fmt.Sprint(i)}, nil
+					},
+				})
+			}
+			return plan, nil
+		},
+	})
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Options{Workers: 2, Cache: store})
+	defer svc.Close()
+	// The first run fills shards 0 and 1; the second hits them and runs
+	// only shard 2, the sole miss.
+	for run := 0; run < 2; run++ {
+		j, err := svc.Submit(JobSpec{Experiment: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = j.Wait(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "shard 2 ("+id+" shard 2)") {
+			t.Fatalf("run %d: error %v, want it to name shard 2 by plan index", run, err)
+		}
+		if hits, _ := j.CacheCounts(); hits != 2*run {
+			t.Fatalf("run %d: %d cache hits, want %d", run, hits, 2*run)
+		}
 	}
 }

@@ -32,6 +32,12 @@ echo "== bitset: focused vet + race (hot-loop membership sets) =="
 go vet ./internal/bitset
 go test -race -count=2 ./internal/bitset
 
+echo "== shard scheduling: repeated race (engine, dispatch, service) =="
+# The shard loop, the dispatch queue and the service's flight lifecycle
+# share goroutines and settle-order invariants; a race there may show in
+# only one run out of many, so repeat the three packages under -race.
+go test -race -count=3 ./internal/engine ./internal/dispatch ./internal/service
+
 echo "== wal decoder fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzReplaySegment -fuzztime 5s ./internal/wal
 
