@@ -350,9 +350,8 @@ func (r *LocalRunner) CacheStats() CacheStats {
 }
 
 // Handler exposes the runner's service over HTTP: the /v1 experiment API
-// (submit, status, event streams with replay, reports), the /v1 worker
-// API, plus the legacy unversioned aliases. `cdlab serve` is this handler behind
-// http.ListenAndServe.
+// (submit, status, event streams with replay, reports) and the /v1 worker
+// API. `cdlab serve` is this handler behind an http.Server.
 func (r *LocalRunner) Handler() (http.Handler, error) {
 	svc, err := r.ensureService(0)
 	if err != nil {

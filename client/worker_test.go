@@ -178,9 +178,14 @@ func TestFormerlySerialExperimentsDistributed(t *testing.T) {
 		},
 	}
 	var shardEvents, cachedEvents atomic.Int64
+	var mu sync.Mutex
+	perExperiment := map[string]int{}
 	stop := remote.Subscribe(func(ev columndisturb.Event) {
 		if ev.Type == columndisturb.EventShardDone {
 			shardEvents.Add(1)
+			mu.Lock()
+			perExperiment[ev.Experiment]++
+			mu.Unlock()
 			if ev.Cached != nil && *ev.Cached {
 				cachedEvents.Add(1)
 			}
@@ -192,8 +197,13 @@ func TestFormerlySerialExperimentsDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := shardEvents.Load(); got < int64(2*len(req.Experiments)) {
-		t.Fatalf("%d shard events for %d formerly-serial experiments — they no longer look multi-shard", got, len(req.Experiments))
+	for _, id := range req.Experiments {
+		mu.Lock()
+		n := perExperiment[id]
+		mu.Unlock()
+		if n < 2 {
+			t.Fatalf("%s emitted %d shard events — it no longer looks multi-shard", id, n)
+		}
 	}
 
 	local, err := columndisturb.NewLocalRunner(columndisturb.LocalOptions{Workers: 1})

@@ -72,6 +72,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -306,40 +307,15 @@ func runExperiments(args []string) int {
 	}
 
 	ctx := context.Background()
-
-	// Validate every experiment ID up front — against the server's registry
-	// in remote mode — and exit 2 before any work starts if one is unknown:
-	// a typo in a long sweep must cost nothing.
-	known, err := runner.Experiments(ctx)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cdlab:", err)
-		return 1
-	}
-	knownIDs := make(map[string]bool, len(known))
-	for _, e := range known {
-		knownIDs[e.ID] = true
-	}
 	if ids[0] == "all" {
+		known, err := runner.Experiments(ctx)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cdlab:", err)
+			return 1
+		}
 		ids = ids[:0]
 		for _, e := range known {
 			ids = append(ids, e.ID)
-		}
-	}
-	var unknown []string
-	for _, id := range ids {
-		if !knownIDs[id] {
-			unknown = append(unknown, id)
-		}
-	}
-	if len(unknown) > 0 {
-		fmt.Fprintf(os.Stderr, "cdlab: unknown experiment(s): %s (see `cdlab list`)\n", strings.Join(unknown, ", "))
-		return 2
-	}
-
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "cdlab:", err)
-			return 1
 		}
 	}
 
@@ -356,10 +332,20 @@ func runExperiments(args []string) int {
 		NoCache:     *noCache,
 	})
 	if res == nil {
-		// Whole-request failure (bad profile/override, unreachable server):
-		// nothing ran.
+		// Whole-request failure: nothing ran. Both runners reject unknown
+		// IDs before any work starts, which is a usage error.
 		fmt.Fprintln(os.Stderr, "cdlab:", runErr)
+		var unknown *columndisturb.UnknownExperimentError
+		if errors.As(runErr, &unknown) {
+			return 2
+		}
 		return 1
+	}
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, "cdlab:", err)
+			return 1
+		}
 	}
 
 	// Human status lines go to stderr in -json mode to keep stdout pure
@@ -531,14 +517,22 @@ func serve(args []string) int {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
+	// Listen before announcing, so the startup line names the bound
+	// address (the real port when -addr asks for :0).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		runner.Close()
+		fmt.Fprintln(os.Stderr, "cdlab:", err)
+		return 1
+	}
 	fmt.Fprintf(os.Stderr, "cdlab: serving the /v1 experiment API on %s (cache=%s, wal=%s, local shards=%v, auth=%v, pprof=%v)\n",
-		*addr, orNA(*cacheDir), orNA(*walDir), !*noLocal, *authToken != "", *pprofOn)
+		ln.Addr(), orNA(*cacheDir), orNA(*walDir), !*noLocal, *authToken != "", *pprofOn)
 
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Handler: mux}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.ListenAndServe() }()
+	go func() { serveErr <- srv.Serve(ln) }()
 	select {
 	case err := <-serveErr:
 		runner.Close()

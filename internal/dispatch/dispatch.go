@@ -265,9 +265,6 @@ func New(opts Options) *Dispatcher {
 // and detaches at runtime; see RemoteWorkers.
 func (d *Dispatcher) Workers() int { return d.local }
 
-// LeaseTTL returns the effective worker heartbeat deadline.
-func (d *Dispatcher) LeaseTTL() time.Duration { return d.opts.LeaseTTL }
-
 // Busy reports the dispatcher's in-flight shard count: local executors
 // inside a shard plus outstanding remote leases. An instantaneous
 // utilization reading for metrics exporters.

@@ -33,8 +33,8 @@ var update = flag.Bool("update", false, "rewrite "+goldenPath+" from the current
 // goldenPath holds one SHA-256 per report at the Small profile, in
 // sha256sum format ("<hex>  <id>.txt"), after a "# resultSchemaVersion"
 // header line. The hashed bytes are exactly what `cdlab run all -o dir`
-// writes to <dir>/<id>.txt, so scripts/ci.sh checks the CLI's files
-// against the same lines with `sha256sum -c`.
+// writes to <dir>/<id>.txt, so the cmd/cdlab end-to-end tests check the
+// CLI's files against the same lines.
 const goldenPath = "testdata/golden/small.sha256"
 
 const goldenHeader = "# resultSchemaVersion " + resultSchemaVersion

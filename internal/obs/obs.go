@@ -1,5 +1,5 @@
 // Package obs is the fleet observability core (DESIGN.md §13): a
-// dependency-free metrics registry (atomic counters, gauges and
+// dependency-free metrics registry (atomic counters, callback gauges and
 // fixed-bucket histograms with a Prometheus text exporter), a shard-span
 // tracer that records every shard's queued→leased/executing→completed
 // lifecycle with worker attribution, and small log/slog helpers shared by
@@ -12,7 +12,7 @@
 // byte-identical with observability enabled.
 //
 // All types are goroutine-safe. Recording is designed for hot paths:
-// counters and gauges are single atomic ops, histogram observation is one
+// counters are single atomic ops, histogram observation is one
 // atomic add per bucket bound plus a CAS loop for the sum, and export
 // takes a snapshot without blocking writers.
 package obs
@@ -51,26 +51,6 @@ func (c *Counter) Add(n int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram counts observations into fixed cumulative buckets. The bucket
 // bounds are upper limits; an implicit +Inf bucket catches the tail.
@@ -132,7 +112,6 @@ type family struct {
 
 	// Exactly one of the following is populated.
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64 // CounterFunc/GaugeFunc callback
 	hist    *Histogram
 
@@ -143,8 +122,6 @@ type family struct {
 type child struct {
 	values  []string
 	counter *Counter
-	gauge   *Gauge
-	hist    *Histogram
 }
 
 // Registry holds named metrics and renders them in the Prometheus text
@@ -188,14 +165,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return f.counter
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.lookup(name, help, kindGauge, nil, func() *family {
-		return &family{gauge: &Gauge{}}
-	})
-	return f.gauge
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at export time —
 // the idiom for mirroring state someone else owns (queue depths, pool
 // occupancy, cache footprints). Re-registering replaces the callback.
@@ -229,23 +198,12 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // CounterVec is a family of counters split by label values.
 type CounterVec struct{ f *family }
 
-// GaugeVec is a family of gauges split by label values.
-type GaugeVec struct{ f *family }
-
 // CounterVec returns the named labeled counter family.
 func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterVec {
 	f := r.lookup(name, help, kindCounter, labelNames, func() *family {
 		return &family{children: make(map[string]*child)}
 	})
 	return &CounterVec{f: f}
-}
-
-// GaugeVec returns the named labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	f := r.lookup(name, help, kindGauge, labelNames, func() *family {
-		return &family{children: make(map[string]*child)}
-	})
-	return &GaugeVec{f: f}
 }
 
 // childFor returns the labeled child, creating it on first use. The number
@@ -259,13 +217,7 @@ func (f *family) childFor(values []string) *child {
 	defer f.mu.Unlock()
 	c, ok := f.children[key]
 	if !ok {
-		c = &child{values: append([]string(nil), values...)}
-		switch f.kind {
-		case kindCounter:
-			c.counter = &Counter{}
-		case kindGauge:
-			c.gauge = &Gauge{}
-		}
+		c = &child{values: append([]string(nil), values...), counter: &Counter{}}
 		f.children[key] = c
 	}
 	return c
@@ -274,10 +226,6 @@ func (f *family) childFor(values []string) *child {
 // With returns the counter for the given label values, creating it on
 // first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.childFor(values).counter }
-
-// With returns the gauge for the given label values, creating it on first
-// use.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.childFor(values).gauge }
 
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4), families sorted by name so the output
@@ -304,10 +252,8 @@ func (f *family) write(b *strings.Builder) {
 	switch {
 	case f.counter != nil:
 		fmt.Fprintf(b, "%s %d\n", f.name, f.counter.Value())
-	case f.gauge != nil:
-		fmt.Fprintf(b, "%s %d\n", f.name, f.gauge.Value())
 	case f.hist != nil:
-		writeHistogram(b, f.name, "", f.hist)
+		writeHistogram(b, f.name, f.hist)
 	case f.children != nil:
 		f.mu.Lock()
 		kids := make([]*child, 0, len(f.children))
@@ -319,13 +265,7 @@ func (f *family) write(b *strings.Builder) {
 			return strings.Join(kids[i].values, "\x00") < strings.Join(kids[j].values, "\x00")
 		})
 		for _, c := range kids {
-			lbl := formatLabels(f.labels, c.values)
-			switch {
-			case c.counter != nil:
-				fmt.Fprintf(b, "%s%s %d\n", f.name, lbl, c.counter.Value())
-			case c.gauge != nil:
-				fmt.Fprintf(b, "%s%s %d\n", f.name, lbl, c.gauge.Value())
-			}
+			fmt.Fprintf(b, "%s%s %d\n", f.name, formatLabels(f.labels, c.values), c.counter.Value())
 		}
 	default:
 		// Callback family: snapshot fn under the family lock.
@@ -339,17 +279,18 @@ func (f *family) write(b *strings.Builder) {
 }
 
 // writeHistogram renders the cumulative bucket lines plus _sum and _count.
-// extraLabel (pre-rendered, may be empty) is inserted before the le label.
-func writeHistogram(b *strings.Builder, name, extraLabel string, h *Histogram) {
+func writeHistogram(b *strings.Builder, name string, h *Histogram) {
 	cum := int64(0)
 	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, extraLabel, formatFloat(bound), cum)
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", name, formatFloat(bound), cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, extraLabel, cum)
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
 	fmt.Fprintf(b, "%s_sum %s\n", name, formatFloat(h.Sum()))
-	fmt.Fprintf(b, "%s_count %d\n", name, h.Count())
+	// _count is the +Inf bucket by definition; h.Count() is read at a
+	// different instant and can disagree under concurrent observation.
+	fmt.Fprintf(b, "%s_count %d\n", name, cum)
 }
 
 func formatLabels(names, values []string) string {

@@ -1,10 +1,93 @@
 package obs
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// checkExposition validates a Prometheus text export structurally: every
+// family declares # HELP then # TYPE before its samples, no sample line
+// (name plus labels) repeats, and every histogram's cumulative buckets are
+// monotone up to a +Inf bucket that equals its _count.
+func checkExposition(text string) error {
+	kinds := map[string]string{} // family → declared type
+	helped := map[string]bool{}
+	seen := map[string]bool{}
+	lastBucket := map[string]float64{} // histogram → previous cumulative count
+	inf := map[string]float64{}        // histogram → +Inf bucket
+	for i, line := range strings.Split(text, "\n") {
+		fields := strings.Fields(line)
+		switch {
+		case len(fields) == 0:
+			continue
+		case strings.HasPrefix(line, "# HELP ") && len(fields) >= 3:
+			helped[fields[2]] = true
+			continue
+		case strings.HasPrefix(line, "# TYPE ") && len(fields) == 4:
+			if !helped[fields[2]] {
+				return fmt.Errorf("line %d: # TYPE %s before its # HELP", i+1, fields[2])
+			}
+			kinds[fields[2]] = fields[3]
+			continue
+		case len(fields) != 2:
+			return fmt.Errorf("line %d: malformed line %q", i+1, line)
+		}
+		key := fields[0]
+		if seen[key] {
+			return fmt.Errorf("line %d: duplicate sample %s", i+1, key)
+		}
+		seen[key] = true
+		value, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			return fmt.Errorf("line %d: unparseable value in %q", i+1, line)
+		}
+		name, labels, _ := strings.Cut(key, "{")
+		histogram := func(suffix string) bool {
+			return kinds[strings.TrimSuffix(name, suffix)] == "histogram"
+		}
+		switch {
+		case kinds[name] == "counter" || kinds[name] == "gauge":
+		case histogram("_bucket"):
+			base := strings.TrimSuffix(name, "_bucket")
+			if value < lastBucket[base] {
+				return fmt.Errorf("line %d: histogram %s buckets not cumulative", i+1, base)
+			}
+			lastBucket[base] = value
+			if labels == `le="+Inf"}` {
+				inf[base] = value
+			}
+		case histogram("_sum"):
+		case histogram("_count"):
+			base := strings.TrimSuffix(name, "_count")
+			if got, ok := inf[base]; !ok || got != value {
+				return fmt.Errorf("line %d: histogram %s _count %g but +Inf bucket %g", i+1, base, value, got)
+			}
+		default:
+			return fmt.Errorf("line %d: sample %s has no preceding # TYPE", i+1, name)
+		}
+	}
+	return nil
+}
+
+// TestCheckExpositionRejects pins the checker itself: each export breaks
+// exactly one rule.
+func TestCheckExpositionRejects(t *testing.T) {
+	const head = "# HELP h x\n# TYPE h histogram\n"
+	for name, text := range map[string]string{
+		"undeclared": "c 1\n",
+		"no help":    "# TYPE c counter\nc 1\n",
+		"duplicate":  "# HELP c x\n# TYPE c counter\nc 1\nc 1\n",
+		"decreasing": head + "h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+		"bad count":  head + "h_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 2\n",
+	} {
+		if checkExposition(text) == nil {
+			t.Errorf("%s: export accepted:\n%s", name, text)
+		}
+	}
+}
 
 func TestCounterAndGauge(t *testing.T) {
 	var c Counter
@@ -14,13 +97,16 @@ func TestCounterAndGauge(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Dec()
-	g.Add(-2)
-	g.Inc()
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
+	// Gauges are callbacks read at export; re-registering replaces one.
+	r := NewRegistry()
+	r.GaugeFunc("g", "help", func() float64 { return 7 })
+	r.GaugeFunc("g", "help", func() float64 { return -2.5 })
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\ng -2.5\n") {
+		t.Fatalf("gauge export:\n%s", b.String())
 	}
 }
 
@@ -56,13 +142,13 @@ func TestRegistryGetOrCreate(t *testing.T) {
 			t.Fatal("re-registering as a different type did not panic")
 		}
 	}()
-	r.Gauge("x_total", "help")
+	r.GaugeFunc("x_total", "help", func() float64 { return 0 })
 }
 
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cd_jobs_total", "jobs\nwith newline").Add(3)
-	r.Gauge("cd_active", "active").Set(2)
+	r.GaugeFunc("cd_active", "active", func() float64 { return 2 })
 	r.Histogram("cd_ms", "latency", []float64{1, 10}).Observe(4)
 	r.CounterVec("cd_tasks_total", "per worker", "worker").With(`w"1\x`).Inc()
 	r.GaugeFunc("cd_depth", "queue depth", func() float64 { return 1.5 })
@@ -94,12 +180,16 @@ func TestWritePrometheusFormat(t *testing.T) {
 	if strings.Index(out, "cd_active") > strings.Index(out, "cd_jobs_total") {
 		t.Fatal("families not sorted by name")
 	}
+	if err := checkExposition(out); err != nil {
+		t.Fatalf("%v in:\n%s", err, out)
+	}
 }
 
 // TestRegistryRaceStress hammers one registry from many goroutines —
 // increments, observations, vec-child creation, and concurrent exports —
 // and relies on -race (ci.sh runs the suite race-enabled) to flag any
-// unsynchronized access.
+// unsynchronized access. Every export taken mid-write must still be
+// well-formed.
 func TestRegistryRaceStress(t *testing.T) {
 	r := NewRegistry()
 	const writers = 8
@@ -110,12 +200,11 @@ func TestRegistryRaceStress(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			c := r.Counter("stress_total", "")
-			g := r.Gauge("stress_gauge", "")
+			r.GaugeFunc("stress_gauge", "", func() float64 { return float64(id) })
 			h := r.Histogram("stress_ms", "", nil)
 			v := r.CounterVec("stress_tasks_total", "", "worker")
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i % 97))
 				v.With(string(rune('a' + id))).Inc()
 			}
@@ -127,6 +216,10 @@ func TestRegistryRaceStress(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			var b strings.Builder
 			if err := r.WritePrometheus(&b); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := checkExposition(b.String()); err != nil {
 				t.Error(err)
 				return
 			}

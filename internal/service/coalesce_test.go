@@ -108,7 +108,7 @@ func TestCoalescingSingleFlight(t *testing.T) {
 		if len(res.Rows) != shards {
 			t.Fatalf("%s: result has %d rows", j.ID(), len(res.Rows))
 		}
-		checkEventStream(t, j.EventHistory(), shards)
+		checkEventStream(t, j.EventHistory(), shards, false)
 	}
 	if got := execs.Load(); got != shards {
 		t.Fatalf("shards executed %d times across 3 jobs, want exactly %d", got, shards)
@@ -155,7 +155,7 @@ func TestCoalescingFollowerReplaysHistory(t *testing.T) {
 	if _, err := late.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	checkEventStream(t, late.EventHistory(), shards)
+	checkEventStream(t, late.EventHistory(), shards, false)
 }
 
 // TestCoalescingMemberCancel: cancelling one member settles only that
@@ -219,7 +219,7 @@ func TestCoalescingMemberCancel(t *testing.T) {
 	if execs.Load() == before {
 		t.Fatal("fresh submission after all-cancel computed nothing (attached to the dead flight?)")
 	}
-	checkEventStream(t, c.EventHistory(), shards)
+	checkEventStream(t, c.EventHistory(), shards, false)
 }
 
 // TestNoCacheNeverCoalesces: a NoCache submission demanded a fresh
@@ -300,7 +300,7 @@ func TestCoalescingConcurrentSubmits(t *testing.T) {
 		if _, err := j.Wait(context.Background()); err != nil {
 			t.Fatalf("%s: %v", j.ID(), err)
 		}
-		checkEventStream(t, j.EventHistory(), shards)
+		checkEventStream(t, j.EventHistory(), shards, false)
 	}
 	if got := execs.Load(); got != shards {
 		t.Fatalf("shards executed %d times across %d jobs, want exactly %d", got, clients, shards)

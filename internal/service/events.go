@@ -83,7 +83,7 @@ func (e Event) EncodeJSONL() []byte {
 
 // DecodeEvent parses one JSONL event line and validates it against the
 // stream schema. It is the single decode path of every stream consumer —
-// the remote client's follower and CI's eventcheck gate — and it must
+// the remote client's follower and the CLI's end-to-end tests — and it must
 // error (never panic) on malformed, truncated or wrong-version input, a
 // property the fuzz suite enforces.
 func DecodeEvent(line []byte) (Event, error) {
@@ -97,8 +97,8 @@ func DecodeEvent(line []byte) (Event, error) {
 	return ev, nil
 }
 
-// ValidateEvent checks one decoded event against the stream schema; the
-// CLI's -json self-check and CI's event-schema gate share it.
+// ValidateEvent checks one decoded event against the stream schema;
+// DecodeEvent and the service's stream tests share it.
 func ValidateEvent(e Event) error {
 	if e.V != EventSchemaVersion {
 		return fmt.Errorf("event envelope version %d, want %d: %+v", e.V, EventSchemaVersion, e)

@@ -7,9 +7,9 @@ import (
 )
 
 // The /v1 wire decoders sit on the trust boundary between processes: the
-// event envelope is parsed by every stream consumer (remote client,
-// eventcheck) and the job spec by the server for every POST /v1/jobs body.
-// Both must reject malformed, truncated, or wrong-version input with an
+// event envelope is parsed by every stream consumer (the remote client,
+// the CLI's end-to-end tests) and the job spec by the server for every
+// POST /v1/jobs body. Both must reject malformed, truncated, or wrong-version input with an
 // error — never a panic — no matter what bytes arrive. Seed corpora for
 // both fuzz targets are committed under testdata/fuzz (run with
 // `go test -fuzz FuzzDecodeEvent ./internal/service`).
@@ -66,7 +66,7 @@ func FuzzDecodeJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"experiment":"fig6"}`,
 		`{"experiment":"fig6","profile":"full","overrides":{"seed":"7"},"no_cache":true}`,
-		`{"experiment":"table1","full":true}`,
+		`{"experiment":"table1","full":true}`,          // removed flag: rejected
 		`{"experiment":"fig6"}{"experiment":"table1"}`, // trailing object
 		`{"experiment":`,
 		`[1,2,3]`,
@@ -93,7 +93,7 @@ func FuzzDecodeJobSpec(f *testing.F) {
 			t.Fatalf("re-marshalled spec rejected: %v (%s)", err, out)
 		}
 		if back.Experiment != spec.Experiment || back.Profile != spec.Profile ||
-			back.Full != spec.Full || back.NoCache != spec.NoCache ||
+			back.NoCache != spec.NoCache ||
 			len(back.Overrides) != len(spec.Overrides) {
 			t.Fatalf("round trip mutated the spec: %+v vs %+v", back, spec)
 		}

@@ -17,13 +17,13 @@ import (
 func postJob(t *testing.T, base, id string) JobStatus {
 	t.Helper()
 	body, _ := json.Marshal(JobSpec{Experiment: id})
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %s", resp.Status)
+		t.Fatalf("POST /v1/jobs: %s", resp.Status)
 	}
 	var st JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -48,7 +48,7 @@ func TestHTTPSubmitStreamReport(t *testing.T) {
 
 	// The event stream replays from Seq 0 and closes after the terminal
 	// event.
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s/events", srv.URL, st.ID))
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/events", srv.URL, st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestHTTPSubmitStreamReport(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	checkEventStream(t, events, -1)
+	checkEventStream(t, events, -1, false)
 
 	// Report, JSON first.
-	resp, err = http.Get(fmt.Sprintf("%s/jobs/%s/report", srv.URL, st.ID))
+	resp, err = http.Get(fmt.Sprintf("%s/v1/jobs/%s/report", srv.URL, st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestHTTPSubmitStreamReport(t *testing.T) {
 	}
 
 	// Text rendering.
-	resp, err = http.Get(fmt.Sprintf("%s/jobs/%s/report?format=text", srv.URL, st.ID))
+	resp, err = http.Get(fmt.Sprintf("%s/v1/jobs/%s/report?format=text", srv.URL, st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestHTTPConcurrentSubmissions(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, total := j.Progress()
-		checkEventStream(t, j.EventHistory(), total)
+		checkEventStream(t, j.EventHistory(), total, false)
 	}
 
 	// The listing reports both jobs done.
-	resp, err := http.Get(srv.URL + "/jobs")
+	resp, err := http.Get(srv.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,12 @@ func TestHTTPErrors(t *testing.T) {
 		method, path, body string
 		wantCode           int
 	}{
-		{"POST", "/jobs", "{not json", http.StatusBadRequest},
-		{"POST", "/jobs", `{"experiment":"nope"}`, http.StatusBadRequest},
-		{"GET", "/jobs/job-999", "", http.StatusNotFound},
-		{"GET", "/jobs/job-999/events", "", http.StatusNotFound},
-		{"PUT", "/jobs", "", http.StatusMethodNotAllowed},
+		{"POST", "/v1/jobs", "{not json", http.StatusBadRequest},
+		{"POST", "/v1/jobs", `{"experiment":"nope"}`, http.StatusBadRequest},
+		{"GET", "/v1/jobs/job-999", "", http.StatusNotFound},
+		{"GET", "/v1/jobs/job-999/events", "", http.StatusNotFound},
+		{"PUT", "/v1/jobs", "", http.StatusMethodNotAllowed},
+		{"GET", "/jobs", "", http.StatusNotFound}, // no unversioned routes
 	} {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
@@ -198,7 +199,7 @@ func TestHTTPErrors(t *testing.T) {
 	// Report on a still-running job: 409 with a pointer to the stream.
 	st := postJob(t, srv.URL, "svc-test-http-block")
 	<-started
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s/report", srv.URL, st.ID))
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/report", srv.URL, st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +216,8 @@ func TestHTTPErrors(t *testing.T) {
 }
 
 // TestV1Routes covers the versioned API surface the client package speaks:
-// profile-carrying submission, the /v1 aliases, the profiles listing, and
-// event-stream resumption via ?from=N.
+// profile-carrying submission, the profiles listing, and event-stream
+// resumption via ?from=N.
 func TestV1Routes(t *testing.T) {
 	svc := New(Options{Workers: 2})
 	defer svc.Close()

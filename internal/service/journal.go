@@ -141,10 +141,21 @@ func foldRecords(records []wal.Record) *Recovered {
 	for _, r := range records {
 		switch r.Type {
 		case recSubmitted:
-			var sr submittedRec
+			// The outer Spec shadows submittedRec's so that a spec
+			// journaled before JobSpec.Full was removed keeps its flag.
+			var sr struct {
+				submittedRec
+				Spec struct {
+					JobSpec
+					Full bool `json:"full"`
+				} `json:"spec"`
+			}
 			if json.Unmarshal(r.Data, &sr) != nil || sr.ID == "" {
 				rec.Skipped++
 				continue
+			}
+			if sr.Spec.Full {
+				sr.Spec.Profile = "full"
 			}
 			if j, ok := jobs[sr.ID]; ok {
 				// Resubmitted by a previous recovery: keep the ORIGINAL
@@ -153,10 +164,10 @@ func foldRecords(records []wal.Record) *Recovered {
 				if !j.At.IsZero() && j.At.Before(sr.At) {
 					sr.At = j.At
 				}
-				j.Spec, j.At, j.State = sr.Spec, sr.At, ""
+				j.Spec, j.At, j.State = sr.Spec.JobSpec, sr.At, ""
 				continue
 			}
-			jobs[sr.ID] = &RecoveredJob{ID: sr.ID, Spec: sr.Spec, At: sr.At}
+			jobs[sr.ID] = &RecoveredJob{ID: sr.ID, Spec: sr.Spec.JobSpec, At: sr.At}
 			order = append(order, sr.ID)
 			delete(retired, sr.ID)
 		case recShard:

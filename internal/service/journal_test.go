@@ -100,6 +100,20 @@ func openRecoverable(t *testing.T, dir string, workers int) (*Service, *Recovere
 	return New(Options{Workers: workers, Cache: store, Journal: jn}), rec
 }
 
+// TestFoldMapsJournaledFullToProfile: a submitted record journaled before
+// JobSpec.Profile existed carries full:true; the fold recovers it as the
+// full profile instead of silently re-running it at the small one.
+func TestFoldMapsJournaledFullToProfile(t *testing.T) {
+	rec := foldRecords([]wal.Record{{Type: recSubmitted,
+		Data: []byte(`{"id":"job-1","spec":{"experiment":"table1","full":true},"at":"2026-01-01T00:00:00Z"}`)}})
+	if rec.Skipped != 0 || len(rec.Jobs) != 1 {
+		t.Fatalf("fold: %d jobs, %d skipped", len(rec.Jobs), rec.Skipped)
+	}
+	if got := rec.Jobs[0].Spec; got.Profile != "full" || got.Experiment != "table1" {
+		t.Fatalf("recovered spec %+v, want table1 at profile full", got)
+	}
+}
+
 // TestCrashRecoveryResumesUnderOriginalID is the crash-recovery
 // acceptance scenario in-process: a job is killed mid-run (journal
 // abandoned, exactly what SIGKILL leaves on disk), a second service opens
@@ -197,7 +211,7 @@ func TestCrashRecoveryResumesUnderOriginalID(t *testing.T) {
 	// (whose early shard events the ?from= replay skips, because this
 	// client already holds positions 0..len(preCrash)-1): together exactly
 	// one complete 6-shard stream.
-	checkEventStream(t, merged, shards)
+	checkEventStream(t, merged, shards, false)
 	for _, ev := range merged {
 		if ev.Job != "job-1" {
 			t.Fatalf("merged stream carries event for %q", ev.Job)
@@ -269,7 +283,7 @@ func TestShutdownSuspendsAndResumes(t *testing.T) {
 	if _, err := j2.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	checkEventStream(t, j2.EventHistory(), shards)
+	checkEventStream(t, j2.EventHistory(), shards, false)
 
 	// A second clean cycle with the job settled: nothing left to recover.
 	svc2.Shutdown()
@@ -394,8 +408,8 @@ func TestRecoveredBoostFlagsBackendQueue(t *testing.T) {
 	}
 }
 
-// TestWALMetricsExported: a journal-backed service exports the WAL
-// families through its registry.
+// TestWALMetricsExported: a journal- and cache-backed service exports the
+// WAL, recovery, coalescing and cache families through its registry.
 func TestWALMetricsExported(t *testing.T) {
 	dir := t.TempDir()
 	svc, rec := openRecoverable(t, dir, 1)
@@ -414,6 +428,7 @@ func TestWALMetricsExported(t *testing.T) {
 		"cdlab_wal_records_total", "cdlab_wal_bytes_total",
 		"cdlab_wal_syncs_total", "cdlab_wal_segments",
 		"cdlab_jobs_recovered_total", "cdlab_jobs_coalesced_total",
+		"cdlab_cache_hits_total", "cdlab_cache_mem_bytes",
 	} {
 		if !containsMetric(out, family) {
 			t.Fatalf("metrics export missing %s:\n%s", family, out)

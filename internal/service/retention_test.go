@@ -84,7 +84,7 @@ func TestJobRetentionBoundsTable(t *testing.T) {
 		if len(events) != 6 {
 			t.Fatalf("recent job %s replays %d events, want 6", id, len(events))
 		}
-		checkEventStream(t, events, 3)
+		checkEventStream(t, events, 3, false)
 	}
 }
 

@@ -329,12 +329,6 @@ func (s *Service) shutdown(suspend bool) {
 type JobSpec struct {
 	// Experiment is the experiment ID (see experiments.All).
 	Experiment string `json:"experiment"`
-	// Full selects the paper-breadth configuration instead of the
-	// benchmark-scale one.
-	//
-	// Deprecated: set Profile to "full" instead. Full survives for old
-	// clients; it conflicts with any Profile other than "" or "full".
-	Full bool `json:"full,omitempty"`
 	// Profile names the base configuration ("" selects "small"; see
 	// experiments.Profiles).
 	Profile string `json:"profile,omitempty"`
@@ -355,35 +349,35 @@ type JobSpec struct {
 
 // DecodeJobSpec parses one JSON job spec (the POST /v1/jobs body). It
 // tolerates unknown fields — newer clients may send more — but rejects
-// malformed JSON and trailing garbage, and must error (never panic) on any
-// input, a property the fuzz suite enforces. Semantic validation (known
-// experiment, resolvable profile/overrides) stays in Submit.
+// malformed JSON, trailing garbage and the removed "full" flag (an old
+// client's full:true must not run silently at the small profile), and must
+// error (never panic) on any input, a property the fuzz suite enforces.
+// Semantic validation (known experiment, resolvable profile/overrides)
+// stays in Submit.
 func DecodeJobSpec(data []byte) (JobSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
-	var spec JobSpec
+	var spec struct {
+		JobSpec
+		Full json.RawMessage `json:"full"`
+	}
 	if err := dec.Decode(&spec); err != nil {
 		return JobSpec{}, fmt.Errorf("bad job spec: %w", err)
 	}
 	if dec.More() {
 		return JobSpec{}, fmt.Errorf("bad job spec: trailing data after JSON object")
 	}
-	return spec, nil
+	if spec.Full != nil {
+		return JobSpec{}, fmt.Errorf(`bad job spec: the "full" flag was removed; set "profile":"full" instead`)
+	}
+	return spec.JobSpec, nil
 }
 
-// profileName resolves the effective profile name, folding the deprecated
-// Full flag in.
-func (spec JobSpec) profileName() (string, error) {
-	if spec.Full && spec.Profile != "" && spec.Profile != "full" {
-		return "", fmt.Errorf("service: conflicting full=true and profile %q", spec.Profile)
+// profileName resolves the effective profile name ("" selects "small").
+func (spec JobSpec) profileName() string {
+	if spec.Profile == "" {
+		return "small"
 	}
-	switch {
-	case spec.Profile != "":
-		return spec.Profile, nil
-	case spec.Full:
-		return "full", nil
-	default:
-		return "small", nil
-	}
+	return spec.Profile
 }
 
 // config resolves the spec into the effective experiment configuration
@@ -391,11 +385,7 @@ func (spec JobSpec) profileName() (string, error) {
 // same one the local runner and the remote client rely on, so equal specs
 // always produce equal configs and therefore equal cache digests.
 func (spec JobSpec) config() (experiments.Config, error) {
-	name, err := spec.profileName()
-	if err != nil {
-		return experiments.Config{}, err
-	}
-	return experiments.ResolveConfig(name, spec.Overrides)
+	return experiments.ResolveConfig(spec.profileName(), spec.Overrides)
 }
 
 // JobState is a job's lifecycle phase.
@@ -794,10 +784,7 @@ func (s *Service) submit(spec JobSpec, id string, at time.Time, boost bool) (*Jo
 	if _, ok := experiments.ByID(spec.Experiment); !ok {
 		return nil, fmt.Errorf("service: unknown experiment %q", spec.Experiment)
 	}
-	profile, err := spec.profileName()
-	if err != nil {
-		return nil, err
-	}
+	profile := spec.profileName()
 	cfg, err := spec.config()
 	if err != nil {
 		return nil, fmt.Errorf("service: %v", err)

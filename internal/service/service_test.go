@@ -14,19 +14,23 @@ import (
 	"columndisturb/internal/cache"
 	"columndisturb/internal/dispatch"
 	"columndisturb/internal/experiments"
+	"columndisturb/internal/wal"
 )
 
 // checkEventStream validates one job's complete JSONL event stream against
 // the schema: a gap-free Seq sequence opening with job_queued, then
 // job_started, shard_done with monotonically increasing Done, and exactly
-// one terminal event at the end. Every event must survive a JSON round
-// trip (the wire format of -json and the HTTP stream).
-func checkEventStream(t *testing.T, events []Event, wantShards int) {
+// one terminal event at the end whose elapsed_ms covers the slowest shard.
+// With requireWorker every computed shard must name the worker that ran
+// it (a scheduler with no local executors). Every event must survive a
+// JSON round trip (the wire format of -json and the HTTP stream).
+func checkEventStream(t *testing.T, events []Event, wantShards int, requireWorker bool) {
 	t.Helper()
 	if len(events) < 3 {
 		t.Fatalf("stream too short: %d events", len(events))
 	}
 	shardDone := 0
+	maxShardMs := 0.0
 	for i, ev := range events {
 		if ev.Seq != i {
 			t.Fatalf("event %d has seq %d (gap or reorder)", i, ev.Seq)
@@ -51,11 +55,18 @@ func checkEventStream(t *testing.T, events []Event, wantShards int) {
 			if ev.Type != EventJobFinished && ev.Type != EventJobFailed {
 				t.Fatalf("stream ends with %s, want a terminal event", ev.Type)
 			}
+			if ev.ElapsedMs < maxShardMs {
+				t.Fatalf("job reports %gms total but one shard alone took %gms", ev.ElapsedMs, maxShardMs)
+			}
 		case i >= 2 && ev.Type == EventShardDone:
 			shardDone++
 			if ev.Done != shardDone {
 				t.Fatalf("shard_done #%d has Done=%d", shardDone, ev.Done)
 			}
+			if requireWorker && !*ev.Cached && ev.Worker == "" {
+				t.Fatalf("shard %s computed without a worker attribution", ev.Shard)
+			}
+			maxShardMs = max(maxShardMs, ev.ElapsedMs)
 		}
 	}
 	if wantShards >= 0 && shardDone != wantShards {
@@ -96,7 +107,7 @@ func TestConcurrentJobsOneSharedPool(t *testing.T) {
 			t.Fatalf("%s: state %s", ids[i], j.State())
 		}
 		_, total := j.Progress()
-		checkEventStream(t, j.EventHistory(), total)
+		checkEventStream(t, j.EventHistory(), total, false)
 	}
 }
 
@@ -117,7 +128,7 @@ func TestEventsReplayAndFollow(t *testing.T) {
 	for ev := range j.Events(context.Background()) {
 		got = append(got, ev)
 	}
-	checkEventStream(t, got, -1)
+	checkEventStream(t, got, -1, false)
 	if len(got) != len(j.EventHistory()) {
 		t.Fatalf("replay returned %d of %d events", len(got), len(j.EventHistory()))
 	}
@@ -194,7 +205,7 @@ func TestConfigChangeMissesCache(t *testing.T) {
 	if _, err := j1.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := svc.Submit(JobSpec{Experiment: "table1", Full: true})
+	j2, err := svc.Submit(JobSpec{Experiment: "table1", Profile: "full"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +334,7 @@ func TestCancellationMidSweep(t *testing.T) {
 		t.Fatal("post-cancel job produced an empty report")
 	}
 	_, total := j2.Progress()
-	checkEventStream(t, j2.EventHistory(), total)
+	checkEventStream(t, j2.EventHistory(), total, false)
 }
 
 // TestCancelOneJobLeavesSiblingRunning: two jobs share the pool; killing
@@ -496,8 +507,9 @@ func TestJobElapsedMeasuredOnce(t *testing.T) {
 	}
 }
 
-// TestProfileFullEquivalence: the deprecated Full flag and Profile "full"
-// resolve identically, so they share cache entries; an override produces a
+// TestProfileFullEquivalence: a wire spec naming profile "full" and a
+// journaled spec from before the profile field (full:true) resolve to the
+// same config, so they share cache entries; an override produces a
 // distinct digest and therefore a cold cache.
 func TestProfileFullEquivalence(t *testing.T) {
 	store, err := cache.New(cache.Options{})
@@ -507,14 +519,20 @@ func TestProfileFullEquivalence(t *testing.T) {
 	svc := New(Options{Workers: 2, Cache: store})
 	defer svc.Close()
 
-	j1, err := svc.Submit(JobSpec{Experiment: "table1", Full: true})
+	spec, err := DecodeJobSpec([]byte(`{"experiment":"table1","profile":"full"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1, err := svc.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := j1.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := svc.Submit(JobSpec{Experiment: "table1", Profile: "full"})
+	legacy := foldRecords([]wal.Record{{Type: recSubmitted,
+		Data: []byte(`{"id":"job-1","spec":{"experiment":"table1","full":true}}`)}})
+	j2, err := svc.Submit(legacy.Jobs[0].Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,12 +540,11 @@ func TestProfileFullEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, misses := j2.CacheCounts(); misses != 0 {
-		t.Fatalf("profile=full recomputed %d shards after full=true warmed the cache", misses)
+		t.Fatalf("journaled full=true recomputed %d shards after profile=full warmed the cache", misses)
 	}
 	if j1.Config() != j2.Config() {
-		t.Fatalf("full=true and profile=full resolved differently: %+v vs %+v", j1.Config(), j2.Config())
+		t.Fatalf("profile=full and journaled full=true resolved differently: %+v vs %+v", j1.Config(), j2.Config())
 	}
-
 	j3, err := svc.Submit(JobSpec{Experiment: "table1", Profile: "full", Overrides: map[string]string{"seed": "2"}})
 	if err != nil {
 		t.Fatal(err)
@@ -537,6 +554,19 @@ func TestProfileFullEquivalence(t *testing.T) {
 	}
 	if hits, _ := j3.CacheCounts(); hits != 0 {
 		t.Fatalf("seed-overridden run hit %d base-config cache entries", hits)
+	}
+}
+
+// TestDecodeJobSpecRejectsFull: the removed full flag is an error that
+// points at profile, never a silent small-profile run.
+func TestDecodeJobSpecRejectsFull(t *testing.T) {
+	for _, body := range []string{
+		`{"experiment":"table1","full":true}`,
+		`{"experiment":"table1","full":false,"profile":"small"}`,
+	} {
+		if _, err := DecodeJobSpec([]byte(body)); err == nil || !strings.Contains(err.Error(), "profile") {
+			t.Fatalf("DecodeJobSpec(%s) = %v, want an error naming profile", body, err)
+		}
 	}
 }
 
@@ -676,6 +706,7 @@ func TestMissTaskSpecKeepsPlanIndex(t *testing.T) {
 			t.Fatalf("row %d = %v: parts not scattered back by plan index", i, row)
 		}
 	}
+	checkEventStream(t, j.EventHistory(), 3, true)
 }
 
 // TestMissErrorKeepsPlanIndex: a failing shard behind cache hits is
