@@ -3,6 +3,7 @@ package columndisturb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -146,16 +147,24 @@ func TestRunnerSubscribe(t *testing.T) {
 	}
 }
 
+// apiProfileSeq numbers the profiles TestRunnerProfileAndOverrides
+// registers.
+var apiProfileSeq int
+
 // TestRunnerProfileAndOverrides: a registered profile and inline overrides
 // that resolve to the same configuration produce byte-identical reports.
 func TestRunnerProfileAndOverrides(t *testing.T) {
+	// Profiles are process-global, so the name is unique per run: the test
+	// stays repeatable under -count=N.
+	apiProfileSeq++
+	name := fmt.Sprintf("api-test-tiny-%d", apiProfileSeq)
 	ov := map[string]string{"subarrays-per-module": "2", "ttf-samples": "8", "seed": "11"}
-	if err := RegisterProfile("api-test-tiny", "tiny sweep for tests", "small", ov); err != nil {
+	if err := RegisterProfile(name, "tiny sweep for tests", "small", ov); err != nil {
 		t.Fatal(err)
 	}
 	found := false
 	for _, p := range Profiles() {
-		if p.Name == "api-test-tiny" {
+		if p.Name == name {
 			found = true
 		}
 	}
@@ -169,7 +178,7 @@ func TestRunnerProfileAndOverrides(t *testing.T) {
 	}
 	defer r.Close()
 
-	viaProfile, err := r.Run(context.Background(), Request{Experiments: []string{"fig6"}, Profile: "api-test-tiny"})
+	viaProfile, err := r.Run(context.Background(), Request{Experiments: []string{"fig6"}, Profile: name})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,8 @@ func BenchmarkHammer512ms(b *testing.B) {
 }
 
 // BenchmarkStatisticalSubarray measures one statistical-tier subarray count
-// experiment (1024 × 1024 cells).
+// draw (1024 × 1024 cells) from a sampler prepared once, as the sweeps use
+// it.
 func BenchmarkStatisticalSubarray(b *testing.B) {
 	spec, _ := chipdb.ByID("S0")
 	p := spec.BuildParams()
@@ -186,23 +187,28 @@ func BenchmarkStatisticalSubarray(b *testing.B) {
 			TAggOnNs: 70200, TRPNs: 14,
 		}),
 	}
+	sampler := core.NewCountsSampler(cfg)
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.SampleCounts(cfg, r)
+		sampler.Sample(r)
 	}
 }
 
 // BenchmarkTTFSample measures one order-statistic time-to-first-bitflip
-// draw over a 1M-cell subarray.
+// draw over a 1M-cell subarray (worst-case pressing, every cell in one
+// class) from a sampler prepared once.
 func BenchmarkTTFSample(b *testing.B) {
 	spec, _ := chipdb.ByID("M8")
 	p := spec.BuildParams()
-	m := core.NewRateModel(p, 85, p.RhoHammer(70200, 14, 0))
+	sampler := core.NewTTFSampler(core.SubarrayConfig{
+		Params: p, TempC: 85, Rows: 1024, Cols: 1024,
+		Classes: []core.ColumnClass{{Frac: 1, Rho: p.RhoHammer(70200, 14, 0)}},
+	})
 	r := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.SampleTTFms(1<<20, r)
+		sampler.Sample(0, r)
 	}
 }
 

@@ -217,11 +217,38 @@ func TestReconnectReplaysMissedEvents(t *testing.T) {
 	}
 }
 
+var (
+	syntheticMu    sync.Mutex
+	syntheticPlans = map[string]func(experiments.Config) (*experiments.Plan, error){}
+)
+
+// registerSynthetic installs a synthetic experiment for client tests. The
+// registry is global and rejects duplicate IDs, so the first call per ID
+// registers a plan that forwards to the latest registration's Plan: a
+// test rerun under -count=N then drives its own closures and channels, not
+// those of the first run. Each test still uses a unique ID.
+func registerSynthetic(e experiments.Experiment) {
+	syntheticMu.Lock()
+	defer syntheticMu.Unlock()
+	if _, ok := syntheticPlans[e.ID]; !ok {
+		id := e.ID
+		forward := e
+		forward.Plan = func(cfg experiments.Config) (*experiments.Plan, error) {
+			syntheticMu.Lock()
+			plan := syntheticPlans[id]
+			syntheticMu.Unlock()
+			return plan(cfg)
+		}
+		experiments.Register(forward)
+	}
+	syntheticPlans[e.ID] = e.Plan
+}
+
 // registerBlocking installs a synthetic experiment whose single shard
 // parks until its context is cancelled (or released), for cancellation
 // coverage. IDs must be unique per test: registration is global.
 func registerBlocking(id string, started chan<- struct{}, release <-chan struct{}) {
-	experiments.Register(experiments.Experiment{
+	registerSynthetic(experiments.Experiment{
 		ID:    id,
 		Paper: "test",
 		Title: "blocking",

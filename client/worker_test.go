@@ -248,24 +248,14 @@ type gate struct {
 	release chan struct{}
 }
 
-var (
-	gateMu    sync.Mutex
-	gateTable = map[string]*gate{}
-)
-
 // registerGateExperiment installs a 4-shard experiment whose first shard
 // blocks its FIRST execution on the test's gate; re-executions (after a
 // requeue) return immediately. Results are deterministic, so a run that
-// lost a worker mid-shard must still merge the same report.
+// lost a worker mid-shard must still merge the same report. Every call
+// gets a fresh gate.
 func registerGateExperiment(id string) *gate {
-	gateMu.Lock()
-	defer gateMu.Unlock()
-	if g, ok := gateTable[id]; ok {
-		return g
-	}
 	g := &gate{started: make(chan struct{}, 16), release: make(chan struct{})}
-	gateTable[id] = g
-	experiments.Register(experiments.Experiment{
+	registerSynthetic(experiments.Experiment{
 		ID:    id,
 		Paper: "test",
 		Title: "synthetic gated sweep",

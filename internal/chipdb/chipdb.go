@@ -128,27 +128,6 @@ func (m ModuleSpec) Timing() dram.Timing {
 // population size, so scaled-down devices keep the module's headline
 // time-to-first-bitflip.
 func (m ModuleSpec) BuildParamsFor(g dram.Geometry) *faultmodel.Params {
-	p := m.BuildParams()
-	p.Calibrate(faultmodel.CalibrationTarget{
-		TimeToFirstCDms:  m.Profile.TimeToFirstCDms * m.jitter(1),
-		TimeToFirstRETms: m.Profile.TimeToFirstRETms * m.jitter(2),
-		PopulationCells:  g.TotalCells(),
-	})
-	return p
-}
-
-// OpenWithGeometry instantiates the module on a custom (typically scaled-
-// down) geometry, re-calibrating the fault parameters to the population.
-func (m ModuleSpec) OpenWithGeometry(g dram.Geometry) (*dram.Module, error) {
-	dev, err := dram.NewDevice(g, m.BuildParamsFor(g), m.Timing(), m.Seed())
-	if err != nil {
-		return nil, err
-	}
-	return dram.NewModule(dev, nil), nil
-}
-
-// BuildParams constructs the module's calibrated fault-model parameters.
-func (m ModuleSpec) BuildParams() *faultmodel.Params {
 	p := faultmodel.Default()
 	pr := m.Profile
 	p.SigmaKappa = pr.SigmaKappa
@@ -162,23 +141,31 @@ func (m ModuleSpec) BuildParams() *faultmodel.Params {
 	p.Calibrate(faultmodel.CalibrationTarget{
 		TimeToFirstCDms:  pr.TimeToFirstCDms * m.jitter(1),
 		TimeToFirstRETms: pr.TimeToFirstRETms * m.jitter(2),
-		PopulationCells:  m.Geometry().TotalCells(),
+		PopulationCells:  g.TotalCells(),
 	})
 	return &p
 }
 
-// Open instantiates the module as a simulated device with its calibrated
-// fault parameters, geometry, timing and a direct row mapping.
-func (m ModuleSpec) Open() (*dram.Module, error) {
-	dev, err := dram.NewDevice(m.Geometry(), m.BuildParams(), m.Timing(), m.Seed())
+// BuildParams constructs the module's calibrated fault-model parameters.
+func (m ModuleSpec) BuildParams() *faultmodel.Params { return m.BuildParamsFor(m.Geometry()) }
+
+// OpenWithGeometry instantiates the module on a custom (typically scaled-
+// down) geometry, re-calibrating the fault parameters to the population.
+func (m ModuleSpec) OpenWithGeometry(g dram.Geometry) (*dram.Module, error) {
+	dev, err := dram.NewDevice(g, m.BuildParamsFor(g), m.Timing(), m.Seed())
 	if err != nil {
 		return nil, err
 	}
 	return dram.NewModule(dev, nil), nil
 }
 
+// Open instantiates the module as a simulated device with its calibrated
+// fault parameters, geometry, timing and a direct row mapping.
+func (m ModuleSpec) Open() (*dram.Module, error) { return m.OpenWithGeometry(m.Geometry()) }
+
 // Per-manufacturer process characteristics (see DESIGN.md §5 for how each
-// constant traces back to a published observation).
+// constant traces back to a published observation, and for the values the
+// model measures against each one).
 // The retention spread (SigmaBase 0.85) and temperature slope (1.2 per
 // +10 °C) are common: they make the paper's anchors mutually consistent —
 // first retention failure ≈ 512 ms at 85 °C, a few percent of cells failing
@@ -187,31 +174,31 @@ func (m ModuleSpec) Open() (*dram.Module, error) {
 //
 // SigmaKappa orders the manufacturers: a wide distribution (SK Hynix, 1.2)
 // makes ColumnDisturb a deep-tail phenomenon — very early first bitflip but
-// tiny bulk counts and blast radius (2 rows at 512 ms; all-0 vs all-1 ratio
-// ≈1.15×). A narrow distribution (Samsung, 0.75) pulls the bulk close to
-// the tail — moderate first-bitflip times but hundreds of affected rows
-// (232 at 512 ms) and large count ratios. Micron sits between.
+// tiny bulk counts and blast radius (the paper: 2 rows at 512 ms, all-0 vs
+// all-1 ratio ≈1.15×). A narrow distribution (Samsung, 0.75) pulls the bulk
+// close to the tail — moderate first-bitflip times but many affected rows
+// (the paper: 232 at 512 ms) and large count ratios. Micron sits between.
 var (
 	hynixBase = VulnProfile{
 		SigmaKappa:     1.20,
 		SigmaBase:      0.85,
-		TempSlopeKappa: 1.553, // 9.05× TTF reduction over 45→95 °C (Obs 16)
+		TempSlopeKappa: 1.553, // κ ×9.03 over 45→95 °C for Obs 16's 9.05× TTF reduction
 		TempSlopeBase:  1.20,
-		DeadTimeNs:     7.7, // 1.68× press-vs-hammer TTF gap (Obs 20)
+		DeadTimeNs:     7.7, // targets the 1.68× press-vs-hammer TTF gap (Obs 20)
 	}
 	micronBase = VulnProfile{
 		SigmaKappa:     0.90,
 		SigmaBase:      0.85,
-		TempSlopeKappa: 1.388, // 5.15× over 45→95 °C
+		TempSlopeKappa: 1.388, // κ ×5.15 over 45→95 °C
 		TempSlopeBase:  1.20,
-		DeadTimeNs:     0, // 1.22× press-vs-hammer gap: duty effect only
+		DeadTimeNs:     0, // targets the 1.22× press-vs-hammer gap: duty effect only
 	}
 	samsungBase = VulnProfile{
 		SigmaKappa:      0.75,
 		SigmaBase:       0.85,
-		TempSlopeKappa:  1.144, // 1.96× over 45→95 °C
+		TempSlopeKappa:  1.144, // κ ×1.96 over 45→95 °C
 		TempSlopeBase:   1.20,
-		DeadTimeNs:      12.8, // 2.03× press-vs-hammer gap
+		DeadTimeNs:      12.8, // targets the 2.03× press-vs-hammer gap
 		KappaRowVarFrac: 0.20, // widest blast radius (up to 1022 rows)
 	}
 )

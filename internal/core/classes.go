@@ -99,7 +99,7 @@ func classesOver(p *faultmodel.Params, s PatternSetup, share func(c int) (int, b
 		counts[k]++
 	}
 	// Emit classes in a deterministic order: class order decides RNG
-	// consumption order downstream (SampleCounts draws one binomial per
+	// consumption order downstream (CountsSampler draws one binomial per
 	// class per row), so map iteration order must never leak into it.
 	keys := make([]key, 0, len(counts))
 	for k := range counts {

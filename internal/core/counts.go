@@ -16,32 +16,25 @@ type SubarrayConfig struct {
 
 // SubarrayCounts is the sampled outcome of a subarray experiment.
 type SubarrayCounts struct {
-	PerRow   []int
+	Rows     int // rows tested
 	Total    int
 	RowsWith int // blast radius: rows with ≥1 bitflip
 }
 
 // FractionOfCells returns the flipped fraction over the tested cells.
 func (s SubarrayCounts) FractionOfCells(cols int) float64 {
-	if len(s.PerRow) == 0 {
+	if s.Rows == 0 {
 		return 0
 	}
-	return float64(s.Total) / (float64(len(s.PerRow)) * float64(cols))
+	return float64(s.Total) / (float64(s.Rows) * float64(cols))
 }
 
-// SampleCounts draws per-row bitflip counts for the experiment: each row
-// gets shared z-scores for the row-correlated variance components, then
-// each column class contributes a binomial draw of its conditional flip
-// probability. The per-row structure is what blast radius, weak-row and
-// ECC-chunk statistics are built from.
-func SampleCounts(cfg SubarrayConfig, r *rng.Rand) SubarrayCounts {
-	return NewCountsSampler(cfg).Sample(r)
-}
-
-// CountsSampler is a SubarrayConfig prepared for repeated SampleCounts
+// CountsSampler is a SubarrayConfig prepared for repeated bitflip-count
 // draws: the per-class rate models and quadrature nodes are built once.
-// Repeated-draw callers (per-subarray replication loops) should build one
-// sampler per configuration instead of calling SampleCounts n times.
+// Each row gets shared z-scores for the row-correlated variance
+// components, then each column class contributes a binomial draw of its
+// conditional flip probability; a sample keeps the total and the number
+// of rows with at least one bitflip.
 type CountsSampler struct {
 	rows      int
 	threshold float64
@@ -62,9 +55,9 @@ func NewCountsSampler(cfg SubarrayConfig) *CountsSampler {
 	return s
 }
 
-// Sample draws one outcome; RNG consumption is identical to SampleCounts.
+// Sample draws one outcome.
 func (s *CountsSampler) Sample(r *rng.Rand) SubarrayCounts {
-	out := SubarrayCounts{PerRow: make([]int, s.rows)}
+	out := SubarrayCounts{Rows: s.rows}
 	if s.threshold == 0 {
 		return out
 	}
@@ -76,7 +69,6 @@ func (s *CountsSampler) Sample(r *rng.Rand) SubarrayCounts {
 			p := ce.eval.survivalRow(s.threshold, ce.eval.muB+ce.dMuB*zB, ce.eval.muK+ce.dMuK*zK)
 			flips += r.Binomial(ce.cells, p)
 		}
-		out.PerRow[row] = flips
 		out.Total += flips
 		if flips > 0 {
 			out.RowsWith++
@@ -98,12 +90,4 @@ func ExpectedCount(cfg SubarrayConfig) float64 {
 		total += cl.Frac * float64(cfg.Rows) * float64(cfg.Cols) * m.Survival(threshold)
 	}
 	return total
-}
-
-// SampleTTF draws the subarray's time to first bitflip in ms: the minimum
-// over classes of ln2/max-rate within the class population. Returns
-// found=false when the sampled time exceeds ceilingMs (the methodology's
-// 512 ms search ceiling).
-func SampleTTF(cfg SubarrayConfig, ceilingMs float64, r *rng.Rand) (ms float64, found bool) {
-	return NewTTFSampler(cfg).Sample(ceilingMs, r)
 }

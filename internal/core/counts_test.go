@@ -18,10 +18,19 @@ func TestSampleCountsMatchesExpectedCount(t *testing.T) {
 		Classes: AggressorSubarrayClasses(p, setup(dram.Pat00, dram.PatFF)),
 	}
 	r := rng.New(3)
+	sampler := NewCountsSampler(cfg)
 	const reps = 30
 	var sum float64
 	for i := 0; i < reps; i++ {
-		sum += float64(SampleCounts(cfg, r).Total)
+		s := sampler.Sample(r)
+		if s.Rows != cfg.Rows {
+			t.Fatalf("sample %d: Rows %d, want %d", i, s.Rows, cfg.Rows)
+		}
+		want := float64(s.Total) / (float64(cfg.Rows) * float64(cfg.Cols))
+		if got := s.FractionOfCells(cfg.Cols); got != want {
+			t.Fatalf("sample %d: FractionOfCells %v, want Total/(Rows·cols) = %v", i, got, want)
+		}
+		sum += float64(s.Total)
 	}
 	mc := sum / reps
 	want := ExpectedCount(cfg)
@@ -37,9 +46,12 @@ func TestSampleCountsZeroDuration(t *testing.T) {
 	p := calibrated(5, 50, 1<<12)
 	cfg := SubarrayConfig{Params: p, TempC: 85, DurationMs: 0, Rows: 8, Cols: 64,
 		Classes: RetentionClasses(p, dram.PatFF)}
-	got := SampleCounts(cfg, rng.New(1))
+	got := NewCountsSampler(cfg).Sample(rng.New(1))
 	if got.Total != 0 || got.RowsWith != 0 {
 		t.Fatal("zero duration must produce zero flips")
+	}
+	if f := got.FractionOfCells(cfg.Cols); f != 0 {
+		t.Fatalf("zero duration must give a zero flipped fraction, got %v", f)
 	}
 }
 
@@ -53,9 +65,10 @@ func TestBlastRadiusGrowsWithInterval(t *testing.T) {
 			Rows: 1024, Cols: 1024,
 			Classes: AggressorSubarrayClasses(p, setup(dram.Pat00, dram.PatFF)),
 		}
+		sampler := NewCountsSampler(cfg)
 		sum := 0.0
 		for i := 0; i < 5; i++ {
-			sum += float64(SampleCounts(cfg, r).RowsWith)
+			sum += float64(sampler.Sample(r).RowsWith)
 		}
 		return sum / 5
 	}
@@ -129,7 +142,7 @@ func TestSampleTTFCeiling(t *testing.T) {
 		Params: p, TempC: 85, Rows: 1024, Cols: 1024,
 		Classes: AggressorSubarrayClasses(p, setup(dram.Pat00, dram.PatFF)),
 	}
-	_, found := SampleTTF(cfg, 512, rng.New(5))
+	_, found := NewTTFSampler(cfg).Sample(512, rng.New(5))
 	if found {
 		t.Fatal("invulnerable module must exceed the 512 ms ceiling")
 	}
@@ -157,11 +170,11 @@ func TestTTFDataPatternInsensitive(t *testing.T) {
 	p := calibrated(64, 512, 1<<23)
 	ttf := func(agg dram.DataPattern) float64 {
 		cls := AggressorSubarrayClasses(p, setup(agg, agg.Negate()))
-		cfg := SubarrayConfig{Params: p, TempC: 85, Rows: 1024, Cols: 1024, Classes: cls}
+		sampler := NewTTFSampler(SubarrayConfig{Params: p, TempC: 85, Rows: 1024, Cols: 1024, Classes: cls})
 		sum := 0.0
 		r := rng.New(11)
 		for i := 0; i < 50; i++ {
-			ms, found := SampleTTF(cfg, 0, r)
+			ms, found := sampler.Sample(0, r)
 			if !found {
 				t.Fatal("expected vulnerability")
 			}

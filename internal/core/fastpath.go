@@ -8,7 +8,7 @@ import (
 )
 
 // Profile-guided fast path for the survival quadrature. RateModel.Survival
-// dominates every statistical sweep (SampleCounts and the TTF bisections
+// dominates every statistical sweep (CountsSampler and the TTF bisections
 // are >90% of a full registry run), and most of its cost is transcendental:
 // eight math.Exp calls per evaluation for the base-rate nodes plus up to
 // eight erfc/log pairs for the coupling tail. survivalEval hoists the
@@ -118,7 +118,7 @@ func (e *survivalEval) survival(x float64) float64 {
 }
 
 // survivalRow evaluates P(r > x) with the model's location parameters
-// shifted to (muB, muK) — the per-row conditioning of SampleCounts, where
+// shifted to (muB, muK) — the per-row conditioning of CountsSampler, where
 // the residual sigmas (and therefore eNode) are row-invariant.
 func (e *survivalEval) survivalRow(x, muB, muK float64) float64 {
 	if x <= 0 {
@@ -171,11 +171,12 @@ func (e *survivalEval) survivalOne(x, eb, muB, muK float64) float64 {
 	return clamp01(sum * invSqrtPi)
 }
 
-// sampleMaxRate draws the maximum flip rate over n cells (see
-// RateModel.SampleMaxRate).
+// sampleMaxRate draws the maximum flip rate over a population of n cells:
+// it solves survival(x) = s for the order-statistic tail probability
+// s = 1 − u^(1/n).
 func (e *survivalEval) sampleMaxRate(n int, r *rng.Rand) float64 {
 	if n < 1 {
-		panic("core: SampleMaxRate with n < 1")
+		panic("core: sampleMaxRate with n < 1")
 	}
 	u := r.OpenFloat64()
 	s := -math.Expm1(math.Log(u) / float64(n))
@@ -229,7 +230,7 @@ type classEval struct {
 	cells      int
 }
 
-// prepareClasses builds the per-class evaluators for SampleCounts' row
+// prepareClasses builds the per-class evaluators for CountsSampler's row
 // loop. Classes that round to zero cells are dropped (matching the
 // pre-fastpath skip, which never drew from the RNG for them).
 func prepareClasses(cfg SubarrayConfig) []classEval {
@@ -261,7 +262,7 @@ func prepareClasses(cfg SubarrayConfig) []classEval {
 // TTFSampler prepares one subarray configuration for repeated
 // time-to-first-bitflip draws: the per-class rate models and quadrature
 // nodes are built once, so each sample pays only the order-statistic draw
-// and an exp-free bisection. SampleTTF is the one-shot wrapper.
+// and an exp-free bisection.
 type TTFSampler struct {
 	classes []struct {
 		eval  survivalEval

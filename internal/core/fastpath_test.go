@@ -73,7 +73,7 @@ func TestSurvivalEvalMatches(t *testing.T) {
 }
 
 // TestSurvivalRowMatchesWithRowEffect checks the per-row shift path of the
-// prepared evaluator (used by SampleCounts) against building the shifted
+// prepared evaluator (used by CountsSampler) against building the shifted
 // model explicitly — same class evaluator, many rows.
 func TestSurvivalRowMatchesWithRowEffect(t *testing.T) {
 	pv := faultmodel.Default()
@@ -110,9 +110,9 @@ func TestFastPhiCAccuracy(t *testing.T) {
 	}
 }
 
-// TestTTFSamplerMatchesSampleTTF pins the one-shot wrapper contract: the
-// prepared sampler and SampleTTF consume the RNG identically and return
-// identical values.
+// TestTTFSamplerMatchesSampleTTF pins the reuse contract: construction
+// draws nothing from the RNG, so one sampler reused across draws consumes
+// the stream and returns values exactly as a fresh sampler per draw does.
 func TestTTFSamplerMatchesSampleTTF(t *testing.T) {
 	pv := faultmodel.Default()
 	p := &pv
@@ -124,9 +124,9 @@ func TestTTFSamplerMatchesSampleTTF(t *testing.T) {
 	r1, r2 := rng.New(42), rng.New(42)
 	for i := 0; i < 50; i++ {
 		a, okA := s.Sample(512, r1)
-		b, okB := SampleTTF(cfg, 512, r2)
+		b, okB := NewTTFSampler(cfg).Sample(512, r2)
 		if a != b || okA != okB {
-			t.Fatalf("sample %d: sampler (%v,%v) != SampleTTF (%v,%v)", i, a, okA, b, okB)
+			t.Fatalf("sample %d: reused sampler (%v,%v) != fresh sampler (%v,%v)", i, a, okA, b, okB)
 		}
 	}
 }

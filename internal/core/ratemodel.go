@@ -23,7 +23,6 @@ import (
 	"math"
 
 	"columndisturb/internal/faultmodel"
-	"columndisturb/internal/sim/rng"
 )
 
 // 8-point Gauss–Hermite quadrature nodes/weights for ∫φ(z)g(z)dz =
@@ -111,34 +110,6 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// FlipProb returns the probability that a cell flips within tMs.
-func (m RateModel) FlipProb(tMs float64) float64 {
-	if tMs <= 0 {
-		return 0
-	}
-	return m.Survival(faultmodel.Ln2 / tMs)
-}
-
-// SampleMaxRate draws the maximum flip rate over a population of n cells:
-// solve Survival(x) = s for the order-statistic tail probability
-// s = 1 − u^(1/n). Monotone bisection in ln x.
-func (m RateModel) SampleMaxRate(n int, r *rng.Rand) float64 {
-	e := newSurvivalEval(m)
-	return e.sampleMaxRate(n, r)
-}
-
-// quantileSurvival inverts Survival: returns x with Survival(x) = s.
-func (m RateModel) quantileSurvival(s float64) float64 {
-	e := newSurvivalEval(m)
-	return e.quantileSurvival(s)
-}
-
-// SampleTTFms draws the time to the first bitflip over n cells: ln2 divided
-// by the sampled maximum rate.
-func (m RateModel) SampleTTFms(n int, r *rng.Rand) float64 {
-	return faultmodel.Ln2 / m.SampleMaxRate(n, r)
 }
 
 // ExpectedTTFms returns a deterministic estimate of the time to first

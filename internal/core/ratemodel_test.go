@@ -40,13 +40,15 @@ func TestSurvivalMonotoneDecreasing(t *testing.T) {
 
 func TestFlipProbIncreasingInTime(t *testing.T) {
 	p := calibrated(64, 512, 1<<20)
-	m := NewRateModel(p, 85, 1)
-	if m.FlipProb(0) != 0 {
+	e := newSurvivalEval(NewRateModel(p, 85, 1))
+	// A cell flips within t ms iff its rate exceeds ln2/t; zero duration
+	// is the threshold +Inf.
+	if e.survival(math.Inf(1)) != 0 {
 		t.Fatal("zero-duration flip probability must be 0")
 	}
 	prev := 0.0
 	for _, tm := range []float64{1, 10, 100, 1000, 10000} {
-		fp := m.FlipProb(tm)
+		fp := e.survival(faultmodel.Ln2 / tm)
 		if fp < prev {
 			t.Fatalf("flip probability not increasing at %v ms", tm)
 		}
@@ -71,8 +73,9 @@ func TestKDisabledMatchesPureLognormal(t *testing.T) {
 func TestQuantileInvertsSurvival(t *testing.T) {
 	p := calibrated(64, 512, 1<<20)
 	m := NewRateModel(p, 85, 1)
+	e := newSurvivalEval(m)
 	for _, s := range []float64{1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9} {
-		x := m.quantileSurvival(s)
+		x := e.quantileSurvival(s)
 		back := m.Survival(x)
 		if math.Abs(back-s) > 1e-6*math.Max(s, 1e-9)+1e-10 {
 			t.Fatalf("Survival(Quantile(%g)) = %g", s, back)
@@ -83,12 +86,13 @@ func TestQuantileInvertsSurvival(t *testing.T) {
 func TestSampleMaxRateMatchesExpectedTTF(t *testing.T) {
 	p := calibrated(64, 512, 1<<20)
 	m := NewRateModel(p, 85, 1)
+	e := newSurvivalEval(m)
 	r := rng.New(1)
 	const n = 1 << 20
 	const reps = 300
 	var sum float64
 	for i := 0; i < reps; i++ {
-		sum += m.SampleTTFms(n, r)
+		sum += faultmodel.Ln2 / e.sampleMaxRate(n, r)
 	}
 	mc := sum / reps
 	est := m.ExpectedTTFms(n)

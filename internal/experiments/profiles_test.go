@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,9 @@ func TestBuiltinProfiles(t *testing.T) {
 	}
 }
 
+// profileSeq numbers the profiles TestRegisterProfileValidation registers.
+var profileSeq int
+
 func TestRegisterProfileValidation(t *testing.T) {
 	if err := RegisterProfile(Profile{Name: ""}); err == nil {
 		t.Fatal("empty profile name accepted")
@@ -36,11 +40,18 @@ func TestRegisterProfileValidation(t *testing.T) {
 	if err := RegisterProfile(Profile{Name: "small", Config: Full()}); err == nil {
 		t.Fatal("shadowing a built-in profile accepted")
 	}
-	if err := RegisterProfile(Profile{Name: "prof-test-tiny", Description: "t", Config: Small()}); err != nil {
+	// Profiles are process-global, so the name is unique per run: the test
+	// stays repeatable under -count=N.
+	profileSeq++
+	name := fmt.Sprintf("prof-test-tiny-%d", profileSeq)
+	if err := RegisterProfile(Profile{Name: name, Description: "t", Config: Small()}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ProfileByName("prof-test-tiny"); !ok {
+	if _, ok := ProfileByName(name); !ok {
 		t.Fatal("registered profile not found")
+	}
+	if err := RegisterProfile(Profile{Name: name, Config: Small()}); err == nil {
+		t.Fatal("re-registering a profile name accepted")
 	}
 }
 

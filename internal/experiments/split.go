@@ -38,7 +38,7 @@ const (
 	// is unset: no sub-shard should estimate above ~10% of its plan.
 	defaultMaxShardShare = 0.10
 
-	// costCountDrawMs is one core.SampleCounts draw over a subarray
+	// costCountDrawMs is one core.CountsSampler draw over a subarray
 	// (BenchmarkStatisticalSubarray-scale work).
 	costCountDrawMs = 0.7
 	// costTTFSampleMs is one order-statistic TTF draw

@@ -48,13 +48,13 @@ func sampleModuleTTFs(m chipdb.ModuleSpec, setup core.PatternSetup, tempC, ceili
 	samples int, r *rng.Rand) (found []float64, notFound int) {
 	g := m.Geometry()
 	p := m.BuildParams()
-	sc := core.SubarrayConfig{
+	sampler := core.NewTTFSampler(core.SubarrayConfig{
 		Params: p, TempC: tempC,
 		Rows: g.RowsPerSubarray, Cols: g.Cols,
 		Classes: core.AggressorSubarrayClasses(p, setup),
-	}
+	})
 	for i := 0; i < samples; i++ {
-		ms, ok := core.SampleTTF(sc, ceilingMs, r)
+		ms, ok := sampler.Sample(ceilingMs, r)
 		if !ok {
 			notFound++
 			continue

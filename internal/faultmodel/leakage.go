@@ -8,20 +8,20 @@ import "math"
 // meaningful precision (TestCouplingLUTAccuracy pins 1e-5).
 const couplingLUTSamples = 2048
 
-// couplingLUT caches f(Δ) = (e^{αΔ}−1)/(e^{α}−1) sampled uniformly over
-// Δ ∈ [0, 1] for one alpha. It is built once at Params construction and
-// never mutated, so sharing one Params across shard goroutines stays
-// race-free.
-type couplingLUT struct {
-	alpha   float64
-	samples [couplingLUTSamples + 1]float64
-}
+// couplingLUT holds f(Δ) = (e^{αΔ}−1)/(e^{α}−1) sampled uniformly over
+// Δ ∈ [0, 1] for one alpha.
+type couplingLUT [couplingLUTSamples + 1]float64
+
+// defaultCoupling is the process-wide sampled curve at defaultAlpha. It is
+// built once at package initialization and never written afterwards, so
+// every Params and every shard goroutine shares it race-free.
+var defaultCoupling = newCouplingLUT(defaultAlpha)
 
 func newCouplingLUT(alpha float64) *couplingLUT {
-	l := &couplingLUT{alpha: alpha}
+	l := new(couplingLUT)
 	den := math.Expm1(alpha)
-	for i := range l.samples {
-		l.samples[i] = math.Expm1(alpha*float64(i)/couplingLUTSamples) / den
+	for i := range l {
+		l[i] = math.Expm1(alpha*float64(i)/couplingLUTSamples) / den
 	}
 	return l
 }
@@ -33,7 +33,7 @@ func (l *couplingLUT) eval(dv float64) float64 {
 		return 1
 	}
 	f := x - float64(i)
-	return l.samples[i] + f*(l.samples[i+1]-l.samples[i])
+	return l[i] + f*(l[i+1]-l[i])
 }
 
 // Coupling evaluates the normalized coupling nonlinearity
@@ -42,10 +42,9 @@ func (l *couplingLUT) eval(dv float64) float64 {
 // charged cell roughly an order of magnitude faster than the precharged
 // VDD/2 level that retention failures see.
 //
-// When the Params carry a sampled curve for the current Alpha (every value
-// built by Default inherits one), the two Expm1 calls collapse to a table
-// interpolation. Mutating Alpha afterwards (the ablation sweep does) makes
-// the key mismatch and transparently restores the exact formula.
+// At Default's alpha the two Expm1 calls collapse to an interpolation in
+// the process-wide sampled curve. Any other Alpha (the ablation sweep
+// mutates it) uses the exact formula.
 func (p *Params) Coupling(dv float64) float64 {
 	if dv <= 0 {
 		return 0
@@ -53,8 +52,8 @@ func (p *Params) Coupling(dv float64) float64 {
 	if dv >= 1 {
 		return 1
 	}
-	if l := p.coupling; l != nil && l.alpha == p.Alpha {
-		return l.eval(dv)
+	if p.Alpha == defaultAlpha {
+		return defaultCoupling.eval(dv)
 	}
 	return math.Expm1(p.Alpha*dv) / math.Expm1(p.Alpha)
 }

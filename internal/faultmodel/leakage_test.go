@@ -37,12 +37,15 @@ func TestCouplingSuperlinear(t *testing.T) {
 // TestCouplingLUTAccuracy pins the sampled curve against the exact Expm1
 // formula: the interpolation error budget is 1e-5, far below any calibrated
 // rate's precision (the 2048-interval table lands near 6e-7 at alpha 4.3).
-// It also verifies the alpha-key fallback: mutating Alpha must transparently
-// restore the exact formula, because the ablation sweep relies on it.
+// It also verifies the fallback: any other Alpha must use the exact
+// formula, because the ablation sweep relies on it.
 func TestCouplingLUTAccuracy(t *testing.T) {
 	p := Default()
-	if p.coupling == nil {
-		t.Fatal("Default() must attach a sampled coupling curve")
+	if p.Alpha != defaultAlpha {
+		t.Fatalf("Default() alpha %v, want the shared table's %v", p.Alpha, defaultAlpha)
+	}
+	if got, want := p.Coupling(0.3), defaultCoupling.eval(0.3); got != want {
+		t.Fatalf("Default() must read the shared sampled curve: got %v want %v", got, want)
 	}
 	exact := func(alpha, dv float64) float64 {
 		return math.Expm1(alpha*dv) / math.Expm1(alpha)

@@ -102,18 +102,17 @@ type Params struct {
 	// dominant (retention and ColumnDisturb flips are 1→0 only), so the
 	// default is 0, but the mechanism is modelled for completeness.
 	AntiCellFraction float64
-
-	// coupling is the sampled f(Δ) curve for Alpha, attached at
-	// construction. Coupling ignores it whenever its alpha key no longer
-	// matches Alpha, so field-by-field mutation stays safe.
-	coupling *couplingLUT
 }
+
+// defaultAlpha is Default's coupling exponent, the one alpha the
+// process-wide sampled coupling curve is built for.
+const defaultAlpha = 4.3
 
 // Default returns a generic mid-range parameter set. Per-module profiles in
 // the chip catalog override the lognormal locations via Calibrate.
 func Default() Params {
-	p := Params{
-		Alpha:            4.3,
+	return Params{
+		Alpha:            defaultAlpha,
 		DeadTimeNs:       10,
 		VPrecharge:       0.5,
 		MuBase:           -9.87,
@@ -134,8 +133,6 @@ func Default() Params {
 		PressRefNs:       36,
 		AntiCellFraction: 0,
 	}
-	p.coupling = newCouplingLUT(p.Alpha)
-	return p
 }
 
 // BaseTempFactor returns the multiplicative factor on λ_base at tempC.
