@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -28,28 +29,32 @@ func TestEveryExperimentHasPlan(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite "+goldenPath+" from the current reports")
+var update = flag.Bool("update", false, "rewrite the golden hash files of the tests that ran from the current reports")
 
-// goldenPath holds one SHA-256 per report at the Small profile, in
-// sha256sum format ("<hex>  <id>.txt"), after a "# resultSchemaVersion"
-// header line. The hashed bytes are exactly what `cdlab run all -o dir`
-// writes to <dir>/<id>.txt, so the cmd/cdlab end-to-end tests check the
-// CLI's files against the same lines.
-const goldenPath = "testdata/golden/small.sha256"
+// The golden files hold one SHA-256 per report, in sha256sum format
+// ("<hex>  <id>.txt"), after a "# resultSchemaVersion" header line. The
+// hashed bytes are exactly what `cdlab run all -o dir` writes to
+// <dir>/<id>.txt, so the cmd/cdlab end-to-end tests check the CLI's files
+// against the small profile's lines.
+const (
+	smallGoldenPath = "testdata/golden/small.sha256"
+	fullGoldenPath  = "testdata/golden/full.sha256"
+)
 
 const goldenHeader = "# resultSchemaVersion " + resultSchemaVersion
 
-// readGolden parses goldenPath into its header line and an id → hash map.
-func readGolden(t *testing.T) (string, map[string]string) {
+// readGolden parses a golden file into its header line and an id → hash
+// map.
+func readGolden(t *testing.T, path string) (string, map[string]string) {
 	t.Helper()
-	f, err := os.Open(goldenPath)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("golden report hashes: %v (generate with -update)", err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	if !sc.Scan() {
-		t.Fatalf("%s: empty file", goldenPath)
+		t.Fatalf("%s: empty file", path)
 	}
 	header := sc.Text()
 	want := map[string]string{}
@@ -57,7 +62,7 @@ func readGolden(t *testing.T) (string, map[string]string) {
 		sum, name, ok := strings.Cut(sc.Text(), "  ")
 		id, isTxt := strings.CutSuffix(name, ".txt")
 		if !ok || !isTxt || len(sum) != sha256.Size*2 {
-			t.Fatalf("%s: malformed line %q", goldenPath, sc.Text())
+			t.Fatalf("%s: malformed line %q", path, sc.Text())
 		}
 		want[id] = sum
 	}
@@ -67,7 +72,7 @@ func readGolden(t *testing.T) (string, map[string]string) {
 	return header, want
 }
 
-func writeGolden(t *testing.T, got map[string]string) {
+func writeGolden(t *testing.T, path string, got map[string]string) {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString(goldenHeader + "\n")
@@ -78,25 +83,26 @@ func writeGolden(t *testing.T, got map[string]string) {
 		}
 		fmt.Fprintf(&b, "%s  %s.txt\n", sum, e.ID)
 	}
-	if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // checkGolden compares the hashes of the reports that ran against the
-// committed goldens: reports must stay byte-identical from one revision
-// to the next unless the change means them to move.
-func checkGolden(t *testing.T, got map[string]string) {
+// committed golden file: reports must stay byte-identical from one
+// revision to the next unless the change means them to move.
+func checkGolden(t *testing.T, path string, got map[string]string) {
 	t.Helper()
 	if *update {
-		writeGolden(t, got)
+		writeGolden(t, path, got)
 		return
 	}
 	const howTo = "if the change is intended, bump resultSchemaVersion in experiments.go " +
-		"and regenerate in the same change: go test ./internal/experiments -run TestSerialParallelBitIdentical -update"
-	header, want := readGolden(t)
+		"and regenerate both golden files in the same change: " +
+		"go test ./internal/experiments -run 'TestSerialParallelBitIdentical|TestFullProfileGolden' -update"
+	header, want := readGolden(t, path)
 	if header != goldenHeader {
-		t.Errorf("%s header is %q, want %q; %s", goldenPath, header, goldenHeader, howTo)
+		t.Errorf("%s header is %q, want %q; %s", path, header, goldenHeader, howTo)
 	}
 	registered := map[string]bool{}
 	for _, e := range All() {
@@ -104,16 +110,22 @@ func checkGolden(t *testing.T, got map[string]string) {
 		golden, ok := want[e.ID]
 		switch sum, ran := got[e.ID]; {
 		case !ok:
-			t.Errorf("%s: no golden hash for %s; %s", goldenPath, e.ID, howTo)
+			t.Errorf("%s: no golden hash for %s; %s", path, e.ID, howTo)
 		case ran && sum != golden:
-			t.Errorf("%s report moved: sha256 %s, golden %s; %s", e.ID, sum, golden, howTo)
+			t.Errorf("%s report moved: sha256 %s, golden %s (%s); %s", e.ID, sum, golden, path, howTo)
 		}
 	}
 	for id := range want {
 		if !registered[id] {
-			t.Errorf("%s: golden hash for unregistered experiment %s; %s", goldenPath, id, howTo)
+			t.Errorf("%s: golden hash for unregistered experiment %s; %s", path, id, howTo)
 		}
 	}
+}
+
+// reportHash is the hex SHA-256 of a rendered report.
+func reportHash(r fmt.Stringer) string {
+	sum := sha256.Sum256([]byte(r.String()))
+	return hex.EncodeToString(sum[:])
 }
 
 // TestSerialParallelBitIdentical is the engine's end-to-end determinism
@@ -140,11 +152,32 @@ func TestSerialParallelBitIdentical(t *testing.T) {
 			if s, p := serial.String(), parallel.String(); s != p {
 				t.Fatalf("serial and -j 4 output differ for %s:\n--- serial ---\n%s\n--- parallel ---\n%s", e.ID, s, p)
 			}
-			sum := sha256.Sum256([]byte(serial.String()))
-			got[e.ID] = hex.EncodeToString(sum[:])
+			got[e.ID] = reportHash(serial)
 		})
 	}
-	checkGolden(t, got)
+	checkGolden(t, smallGoldenPath, got)
+}
+
+// TestFullProfileGolden locks the paper-breadth profile's report bytes the
+// way TestSerialParallelBitIdentical locks the small profile's: a change
+// that moves only full-profile output must bump resultSchemaVersion too,
+// or stale full-profile cache entries would stay valid. One run per
+// experiment on GOMAXPROCS workers; worker-count independence is the
+// small profile's check.
+func TestFullProfileGolden(t *testing.T) {
+	cfg := Full()
+	got := map[string]string{}
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			r, err := e.RunWith(context.Background(), cfg, runtime.GOMAXPROCS(0), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[e.ID] = reportHash(r)
+		})
+	}
+	checkGolden(t, fullGoldenPath, got)
 }
 
 // TestShardLabelsCanonical pins the shard-label contract for the whole
