@@ -31,7 +31,7 @@ func benchExperiment(b *testing.B, id string) {
 	cfg := experiments.Small()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.RunWith(context.Background(), cfg, 1, nil)
+		res, err := e.RunWith(context.Background(), cfg, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

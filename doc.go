@@ -52,16 +52,14 @@
 // runs them on its bounded local executors or fans them out to remote
 // worker processes. Output is bit-identical for every worker count, every
 // placement (local, distributed, mid-run worker loss), and warm or cold
-// caches — there is no serial special case. Shards additionally carry static cost hints
-// (estimated single-core milliseconds) that the dispatcher uses for
-// largest-first lease ordering (DESIGN.md §12); costs steer scheduling
-// only and never change results.
-// Plan builders also consume their own hints: a shard whose estimate
-// exceeds a configurable share of the plan total (Config.MaxShardShare,
-// default 10%) is subdivided along its atom list — runs, blast cells,
-// sample chunks — into range-labelled sub-shards with per-atom RNG
-// streams, so the dominant shard can no longer serialize a sweep's tail
-// (DESIGN.md §16).
+// caches — there is no serial special case. The dispatcher leases shards
+// first in, first out; requeued and crash-recovered work goes first
+// (DESIGN.md §12). Plan builders weigh their work in estimated
+// single-core milliseconds: a shard whose estimate exceeds a configurable
+// share of the plan total (Config.MaxShardShare, default 10%) is
+// subdivided along its atom list — runs, blast cells, sample chunks —
+// into range-labelled sub-shards with per-atom RNG streams, so the
+// dominant shard can no longer serialize a sweep's tail (DESIGN.md §16).
 //
 // A serve process is durable (DESIGN.md §14): with LocalOptions.WALDir
 // (or `cdlab serve -cache-dir`, which defaults the WAL next to the cache)

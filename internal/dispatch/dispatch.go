@@ -9,15 +9,13 @@
 // placement. A Run call enqueues its shards as tasks; local executors and
 // remote lease polls both pop from the front, so placement is simply
 // whichever capacity frees up first — the queue never commits a shard to a
-// lost worker. The queue is cost-ordered, not FIFO: tasks carry the
-// shard's Cost hint and the most expensive pending task sits at the front,
-// so the shards that dominate a sweep's critical path start earliest
-// (costless tasks degrade to exact FIFO). Determinism survives
-// distribution because placement only decides WHERE and WHEN a shard
-// computes, never WHAT: results land in the task's input slot and are
-// collected in canonical order, and every shard is a pure function of
-// (experiment, config, shard key), so a distributed run's merged report is
-// byte-identical to a serial local one.
+// lost worker. The queue is first in, first out with one boost: requeued
+// leases and crash-recovered runs go in front of every unboosted task
+// (DESIGN.md §12). Determinism survives distribution because placement
+// only decides WHERE and WHEN a shard computes, never WHAT: results land
+// in the task's input slot and are collected in canonical order, and
+// every shard is a pure function of (experiment, config, shard key), so a
+// distributed run's merged report is byte-identical to a serial local one.
 //
 // Failure handling is lease-based. A worker proves liveness by
 // heartbeating (and by polling for leases); a worker silent for longer
@@ -110,7 +108,7 @@ type Dispatcher struct {
 	workerTasks   *obs.CounterVec
 
 	mu        sync.Mutex
-	pending   *list.List // *task, cost-ordered; front = next out (see enqueueLocked)
+	pending   *list.List // *task, boosted then FIFO; front = next out (see enqueueLocked)
 	notify    chan struct{}
 	workers   map[string]*workerState
 	taskSeq   int
@@ -134,16 +132,14 @@ const (
 // task is one shard's lifecycle through the queue. doneCh closes exactly
 // once, when the task settles.
 type task struct {
-	id     string
-	ctx    context.Context
-	shard  engine.Shard
-	report func(label string)
-	cost   float64 // shard.Cost, immutable scheduling weight
+	id    string
+	ctx   context.Context
+	shard engine.Shard
 
 	// boost and enqueuedAt are queue-scheduling state guarded by the
-	// dispatcher's mu (not t.mu): boost marks requeued interrupted work,
-	// which outranks any cost; enqueuedAt anchors the queue-wait latency
-	// metric.
+	// dispatcher's mu (not t.mu): boost marks requeued or crash-recovered
+	// work, which goes ahead of new work; enqueuedAt anchors the
+	// queue-wait latency metric.
 	boost      bool
 	enqueuedAt time.Time
 
@@ -166,23 +162,14 @@ func (t *task) finishLocked(v any, err error) {
 
 // finish settles the task unless it already settled (late duplicate
 // results — a presumed-lost worker completing after requeue — are
-// discarded; first completion wins). ran selects progress reporting:
-// executed shards report, cancellation skips do not (the engine contract).
-// The report fires before doneCh closes so every OnProgress callback
-// happens-before its Run call returns, matching engine.Run.
-func (t *task) finish(v any, err error, ran bool) bool {
+// discarded; first completion wins).
+func (t *task) finish(v any, err error) bool {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.state == taskDone {
-		t.mu.Unlock()
 		return false
 	}
-	t.state = taskDone
-	t.result, t.err = v, err
-	t.mu.Unlock()
-	if ran && t.report != nil {
-		t.report(t.shard.Label)
-	}
-	close(t.doneCh)
+	t.finishLocked(v, err)
 	return true
 }
 
@@ -301,12 +288,13 @@ func (d *Dispatcher) wakeLocked() {
 // Run executes the shards with engine.Run's semantics: results in input
 // order, failures joined via engine.ShardError, and cancellation reported
 // as ctx.Err() while other callers keep running. Concurrent Run calls
-// interleave their tasks on the same queue.
-func (d *Dispatcher) Run(ctx context.Context, shards []engine.Shard, opts engine.Options) ([]any, error) {
+// interleave their tasks on the same queue. recovered marks crash-recovered
+// work resubmitted after a restart: it gets a requeued lease's boost, since
+// it already waited once.
+func (d *Dispatcher) Run(ctx context.Context, shards []engine.Shard, recovered bool) ([]any, error) {
 	if len(shards) == 0 {
 		return nil, ctx.Err()
 	}
-	report := engine.ProgressReporter(opts, len(shards))
 	tasks := make([]*task, len(shards))
 	d.mu.Lock()
 	if d.closed {
@@ -319,13 +307,9 @@ func (d *Dispatcher) Run(ctx context.Context, shards []engine.Shard, opts engine
 			id:     fmt.Sprintf("t%d", d.taskSeq),
 			ctx:    ctx,
 			shard:  sh,
-			report: report,
-			cost:   sh.Cost,
+			boost:  recovered,
 			doneCh: make(chan struct{}),
 		}
-		// Crash-recovered work re-enters at the front of the queue, the
-		// same boost a requeued lease gets: it already waited once.
-		tasks[i].boost = opts.Recovered
 		d.enqueueLocked(tasks[i])
 	}
 	d.wakeLocked()
@@ -388,27 +372,18 @@ func (d *Dispatcher) pruneSettled() {
 	}
 }
 
-// moreUrgent orders the pending queue: requeued interrupted work first
-// (boost), then largest declared cost. Equal urgency preserves insertion
-// order, so an all-zero-cost queue behaves exactly like the old FIFO.
-// Caller holds d.mu (boost is d.mu-guarded).
-func moreUrgent(a, b *task) bool {
-	if a.boost != b.boost {
-		return a.boost
-	}
-	return a.cost > b.cost
-}
-
-// enqueueLocked inserts the task in urgency order: in front of the first
-// queued task it outranks, at the back among equals. O(queue) per insert,
-// which is fine at plan scale and keeps the list structure (and its lazy
-// pruning) that every other queue operation relies on. Caller holds d.mu.
+// enqueueLocked appends the task, or inserts a boosted one in front of the
+// first unboosted task, so boosted tasks stay FIFO among themselves.
+// O(queue) per boosted insert, which is fine at plan scale. Caller holds
+// d.mu.
 func (d *Dispatcher) enqueueLocked(t *task) {
 	t.enqueuedAt = time.Now()
-	for el := d.pending.Front(); el != nil; el = el.Next() {
-		if moreUrgent(t, el.Value.(*task)) {
-			d.pending.InsertBefore(t, el)
-			return
+	if t.boost {
+		for el := d.pending.Front(); el != nil; el = el.Next() {
+			if !el.Value.(*task).boost {
+				d.pending.InsertBefore(t, el)
+				return
+			}
 		}
 	}
 	d.pending.PushBack(t)
@@ -416,9 +391,8 @@ func (d *Dispatcher) enqueueLocked(t *task) {
 
 // popLocked removes and claims the next runnable task for a remote lease
 // or a local executor, pruning settled and cancelled entries as it scans.
-// The queue is cost-ordered, so the first eligible task is the most
-// urgent. Caller holds d.mu; nil means the queue holds nothing for this
-// placement.
+// The first eligible task is the next in queue order. Caller holds d.mu;
+// nil means the queue holds nothing for this placement.
 func (d *Dispatcher) popLocked(remote bool) *task {
 	for el := d.pending.Front(); el != nil; {
 		next := el.Next()
@@ -452,8 +426,8 @@ func (d *Dispatcher) popLocked(remote bool) *task {
 }
 
 // requeueLocked pushes a lost worker's leased tasks back into the queue
-// with the boost flag set (interrupted work outranks new work, whatever
-// its cost), counting the failed attempt and pinning repeat offenders to
+// with the boost flag set (interrupted work goes ahead of new work),
+// counting the failed attempt and pinning repeat offenders to
 // local execution when local executors exist. Caller holds d.mu.
 func (d *Dispatcher) requeueLocked(w *workerState) {
 	requeued := false
@@ -512,7 +486,7 @@ func (d *Dispatcher) localLoop() {
 		d.busyLocal.Add(1)
 		v, err := engine.RunShard(t.ctx, t.shard)
 		d.busyLocal.Add(-1)
-		t.finish(v, err, true)
+		t.finish(v, err)
 	}
 }
 
@@ -701,25 +675,16 @@ func (d *Dispatcher) Complete(workerID, taskID string, result []byte, workerErr 
 	elapsed := time.Since(le.grantedAt)
 
 	if workerErr != "" {
-		// Mirror the success path's settled check: a late error reply for a
-		// task the cancel path already settled must drop silently instead
-		// of racing it with a report nobody should see.
-		t.mu.Lock()
-		if t.state == taskDone {
-			t.mu.Unlock()
-			return nil
-		}
 		if err := t.ctx.Err(); err != nil {
 			// The job died while the worker computed; settle as a
-			// cancellation skip (no report), exactly as the watcher would.
-			t.finishLocked(nil, err)
-			t.mu.Unlock()
+			// cancellation skip, exactly as the watcher would (a no-op if
+			// the watcher already did).
+			t.finish(nil, err)
 			return nil
 		}
-		t.mu.Unlock()
 		d.log.Warn("worker reported shard error",
 			"worker", workerID, "task", taskID, "shard", t.shard.Label, "error", workerErr)
-		t.finish(nil, fmt.Errorf("dispatch: worker %s: %s", workerID, workerErr), true)
+		t.finish(nil, fmt.Errorf("dispatch: worker %s: %s", workerID, workerErr))
 		return nil
 	}
 	t.mu.Lock()
@@ -732,10 +697,10 @@ func (d *Dispatcher) Complete(workerID, taskID string, result []byte, workerErr 
 	}
 	v, err := t.shard.Remote.Accept(workerID, elapsed, result)
 	if err != nil {
-		t.finish(nil, fmt.Errorf("dispatch: worker %s reply for %s: %w", workerID, t.shard.Label, err), true)
+		t.finish(nil, fmt.Errorf("dispatch: worker %s reply for %s: %w", workerID, t.shard.Label, err))
 		return nil
 	}
-	if t.finish(v, nil, true) {
+	if t.finish(v, nil) {
 		d.leaseComplete.Observe(float64(elapsed) / float64(time.Millisecond))
 		d.workerTasks.With(w.name).Inc()
 		d.log.Debug("task completed",

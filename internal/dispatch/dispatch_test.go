@@ -56,7 +56,7 @@ func TestDispatcherLocalExecutionOrderedResults(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		shards = append(shards, localShard(fmt.Sprintf("s%d", i), i*i))
 	}
-	out, err := d.Run(context.Background(), shards, engine.Options{})
+	out, err := d.Run(context.Background(), shards, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDispatcherShardErrorSemantics(t *testing.T) {
 		{Label: "panicky", Run: func(context.Context) (any, error) { panic("kaboom") }},
 		localShard("ok1", "b"),
 	}
-	out, err := d.Run(context.Background(), shards, engine.Options{})
+	out, err := d.Run(context.Background(), shards, false)
 	if err == nil {
 		t.Fatal("want joined error")
 	}
@@ -93,31 +93,6 @@ func TestDispatcherShardErrorSemantics(t *testing.T) {
 	}
 	if out[0].(string) != "a" || out[3].(string) != "b" {
 		t.Fatalf("healthy shards lost their results: %v", out)
-	}
-}
-
-func TestDispatcherProgressMonotonic(t *testing.T) {
-	d := New(Options{LocalWorkers: 4, LeaseTTL: time.Second})
-	defer d.Close()
-	var mu sync.Mutex
-	last := 0
-	opts := engine.Options{OnProgress: func(done, total int, label string) {
-		mu.Lock()
-		defer mu.Unlock()
-		if done != last+1 || total != 12 {
-			t.Errorf("progress (%d,%d) after %d", done, total, last)
-		}
-		last = done
-	}}
-	var shards []engine.Shard
-	for i := 0; i < 12; i++ {
-		shards = append(shards, localShard(fmt.Sprintf("s%d", i), i))
-	}
-	if _, err := d.Run(context.Background(), shards, opts); err != nil {
-		t.Fatal(err)
-	}
-	if last != 12 {
-		t.Fatalf("OnProgress reported %d completions, want 12", last)
 	}
 }
 
@@ -138,7 +113,7 @@ func TestDispatcherRemoteLeaseComplete(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		out, err := d.Run(context.Background(), shards, engine.Options{})
+		out, err := d.Run(context.Background(), shards, false)
 		done <- res{out, err}
 	}()
 	// Lease all three, hold them for a measurable busy time, then complete
@@ -195,7 +170,7 @@ func TestDispatcherWorkerErrorFailsShard(t *testing.T) {
 	reg, _ := d.Register("tester", 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.Run(context.Background(), []engine.Shard{remoteShard("x", "vx")}, engine.Options{})
+		_, err := d.Run(context.Background(), []engine.Shard{remoteShard("x", "vx")}, false)
 		done <- err
 	}()
 	var g *LeaseGrant
@@ -226,7 +201,7 @@ func TestDispatcherLeaseExpiryRequeues(t *testing.T) {
 	dead, _ := d.Register("dead", 1)
 	done := make(chan error, 1)
 	go func() {
-		out, err := d.Run(context.Background(), []engine.Shard{remoteShard("x", "vx")}, engine.Options{})
+		out, err := d.Run(context.Background(), []engine.Shard{remoteShard("x", "vx")}, false)
 		if err == nil && out[0].(string) != "vx" {
 			err = fmt.Errorf("wrong result %v", out[0])
 		}
@@ -279,7 +254,7 @@ func TestDispatcherDeregisterRequeues(t *testing.T) {
 	w1, _ := d.Register("w1", 1)
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.Run(context.Background(), []engine.Shard{remoteShard("x", "vx")}, engine.Options{})
+		_, err := d.Run(context.Background(), []engine.Shard{remoteShard("x", "vx")}, false)
 		done <- err
 	}()
 	waitFor(t, 2*time.Second, func() bool {
@@ -319,7 +294,7 @@ func TestDispatcherCancellationUnblocksRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.Run(ctx, []engine.Shard{remoteShard("x", "vx")}, engine.Options{})
+		_, err := d.Run(ctx, []engine.Shard{remoteShard("x", "vx")}, false)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -366,7 +341,7 @@ func TestDispatcherConcurrentRunsInterleave(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				shards = append(shards, localShard(fmt.Sprintf("r%d-s%d", r, i), r*100+i))
 			}
-			out, err := d.Run(context.Background(), shards, engine.Options{})
+			out, err := d.Run(context.Background(), shards, false)
 			if err != nil {
 				t.Error(err)
 				return
@@ -379,13 +354,6 @@ func TestDispatcherConcurrentRunsInterleave(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// costShard is remoteShard with a declared scheduling cost.
-func costShard(label string, cost float64) engine.Shard {
-	sh := remoteShard(label, "v-"+label)
-	sh.Cost = cost
-	return sh
 }
 
 // TestDispatcherLongLeasePollSurvivesJanitor: a worker parked in lease
@@ -433,82 +401,119 @@ func TestDispatcherLeaseCtxDoneReportsError(t *testing.T) {
 	}
 }
 
-// TestDispatcherCostOrderedLeasing: the queue hands out the most expensive
-// pending shard first regardless of submission position, and FIFO order
-// survives among equal costs.
-func TestDispatcherCostOrderedLeasing(t *testing.T) {
-	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
+// queued reports the dispatcher's queue length.
+func queued(d *Dispatcher) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.pending.Len()
+}
+
+// TestDispatcherFIFOWithBoost pins the queue order: new tasks lease in
+// submission order; a crash-recovered run leases ahead of tasks already
+// queued; a task requeued off an expired worker leases ahead of new ones,
+// and behind boosted tasks queued before it.
+func TestDispatcherFIFOWithBoost(t *testing.T) {
+	d := New(Options{NoLocal: true, LeaseTTL: time.Minute})
 	defer d.Close()
-	shards := []engine.Shard{
-		costShard("small-a", 1),
-		costShard("big", 100),
-		costShard("small-b", 1),
+	runs := make(chan error, 3)
+	submit := func(recovered bool, labels ...string) {
+		var shards []engine.Shard
+		for _, l := range labels {
+			shards = append(shards, remoteShard(l, ""))
+		}
+		want := queued(d) + len(labels)
+		go func() {
+			_, err := d.Run(context.Background(), shards, recovered)
+			runs <- err
+		}()
+		waitFor(t, 2*time.Second, func() bool { return queued(d) == want }, "enqueue")
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := d.Run(context.Background(), shards, engine.Options{})
-		done <- err
-	}()
-	reg, _ := d.Register("solo", 1)
+	lease := func(worker string) *LeaseGrant {
+		t.Helper()
+		g, err := d.Lease(context.Background(), worker, time.Second)
+		if err != nil || g == nil {
+			t.Fatalf("lease: (%v, %v)", g, err)
+		}
+		return g
+	}
+
+	lost, _ := d.Register("lost", 1)
+	submit(false, "a0", "a1", "a2")
+	if g := lease(lost.WorkerID); string(g.Spec) != "a0" {
+		t.Fatalf("first lease %q, want a0", g.Spec)
+	}
+	submit(false, "b0", "b1")
+	submit(true, "r0", "r1")
+	d.expire(time.Now().Add(2 * time.Minute)) // "lost" falls silent; a0 requeues
+
+	w, _ := d.Register("w", 1)
 	var order []string
-	for len(order) < 3 {
-		g, err := d.Lease(context.Background(), reg.WorkerID, 100*time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g == nil {
-			continue
-		}
+	for len(order) < 7 {
+		g := lease(w.WorkerID)
 		order = append(order, string(g.Spec))
-		if err := d.Complete(reg.WorkerID, g.TaskID, []byte("v"), ""); err != nil {
+		if err := d.Complete(w.WorkerID, g.TaskID, g.Spec, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := []string{"big", "small-a", "small-b"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("lease order %v, want %v (largest first, FIFO among equals)", order, want)
-		}
+	if got, want := strings.Join(order, " "), "r0 r1 a0 a1 a2 b0 b1"; got != want {
+		t.Fatalf("lease order %q, want %q", got, want)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if err := <-runs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestDispatcherLateErrorAfterCancelNoEvent: an error reply arriving after
-// the job was cancelled and settled must drop silently — no progress
-// report, no error — exactly like a late success reply.
+// TestDispatcherLateErrorAfterCancelNoEvent: replies arriving after the
+// job was cancelled and settled must drop silently. Neither a late error
+// nor a late success calls Accept, and Run still reports
+// context.Canceled.
 func TestDispatcherLateErrorAfterCancelNoEvent(t *testing.T) {
 	d := New(Options{NoLocal: true, LeaseTTL: time.Minute})
 	defer d.Close()
-	reg, _ := d.Register("tester", 1)
+	reg, _ := d.Register("tester", 2)
 	ctx, cancel := context.WithCancel(context.Background())
-	var reports atomic.Int32
-	opts := engine.Options{OnProgress: func(done, total int, label string) { reports.Add(1) }}
+	var accepts atomic.Int32
+	var shards []engine.Shard
+	for _, l := range []string{"x", "y"} {
+		sh := remoteShard(l, "v"+l)
+		sh.Remote.Accept = func(string, time.Duration, []byte) (any, error) {
+			accepts.Add(1)
+			return nil, nil
+		}
+		shards = append(shards, sh)
+	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := d.Run(ctx, []engine.Shard{remoteShard("x", "vx")}, opts)
+		_, err := d.Run(ctx, shards, false)
 		done <- err
 	}()
-	var g *LeaseGrant
+	var grants []*LeaseGrant
 	waitFor(t, 2*time.Second, func() bool {
-		var err error
-		g, err = d.Lease(context.Background(), reg.WorkerID, 50*time.Millisecond)
+		g, err := d.Lease(context.Background(), reg.WorkerID, 50*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return g != nil
-	}, "lease")
+		if g != nil {
+			grants = append(grants, g)
+		}
+		return len(grants) == 2
+	}, "leases")
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("run error %v, want context.Canceled", err)
 	}
-	// The worker finally reports a shard error for the settled task.
-	if err := d.Complete(reg.WorkerID, g.TaskID, nil, "exploded late"); err != nil {
+	// The worker finally reports: a shard error for one settled task and
+	// a result for the other.
+	if err := d.Complete(reg.WorkerID, grants[0].TaskID, nil, "exploded late"); err != nil {
 		t.Fatalf("late error completion returned %v, want silent nil", err)
 	}
-	if n := reports.Load(); n != 0 {
-		t.Fatalf("late error reply fired %d progress reports, want 0", n)
+	if err := d.Complete(reg.WorkerID, grants[1].TaskID, []byte("vy"), ""); err != nil {
+		t.Fatalf("late completion returned %v, want silent nil", err)
+	}
+	if n := accepts.Load(); n != 0 {
+		t.Fatalf("late replies called Accept %d times, want 0", n)
 	}
 }
 

@@ -120,8 +120,3 @@ func (m *Module) ReadLogical(bank, logicalRow int) ([]uint64, error) {
 func (m *Module) WriteLogicalPattern(bank, logicalRow int, p DataPattern) error {
 	return m.Device.WriteRowPattern(bank, m.mapping.Physical(logicalRow), p)
 }
-
-// HammerLogical hammers a logical row.
-func (m *Module) HammerLogical(bank, logicalRow, numActs int, tAggOnNs, tRPNs float64) error {
-	return m.Device.Hammer(bank, m.mapping.Physical(logicalRow), numActs, tAggOnNs, tRPNs)
-}

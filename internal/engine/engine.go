@@ -20,8 +20,7 @@
 // Run executes one shard list on transient goroutines (direct experiment
 // runs and benchmarks). The service's long-lived, shared shard queue is
 // internal/dispatch, which reuses this package's Shard type and its
-// RunShard, ProgressReporter and JoinShardErrors helpers so both honour
-// the same contract.
+// RunShard and JoinShardErrors helpers so both honour the same contract.
 //
 // Cancellation is cooperative and scheduling-level: when a Run call's
 // context is cancelled the engine stops handing out new shards, marks the
@@ -52,7 +51,7 @@ import (
 // is the one passed to the engine's Run: long-running shards may poll it to
 // bail out early after cancellation, but are not required to.
 type Shard struct {
-	// Label identifies the shard in progress reports and error messages.
+	// Label identifies the shard in events, cache keys and error messages.
 	Label string
 	// Run produces the shard's partial result.
 	Run func(ctx context.Context) (any, error)
@@ -61,13 +60,6 @@ type Shard struct {
 	// (see internal/dispatch). Run ignores it, so attaching a RemoteSpec
 	// never changes local execution.
 	Remote *RemoteSpec
-	// Cost is an optional scheduling hint: the shard's expected wall time in
-	// abstract units roughly comparable to milliseconds (0 = unknown). The
-	// dispatch backend leases expensive shards first so one big shard
-	// cannot dominate a sweep's critical path; Run ignores it. Cost
-	// influences only WHERE and WHEN a shard runs, never its result, and it
-	// must not enter any result digest.
-	Cost float64
 	// Span, when non-nil, is the shard's observability span (internal/obs).
 	// The dispatch backend records scheduling transitions (lease, requeue)
 	// on it; the shard's own Run closure records execution and completion.
@@ -87,7 +79,7 @@ type RemoteSpec struct {
 	Spec []byte
 	// Accept ingests a worker's successful reply: it decodes the bytes and
 	// performs whatever bookkeeping Run would have done around the
-	// computation (cache fill, progress events), returning the shard's
+	// computation (cache fill, shard_done events), returning the shard's
 	// value. from names the worker that executed the shard; elapsed is the
 	// lease→complete wall time the backend observed (it includes queueing
 	// on the worker and transport), which callers report as the shard's
@@ -98,20 +90,8 @@ type RemoteSpec struct {
 // Options tunes a Run call.
 type Options struct {
 	// Workers bounds the number of concurrently executing shards.
-	// Values <= 0 select runtime.GOMAXPROCS(0). The dispatch backend
-	// ignores it: its own executor count is the bound.
+	// Values <= 0 select runtime.GOMAXPROCS(0).
 	Workers int
-	// OnProgress, when non-nil, is called after each shard completes with
-	// the number of completed shards, the total, and the finished shard's
-	// label. Calls are serialized (never concurrent) but may arrive in any
-	// shard order. Shards skipped because of cancellation are not reported.
-	OnProgress func(done, total int, label string)
-	// Recovered marks this run as crash-recovered work resubmitted after a
-	// restart. It is a scheduling hint only: the dispatch backend treats
-	// the shards like requeued interrupted leases (front of the queue)
-	// instead of new arrivals, so work that already waited through a crash
-	// is not penalized a second time. Run ignores it.
-	Recovered bool
 }
 
 // ShardError reports the failure of one shard, preserving its identity.
@@ -147,7 +127,6 @@ func Run(ctx context.Context, shards []Shard, opts Options) ([]any, error) {
 	workers = min(workers, len(shards))
 	out := make([]any, len(shards))
 	errs := make([]error, len(shards))
-	report := ProgressReporter(opts, len(shards))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -164,30 +143,11 @@ func Run(ctx context.Context, shards []Shard, opts Options) ([]any, error) {
 					continue
 				}
 				out[i], errs[i] = RunShard(ctx, shards[i])
-				report(shards[i].Label)
 			}
 		}()
 	}
 	wg.Wait()
 	return out, JoinShardErrors(ctx, shards, errs)
-}
-
-// ProgressReporter serializes OnProgress callbacks: the counter increment
-// and the callback share one critical section so OnProgress observes a
-// strictly monotonic done sequence. Exported so the dispatch backend
-// reports progress with exactly Run's semantics. The returned closure is
-// always non-nil and safe to call whether or not OnProgress is set.
-func ProgressReporter(opts Options, total int) func(label string) {
-	done := 0
-	var mu sync.Mutex
-	return func(label string) {
-		mu.Lock()
-		done++
-		if opts.OnProgress != nil {
-			opts.OnProgress(done, total, label)
-		}
-		mu.Unlock()
-	}
 }
 
 // JoinShardErrors folds per-shard failures into one error. Shards that

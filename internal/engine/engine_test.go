@@ -47,24 +47,20 @@ func TestEmptyAndSingleShard(t *testing.T) {
 }
 
 // TestPoolHammer drives the pool with many tiny shards; run under -race it
-// checks the ordered-collection slices and progress path for data races.
+// checks the ordered-collection slices for data races.
 func TestPoolHammer(t *testing.T) {
 	const n = 2000
 	var ran atomic.Int64
-	var calls int
 	out, err := Run(context.Background(), intShards(n, func(i int) (any, error) {
 		ran.Add(1)
 		// Per-shard keyed randomness, as real experiment shards use it.
 		return rng.New(rng.Key(uint64(i))).Uint64(), nil
-	}), Options{
-		Workers:    16,
-		OnProgress: func(done, total int, label string) { calls++ },
-	})
+	}), Options{Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ran.Load() != n || calls != n {
-		t.Fatalf("ran %d shards, %d progress calls, want %d", ran.Load(), calls, n)
+	if ran.Load() != n {
+		t.Fatalf("ran %d shards, want %d", ran.Load(), n)
 	}
 	for i, v := range out {
 		if want := rng.New(rng.Key(uint64(i))).Uint64(); v.(uint64) != want {
@@ -153,30 +149,6 @@ func TestErrorsJoinAndWrap(t *testing.T) {
 		if want != got {
 			t.Fatalf("shard %d failure presence = %v, want %v: %v", i, got, want, err)
 		}
-	}
-}
-
-func TestProgressReporting(t *testing.T) {
-	seen := map[string]bool{}
-	last := 0
-	_, err := Run(context.Background(), intShards(30, func(i int) (any, error) { return nil, nil }), Options{
-		Workers: 5,
-		OnProgress: func(done, total int, label string) {
-			if total != 30 {
-				t.Errorf("total = %d, want 30", total)
-			}
-			if done != last+1 {
-				t.Errorf("done jumped from %d to %d", last, done)
-			}
-			last = done
-			seen[label] = true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != 30 || len(seen) != 30 {
-		t.Fatalf("progress incomplete: last=%d labels=%d", last, len(seen))
 	}
 }
 

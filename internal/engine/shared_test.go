@@ -50,7 +50,7 @@ func TestSharedPoolConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[j], errs[j] = pool.Run(context.Background(), mkShards(j*1000), engine.Options{})
+			results[j], errs[j] = pool.Run(context.Background(), mkShards(j*1000), false)
 		}()
 	}
 	wg.Wait()

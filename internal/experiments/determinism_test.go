@@ -141,11 +141,11 @@ func TestSerialParallelBitIdentical(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			serial, err := e.RunWith(context.Background(), cfg, 1, nil)
+			serial, err := e.RunWith(context.Background(), cfg, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := e.RunWith(context.Background(), cfg, 4, nil)
+			parallel, err := e.RunWith(context.Background(), cfg, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestFullProfileGolden(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			r, err := e.RunWith(context.Background(), cfg, runtime.GOMAXPROCS(0), nil)
+			r, err := e.RunWith(context.Background(), cfg, runtime.GOMAXPROCS(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,28 +283,5 @@ func TestFormerlySerialExperimentsMultiShard(t *testing.T) {
 		if len(plan.Shards) < min {
 			t.Errorf("%s: %d shards, want at least %d", id, len(plan.Shards), min)
 		}
-	}
-}
-
-// TestProgressThroughRunWith verifies shard progress surfaces through the
-// experiment layer with the right totals.
-func TestProgressThroughRunWith(t *testing.T) {
-	cfg := Small()
-	e, _ := ByID("table1")
-	plan, err := e.Plan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls int
-	var lastDone, lastTotal int
-	if _, err := e.RunWith(context.Background(), cfg, 2, func(done, total int, label string) {
-		calls++
-		lastDone, lastTotal = done, total
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != len(plan.Shards) || lastDone != lastTotal || lastTotal != len(plan.Shards) {
-		t.Fatalf("progress calls=%d lastDone=%d lastTotal=%d, want %d shards",
-			calls, lastDone, lastTotal, len(plan.Shards))
 	}
 }

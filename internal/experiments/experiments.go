@@ -45,8 +45,8 @@ type Config struct {
 	// Trials for the cell-explicit retention filtering methodology.
 	RetentionTrials int
 	// MaxShardShare bounds one shard's share of its plan's total estimated
-	// cost: plan builders subdivide any shard whose cost hint would exceed
-	// MaxShardShare × the plan total (see split.go). 0 selects the default
+	// cost: plan builders subdivide any shard whose summed atom costs would
+	// exceed MaxShardShare × the plan total (see split.go). 0 selects the default
 	// (defaultMaxShardShare); 1 disables splitting. Purely a decomposition
 	// knob — split and unsplit plans render byte-identical Results — but it
 	// participates in Digest like every field, so differently split runs
@@ -257,17 +257,17 @@ type Experiment struct {
 }
 
 // RunWith executes the experiment with the given worker bound (<=0 selects
-// GOMAXPROCS, 1 is the serial reference path). progress may be nil.
+// GOMAXPROCS, 1 is the serial reference path).
 // Parallel output is bit-identical to serial output: shards are keyed-RNG
 // independent and merged in canonical order. Cancelling ctx stops
 // scheduling new shards and returns an error satisfying
 // errors.Is(err, ctx.Err()).
-func (e Experiment) RunWith(ctx context.Context, cfg Config, workers int, progress func(done, total int, label string)) (*Result, error) {
+func (e Experiment) RunWith(ctx context.Context, cfg Config, workers int) (*Result, error) {
 	plan, err := e.Plan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := engine.Run(ctx, plan.Shards, engine.Options{Workers: workers, OnProgress: progress})
+	parts, err := engine.Run(ctx, plan.Shards, engine.Options{Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
 	}

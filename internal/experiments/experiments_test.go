@@ -31,7 +31,7 @@ func TestAllExperimentsRunAtSmallScale(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.RunWith(context.Background(), cfg, 1, nil)
+			res, err := e.RunWith(context.Background(), cfg, 1)
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
@@ -56,11 +56,11 @@ func TestExperimentsDeterministic(t *testing.T) {
 	cfg := Small()
 	for _, id := range []string{"fig6", "fig11", "fig23"} {
 		e, _ := ByID(id)
-		a, err := e.RunWith(context.Background(), cfg, 1, nil)
+		a, err := e.RunWith(context.Background(), cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := e.RunWith(context.Background(), cfg, 1, nil)
+		b, err := e.RunWith(context.Background(), cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestHeadlineShapes(t *testing.T) {
 
 	t.Run("fig6-scaling", func(t *testing.T) {
 		e, _ := ByID("fig6")
-		res, err := e.RunWith(context.Background(), cfg, 1, nil)
+		res, err := e.RunWith(context.Background(), cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestHeadlineShapes(t *testing.T) {
 
 	t.Run("sec61-anchors", func(t *testing.T) {
 		e, _ := ByID("sec61")
-		res, err := e.RunWith(context.Background(), cfg, 1, nil)
+		res, err := e.RunWith(context.Background(), cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestHeadlineShapes(t *testing.T) {
 
 	t.Run("fig21-miscorrection", func(t *testing.T) {
 		e, _ := ByID("fig21")
-		res, err := e.RunWith(context.Background(), cfg, 1, nil)
+		res, err := e.RunWith(context.Background(), cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

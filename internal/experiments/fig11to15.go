@@ -98,7 +98,6 @@ func blastCellShards(cfg Config, id string, budget float64, mfr chipdb.Manufactu
 		}
 		shards = append(shards, Shard{
 			Label: shardLabel(id, kv...),
-			Cost:  sumRange(costs, ar),
 			Run: func(context.Context) (any, error) {
 				part := blastValsPart{Mfr: mfr, TempC: tempC, IntervalMs: iv, Start: ar.Start}
 				for t := ar.Start; t < ar.End; t++ {
@@ -245,9 +244,6 @@ func planFig12(cfg Config) (*Plan, error) {
 			ci, ii, iv := ci, ii, iv
 			shards = append(shards, Shard{
 				Label: shardLabel("fig12", "module", m.ID, "iv", fmt.Sprintf("%.0fs", iv/1000)),
-				// One chip, two sampled class sweeps plus four deterministic
-				// expected-count evaluations.
-				Cost: 2*float64(cfg.SubarraysPerModule)*costCountDrawMs + 4*costExpectedEvalMs,
 				Run: func(context.Context) (any, error) {
 					r := cfg.shardRand(12, uint64(ci), uint64(ii))
 					cd := sampleSubarrayCounts(m, cdCls, 85, iv, cfg.SubarraysPerModule, r)
@@ -333,7 +329,6 @@ func planFig13(cfg Config) (*Plan, error) {
 				}
 				shards = append(shards, Shard{
 					Label: shardLabel("fig13", kv...),
-					Cost:  sumRange(costs, ar),
 					Run: func(context.Context) (any, error) {
 						part := fig13Part{Mfr: mfr, TempC: tC, Start: ar.Start}
 						for t := ar.Start; t < ar.End; t++ {
@@ -423,8 +418,6 @@ func planFig14(cfg Config) (*Plan, error) {
 			mfr, tC := mfr, tC
 			shards = append(shards, Shard{
 				Label: shardLabel("fig14", "mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tC)),
-				// Deterministic expected fractions: no sampling, near-free.
-				Cost: 2 * float64(len(chipdb.ByManufacturer(mfr))) * costExpectedEvalMs,
 				Run: func(context.Context) (any, error) {
 					// Fraction-of-cells ratios at 512 ms reach below one
 					// bitflip per sampled subarray; expected fractions keep

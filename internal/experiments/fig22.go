@@ -68,10 +68,6 @@ func planFig22(cfg Config) (*Plan, error) {
 		i, st := i, st
 		shards[i] = Shard{
 			Label: shardLabel("fig22", "strongRT", fmt.Sprintf("%.0fms", st)),
-			// Two sampled sweeps (retention and ColumnDisturb) over every
-			// DDR4 module at this point; uniform across the sweep, but the
-			// hint keeps the engine's cost-weighted leasing informed.
-			Cost: 2 * float64(len(chipdb.DDR4Modules())) * float64(cfg.SubarraysPerModule) * costCountDrawMs,
 			Run: func(context.Context) (any, error) {
 				r := cfg.shardRand(22, uint64(i))
 				retW, cdW, cdMaxW := weakFractions(cfg, st, r)

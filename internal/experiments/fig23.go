@@ -156,7 +156,6 @@ func planFig23(cfg Config) (*Plan, error) {
 			}
 			shards = append(shards, Shard{
 				Label: shardLabel("fig23", kv...),
-				Cost:  sumRange(costs, ar),
 				Run: func(context.Context) (any, error) {
 					part := fig23RunsPart{Mix: i, Start: ar.Start}
 					for a := ar.Start; a < ar.End; a++ {
@@ -179,7 +178,6 @@ func planFig23(cfg Config) (*Plan, error) {
 		}
 		shards = append(shards, Shard{
 			Label: shardLabel("fig23", kv...),
-			Cost:  sumRange(markerCosts, ar),
 			Run: func(context.Context) (any, error) {
 				part := fig23MarkersPart{Start: ar.Start}
 				for d := ar.Start; d < ar.End; d++ {

@@ -20,11 +20,11 @@ func TestFig2ShardedDeterminism(t *testing.T) {
 	if len(plan.Shards) != 3 {
 		t.Fatalf("fig2 has %d shards, want 3 (press, hammer, idle)", len(plan.Shards))
 	}
-	serial, err := e.RunWith(context.Background(), Small(), 1, nil)
+	serial, err := e.RunWith(context.Background(), Small(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := e.RunWith(context.Background(), Small(), 3, nil)
+	par, err := e.RunWith(context.Background(), Small(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,11 @@ import (
 // which is what makes the split-vs-unsplit byte-identity property testable
 // rather than aspirational (TestSplitUnsplitBitIdentical).
 //
-// Cost-hint unit: every Shard.Cost in this package is an estimate of the
-// shard's single-core runtime in *milliseconds* under the default (Small)
-// profile — the cost* constants below are calibrated against the package
-// benchmarks. Hints steer scheduling and splitting only; they never affect
-// results. Earlier generations mixed units (some builders scaled by
-// MeasureInstr/1000, others by raw sample counts), which made cross-plan
-// budgets meaningless.
+// Atom costs are splitter weights only: each estimates an atom's
+// single-core runtime in milliseconds under the default (Small) profile,
+// from the cost* constants below (calibrated against the package
+// benchmarks). packAtoms reads them to size sub-shards; nothing else
+// does, and they never affect results.
 
 const (
 	// defaultMaxShardShare is the split budget when Config.MaxShardShare
@@ -44,15 +42,12 @@ const (
 	// costTTFSampleMs is one order-statistic TTF draw
 	// (BenchmarkTTFSample-scale work).
 	costTTFSampleMs = 0.04
-	// costExpectedEvalMs is one deterministic core.ExpectedCount
-	// evaluation.
-	costExpectedEvalMs = 0.01
 	// costMemsimMsPerMInstr is simulated memsim work per million core
 	// instructions (warmup included).
 	costMemsimMsPerMInstr = 1.5
 )
 
-// splitBudget returns the per-shard cost budget for a plan whose hints sum
+// splitBudget returns the per-shard cost budget for a plan whose atom costs sum
 // to total: MaxShardShare × total, or +Inf when splitting is disabled.
 func (c Config) splitBudget(total float64) float64 {
 	share := c.MaxShardShare
@@ -102,18 +97,10 @@ func packAtoms(costs []float64, budget float64) []atomRange {
 	return out
 }
 
-// sumCosts totals a cost slice; sumRange totals one range of it.
+// sumCosts totals a cost slice.
 func sumCosts(costs []float64) float64 {
 	t := 0.0
 	for _, c := range costs {
-		t += c
-	}
-	return t
-}
-
-func sumRange(costs []float64, r atomRange) float64 {
-	t := 0.0
-	for _, c := range costs[r.Start:r.End] {
 		t += c
 	}
 	return t

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -66,15 +67,15 @@ func TestSplitUnsplitBitIdentical(t *testing.T) {
 				t.Fatalf("aggressive split produced %d shards, unsplit %d — splitting inert",
 					len(sp.Shards), len(up.Shards))
 			}
-			ref, err := e.RunWith(context.Background(), unsplit, 1, nil)
+			ref, err := e.RunWith(context.Background(), unsplit, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := e.RunWith(context.Background(), split, 1, nil)
+			serial, err := e.RunWith(context.Background(), split, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := e.RunWith(context.Background(), split, 4, nil)
+			parallel, err := e.RunWith(context.Background(), split, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,33 +133,36 @@ func TestSplitShardLabelsExtendScheme(t *testing.T) {
 	}
 }
 
-// TestShardCostSharesBounded is the registry-wide budget check: under the
-// default profile no shard's cost hint may dominate its plan. Plans whose
-// total estimate is below the floor are exempt — splitting milliseconds of
-// work buys nothing and tiny unhinted plans are harmless.
-func TestShardCostSharesBounded(t *testing.T) {
-	cfg := Small()
-	const (
-		shareCap = 0.35 // hard cap; the default split budget targets 0.10
-		floorMs  = 10.0
-	)
-	for _, e := range All() {
-		plan, err := e.Plan(cfg)
+// TestDefaultProfileSplits checks the default split budget from the plan
+// labels alone. At Small(), fig13, fig23 and ttf split, and the "lo-hi"
+// ranges of every logical shard start at atom 0 and tile it without gaps
+// or overlaps, in plan order. fig11's 15 and fig15's 60 grid cells each
+// already fit the budget, so they keep unsplit labels.
+func TestDefaultProfileSplits(t *testing.T) {
+	for id, wantSplit := range map[string]bool{"fig11": false, "fig13": true, "fig15": false, "fig23": true, "ttf": true} {
+		e, _ := ByID(id)
+		plan, err := e.Plan(Small())
 		if err != nil {
-			t.Fatalf("%s: plan: %v", e.ID, err)
+			t.Fatal(err)
 		}
-		total := 0.0
+		next := map[string]int{} // logical shard label → next expected lo
 		for _, s := range plan.Shards {
-			total += s.Cost
-		}
-		if total < floorMs {
-			continue
-		}
-		for _, s := range plan.Shards {
-			if s.Cost > shareCap*total {
-				t.Errorf("%s: shard %s estimates %.1f ms, %.0f%% of the plan's %.1f ms (cap %.0f%%)",
-					e.ID, s.Label, s.Cost, 100*s.Cost/total, total, 100*shareCap)
+			i := strings.LastIndex(s.Label, "/")
+			base, last := s.Label[:i], s.Label[i+1:]
+			_, val, _ := strings.Cut(last, "=")
+			loS, hiS, ok := strings.Cut(val, "-")
+			lo, errLo := strconv.Atoi(loS)
+			hi, errHi := strconv.Atoi(hiS)
+			if !ok || errLo != nil || errHi != nil {
+				continue // an unsplit shard: no range coordinate
 			}
+			if lo != next[base] || hi < lo {
+				t.Errorf("%s: range %d-%d, want it to start at %d", s.Label, lo, hi, next[base])
+			}
+			next[base] = hi + 1
+		}
+		if split := len(next) > 0; split != wantSplit {
+			t.Errorf("%s: range-labelled shards at the small profile: %v, want %v", id, split, wantSplit)
 		}
 	}
 }

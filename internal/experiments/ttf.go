@@ -149,7 +149,6 @@ func planTTF(cfg Config) (*Plan, error) {
 				}
 				shards = append(shards, Shard{
 					Label: shardLabel("ttf", kv...),
-					Cost:  sumRange(costs, ar),
 					Run: func(context.Context) (any, error) {
 						part := ttfDistPart{Mfr: mfr, TempC: tempC, Start: ar.Start}
 						for a := ar.Start; a < ar.End; a++ {

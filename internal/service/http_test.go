@@ -91,7 +91,7 @@ func TestHTTPSubmitStreamReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := experiments.ByID("table1")
-	direct, err := e.RunWith(context.Background(), experiments.Small(), 1, nil)
+	direct, err := e.RunWith(context.Background(), experiments.Small(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1033,7 +1033,7 @@ func (s *Service) runFlight(f *flight) {
 		misses = append(misses, s.wrapShard(f, i, len(shards), sh))
 		missAt = append(missAt, i)
 	}
-	computed, err := s.d.Run(f.ctx, misses, engine.Options{Recovered: f.recovered})
+	computed, err := s.d.Run(f.ctx, misses, f.recovered)
 	if err != nil {
 		// The dispatcher numbers failed shards among the misses; report
 		// them by plan index instead.
@@ -1111,10 +1111,7 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 	span := f.trace.NewSpan(label)
 	return engine.Shard{
 		Label: label,
-		// The plan's static estimate, a hint to the dispatch queue only; it
-		// never reaches the result or its digest.
-		Cost: sh.Cost,
-		Span: span,
+		Span:  span,
 		Run: func(ctx context.Context) (any, error) {
 			span.Record(obs.SpanExecuting, "")
 			start := time.Now()

@@ -96,7 +96,7 @@ func TestConcurrentJobsOneSharedPool(t *testing.T) {
 			t.Fatalf("%s: %v", ids[i], err)
 		}
 		e, _ := experiments.ByID(ids[i])
-		direct, err := e.RunWith(context.Background(), experiments.Small(), 1, nil)
+		direct, err := e.RunWith(context.Background(), experiments.Small(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +367,7 @@ func TestCancelOneJobLeavesSiblingRunning(t *testing.T) {
 		t.Fatalf("sibling failed after victim cancellation: %v", err)
 	}
 	e, _ := experiments.ByID("fig6")
-	direct, err := e.RunWith(context.Background(), experiments.Small(), 1, nil)
+	direct, err := e.RunWith(context.Background(), experiments.Small(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

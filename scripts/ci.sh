@@ -14,6 +14,11 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== perfbench build + vet =="
+# perfbench is its own module (replace columndisturb => ../), so the root
+# ./... never reaches it; it imports engine, dispatch and service types.
+(cd perfbench && go build -o /dev/null ./... && go vet ./...)
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
