@@ -195,6 +195,37 @@ func BenchmarkStatisticalSubarray(b *testing.B) {
 	}
 }
 
+// BenchmarkBlastRadiusSample measures one subarray count draw (1024 × 1024
+// cells) at the blast-radius sweeps' operating point, S0 at 65 °C over
+// 64 ms, where most rows' flip probability is exactly 0: "agg" samples the
+// worst-case aggressor-subarray classes, "ret" the all-1 retention class.
+func BenchmarkBlastRadiusSample(b *testing.B) {
+	spec, _ := chipdb.ByID("S0")
+	p := spec.BuildParams()
+	for _, bc := range []struct {
+		name    string
+		classes []core.ColumnClass
+	}{
+		{"agg", core.AggressorSubarrayClasses(p, core.PatternSetup{
+			AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
+			TAggOnNs: 70200, TRPNs: 14,
+		})},
+		{"ret", core.RetentionClasses(p, dram.PatFF)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sampler := core.NewCountsSampler(core.SubarrayConfig{
+				Params: p, TempC: 65, DurationMs: 64,
+				Rows: 1024, Cols: 1024, Classes: bc.classes,
+			})
+			r := rng.New(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sampler.Sample(r)
+			}
+		})
+	}
+}
+
 // BenchmarkTTFSample measures one order-statistic time-to-first-bitflip
 // draw over a 1M-cell subarray (worst-case pressing, every cell in one
 // class) from a sampler prepared once.

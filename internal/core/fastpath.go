@@ -10,9 +10,9 @@ import (
 // Profile-guided fast path for the survival quadrature. RateModel.Survival
 // dominates every statistical sweep (CountsSampler and the TTF bisections
 // are >90% of a full registry run), and most of its cost is transcendental:
-// eight math.Exp calls per evaluation for the base-rate nodes plus up to
-// eight erfc/log pairs for the coupling tail. survivalEval hoists the
-// evaluation-invariant parts out of the per-call loop:
+// a direct evaluation pays eight math.Exp calls for the base-rate nodes plus
+// one log and one PhiC per node for the coupling tail. survivalEval hoists
+// the evaluation-invariant parts out of the per-call loop:
 //
 //   - the quadrature's exp factors split as b_j = e^muB · e^(SigmaB·√2·x_j);
 //     the second factor depends only on SigmaB and is precomputed once, so a
@@ -25,11 +25,27 @@ import (
 //     contribute their full weight (suffix sums, precomputed), and arguments
 //     above phiCZero contribute nothing. PhiC(phiCOne) rounds to exactly 1.0
 //     in float64 and PhiC(phiCZero) < 1e-17, so the cutoffs change results
-//     by less than the quadrature's own truncation error.
+//     by less than the quadrature's own truncation error;
+//   - the upper-tail prefix skip: in exact arithmetic a node's argument is
+//     at or above cutHi exactly when x − b_j ≥ exp(muK + cutHi·SigmaK), and
+//     x − b_j decreases in j, so the upper-tail nodes form a leading run.
+//     survivalOne first advances past the leading nodes with x − b_j ≥ T,
+//     where T = exp(muK + cutHi·SigmaK)·(1+skipSlack), comparing instead of
+//     taking a log. The slack (1e-9 in log space) keeps every skipped node's
+//     computed argument at or above cutHi despite the few-ulp rounding of
+//     exp and log, so the skip drops only nodes the loop would have
+//     discarded anyway, the sum's terms and order are unchanged and the
+//     result is bit-identical; nodes within the slack of the cutoff still
+//     take the log. A per-row flip probability that is exactly 0 (most rows
+//     of a blast-radius sweep) then costs one exp for T instead of eight
+//     logs, sixteen under the VRT mixture, whose components share T.
 //
-// Results agree with the pre-fastpath evaluation to ~1e-15 relative (the
-// factored exponentials differ in the last ulp); TestSurvivalEvalMatches
-// pins the agreement.
+// In strict mode results agree with the pre-fastpath evaluation to ~1e-15
+// relative (the factored exponentials differ in the last ulp);
+// TestSurvivalEvalMatches pins the agreement. Loose mode trades that for
+// fastPhiC's 7.5e-8 absolute error. TestSurvivalRowSkipBitExact and
+// FuzzSurvivalRowSkip pin the prefix skip to the loop without it, bit for
+// bit.
 
 const (
 	invSqrtPi = 0.5641895835477563
@@ -46,6 +62,23 @@ const (
 	// probabilities down to ~1e-12, where relative accuracy matters.
 	phiCZeroLoose = 5.7
 	phiCOneLoose  = -5.7
+	// skipSlack is the relative margin of the upper-tail skip threshold T:
+	// ln(1+skipSlack) ≈ 1e-9 in log space, far above the few-ulp rounding of
+	// exp, log and the argument's affine map over the range skipThreshold
+	// admits.
+	skipSlack = 1e-9
+)
+
+// evalMode selects a survivalEval's PhiC kernel and tail cutoffs.
+type evalMode uint8
+
+const (
+	// strictMode keeps relative tail accuracy: rng.PhiC with the strict
+	// cutoffs, as quantile inversion (TTF) needs.
+	strictMode evalMode = iota
+	// looseMode needs absolute accuracy only: fastPhiC with the loose
+	// cutoffs, for binomial flip probabilities.
+	looseMode
 )
 
 // survivalEval is a RateModel prepared for repeated Survival evaluation.
@@ -60,8 +93,9 @@ type survivalEval struct {
 	suffixW              [8]float64 // Σ_{i≥j} ghWeights[i]
 	vrtProb, vrtFactor   float64
 	lnVRT                float64
-	cutHi, cutLo         float64 // PhiC tail cutoffs (strict by default)
-	loose                bool    // absolute-accuracy mode: fastPhiC + loose cutoffs
+	cutHi, cutLo         float64 // PhiC tail cutoffs of the mode
+	loose                bool    // looseMode: fastPhiC + loose cutoffs
+	skipT                float64 // skipThreshold(muK)
 }
 
 // fastPhiC approximates the complementary normal CDF with absolute error
@@ -83,13 +117,17 @@ func fastPhiC(z float64) float64 {
 	return p
 }
 
-func newSurvivalEval(m RateModel) survivalEval {
+func newSurvivalEval(m RateModel, mode evalMode) survivalEval {
 	e := survivalEval{
 		kDisabled: m.KDisabled,
 		muB:       m.MuB, muK: m.MuK,
 		sigmaB: m.SigmaB, sigmaK: m.SigmaK,
 		vrtProb: m.VRTProb, vrtFactor: m.VRTFactor,
 		cutHi: phiCZero, cutLo: phiCOne,
+	}
+	if mode == looseMode {
+		e.cutHi, e.cutLo = phiCZeroLoose, phiCOneLoose
+		e.loose = true
 	}
 	if m.SigmaB != 0 {
 		e.invSigmaB = 1 / m.SigmaB
@@ -109,7 +147,21 @@ func newSurvivalEval(m RateModel) survivalEval {
 	if e.vrtProb > 0 && e.vrtFactor != 1 {
 		e.lnVRT = math.Log(e.vrtFactor)
 	}
+	e.skipT = e.skipThreshold(m.MuK)
 	return e
+}
+
+// skipThreshold returns the upper-tail skip threshold T for location muK:
+// every node with x − b_j ≥ T has a computed PhiC argument ≥ cutHi. It
+// returns +Inf, which disables the skip, where the slack argument does not
+// hold: a disabled coupling term, a non-positive SigmaK, |muK| too large for
+// ulp(muK) to stay below the slack, or T outside exp's normal range.
+func (e *survivalEval) skipThreshold(muK float64) float64 {
+	y := muK + e.cutHi*e.sigmaK
+	if e.kDisabled || !(e.sigmaK > 0) || !(math.Abs(muK) < 700) || !(math.Abs(y) < 700) {
+		return math.Inf(1)
+	}
+	return math.Exp(y) * (1 + skipSlack)
 }
 
 // survival evaluates P(r > x) for the prepared model (no row shifts).
@@ -130,22 +182,36 @@ func (e *survivalEval) survivalRow(x, muB, muK float64) float64 {
 	} else {
 		eb = math.Exp(muB)
 	}
-	if e.vrtProb <= 0 || e.vrtFactor == 1 {
-		return e.survivalOne(x, eb, muB, muK)
+	var t float64
+	if muK == e.muK {
+		t = e.skipT
+	} else {
+		t = e.skipThreshold(muK)
 	}
-	normal := e.survivalOne(x, eb, muB, muK)
-	weak := e.survivalOne(x, eb*e.vrtFactor, muB+e.lnVRT, muK)
+	if e.vrtProb <= 0 || e.vrtFactor == 1 {
+		return e.survivalOne(x, eb, muB, muK, t)
+	}
+	normal := e.survivalOne(x, eb, muB, muK, t)
+	weak := e.survivalOne(x, eb*e.vrtFactor, muB+e.lnVRT, muK, t)
 	return clamp01((1-e.vrtProb)*normal + e.vrtProb*weak)
 }
 
 // survivalOne evaluates one mixture component: eb = exp(muB) is passed so
-// the VRT branch can scale rather than re-exponentiate.
-func (e *survivalEval) survivalOne(x, eb, muB, muK float64) float64 {
+// the VRT branch can scale rather than re-exponentiate, and t is
+// skipThreshold(muK), which both components share.
+func (e *survivalEval) survivalOne(x, eb, muB, muK, t float64) float64 {
 	if e.kDisabled {
 		return rng.PhiC((math.Log(x) - muB) * e.invSigmaB)
 	}
+	// x − b_j decreases in j, so the nodes certainly in the upper tail
+	// form a leading run; skipping it leaves the sum's terms and order as
+	// the loop below would produce them.
+	j := 0
+	for j < 8 && x-eb*e.eNode[j] >= t {
+		j++
+	}
 	sum := 0.0
-	for j := 0; j < 8; j++ {
+	for ; j < 8; j++ {
 		b := eb * e.eNode[j]
 		if b >= x {
 			// Nodes are ascending in b: every remaining node is certain.
@@ -242,12 +308,9 @@ func prepareClasses(cfg SubarrayConfig) []classEval {
 		}
 		base := NewRateModel(cfg.Params, cfg.TempC, cl.Rho)
 		resid := base.WithRowEffect(cfg.Params, 0, 0)
-		eval := newSurvivalEval(resid)
-		// Flip probabilities feed binomial draws: absolute accuracy only.
-		eval.cutHi, eval.cutLo = phiCZeroLoose, phiCOneLoose
-		eval.loose = true
 		ce := classEval{
-			eval:  eval,
+			// Flip probabilities feed binomial draws: absolute accuracy only.
+			eval:  newSurvivalEval(resid, looseMode),
 			dMuB:  base.SigmaB * math.Sqrt(cfg.Params.BaseRowVarFrac),
 			cells: cells,
 		}
@@ -282,7 +345,7 @@ func NewTTFSampler(cfg SubarrayConfig) *TTFSampler {
 		t.classes = append(t.classes, struct {
 			eval  survivalEval
 			cells int
-		}{newSurvivalEval(NewRateModel(cfg.Params, cfg.TempC, cl.Rho)), cells})
+		}{newSurvivalEval(NewRateModel(cfg.Params, cfg.TempC, cl.Rho), strictMode), cells})
 	}
 	return t
 }

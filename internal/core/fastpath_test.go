@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"columndisturb/internal/chipdb"
+	"columndisturb/internal/dram"
 	"columndisturb/internal/faultmodel"
 	"columndisturb/internal/sim/rng"
 )
@@ -57,7 +60,7 @@ func TestSurvivalEvalMatches(t *testing.T) {
 				if withRow {
 					eval = m.WithRowEffect(p, 1.7, -0.9)
 				}
-				e := newSurvivalEval(eval)
+				e := newSurvivalEval(eval, strictMode)
 				for _, tMs := range []float64{1, 64, 512, 1024, 16000, 1e6} {
 					x := faultmodel.Ln2 / tMs
 					got := e.survival(x)
@@ -80,7 +83,7 @@ func TestSurvivalRowMatchesWithRowEffect(t *testing.T) {
 	p := &pv
 	base := NewRateModel(p, 65, 0.2)
 	resid := base.WithRowEffect(p, 0, 0)
-	e := newSurvivalEval(resid)
+	e := newSurvivalEval(resid, strictMode)
 	dMuB := base.SigmaB * math.Sqrt(p.BaseRowVarFrac)
 	dMuK := base.SigmaK * math.Sqrt(p.KappaRowVarFrac)
 	r := rng.New(7)
@@ -129,4 +132,228 @@ func TestTTFSamplerMatchesSampleTTF(t *testing.T) {
 			t.Fatalf("sample %d: reused sampler (%v,%v) != fresh sampler (%v,%v)", i, a, okA, b, okB)
 		}
 	}
+}
+
+// refSurvivalRowNoSkip is survivalRow together with survivalOne as they
+// stood before the upper-tail prefix skip, copied verbatim apart from the
+// receiver: every node takes its log before the cutoff test. The skip must
+// reproduce it bit for bit.
+func refSurvivalRowNoSkip(e *survivalEval, x, muB, muK float64) float64 {
+	if x <= 0 {
+		return 1
+	}
+	var eb float64
+	if muB == e.muB {
+		eb = e.ebBase
+	} else {
+		eb = math.Exp(muB)
+	}
+	if e.vrtProb <= 0 || e.vrtFactor == 1 {
+		return refSurvivalOneNoSkip(e, x, eb, muB, muK)
+	}
+	normal := refSurvivalOneNoSkip(e, x, eb, muB, muK)
+	weak := refSurvivalOneNoSkip(e, x, eb*e.vrtFactor, muB+e.lnVRT, muK)
+	return clamp01((1-e.vrtProb)*normal + e.vrtProb*weak)
+}
+
+func refSurvivalOneNoSkip(e *survivalEval, x, eb, muB, muK float64) float64 {
+	if e.kDisabled {
+		return rng.PhiC((math.Log(x) - muB) * e.invSigmaB)
+	}
+	sum := 0.0
+	for j := 0; j < 8; j++ {
+		b := eb * e.eNode[j]
+		if b >= x {
+			// Nodes are ascending in b: every remaining node is certain.
+			sum += e.suffixW[j]
+			break
+		}
+		a := (math.Log(x-b) - muK) * e.invSigmaK
+		if a >= e.cutHi {
+			continue // upper tail: below the caller's accuracy floor
+		}
+		if a <= e.cutLo {
+			// The argument decreases with the node index: every remaining
+			// node is in the lower tail where PhiC rounds to 1.
+			sum += e.suffixW[j]
+			break
+		}
+		if e.loose {
+			sum += ghWeights[j] * fastPhiC(a)
+		} else {
+			sum += ghWeights[j] * rng.PhiC(a)
+		}
+	}
+	return clamp01(sum * invSqrtPi)
+}
+
+// rowEval is one column class prepared as CountsSampler prepares it, in
+// one evaluation mode, with the per-unit row shifts of its location
+// parameters.
+type rowEval struct {
+	name       string
+	eval       survivalEval
+	dMuB, dMuK float64
+}
+
+// skipTestEvals builds the classes the blast-radius sweeps sample — the
+// worst-case aggressor-subarray classes and the all-1 retention class —
+// for each module at each characterization temperature, in both
+// evaluation modes, with the VRT mixture on and off.
+func skipTestEvals(t testing.TB, specs []chipdb.ModuleSpec) []rowEval {
+	worstCase := PatternSetup{
+		AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
+		TAggOnNs: 70_200, TRPNs: 14,
+	}
+	var out []rowEval
+	for _, spec := range specs {
+		p := spec.BuildParams()
+		if !(p.VRTProb > 0 && p.VRTFactor != 1) {
+			t.Fatalf("%s: catalog params carry no VRT mixture; the VRT-on case would not run", spec.ID)
+		}
+		classes := append(AggressorSubarrayClasses(p, worstCase), RetentionClasses(p, dram.PatFF)...)
+		for _, tempC := range []float64{45, 65, 85, 95} {
+			for ci, cl := range classes {
+				base := NewRateModel(p, tempC, cl.Rho)
+				for _, vrt := range []bool{true, false} {
+					if !vrt {
+						base.VRTProb = 0
+					}
+					resid := base.WithRowEffect(p, 0, 0)
+					for _, mode := range []evalMode{strictMode, looseMode} {
+						out = append(out, rowEval{
+							name: fmt.Sprintf("%s/%v°C/class%d/vrt=%v/%s", spec.ID, tempC, ci, vrt, [...]string{"strict", "loose"}[mode]),
+							eval: newSurvivalEval(resid, mode),
+							dMuB: base.SigmaB * math.Sqrt(p.BaseRowVarFrac),
+							dMuK: base.SigmaK * math.Sqrt(p.KappaRowVarFrac),
+						})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkSkipBitExact reports whether survivalRow and the no-skip reference
+// return the same float64 bits at (x, muB, muK).
+func checkSkipBitExact(t testing.TB, re *rowEval, x, muB, muK float64) bool {
+	t.Helper()
+	got := re.eval.survivalRow(x, muB, muK)
+	want := refSurvivalRowNoSkip(&re.eval, x, muB, muK)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("%s: survivalRow(x=%v, muB=%v, muK=%v) = %v (%#x), no-skip reference %v (%#x)",
+			re.name, x, muB, muK, got, math.Float64bits(got), want, math.Float64bits(want))
+		return false
+	}
+	return true
+}
+
+// TestSurvivalRowSkipBitExact checks that the upper-tail prefix skip
+// changes no bit of any flip probability: random rows and thresholds over
+// every DDR4 module's blast-radius classes, then thresholds constructed so
+// that x − b_j lands within a few ulps of the skip threshold T and of the
+// unslackened cutoff exp(muK + cutHi·σK) at every node.
+func TestSurvivalRowSkipBitExact(t *testing.T) {
+	evals := skipTestEvals(t, chipdb.DDR4Modules())
+	r := rng.New(19)
+	const perEval = 128
+	if n := perEval * len(evals); n < 100_000 {
+		t.Fatalf("only %d random points, want ≥ 1e5", n)
+	}
+	random, skipped, zero := 0, 0, 0
+	for i := range evals {
+		re := &evals[i]
+		e := &re.eval
+		for k := 0; k < perEval; k++ {
+			zB, zK := 1.5*r.Norm(), 1.5*r.Norm()
+			// Refresh-window thresholds from 1 ms to 1e5 ms, log-uniform.
+			x := faultmodel.Ln2 / math.Exp(r.Float64()*math.Log(1e5))
+			muB, muK := e.muB+re.dMuB*zB, e.muK+re.dMuK*zK
+			if !checkSkipBitExact(t, re, x, muB, muK) {
+				t.FailNow()
+			}
+			random++
+			if x-math.Exp(muB)*e.eNode[0] >= e.skipThreshold(muK) {
+				skipped++
+			}
+			if e.survivalRow(x, muB, muK) == 0 {
+				zero++
+			}
+		}
+	}
+	// The random points must reach both the skip and the full loop, and
+	// the p == 0 rows the skip exists for.
+	if skipped == 0 || skipped == random || zero == 0 {
+		t.Fatalf("random points: %d total, %d with a skipped node, %d with p == 0", random, skipped, zero)
+	}
+
+	near := 0
+	for i := range evals {
+		re := &evals[i]
+		e := &re.eval
+		if e.kDisabled || i%7 != 0 {
+			continue
+		}
+		zB, zK := r.Norm(), r.Norm()
+		muB, muK := e.muB+re.dMuB*zB, e.muK+re.dMuK*zK
+		eb := math.Exp(muB)
+		cut := math.Exp(muK + e.cutHi*e.sigmaK)
+		for _, target := range []float64{cut * (1 + skipSlack), cut} {
+			for j := 0; j < 8; j++ {
+				b := eb * e.eNode[j]
+				x0 := b + target
+				for k := -8; k <= 8; k++ {
+					x := stepULPs(x0, k)
+					if !checkSkipBitExact(t, re, x, muB, muK) {
+						t.FailNow()
+					}
+					if d := x - b; math.Abs(float64(ulpDistance(d, target))) <= 8 {
+						near++
+					}
+				}
+			}
+		}
+	}
+	if near < 1000 {
+		t.Fatalf("only %d constructed points within 8 ulps of a threshold", near)
+	}
+	t.Logf("%d random points (%d with a skipped node, %d with p == 0), %d within 8 ulps of a threshold",
+		random, skipped, zero, near)
+}
+
+// stepULPs moves x by k representable float64 values.
+func stepULPs(x float64, k int) float64 {
+	for ; k > 0; k-- {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	for ; k < 0; k++ {
+		x = math.Nextafter(x, math.Inf(-1))
+	}
+	return x
+}
+
+// ulpDistance counts the representable float64 values from b to a, for
+// positive finite a and b.
+func ulpDistance(a, b float64) int64 {
+	return int64(math.Float64bits(a)) - int64(math.Float64bits(b))
+}
+
+// FuzzSurvivalRowSkip checks the prefix skip's bit-exactness over fuzzed
+// thresholds and row location shifts: muB and muK are the fuzzed offsets
+// added to a class's prepared location, so an offset of 0 takes the
+// precomputed exp(muB) and skip threshold. Each input runs against every
+// manufacturer's representative module.
+func FuzzSurvivalRowSkip(f *testing.F) {
+	var reps []chipdb.ModuleSpec
+	for _, mfr := range chipdb.Manufacturers() {
+		reps = append(reps, chipdb.Representative(mfr))
+	}
+	evals := skipTestEvals(f, reps)
+	f.Fuzz(func(t *testing.T, x, dMuB, dMuK float64) {
+		for i := range evals {
+			re := &evals[i]
+			checkSkipBitExact(t, re, x, re.eval.muB+dMuB, re.eval.muK+dMuK)
+		}
+	})
 }

@@ -98,7 +98,7 @@ func (m RateModel) WithRowEffect(p *faultmodel.Params, zRowK, zRowB float64) Rat
 // times (bisections, per-row sweeps) should build a survivalEval once
 // instead — it hoists the quadrature's exponentials out of the loop.
 func (m RateModel) Survival(x float64) float64 {
-	e := newSurvivalEval(m)
+	e := newSurvivalEval(m, strictMode)
 	return e.survival(x)
 }
 
@@ -119,6 +119,6 @@ func (m RateModel) ExpectedTTFms(n int) float64 {
 		panic("core: ExpectedTTFms with n < 1")
 	}
 	p := (float64(n) - 0.375) / (float64(n) + 0.25)
-	e := newSurvivalEval(m)
+	e := newSurvivalEval(m, strictMode)
 	return faultmodel.Ln2 / e.quantileSurvival(1-p)
 }

@@ -40,7 +40,7 @@ func TestSurvivalMonotoneDecreasing(t *testing.T) {
 
 func TestFlipProbIncreasingInTime(t *testing.T) {
 	p := calibrated(64, 512, 1<<20)
-	e := newSurvivalEval(NewRateModel(p, 85, 1))
+	e := newSurvivalEval(NewRateModel(p, 85, 1), strictMode)
 	// A cell flips within t ms iff its rate exceeds ln2/t; zero duration
 	// is the threshold +Inf.
 	if e.survival(math.Inf(1)) != 0 {
@@ -73,7 +73,7 @@ func TestKDisabledMatchesPureLognormal(t *testing.T) {
 func TestQuantileInvertsSurvival(t *testing.T) {
 	p := calibrated(64, 512, 1<<20)
 	m := NewRateModel(p, 85, 1)
-	e := newSurvivalEval(m)
+	e := newSurvivalEval(m, strictMode)
 	for _, s := range []float64{1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9} {
 		x := e.quantileSurvival(s)
 		back := m.Survival(x)
@@ -86,7 +86,7 @@ func TestQuantileInvertsSurvival(t *testing.T) {
 func TestSampleMaxRateMatchesExpectedTTF(t *testing.T) {
 	p := calibrated(64, 512, 1<<20)
 	m := NewRateModel(p, 85, 1)
-	e := newSurvivalEval(m)
+	e := newSurvivalEval(m, strictMode)
 	r := rng.New(1)
 	const n = 1 << 20
 	const reps = 300

@@ -90,6 +90,14 @@ func (c *SEC) Encode(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("ecc: data length %d, want %d", len(data), c.K)
 	}
 	cw := make([]byte, c.N)
+	c.encodeInto(cw, data)
+	return cw, nil
+}
+
+// encodeInto overwrites cw (length N) with the codeword of data (length K).
+// Its parity positions may hold any bits (0 or 1) on entry: the fix-up below
+// flips exactly the parity bits that leave the syndrome nonzero.
+func (c *SEC) encodeInto(cw, data []byte) {
 	for i, pos := range c.dataPos {
 		cw[pos-1] = data[i] & 1
 	}
@@ -101,7 +109,6 @@ func (c *SEC) Encode(data []byte) ([]byte, error) {
 			cw[p-1] ^= 1
 		}
 	}
-	return cw, nil
 }
 
 func (c *SEC) syndrome(cw []byte) int {
@@ -129,6 +136,13 @@ func (c *SEC) Decode(cw []byte) ([]byte, DecodeResult, error) {
 	if len(cw) != c.N {
 		return nil, DecodeResult{}, fmt.Errorf("ecc: codeword length %d, want %d", len(cw), c.N)
 	}
+	data := make([]byte, c.K)
+	return data, c.decodeInto(data, cw), nil
+}
+
+// decodeInto corrects cw (length N) in place, as Decode does, and
+// overwrites data (length K) with the extracted data bits.
+func (c *SEC) decodeInto(data, cw []byte) DecodeResult {
 	res := DecodeResult{}
 	if s := c.syndrome(cw); s != 0 {
 		if s > c.N {
@@ -139,11 +153,10 @@ func (c *SEC) Decode(cw []byte) ([]byte, DecodeResult, error) {
 			res.FlippedPos = s
 		}
 	}
-	data := make([]byte, c.K)
 	for i, pos := range c.dataPos {
 		data[i] = cw[pos-1] & 1
 	}
-	return data, res, nil
+	return res
 }
 
 // SECDED is a single-error-correcting, double-error-detecting extended
@@ -252,15 +265,14 @@ func (m MiscorrectionResult) MiscorrectionRate() float64 {
 // double-error codewords are miscorrected into *three*-error codewords.
 func MiscorrectionExperiment(c *SEC, trials int, r *rng.Rand) MiscorrectionResult {
 	res := MiscorrectionResult{Trials: trials}
-	data := make([]byte, c.K)
+	// One buffer each for the data, the codeword and the decoded data,
+	// reused by every trial.
+	data, cw, got := make([]byte, c.K), make([]byte, c.N), make([]byte, c.K)
 	for t := 0; t < trials; t++ {
 		for i := range data {
 			data[i] = byte(r.Uint64() & 1)
 		}
-		cw, err := c.Encode(data)
-		if err != nil {
-			panic(err)
-		}
+		c.encodeInto(cw, data)
 		i := r.Intn(c.N)
 		j := r.Intn(c.N - 1)
 		if j >= i {
@@ -268,11 +280,7 @@ func MiscorrectionExperiment(c *SEC, trials int, r *rng.Rand) MiscorrectionResul
 		}
 		cw[i] ^= 1
 		cw[j] ^= 1
-		got, dres, err := c.Decode(cw)
-		if err != nil {
-			panic(err)
-		}
-		switch dres.Status {
+		switch c.decodeInto(got, cw).Status {
 		case StatusDetected:
 			res.Detected++
 		case StatusCorrected:

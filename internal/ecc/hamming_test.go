@@ -205,6 +205,74 @@ func TestMiscorrectionRate136(t *testing.T) {
 	}
 }
 
+// TestMiscorrectionExperimentReusesBuffers checks that the experiment's
+// reused codeword and data buffers give the same classification as fresh
+// Encode/Decode slices per trial, and that its allocations do not grow
+// with the trial count.
+func TestMiscorrectionExperimentReusesBuffers(t *testing.T) {
+	fresh := func(c *SEC, trials int, r *rng.Rand) MiscorrectionResult {
+		res := MiscorrectionResult{Trials: trials}
+		for trial := 0; trial < trials; trial++ {
+			data := make([]byte, c.K)
+			for i := range data {
+				data[i] = byte(r.Uint64() & 1)
+			}
+			cw, _ := c.Encode(data)
+			i := r.Intn(c.N)
+			j := r.Intn(c.N - 1)
+			if j >= i {
+				j++
+			}
+			cw[i] ^= 1
+			cw[j] ^= 1
+			got, dres, _ := c.Decode(cw)
+			switch {
+			case dres.Status == StatusDetected:
+				res.Detected++
+			case dres.Status == StatusCorrected && bytesEqual(got, data):
+				res.LuckyData++
+			default:
+				res.Miscorrected++
+			}
+		}
+		return res
+	}
+	for _, k := range []int{4, 64, 128} {
+		c, _ := NewSEC(k)
+		if got, want := MiscorrectionExperiment(c, 2000, rng.New(7)), fresh(c, 2000, rng.New(7)); got != want {
+			t.Fatalf("SEC(%d): reused buffers give %+v, fresh slices %+v", k, got, want)
+		}
+	}
+
+	c, _ := NewSEC(128)
+	r := rng.New(1)
+	allocs := func(trials int) float64 {
+		return testing.AllocsPerRun(5, func() { MiscorrectionExperiment(c, trials, r) })
+	}
+	if few, many := allocs(1), allocs(1000); many != few || many > 3 {
+		t.Fatalf("allocs per experiment: %v at 1 trial, %v at 1000 trials; want the same, at most 3", few, many)
+	}
+}
+
+// TestEncodeIntoOverwritesBuffer checks that encoding into a reused
+// codeword buffer ignores whatever the previous codeword left there.
+func TestEncodeIntoOverwritesBuffer(t *testing.T) {
+	c, _ := NewSEC(128)
+	r := rng.New(3)
+	cw := make([]byte, c.N)
+	for trial := 0; trial < 100; trial++ {
+		for i := range cw {
+			cw[i] = byte(r.Uint64() & 1)
+		}
+		data := randData(r, c.K)
+		c.encodeInto(cw, data)
+		want, _ := c.Encode(data)
+		if !bytesEqual(cw, want) {
+			t.Fatalf("trial %d: encodeInto over a used buffer differs from Encode", trial)
+		}
+	}
+}
+
 func TestMiscorrectionAddsThirdFlip(t *testing.T) {
 	// A miscorrection turns a 2-error codeword into a 3-error one: verify
 	// the Hamming distance to the original codeword grows.

@@ -57,7 +57,7 @@ var required = []string{
 // benchmarks, skipping the per-artifact figure benchmarks (those are
 // subsets of RunAll and would double CI's bench wall time).
 const benchRegexp = "^Benchmark(RunAll|DeviceReadRow|Hammer512ms|" +
-	"StatisticalSubarray|TTFSample|SECDecode|Memsim|RowCloneScan|" +
+	"StatisticalSubarray|BlastRadiusSample|TTFSample|SECDecode|Memsim|RowCloneScan|" +
 	"ShardSplitPlan|DiffReadsFiltered|CouplingEval)"
 
 // resultLine matches `go test -bench` output such as

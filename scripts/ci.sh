@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for every PR: build, vet, gofmt, race-enabled tests (the cdlab
-# end-to-end tests in cmd/cdlab included), a WAL fuzz pass, a compile-and-
-# run pass over every benchmark (one iteration each) and a perf-trajectory
-# snapshot.
+# end-to-end tests in cmd/cdlab included), WAL and survival-skip fuzz
+# passes, a compile-and-run pass over every benchmark (one iteration each)
+# and a perf-trajectory snapshot.
 #
 # Usage: scripts/ci.sh [extra go-test flags...]
 set -euo pipefail
@@ -39,6 +39,9 @@ go test -race -count=3 ./internal/engine ./internal/dispatch ./internal/service 
 
 echo "== wal decoder fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzReplaySegment -fuzztime 5s ./internal/wal
+
+echo "== survival quadrature skip fuzz (committed corpus + 5s of new inputs) =="
+go test -run '^$' -fuzz FuzzSurvivalRowSkip -fuzztime 5s ./internal/core
 
 echo "== benchmarks (1 iteration) =="
 go test -run xxx -bench . -benchtime 1x "$@" ./...
