@@ -29,7 +29,7 @@ func TestEveryExperimentHasPlan(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite the golden hash files of the tests that ran from the current reports")
+var update = flag.Bool("update", false, "rewrite the golden files of the tests that ran from the current output")
 
 // The golden files hold one SHA-256 per report, in sha256sum format
 // ("<hex>  <id>.txt"), after a "# resultSchemaVersion" header line. The
@@ -37,8 +37,9 @@ var update = flag.Bool("update", false, "rewrite the golden hash files of the te
 // <dir>/<id>.txt, so the cmd/cdlab end-to-end tests check the CLI's files
 // against the small profile's lines.
 const (
-	smallGoldenPath = "testdata/golden/small.sha256"
-	fullGoldenPath  = "testdata/golden/full.sha256"
+	smallGoldenPath  = "testdata/golden/small.sha256"
+	fullGoldenPath   = "testdata/golden/full.sha256"
+	labelsGoldenPath = "testdata/golden/labels.txt"
 )
 
 const goldenHeader = "# resultSchemaVersion " + resultSchemaVersion
@@ -118,6 +119,38 @@ func checkGolden(t *testing.T, path string, got map[string]string) {
 	for id := range want {
 		if !registered[id] {
 			t.Errorf("%s: golden hash for unregistered experiment %s; %s", path, id, howTo)
+		}
+	}
+}
+
+// checkGoldenLines compares got, one entry per line, against the
+// committed golden file at path, naming the first line that differs;
+// -update rewrites the file instead.
+func checkGoldenLines(t *testing.T, path, got, howTo string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	gotLines := strings.Split(got, "\n")
+	wantLines := strings.Split(string(raw), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("%s:%d is %q, want %q (%d lines now, %d golden); %s",
+				path, i+1, g, w, len(gotLines), len(wantLines), howTo)
 		}
 	}
 }
@@ -253,6 +286,32 @@ func TestShardPlansStable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestShardLabelsGolden pins every registered experiment's shard labels
+// at both named profiles, in plan order, one "profile<TAB>label" line each
+// (labels contain spaces). Labels are cache keys and the dispatch wire's
+// registry-skew guard, so a label that moves orphans cache entries and
+// splits a fleet running mixed builds; a change that means to move them
+// says so by regenerating this file.
+func TestShardLabelsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, p := range []struct {
+		name string
+		cfg  Config
+	}{{"small", Small()}, {"full", Full()}} {
+		for _, e := range All() {
+			plan, err := e.Plan(p.cfg)
+			if err != nil {
+				t.Fatalf("%s at %s: plan: %v", e.ID, p.name, err)
+			}
+			for _, s := range plan.Shards {
+				fmt.Fprintf(&b, "%s\t%s\n", p.name, s.Label)
+			}
+		}
+	}
+	checkGoldenLines(t, labelsGoldenPath, b.String(),
+		"if the change is intended, regenerate it: go test ./internal/experiments -run TestShardLabelsGolden -update")
 }
 
 // TestFormerlySerialExperimentsMultiShard pins the tentpole of the
