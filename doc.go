@@ -55,7 +55,7 @@
 // caches — there is no serial special case. The dispatcher leases shards
 // first in, first out; requeued and crash-recovered work goes first
 // (DESIGN.md §12). Plan builders weigh their work in estimated
-// single-core milliseconds: a shard whose estimate exceeds a configurable
+// single-core nanoseconds: a shard whose estimate exceeds a configurable
 // share of the plan total (Config.MaxShardShare, default 10%) is
 // subdivided along its atom list — runs, blast cells, sample chunks —
 // into range-labelled sub-shards with per-atom RNG streams, so the

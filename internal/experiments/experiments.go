@@ -3,8 +3,9 @@
 // behind one artifact (Table 1, Figs 2 and 6–23, the §6.1 mitigation
 // numbers, plus two model ablations) and renders the same rows/series the
 // paper reports, with the headline observation statistics attached as
-// notes. The same runners back `go test -bench` (scaled-down config) and
-// `cmd/cdlab` (full config).
+// notes. The same runners back `go test -bench` and `cmd/cdlab`, both at
+// the small profile by default; `cdlab run -profile full` selects the
+// paper-breadth config.
 package experiments
 
 import (
@@ -71,7 +72,8 @@ func Small() Config {
 	}
 }
 
-// Full returns the paper-breadth configuration used by cmd/cdlab.
+// Full returns the paper-breadth configuration, the "full" profile
+// (`cdlab run -profile full`; cmd/cdlab defaults to Small).
 func Full() Config {
 	return Config{
 		SubarraysPerModule: 16,
@@ -109,7 +111,11 @@ func Full() Config {
 // per-atom value lists instead of pre-reduced summaries), shard labels
 // gained range coordinates, and RNG streams are keyed per atom instead of
 // per grid cell, so every sampled value from those experiments moved.
-const resultSchemaVersion = "cd-shards/4"
+//
+// Generation 5: the split plans share one split helper (split.go), and a
+// sub-shard's part is just its atoms' values ([]T) with no start offset, so
+// part types changed shape again; every report stayed byte-identical.
+const resultSchemaVersion = "cd-shards/5"
 
 // Digest returns a stable content digest of the configuration, used as the
 // config component of shard cache keys (cache.Key.ConfigDigest). It hashes
@@ -317,11 +323,13 @@ func Register(e Experiment) { register(e) }
 func registerShardType(v any) { cache.RegisterType(v) }
 
 func init() {
-	// One shard-result shape is shared across experiments: plain string
+	// Two shard-result shapes are shared across experiments: plain string
 	// rows ([]string), used by table1 and the service tests' synthetic
-	// experiments. (Whole *Results are no longer cached — the legacy
-	// single-pseudo-shard fold is gone.)
+	// experiments, and the value-list atoms of the split plans fig11,
+	// fig13, fig15 and fig23 ([][]float64; see split.go). (Whole *Results
+	// are no longer cached — the legacy single-pseudo-shard fold is gone.)
 	registerShardType([]string(nil))
+	registerShardType([][]float64(nil))
 }
 
 // All returns every experiment sorted by ID.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/core"
@@ -42,116 +41,52 @@ func init() {
 		Title: "Blast radius grid: temperature × refresh interval",
 		Plan:  planFig15,
 	})
-	registerShardType(blastValsPart{})
 	registerShardType(fig12Part{})
-	registerShardType(fig13Part{})
 	registerShardType(fig14Part{})
 }
 
 // shortIntervalsMs are the refresh-window-scale intervals of Figs 11/15.
 func shortIntervalsMs() []float64 { return []float64{64, 128, 256, 512, 1024} }
 
-// blastValsPart is one sub-shard of a Fig 11/15 grid cell: raw blast-radius
-// value lists for a contiguous atom range. Atom t of a cell is
-// (module t/2, sweep t%2), sweep 0 = ColumnDisturb, 1 = retention; each
-// atom samples SubarraysPerModule subarrays of one module under one class
-// set, on its own keyed RNG stream. The merge reassembles cells from atoms
-// in canonical order, so any grouping of atoms into sub-shards renders the
-// same Result.
-type blastValsPart struct {
-	Mfr        chipdb.Manufacturer
-	TempC      float64
-	IntervalMs float64
-	Start      int         // first atom index covered by this part
-	Vals       [][]float64 // per-atom values, atoms Start..Start+len(Vals)-1
-}
-
-// blastAtom samples one (module, sweep) atom of a blast-radius grid cell.
-func blastAtom(cfg Config, m chipdb.ModuleSpec, sweep int, tempC, iv float64,
-	stream uint64, shard ...uint64) []float64 {
-	r := cfg.shardRand(stream, shard...)
-	p := m.BuildParams()
-	var classes []core.ColumnClass
-	if sweep == 0 {
-		classes = core.AggressorSubarrayClasses(p, worstCaseSetup())
-	} else {
-		classes = core.RetentionClasses(p, dram.PatFF)
-	}
-	return blastStats(sampleSubarrayCounts(m, classes, tempC, iv, cfg.SubarraysPerModule, r))
-}
-
-// blastCellShards builds the sub-shards of one (manufacturer [,temp],
-// interval) grid cell, packing (module, sweep) atoms into ranges within
-// budget. coords are the cell's shard coordinates; each atom extends them
-// with its atom index, so its RNG stream is independent of the packing.
-func blastCellShards(cfg Config, id string, budget float64, mfr chipdb.Manufacturer,
-	tempC, iv float64, stream uint64, baseKV []string, coords []uint64) []Shard {
+// blastCell describes one Fig 11/15 grid cell (manufacturer, temperature,
+// interval) as a split cell. Atom t is (module t/2, sweep t%2), sweep 0 =
+// ColumnDisturb, 1 = retention: it samples SubarraysPerModule subarrays of
+// one module under one class set, on the stream keyed by the cell's coords
+// plus t, so any packing of atoms into sub-shards samples identically.
+func blastCell(cfg Config, mfr chipdb.Manufacturer, tempC, iv float64, stream uint64,
+	kv []string, coords []uint64) splitCell[[]float64] {
 	mods := chipdb.ByManufacturer(mfr)
-	nAtoms := 2 * len(mods)
-	costs := uniformCosts(nAtoms, float64(cfg.SubarraysPerModule)*costCountDrawMs)
-	var shards []Shard
-	for _, ar := range packAtoms(costs, budget) {
-		ar := ar
-		kv := append([]string(nil), baseKV...)
-		if !ar.covers(nAtoms) {
-			kv = append(kv, "cells", ar.kv())
-		}
-		shards = append(shards, Shard{
-			Label: shardLabel(id, kv...),
-			Run: func(context.Context) (any, error) {
-				part := blastValsPart{Mfr: mfr, TempC: tempC, IntervalMs: iv, Start: ar.Start}
-				for t := ar.Start; t < ar.End; t++ {
-					shard := append(append([]uint64(nil), coords...), uint64(t))
-					part.Vals = append(part.Vals,
-						blastAtom(cfg, mods[t/2], t%2, tempC, iv, stream, shard...))
-				}
-				return part, nil
-			},
-		})
-	}
-	return shards
-}
-
-// blastKey identifies one grid cell across its sub-shards.
-type blastKey struct {
-	Mfr        chipdb.Manufacturer
-	TempC      float64
-	IntervalMs float64
-}
-
-// blastCell is a reassembled grid cell.
-type blastCell struct{ CD, Ret stats.Summary }
-
-// foldBlastParts groups blastValsPart sub-shards by grid cell, orders each
-// cell's atoms canonically, and summarizes the ColumnDisturb (even-atom)
-// and retention (odd-atom) value streams — the same module-order
-// concatenation an unsplit cell produces.
-func foldBlastParts(parts []any) (map[blastKey]blastCell, error) {
-	grouped := map[blastKey][]blastValsPart{}
-	for _, raw := range parts {
-		part, ok := raw.(blastValsPart)
-		if !ok {
-			return nil, fmt.Errorf("blast merge: part has type %T, want blastValsPart", raw)
-		}
-		k := blastKey{part.Mfr, part.TempC, part.IntervalMs}
-		grouped[k] = append(grouped[k], part)
-	}
-	out := map[blastKey]blastCell{}
-	for k, cellParts := range grouped {
-		sort.Slice(cellParts, func(i, j int) bool { return cellParts[i].Start < cellParts[j].Start })
-		var cd, ret []float64
-		for _, p := range cellParts {
-			for off, vals := range p.Vals {
-				if (p.Start+off)%2 == 0 {
-					cd = append(cd, vals...)
-				} else {
-					ret = append(ret, vals...)
-				}
+	return splitCell[[]float64]{
+		kv:       kv,
+		rangeKey: "cells",
+		costs:    uniformCosts(2*len(mods), int64(cfg.SubarraysPerModule)*costCountDrawNs),
+		atom: func(t int) ([]float64, error) {
+			r := cfg.shardRand(stream, append(append([]uint64(nil), coords...), uint64(t))...)
+			m := mods[t/2]
+			p := m.BuildParams()
+			var classes []core.ColumnClass
+			if t%2 == 0 {
+				classes = core.AggressorSubarrayClasses(p, worstCaseSetup())
+			} else {
+				classes = core.RetentionClasses(p, dram.PatFF)
 			}
-		}
-		out[k] = blastCell{CD: stats.Summarize(cd), Ret: stats.Summarize(ret)}
+			return blastStats(sampleSubarrayCounts(m, classes, tempC, iv, cfg.SubarraysPerModule, r)), nil
+		},
 	}
-	return out, nil
+}
+
+// blastSummaries summarizes a gathered grid cell: its ColumnDisturb
+// (even-atom) and retention (odd-atom) values, each in module order.
+func blastSummaries(atoms [][]float64) (cd, ret stats.Summary) {
+	var cdVals, retVals []float64
+	for t, vals := range atoms {
+		if t%2 == 0 {
+			cdVals = append(cdVals, vals...)
+		} else {
+			retVals = append(retVals, vals...)
+		}
+	}
+	return stats.Summarize(cdVals), stats.Summarize(retVals)
 }
 
 // planFig11 shards Fig 11 by (manufacturer × interval) at 65 °C, splitting
@@ -159,29 +94,24 @@ func foldBlastParts(parts []any) (map[blastKey]blastCell, error) {
 func planFig11(cfg Config) (*Plan, error) {
 	mfrs := chipdb.Manufacturers()
 	ivs := shortIntervalsMs()
-	total := 0.0
-	for _, mfr := range mfrs {
-		total += float64(len(ivs)) * 2 * float64(len(chipdb.ByManufacturer(mfr))) *
-			float64(cfg.SubarraysPerModule) * costCountDrawMs
-	}
-	budget := cfg.splitBudget(total)
-	var shards []Shard
+	var cells []splitCell[[]float64]
 	for mi, mfr := range mfrs {
 		for ii, iv := range ivs {
-			shards = append(shards, blastCellShards(cfg, "fig11", budget, mfr, 65, iv, 11,
+			cells = append(cells, blastCell(cfg, mfr, 65, iv, 11,
 				[]string{"mfr", string(mfr), "iv", fmt.Sprintf("%.0fms", iv)},
-				[]uint64{uint64(mi), uint64(ii)})...)
+				[]uint64{uint64(mi), uint64(ii)}))
 		}
 	}
+	shards, gather := splitShards(cfg, "fig11", cells)
 	merge := func(parts []any) (*Result, error) {
 		res := &Result{
 			ID:      "fig11",
 			Title:   "Rows with at least one bitflip per subarray at 65 °C (CD vs retention)",
 			Headers: []string{"mfr", "interval(ms)", "CD mean", "CD max", "RET mean", "RET max"},
 		}
-		cells, err := foldBlastParts(parts)
+		gathered, err := gather(parts)
 		if err != nil {
-			return nil, fmt.Errorf("fig11: %w", err)
+			return nil, err
 		}
 		type agg struct{ cdMean, cdMax, retMean, retMax float64 }
 		at512 := map[chipdb.Manufacturer]agg{}
@@ -189,10 +119,11 @@ func planFig11(cfg Config) (*Plan, error) {
 		maxRatio := 0.0
 		for _, mfr := range mfrs {
 			for _, iv := range ivs {
-				cell := cells[blastKey{mfr, 65, iv}]
+				cd, ret := blastSummaries(gathered[0])
+				gathered = gathered[1:]
 				res.AddRow(string(mfr), fmt.Sprintf("%.0f", iv),
-					fmtF(cell.CD.Mean), fmtF(cell.CD.Max), fmtF(cell.Ret.Mean), fmtF(cell.Ret.Max))
-				a := agg{cell.CD.Mean, cell.CD.Max, cell.Ret.Mean, cell.Ret.Max}
+					fmtF(cd.Mean), fmtF(cd.Max), fmtF(ret.Mean), fmtF(ret.Max))
+				a := agg{cd.Mean, cd.Max, ret.Mean, ret.Max}
 				if iv == 512 {
 					at512[mfr] = a
 				}
@@ -201,8 +132,8 @@ func planFig11(cfg Config) (*Plan, error) {
 				}
 				// Ratios over near-zero retention means are unbounded noise;
 				// only count grid points with measurable retention.
-				if cell.Ret.Mean >= 0.5 && cell.CD.Mean/cell.Ret.Mean > maxRatio {
-					maxRatio = cell.CD.Mean / cell.Ret.Mean
+				if ret.Mean >= 0.5 && cd.Mean/ret.Mean > maxRatio {
+					maxRatio = cd.Mean / ret.Mean
 				}
 			}
 		}
@@ -290,16 +221,6 @@ func planFig12(cfg Config) (*Plan, error) {
 	return &Plan{Shards: shards, Merge: merge}, nil
 }
 
-// fig13Part is one sub-shard of a (manufacturer, temperature) TTF
-// distribution: per-module uncensored sample lists for a contiguous module
-// (atom) range.
-type fig13Part struct {
-	Mfr   chipdb.Manufacturer
-	TempC float64
-	Start int
-	Found [][]float64 // per-module samples, modules Start..Start+len-1
-}
-
 // planFig13 shards Fig 13 by (manufacturer × temperature), splitting each
 // distribution by module atoms: each atom draws one module's uncensored
 // TTF distribution on its own keyed stream.
@@ -307,72 +228,44 @@ func planFig13(cfg Config) (*Plan, error) {
 	temps := []float64{45, 65, 85, 95}
 	setup := worstCaseSetup()
 	mfrs := chipdb.Manufacturers()
-	atomCost := func(cfg Config) float64 {
-		return float64(cfg.SubarraysPerModule) * costTTFSampleMs
-	}
-	total := 0.0
-	for _, mfr := range mfrs {
-		total += float64(len(temps)) * float64(len(chipdb.ByManufacturer(mfr))) * atomCost(cfg)
-	}
-	budget := cfg.splitBudget(total)
-	var shards []Shard
+	var cells []splitCell[[]float64]
 	for mi, mfr := range mfrs {
 		mods := chipdb.ByManufacturer(mfr)
-		costs := uniformCosts(len(mods), atomCost(cfg))
+		costs := uniformCosts(len(mods), int64(cfg.SubarraysPerModule)*costTTFSampleNs)
 		for ti, tC := range temps {
-			mi, ti, mfr, tC := mi, ti, mfr, tC
-			for _, ar := range packAtoms(costs, budget) {
-				ar := ar
-				kv := []string{"mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tC)}
-				if !ar.covers(len(mods)) {
-					kv = append(kv, "modules", ar.kv())
-				}
-				shards = append(shards, Shard{
-					Label: shardLabel("fig13", kv...),
-					Run: func(context.Context) (any, error) {
-						part := fig13Part{Mfr: mfr, TempC: tC, Start: ar.Start}
-						for t := ar.Start; t < ar.End; t++ {
-							r := cfg.shardRand(13, uint64(mi), uint64(ti), uint64(t))
-							f, _ := sampleModuleTTFs(mods[t], setup, tC, 0, cfg.SubarraysPerModule, r)
-							part.Found = append(part.Found, f)
-						}
-						return part, nil
-					},
-				})
-			}
+			mi, ti, tC := mi, ti, tC
+			cells = append(cells, splitCell[[]float64]{
+				kv:       []string{"mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tC)},
+				rangeKey: "modules",
+				costs:    costs,
+				atom: func(t int) ([]float64, error) {
+					r := cfg.shardRand(13, uint64(mi), uint64(ti), uint64(t))
+					f, _ := sampleModuleTTFs(mods[t], setup, tC, 0, cfg.SubarraysPerModule, r)
+					return f, nil
+				},
+			})
 		}
 	}
+	shards, gather := splitShards(cfg, "fig13", cells)
 	merge := func(parts []any) (*Result, error) {
 		res := &Result{
 			ID:      "fig13",
 			Title:   "Time to first ColumnDisturb bitflip vs temperature (ms)",
 			Headers: []string{"mfr", "temp(°C)", "min", "median", "max", "mean", ">512ms"},
 		}
-		type cellKey struct {
-			Mfr   chipdb.Manufacturer
-			TempC float64
-		}
-		grouped := map[cellKey][]fig13Part{}
-		for _, raw := range parts {
-			part, ok := raw.(fig13Part)
-			if !ok {
-				return nil, fmt.Errorf("fig13: part has type %T, want fig13Part", raw)
-			}
-			k := cellKey{part.Mfr, part.TempC}
-			grouped[k] = append(grouped[k], part)
+		gathered, err := gather(parts)
+		if err != nil {
+			return nil, err
 		}
 		means := map[chipdb.Manufacturer]map[float64]float64{}
 		for _, mfr := range mfrs {
 			means[mfr] = map[float64]float64{}
 			for _, tC := range temps {
-				cellParts := grouped[cellKey{mfr, tC}]
-				sort.Slice(cellParts, func(i, j int) bool { return cellParts[i].Start < cellParts[j].Start })
 				var found []float64
-				for _, p := range cellParts {
-					for _, f := range p.Found {
-						found = append(found, f...)
-					}
+				for _, f := range gathered[0] {
+					found = append(found, f...)
 				}
+				gathered = gathered[1:]
 				if len(found) == 0 {
 					res.AddRow(string(mfr), fmt.Sprintf("%.0f", tC), "-", "-", "-", "-", "-")
 					continue
@@ -480,49 +373,45 @@ func planFig15(cfg Config) (*Plan, error) {
 	temps := []float64{45, 65, 85, 95}
 	mfrs := chipdb.Manufacturers()
 	ivs := shortIntervalsMs()
-	total := 0.0
-	for _, mfr := range mfrs {
-		total += float64(len(temps)*len(ivs)) * 2 * float64(len(chipdb.ByManufacturer(mfr))) *
-			float64(cfg.SubarraysPerModule) * costCountDrawMs
-	}
-	budget := cfg.splitBudget(total)
-	var shards []Shard
+	var cells []splitCell[[]float64]
 	for mi, mfr := range mfrs {
 		for ti, tC := range temps {
 			for ii, iv := range ivs {
-				shards = append(shards, blastCellShards(cfg, "fig15", budget, mfr, tC, iv, 15,
+				cells = append(cells, blastCell(cfg, mfr, tC, iv, 15,
 					[]string{"mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tC), "iv", fmt.Sprintf("%.0fms", iv)},
-					[]uint64{uint64(mi), uint64(ti), uint64(ii)})...)
+					[]uint64{uint64(mi), uint64(ti), uint64(ii)}))
 			}
 		}
 	}
+	shards, gather := splitShards(cfg, "fig15", cells)
 	merge := func(parts []any) (*Result, error) {
 		res := &Result{
 			ID:      "fig15",
 			Title:   "Blast radius (rows with ≥1 bitflip per subarray) across temperature and refresh interval",
 			Headers: []string{"mfr", "temp(°C)", "interval(ms)", "CD mean", "CD max", "RET mean", "RET max"},
 		}
-		cells, err := foldBlastParts(parts)
+		gathered, err := gather(parts)
 		if err != nil {
-			return nil, fmt.Errorf("fig15: %w", err)
+			return nil, err
 		}
 		maxRatio := 0.0
 		var micron45Max, samsung45Max float64
 		for _, mfr := range mfrs {
 			for _, tC := range temps {
 				for _, iv := range ivs {
-					cell := cells[blastKey{mfr, tC, iv}]
+					cd, ret := blastSummaries(gathered[0])
+					gathered = gathered[1:]
 					res.AddRow(string(mfr), fmt.Sprintf("%.0f", tC), fmt.Sprintf("%.0f", iv),
-						fmtF(cell.CD.Mean), fmtF(cell.CD.Max), fmtF(cell.Ret.Mean), fmtF(cell.Ret.Max))
-					if cell.Ret.Mean >= 0.5 && cell.CD.Mean/cell.Ret.Mean > maxRatio {
-						maxRatio = cell.CD.Mean / cell.Ret.Mean
+						fmtF(cd.Mean), fmtF(cd.Max), fmtF(ret.Mean), fmtF(ret.Max))
+					if ret.Mean >= 0.5 && cd.Mean/ret.Mean > maxRatio {
+						maxRatio = cd.Mean / ret.Mean
 					}
 					if tC == 45 && iv == 1024 {
 						switch mfr {
 						case chipdb.Micron:
-							micron45Max = cell.CD.Max
+							micron45Max = cd.Max
 						case chipdb.Samsung:
-							samsung45Max = cell.CD.Max
+							samsung45Max = cd.Max
 						}
 					}
 				}

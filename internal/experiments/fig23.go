@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
 
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/core"
@@ -19,8 +17,6 @@ func init() {
 		Title: "RAIDR speedup vs weak-row proportion (Bloom filter vs bitmap tracker)",
 		Plan:  planFig23,
 	})
-	registerShardType(fig23RunsPart{})
-	registerShardType(fig23MarkersPart{})
 }
 
 // fig23Fractions is the swept weak-row proportion grid.
@@ -48,29 +44,6 @@ func fig23Arms() []fig23Arm {
 	return arms
 }
 
-// fig23RunsPart is one sub-shard of a workload mix's simulation runs: raw
-// per-core IPC vectors for a contiguous atom range. Atom 0 is the solo
-// baselines (per-core solo IPCs, the weighted-speedup denominators); atom 1
-// the no-refresh run, atom 2 the 64 ms periodic baseline, atom 3+k curve
-// arm k. Every weighted-speedup reduction happens in the merge
-// (memsim.WeightedSpeedupFrom), so the numbers are independent of which
-// sub-shard — or worker — ran which atom.
-type fig23RunsPart struct {
-	Mix   int
-	Start int
-	IPCs  [][]float64 // per-atom per-core IPCs, atoms Start..Start+len-1
-}
-
-// fig23MarkersPart is one sub-shard of the example Micron module's (M8)
-// measured weak-row proportions — the annotated markers. Atom d of the
-// marker shard is one subarray draw: draws 0..SubarraysPerModule-1 sample
-// the retention sweep, the next SubarraysPerModule the ColumnDisturb
-// sweep, each on its own keyed stream.
-type fig23MarkersPart struct {
-	Start int
-	Vals  []float64 // per-atom weak-row fractions
-}
-
 // planFig23 shards Fig 23 by workload mix, splitting each mix into
 // simulation-run atoms: each atom is one memsim measurement (a solo
 // baseline set, a refresh baseline, or one curve arm), so the per-mix wall
@@ -93,25 +66,12 @@ func planFig23(cfg Config) (*Plan, error) {
 	seed := memsim.RunSeed(cfg.Seed, 23)
 	arms := fig23Arms()
 
-	// Atom costs: one mix has 3+len(arms) atoms; atom 0 runs len(mix)
-	// single-core solos, the rest one multi-core measurement each.
-	mixAtomCosts := func(mix []memsim.CoreWorkload) []float64 {
-		costs := make([]float64, 3+len(arms))
-		costs[0] = float64(len(mix)) * costMemsimRunMs(cfg, 1)
-		for i := 1; i < len(costs); i++ {
-			costs[i] = costMemsimRunMs(cfg, len(mix))
-		}
-		return costs
-	}
-	markerDraws := 2 * cfg.SubarraysPerModule
-	markerCosts := uniformCosts(markerDraws, costCountDrawMs)
-	total := sumCosts(markerCosts)
-	for _, mix := range mixes {
-		total += sumCosts(mixAtomCosts(mix))
-	}
-	budget := cfg.splitBudget(total)
-
-	// runAtom executes one simulation atom of a mix.
+	// runAtom executes one simulation atom of a mix, returning per-core
+	// IPCs: atom 0 is the solo baselines (the weighted-speedup
+	// denominators), atom 1 the no-refresh run, atom 2 the 64 ms periodic
+	// baseline, atom 3+k curve arm k. Every weighted-speedup reduction
+	// happens in the merge (memsim.WeightedSpeedupFrom), so the numbers are
+	// independent of which sub-shard — or worker — ran which atom.
 	runAtom := func(mix []memsim.CoreWorkload, atom int) ([]float64, error) {
 		switch {
 		case atom == 0:
@@ -144,49 +104,34 @@ func planFig23(cfg Config) (*Plan, error) {
 		}
 	}
 
-	var shards []Shard
+	// A mix cell's atom 0 runs its single-core solos, every other atom one
+	// multi-core measurement.
+	var cells []splitCell[[]float64]
 	for i, mix := range mixes {
-		i, mix := i, mix
-		costs := mixAtomCosts(mix)
-		for _, ar := range packAtoms(costs, budget) {
-			ar := ar
-			kv := []string{"mix", fmt.Sprintf("%d", i)}
-			if !ar.covers(len(costs)) {
-				kv = append(kv, "runs", ar.kv())
-			}
-			shards = append(shards, Shard{
-				Label: shardLabel("fig23", kv...),
-				Run: func(context.Context) (any, error) {
-					part := fig23RunsPart{Mix: i, Start: ar.Start}
-					for a := ar.Start; a < ar.End; a++ {
-						ipcs, err := runAtom(mix, a)
-						if err != nil {
-							return nil, err
-						}
-						part.IPCs = append(part.IPCs, ipcs)
-					}
-					return part, nil
-				},
-			})
+		mix := mix
+		costs := make([]int64, 3+len(arms))
+		costs[0] = int64(len(mix)) * costMemsimRunNs(cfg, 1)
+		for a := 1; a < len(costs); a++ {
+			costs[a] = costMemsimRunNs(cfg, len(mix))
 		}
-	}
-	for _, ar := range packAtoms(markerCosts, budget) {
-		ar := ar
-		kv := []string{"markers", "M8"}
-		if !ar.covers(markerDraws) {
-			kv = append(kv, "draws", ar.kv())
-		}
-		shards = append(shards, Shard{
-			Label: shardLabel("fig23", kv...),
-			Run: func(context.Context) (any, error) {
-				part := fig23MarkersPart{Start: ar.Start}
-				for d := ar.Start; d < ar.End; d++ {
-					part.Vals = append(part.Vals, m8WeakFraction(cfg, d))
-				}
-				return part, nil
-			},
+		cells = append(cells, splitCell[[]float64]{
+			kv:       []string{"mix", fmt.Sprintf("%d", i)},
+			rangeKey: "runs",
+			costs:    costs,
+			atom:     func(a int) ([]float64, error) { return runAtom(mix, a) },
 		})
 	}
+	// The marker cell shares the mixes' atom type: each draw is a
+	// one-value list.
+	cells = append(cells, splitCell[[]float64]{
+		kv:       []string{"markers", "M8"},
+		rangeKey: "draws",
+		costs:    uniformCosts(2*cfg.SubarraysPerModule, costCountDrawNs),
+		atom: func(d int) ([]float64, error) {
+			return []float64{m8WeakFraction(cfg, d)}, nil
+		},
+	})
+	shards, gather := splitShards(cfg, "fig23", cells)
 
 	merge := func(parts []any) (*Result, error) {
 		res := &Result{
@@ -194,43 +139,17 @@ func planFig23(cfg Config) (*Plan, error) {
 			Title:   "RAIDR weighted speedup normalized to No Refresh (and benefit over 64 ms periodic refresh)",
 			Headers: []string{"tracker", "weak fraction", "WS/WS(noref)", "benefit", "eff. weak frac"},
 		}
-		mixParts := map[int][]fig23RunsPart{}
-		var markerParts []fig23MarkersPart
-		for _, raw := range parts {
-			switch part := raw.(type) {
-			case fig23RunsPart:
-				mixParts[part.Mix] = append(mixParts[part.Mix], part)
-			case fig23MarkersPart:
-				markerParts = append(markerParts, part)
-			default:
-				return nil, fmt.Errorf("fig23: part has type %T", raw)
-			}
+		gathered, err := gather(parts)
+		if err != nil {
+			return nil, err
 		}
-		if len(mixParts) == 0 {
-			return nil, fmt.Errorf("fig23: no mix parts")
-		}
-		// Reassemble each mix's atom list and reduce to weighted speedups.
-		nRuns := 3 + len(arms)
+		// Reduce each mix's runs to weighted speedups.
 		type mixWS struct {
 			wsNone, wsP64 float64
 			ws            []float64
 		}
 		var perMix []mixWS
-		mixIdxs := make([]int, 0, len(mixParts))
-		for mi := range mixParts {
-			mixIdxs = append(mixIdxs, mi)
-		}
-		sort.Ints(mixIdxs)
-		for _, mi := range mixIdxs {
-			cellParts := mixParts[mi]
-			sort.Slice(cellParts, func(i, j int) bool { return cellParts[i].Start < cellParts[j].Start })
-			runs := make([][]float64, 0, nRuns)
-			for _, p := range cellParts {
-				runs = append(runs, p.IPCs...)
-			}
-			if len(runs) != nRuns {
-				return nil, fmt.Errorf("fig23: mix %d has %d run atoms, want %d", mi, len(runs), nRuns)
-			}
+		for _, runs := range gathered[:len(mixes)] {
 			solos := runs[0]
 			w := mixWS{
 				wsNone: memsim.WeightedSpeedupFrom(runs[1], solos),
@@ -253,18 +172,15 @@ func planFig23(cfg Config) (*Plan, error) {
 		wsNone := avg(func(w mixWS) float64 { return w.wsNone })
 		wsP64 := avg(func(w mixWS) float64 { return w.wsP64 })
 
-		// Reassemble the marker draws: first SubarraysPerModule atoms are
-		// the retention sweep, the rest the ColumnDisturb sweep.
-		sort.Slice(markerParts, func(i, j int) bool { return markerParts[i].Start < markerParts[j].Start })
-		var markerVals []float64
-		for _, p := range markerParts {
-			markerVals = append(markerVals, p.Vals...)
+		// The first SubarraysPerModule marker draws are the retention
+		// sweep, the rest the ColumnDisturb sweep.
+		draws := gathered[len(mixes)]
+		markerVals := make([]float64, len(draws))
+		for d, v := range draws {
+			markerVals[d] = v[0]
 		}
-		var retFrac, cdFrac float64
-		if len(markerVals) == 2*cfg.SubarraysPerModule {
-			retFrac = stats.Mean(markerVals[:cfg.SubarraysPerModule])
-			cdFrac = stats.Mean(markerVals[cfg.SubarraysPerModule:])
-		}
+		retFrac := stats.Mean(markerVals[:cfg.SubarraysPerModule])
+		cdFrac := stats.Mean(markerVals[cfg.SubarraysPerModule:])
 
 		type point struct{ norm, benefit float64 }
 		curves := map[memsim.Tracker]map[float64]point{

@@ -12,17 +12,22 @@ import (
 // budget-respecting, with oversized atoms isolated.
 func TestPackAtoms(t *testing.T) {
 	cases := []struct {
-		costs  []float64
-		budget float64
+		costs  []int64
+		budget int64
 		want   []atomRange
 	}{
-		{[]float64{1, 1, 1, 1}, 10, []atomRange{{0, 4}}},
-		{[]float64{1, 1, 1, 1}, 2, []atomRange{{0, 2}, {2, 4}}},
-		{[]float64{1, 1, 1}, 1, []atomRange{{0, 1}, {1, 2}, {2, 3}}},
+		{[]int64{1, 1, 1, 1}, 10, []atomRange{{0, 4}}},
+		{[]int64{1, 1, 1, 1}, 2, []atomRange{{0, 2}, {2, 4}}},
+		{[]int64{1, 1, 1}, 1, []atomRange{{0, 1}, {1, 2}, {2, 3}}},
 		// An atom over budget still gets a range of its own.
-		{[]float64{5, 1, 1}, 2, []atomRange{{0, 1}, {1, 3}}},
-		{[]float64{1, 5, 1}, 2, []atomRange{{0, 1}, {1, 2}, {2, 3}}},
-		{[]float64{1, 1, 1, 1}, math.Inf(1), []atomRange{{0, 4}}},
+		{[]int64{5, 1, 1}, 2, []atomRange{{0, 1}, {1, 3}}},
+		{[]int64{1, 5, 1}, 2, []atomRange{{0, 1}, {1, 2}, {2, 3}}},
+		{[]int64{1, 1, 1, 1}, math.MaxInt64, []atomRange{{0, 4}}},
+		// A range that sums exactly to the budget fits: 70 × 640 µs.
+		{uniformCosts(70, 640_000), 44_800_000, []atomRange{{0, 70}}},
+		// The full-profile Micron ttf cell: 12 modules of twelve 16-sample
+		// chunks and one 8-sample chunk.
+		{micronTTFCosts(), 44_800_000, []atomRange{{0, 72}, {72, 145}, {145, 156}}},
 	}
 	for i, c := range cases {
 		got := packAtoms(c.costs, c.budget)
@@ -35,6 +40,17 @@ func TestPackAtoms(t *testing.T) {
 			}
 		}
 	}
+}
+
+// micronTTFCosts returns the atom costs of one full-profile Micron ttf
+// cell.
+func micronTTFCosts() []int64 {
+	var costs []int64
+	for m := 0; m < 12; m++ {
+		costs = append(costs, uniformCosts(12, 640_000)...)
+		costs = append(costs, 320_000)
+	}
+	return costs
 }
 
 // TestSplitUnsplitBitIdentical is the splitting tentpole's invariant: how

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
 
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/core"
@@ -19,7 +17,7 @@ func init() {
 		Title: "Time-to-first-bitflip distributions by manufacturer and temperature",
 		Plan:  planTTF,
 	})
-	registerShardType(ttfDistPart{})
+	registerShardType([]ttfAtom(nil))
 }
 
 // worstCaseSetup is the paper's highest-vulnerability access configuration
@@ -86,17 +84,11 @@ func mfrTTFs(mfr chipdb.Manufacturer, setup core.PatternSetup, tempC float64,
 	return found, notFound
 }
 
-// ttfDistPart is one sub-shard of a (manufacturer, temperature) cell of
-// the TTF sweep: per-atom censored sample lists for a contiguous atom
-// range. An atom is a (module, 16-sample chunk) — module a/chunksPerModule,
-// chunk a%chunksPerModule — drawn on its own keyed stream, so sample counts
-// scale without any shard dominating the plan.
-type ttfDistPart struct {
-	Mfr      chipdb.Manufacturer
-	TempC    float64
-	Start    int
-	Found    [][]float64 // per-atom found samples, atoms Start..Start+len-1
-	NotFound []int       // per-atom censored counts, aligned with Found
+// ttfAtom is one (module, sample-chunk) atom of the TTF sweep: the chunk's
+// samples below the search ceiling and its count of censored ones.
+type ttfAtom struct {
+	Found    []float64
+	NotFound int
 }
 
 // ttfChunkSamples is the atom granularity of the TTF sweep: sample chunks
@@ -125,82 +117,51 @@ func planTTF(cfg Config) (*Plan, error) {
 		}
 		return n
 	}
-	total := 0.0
-	for _, mfr := range mfrs {
-		total += float64(len(ttfTempsC)) * float64(len(chipdb.ByManufacturer(mfr))) *
-			float64(cfg.TTFSamples) * costTTFSampleMs
-	}
-	budget := cfg.splitBudget(total)
-	var shards []Shard
+	var cells []splitCell[ttfAtom]
 	for mi, mfr := range mfrs {
 		mods := chipdb.ByManufacturer(mfr)
-		nAtoms := len(mods) * chunks
-		costs := make([]float64, nAtoms)
+		costs := make([]int64, len(mods)*chunks)
 		for a := range costs {
-			costs[a] = float64(atomSamples(a%chunks)) * costTTFSampleMs
+			costs[a] = int64(atomSamples(a%chunks)) * costTTFSampleNs
 		}
 		for ti, tempC := range ttfTempsC {
-			mi, ti, mfr, tempC := mi, ti, mfr, tempC
-			for _, ar := range packAtoms(costs, budget) {
-				ar := ar
-				kv := []string{"mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tempC)}
-				if !ar.covers(nAtoms) {
-					kv = append(kv, "chunks", ar.kv())
-				}
-				shards = append(shards, Shard{
-					Label: shardLabel("ttf", kv...),
-					Run: func(context.Context) (any, error) {
-						part := ttfDistPart{Mfr: mfr, TempC: tempC, Start: ar.Start}
-						for a := ar.Start; a < ar.End; a++ {
-							mIdx, chunk := a/chunks, a%chunks
-							r := cfg.shardRand(24, uint64(mi), uint64(ti), uint64(mIdx), uint64(chunk))
-							f, nf := sampleModuleTTFs(mods[mIdx], setup, tempC, ttfCeilingMs,
-								atomSamples(chunk), r)
-							part.Found = append(part.Found, f)
-							part.NotFound = append(part.NotFound, nf)
-						}
-						return part, nil
-					},
-				})
-			}
+			mi, ti, tempC := mi, ti, tempC
+			cells = append(cells, splitCell[ttfAtom]{
+				kv:       []string{"mfr", string(mfr), "T", fmt.Sprintf("%.0fC", tempC)},
+				rangeKey: "chunks",
+				costs:    costs,
+				atom: func(a int) (ttfAtom, error) {
+					mIdx, chunk := a/chunks, a%chunks
+					r := cfg.shardRand(24, uint64(mi), uint64(ti), uint64(mIdx), uint64(chunk))
+					f, nf := sampleModuleTTFs(mods[mIdx], setup, tempC, ttfCeilingMs, atomSamples(chunk), r)
+					return ttfAtom{Found: f, NotFound: nf}, nil
+				},
+			})
 		}
 	}
+	shards, gather := splitShards(cfg, "ttf", cells)
 	merge := func(parts []any) (*Result, error) {
 		res := &Result{
 			ID:      "ttf",
 			Title:   "Time to first ColumnDisturb bitflip by manufacturer (ms, worst-case pattern, 512 ms ceiling)",
 			Headers: []string{"mfr", "temp(°C)", "min", "p25", "median", "p75", "max", "samples", ">512ms"},
 		}
-		type cellKey struct {
-			Mfr   chipdb.Manufacturer
-			TempC float64
-		}
-		grouped := map[cellKey][]ttfDistPart{}
-		for _, raw := range parts {
-			part, ok := raw.(ttfDistPart)
-			if !ok {
-				return nil, fmt.Errorf("ttf: part has type %T, want ttfDistPart", raw)
-			}
-			k := cellKey{part.Mfr, part.TempC}
-			grouped[k] = append(grouped[k], part)
+		gathered, err := gather(parts)
+		if err != nil {
+			return nil, err
 		}
 		medians := map[chipdb.Manufacturer]map[float64]float64{}
 		minAt85 := 0.0
 		for _, mfr := range mfrs {
 			medians[mfr] = map[float64]float64{}
 			for _, tempC := range ttfTempsC {
-				cellParts := grouped[cellKey{mfr, tempC}]
-				sort.Slice(cellParts, func(i, j int) bool { return cellParts[i].Start < cellParts[j].Start })
 				var found []float64
 				notFound := 0
-				for _, p := range cellParts {
-					for _, f := range p.Found {
-						found = append(found, f...)
-					}
-					for _, nf := range p.NotFound {
-						notFound += nf
-					}
+				for _, a := range gathered[0] {
+					found = append(found, a.Found...)
+					notFound += a.NotFound
 				}
+				gathered = gathered[1:]
 				if len(found) == 0 {
 					res.AddRow(string(mfr), fmt.Sprintf("%.0f", tempC),
 						"-", "-", "-", "-", "-", "0", fmt.Sprintf("%d", notFound))
