@@ -41,10 +41,6 @@ type Request struct {
 	// profile, e.g. {"seed": "7", "subarrays-per-module": "8"}. Keys and
 	// values are validated before any work starts; see OverrideKeys.
 	Overrides map[string]string
-	// Workers bounds shard parallelism for runners that execute locally
-	// (<= 0 selects the runner's default, normally GOMAXPROCS). A remote
-	// runner ignores it: the server's executors are sized by `cdlab serve -j`.
-	Workers int
 	// NoCache bypasses the shard-result cache for this request: every
 	// shard recomputes and nothing is stored.
 	NoCache bool
@@ -185,8 +181,8 @@ type CacheStats struct {
 
 // LocalOptions configures a LocalRunner.
 type LocalOptions struct {
-	// Workers sizes the shard dispatcher's local executors (<= 0 defers to
-	// the first request's Workers, then GOMAXPROCS). Every shard runs
+	// Workers sizes the shard dispatcher's local executors (<= 0 selects
+	// GOMAXPROCS). Every shard runs
 	// either on a local executor or on a `cdlab worker -connect` process
 	// leased through Handler()'s /v1 worker API — reassembled in canonical
 	// order, so reports stay byte-identical to a serial local run no matter
@@ -248,9 +244,8 @@ type LocalRunner struct {
 }
 
 // NewLocalRunner creates a runner. The dispatcher itself is created
-// lazily by the first Run (or Handler) call, sized by LocalOptions.Workers
-// first, that request's Workers second, GOMAXPROCS otherwise; later
-// requests share it.
+// lazily by the first Run (or Handler) call, sized by LocalOptions.Workers;
+// later requests share it.
 func NewLocalRunner(opts LocalOptions) (*LocalRunner, error) {
 	r := &LocalRunner{opts: opts}
 	if opts.CacheDir != "" || opts.CacheEntries > 0 || opts.CacheMaxBytes > 0 {
@@ -268,17 +263,13 @@ func NewLocalRunner(opts LocalOptions) (*LocalRunner, error) {
 }
 
 // ensureService creates the underlying service on first use.
-func (r *LocalRunner) ensureService(reqWorkers int) (*service.Service, error) {
+func (r *LocalRunner) ensureService() (*service.Service, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil, fmt.Errorf("columndisturb: runner is closed")
 	}
 	if r.svc == nil {
-		workers := r.opts.Workers
-		if workers <= 0 {
-			workers = reqWorkers
-		}
 		// One registry spans the whole serve plane — dispatcher queue/lease
 		// metrics and service job/shard/cache metrics export together at
 		// GET /v1/metrics.
@@ -293,7 +284,7 @@ func (r *LocalRunner) ensureService(reqWorkers int) (*service.Service, error) {
 			}
 		}
 		d := dispatch.New(dispatch.Options{
-			LocalWorkers: workers,
+			LocalWorkers: r.opts.Workers,
 			NoLocal:      r.opts.NoLocalShards,
 			LeaseTTL:     r.opts.LeaseTTL,
 			Metrics:      reg,
@@ -353,7 +344,7 @@ func (r *LocalRunner) CacheStats() CacheStats {
 // (submit, status, event streams with replay, reports) and the /v1 worker
 // API. `cdlab serve` is this handler behind an http.Server.
 func (r *LocalRunner) Handler() (http.Handler, error) {
-	svc, err := r.ensureService(0)
+	svc, err := r.ensureService()
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +407,7 @@ func (r *LocalRunner) Run(ctx context.Context, req Request) (*Result, error) {
 	if _, err := experiments.ResolveConfig(req.Profile, req.Overrides); err != nil {
 		return nil, err
 	}
-	svc, err := r.ensureService(req.Workers)
+	svc, err := r.ensureService()
 	if err != nil {
 		return nil, err
 	}

@@ -22,9 +22,6 @@
 // the missed suffix, so subscribers observe every event exactly once even
 // across disconnects. Cancelling the Run context cancels the server-side
 // jobs (DELETE /v1/jobs/<id>) before returning ctx.Err().
-//
-// Request.Workers is ignored by this runner: shard parallelism is the
-// server pool's, sized by `cdlab serve -j`.
 package client
 
 import (
