@@ -206,9 +206,16 @@ func (r *Runner) Workers(ctx context.Context) ([]dispatch.WorkerInfo, error) {
 
 // Trace fetches one job's span set (GET /v1/jobs/<id>/trace) and validates
 // the artifact's envelope and timestamp monotonicity. `cdlab trace` renders
-// the returned record with obs.RenderTrace.
+// the returned record with obs.RenderTrace. jobID is path-escaped; an ID
+// that is empty, a dot segment or contains a slash is rejected before any
+// request, since the server decodes %2F and cleans dot segments and would
+// route it to another resource.
 func (r *Runner) Trace(ctx context.Context, jobID string) (obs.TraceRecord, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/v1/jobs/"+jobID+"/trace", nil)
+	if jobID == "" || jobID == "." || jobID == ".." || strings.Contains(jobID, "/") {
+		return obs.TraceRecord{}, fmt.Errorf("client: invalid job ID %q", jobID)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+		r.base+"/v1/jobs/"+url.PathEscape(jobID)+"/trace", nil)
 	if err != nil {
 		return obs.TraceRecord{}, fmt.Errorf("client: %w", err)
 	}

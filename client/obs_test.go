@@ -13,6 +13,7 @@ import (
 
 	"columndisturb"
 	"columndisturb/internal/obs"
+	"columndisturb/internal/service"
 )
 
 // TestMetricsAndTraceDistributed drives the observability plane through a
@@ -140,5 +141,34 @@ func TestMetricsAndTraceDistributed(t *testing.T) {
 				t.Fatalf("job %s shard %q never leased: %+v", id, s.Shard, s.Events)
 			}
 		}
+	}
+}
+
+// TestTraceRejectsUnroutableJobIDs pins Trace's handling of user-typed job
+// IDs: an ID that would route to another resource fails before any
+// request, and one carrying URL syntax reaches the server escaped, where
+// it names no job — never job-1's status or the worker API. Each error
+// names the ID.
+func TestTraceRejectsUnroutableJobIDs(t *testing.T) {
+	_, remote := newServer(t, service.Options{Workers: 1}, nil)
+	if _, err := remote.Run(context.Background(), columndisturb.Request{Experiments: []string{"table1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := remote.Trace(context.Background(), "job-1"); err != nil {
+		t.Fatalf("trace of the settled job-1: %v", err)
+	}
+	for _, id := range []string{"", ".", "..", "../workers", "job-1/trace", "job-1?x", "job-1#x", "job-1%2Ftrace"} {
+		_, err := remote.Trace(context.Background(), id)
+		if err == nil {
+			t.Errorf("Trace(%q) succeeded", id)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", id)) {
+			t.Errorf("Trace(%q) error does not name the ID: %v", id, err)
+		}
+	}
+	_, err := remote.Trace(context.Background(), "job-1?x")
+	if want := `unknown job "job-1?x"`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Trace(%q) = %v, want the server's 404 %s", "job-1?x", err, want)
 	}
 }
