@@ -12,13 +12,14 @@ import (
 // not kill an executor that may hold other leases. Seed corpus committed
 // under testdata/fuzz.
 func FuzzDecodeTask(f *testing.F) {
-	f.Add(EncodeTask(TaskSpec{Experiment: "fig6", Config: experiments.Small(), Shard: 2, Label: "arm 3/3"}))
+	small := experiments.Small()
+	f.Add(EncodeTask(TaskSpec{Experiment: "fig6", Config: small, ConfigDigest: small.Digest(), Shard: 2, Label: "arm 3/3"}))
 	f.Add([]byte(`{"v":0,"experiment":"fig6","shard":0,"label":"x"}`))
 	f.Add([]byte(`{"v":99,"experiment":"fig6","shard":0,"label":"x"}`))
-	f.Add([]byte(`{"v":1,"experiment":"","shard":0}`))
-	f.Add([]byte(`{"v":1,"experiment":"fig6","shard":-3,"label":"x"}`))
-	f.Add([]byte(`{"v":1,"experiment":"fig6","shard":0}{"v":1}`))
-	f.Add([]byte(`{"v":1,"experiment":"fig6","config":{"Seed":"not-a-number"}}`))
+	f.Add([]byte(`{"v":2,"experiment":"","shard":0}`))
+	f.Add([]byte(`{"v":2,"experiment":"fig6","shard":-3,"label":"x"}`))
+	f.Add([]byte(`{"v":2,"experiment":"fig6","shard":0}{"v":2}`))
+	f.Add([]byte(`{"v":2,"experiment":"fig6","config":{"Seed":"not-a-number"}}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -31,6 +32,10 @@ func FuzzDecodeTask(f *testing.F) {
 		}
 		if spec.Experiment == "" || spec.Shard < 0 {
 			t.Fatalf("DecodeTask accepted an invalid spec %+v (%s)", spec, data)
+		}
+		if spec.ConfigDigest != spec.Config.Digest() {
+			t.Fatalf("DecodeTask accepted config digest %q for a config digesting to %q (%s)",
+				spec.ConfigDigest, spec.Config.Digest(), data)
 		}
 		// An accepted spec survives the encode/decode round trip the
 		// server→worker hop performs.

@@ -15,8 +15,9 @@ import (
 // stamped into every TaskSpec and echoed back by RegisterResponse. A
 // worker and a server from different generations refuse to exchange work
 // instead of misexecuting it. Bump it together with any incompatible
-// change to TaskSpec or the lease verbs.
-const ProtocolVersion = 1
+// change to TaskSpec or the lease verbs. Version 2 made ConfigDigest
+// mandatory.
+const ProtocolVersion = 2
 
 // TaskSpec is the unit of remote work: one shard of one experiment under
 // one fully resolved configuration. The server serializes it into a lease
@@ -33,6 +34,11 @@ type TaskSpec struct {
 	// (already profile- and override-resolved server-side, so the worker
 	// needs no profile registry agreement).
 	Config experiments.Config `json:"config"`
+	// ConfigDigest is the server's Config.Digest(), the digest its cache
+	// keys the reply under. A worker whose build decodes Config to a
+	// different digest (a field it lacks, a result schema it predates)
+	// computes a different function, so DecodeTask refuses the task.
+	ConfigDigest string `json:"config_digest"`
 	// Shard indexes the experiment plan's shard list.
 	Shard int `json:"shard"`
 	// Label is the canonical label of that shard; a mismatch with the
@@ -58,7 +64,9 @@ func EncodeTask(spec TaskSpec) []byte {
 
 // DecodeTask parses and validates one task spec. Malformed, truncated, or
 // wrong-version input errors — never panics — so a skewed or hostile
-// server cannot crash a worker (fuzz-covered).
+// server cannot crash a worker (fuzz-covered). Unknown Config keys decode
+// silently, so the spec's ConfigDigest must equal the digest of the Config
+// as this build decoded it.
 func DecodeTask(data []byte) (TaskSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	var spec TaskSpec
@@ -76,6 +84,12 @@ func DecodeTask(data []byte) (TaskSpec, error) {
 	}
 	if spec.Shard < 0 {
 		return TaskSpec{}, fmt.Errorf("dispatch: negative shard index %d", spec.Shard)
+	}
+	if spec.ConfigDigest == "" {
+		return TaskSpec{}, fmt.Errorf("dispatch: task spec carries no config digest")
+	}
+	if got := spec.Config.Digest(); got != spec.ConfigDigest {
+		return TaskSpec{}, fmt.Errorf("dispatch: config decodes to digest %s here, server says %s (worker/server build skew)", got, spec.ConfigDigest)
 	}
 	return spec, nil
 }

@@ -43,6 +43,9 @@ type Bank struct {
 	aggression  []float64  // RowHammer-equivalent activations since restore
 	epochs      []epoch
 	ovScratch   []epochOverlap // reused by commitFaults, one entry per live epoch
+	colNorms    []float64      // κ column components of subarray colSub
+	colNormMax  float64        // the largest of colNorms
+	colSub      int            // subarray colNorms holds, -1 before the first commit
 	openRow     int            // -1 when precharged
 	openedAtNs  float64
 	lastPreNs   float64 // time of the last PRE (for RowClone detection)
@@ -64,6 +67,7 @@ func newBank(geom Geometry, index int, params *faultmodel.Params, seed uint64) *
 		restoredNs:  make([]float64, geom.RowsPerBank()),
 		aggression:  make([]float64, geom.RowsPerBank()),
 		epochs:      nil,
+		colSub:      -1,
 		openRow:     -1,
 		lastPreNs:   -1e18,
 		lastOpenRow: -1,
@@ -285,10 +289,13 @@ func (b *Bank) peekRaw(row int) []uint64 {
 }
 
 // commitFaults applies every disturbance accumulated since the row's last
-// restore and marks the row restored at nowNs. The per-row invariants —
-// lognormal row components, epoch interval clamping — are hoisted out of
-// the per-column loop; the arithmetic is unchanged, so the committed bits
-// are identical to evaluating each cell independently.
+// restore and marks the row restored at nowNs. Each cell pays only for what
+// its outcome depends on: an uncharged cell draws no decay parameters, a
+// charged cell that RowFaults.Survives proves cannot flip skips its rates,
+// exposure and VRT draws, and hammer draws run only for rows under
+// aggression. Every other cell takes the exact per-cell arithmetic, and
+// draws are keyed by coordinates, so the committed bits are identical to
+// evaluating every cell in full.
 func (b *Bank) commitFaults(nowNs float64, row int, tempC float64, trial int) {
 	elapsedNs := nowNs - b.restoredNs[row]
 	if elapsedNs > 0 {
@@ -299,29 +306,62 @@ func (b *Bank) commitFaults(nowNs float64, row int, tempC float64, trial int) {
 		baseFac := b.params.BaseTempFactor(tempC)
 		kapFac := b.params.KappaTempFactor(tempC)
 		agg := b.aggression[row]
-		rf := b.params.Row(b.seed, b.index, sub, row)
 		overlaps := b.overlapEpochs(b.restoredNs[row], nowNs)
+		colNorms, colNormMax := b.kappaColumns(sub)
+
+		// Survival bound inputs: the largest VRT multiplier and coupling
+		// duty any cell of the row can see over the committed interval.
+		vrtMax := 1.0
+		if b.params.VRTProb > 0 && b.params.VRTFactor > 1 {
+			vrtMax = b.params.VRTFactor
+		}
+		rhoMax := rhoIdle
+		for _, o := range overlaps {
+			for _, r := range o.e.rho {
+				rhoMax = max(rhoMax, r)
+			}
+		}
+		rf := b.params.Row(b.seed, b.index, sub, row)
+		rf.SetBound(vrtMax*baseFac*elapsedMs, kapFac*rhoMax*elapsedMs, colNormMax)
+
 		for col := 0; col < b.geom.Cols; col++ {
 			stored := WordBit(words, col)
-			cf := rf.Cell(col)
 			// Charge decay: retention + ColumnDisturb.
-			if stored == cf.ChargedBit() {
+			if stored == rf.Charged(col) && !rf.Survives(col) {
+				lambdaBase, kappa := rf.Rates(col, colNorms[col])
 				exposureMs := b.exposureMs(overlaps, sub, col, elapsedNs, rhoIdle)
-				vrt := b.params.VRTMultiplier(b.seed, b.index, sub, row, col, trial)
-				integral := cf.LambdaBase*vrt*baseFac*elapsedMs + cf.Kappa*kapFac*exposureMs
+				vrt := rf.VRT(col, trial)
+				integral := lambdaBase*vrt*baseFac*elapsedMs + kappa*kapFac*exposureMs
 				if faultmodel.Flips(integral) {
 					SetWordBit(words, col, 1-stored)
 					stored = 1 - stored
 				}
 			}
 			// RowHammer/RowPress on immediate neighbours of an aggressor.
-			if agg > 0 && stored != cf.Attractor && agg >= cf.HammerThreshold {
-				SetWordBit(words, col, cf.Attractor)
+			if agg > 0 {
+				threshold, attractor := rf.Hammer(col)
+				if stored != attractor && agg >= threshold {
+					SetWordBit(words, col, attractor)
+				}
 			}
 		}
 	}
 	b.restoredNs[row] = nowNs
 	b.aggression[row] = 0
+}
+
+// kappaColumns returns the κ column components of subarray sub and their
+// maximum, refilling the bank's buffer when the last commit was in another
+// subarray.
+func (b *Bank) kappaColumns(sub int) ([]float64, float64) {
+	if sub != b.colSub {
+		if b.colNorms == nil {
+			b.colNorms = make([]float64, b.geom.Cols)
+		}
+		b.colNormMax = faultmodel.KappaColumnNorms(b.seed, b.index, sub, b.colNorms)
+		b.colSub = sub
+	}
+	return b.colNorms, b.colNormMax
 }
 
 // epochOverlap is one epoch's clamped overlap with the interval currently

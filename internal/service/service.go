@@ -1135,11 +1135,12 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 		},
 		Remote: &engine.RemoteSpec{
 			Spec: dispatch.EncodeTask(dispatch.TaskSpec{
-				Experiment: f.spec.Experiment,
-				Config:     f.cfg,
-				Shard:      index,
-				Label:      label,
-				TraceID:    f.spec.TraceID,
+				Experiment:   f.spec.Experiment,
+				Config:       f.cfg,
+				ConfigDigest: f.digest,
+				Shard:        index,
+				Label:        label,
+				TraceID:      f.spec.TraceID,
 			}),
 			Accept: func(from string, elapsed time.Duration, reply []byte) (any, error) {
 				v, err := cache.Gob{}.Decode(reply)

@@ -709,6 +709,66 @@ func TestMissTaskSpecKeepsPlanIndex(t *testing.T) {
 	checkEventStream(t, j.EventHistory(), 3, true)
 }
 
+// TestWorkerConfigSkewReachesNoCache: a leased task carries the flight's
+// config digest. A worker whose build decodes the Config differently —
+// here, a newer server's extra key it lacks — refuses the task, the job
+// fails, and no reply reaches the cache under the server's digest.
+func TestWorkerConfigSkewReachesNoCache(t *testing.T) {
+	const id = "svc-test-config-skew"
+	registerQuickExperiment(id, 1)
+	cfg, err := experiments.ResolveConfig("small", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dispatch.New(dispatch.Options{NoLocal: true, LeaseTTL: time.Minute})
+	svc := New(Options{Dispatcher: d, Cache: store})
+	defer svc.Close()
+	j, err := svc.Submit(JobSpec{Experiment: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := d.Register("tester", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := d.Lease(context.Background(), reg.WorkerID, 2*time.Second)
+	if err != nil || g == nil {
+		t.Fatalf("lease: grant %v, err %v", g, err)
+	}
+	spec, err := dispatch.DecodeTask(g.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.ConfigDigest != cfg.Digest() {
+		t.Fatalf("task carries digest %q, the flight's is %q", spec.ConfigDigest, cfg.Digest())
+	}
+
+	// The grant as a newer server would have sent it: one more Config key,
+	// and a digest that covers it.
+	const serverDigest = "fedcba9876543210fedcba9876543210"
+	skewed := strings.Replace(string(g.Spec), `"config":{`, `"config":{"FutureKnob":7,`, 1)
+	skewed = strings.Replace(skewed, cfg.Digest(), serverDigest, 1)
+	reply, execErr := dispatch.ExecuteTask(context.Background(), []byte(skewed))
+	if execErr == nil || !strings.Contains(execErr.Error(), serverDigest) || !strings.Contains(execErr.Error(), cfg.Digest()) {
+		t.Fatalf("skewed task: reply %d bytes, err %v; want a refusal naming %s and %s",
+			len(reply), execErr, cfg.Digest(), serverDigest)
+	}
+	if err := d.Complete(reg.WorkerID, g.TaskID, nil, execErr.Error()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err == nil {
+		t.Fatal("job succeeded although its only shard was refused")
+	}
+	key := cache.Key{Experiment: id, ConfigDigest: cfg.Digest(), Shard: id + " shard 0"}
+	if _, ok := store.Get(key); ok || store.Len() != 0 {
+		t.Fatalf("a refused task reached the cache (%d entries)", store.Len())
+	}
+}
+
 // TestMissErrorKeepsPlanIndex: a failing shard behind cache hits is
 // reported by its plan index, not its position among the misses.
 func TestMissErrorKeepsPlanIndex(t *testing.T) {

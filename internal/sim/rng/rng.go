@@ -26,7 +26,14 @@ func SplitMix64(x uint64) uint64 {
 // parts always produce the same key, and adjacent coordinates produce
 // decorrelated keys.
 func Key(parts ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
+	return KeyFrom(0x9e3779b97f4a7c15, parts...)
+}
+
+// KeyFrom continues a Key fold from the key h of a prefix:
+// Key(a..., b...) == KeyFrom(Key(a...), b...). Callers that draw many keys
+// sharing a prefix hash the prefix once and pay one SplitMix64 per
+// remaining part.
+func KeyFrom(h uint64, parts ...uint64) uint64 {
 	for _, p := range parts {
 		h = SplitMix64(h ^ p)
 	}

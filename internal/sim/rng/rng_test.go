@@ -27,6 +27,31 @@ func TestKeyOrderSensitivity(t *testing.T) {
 	}
 }
 
+// TestKeyFromContinuesKey pins the prefix identity the per-row fault
+// draws rely on, and pins Key itself to the literal splitmix64 fold so
+// routing it through KeyFrom cannot move any keyed stream.
+func TestKeyFromContinuesKey(t *testing.T) {
+	fold := func(parts ...uint64) uint64 {
+		h := uint64(0x9e3779b97f4a7c15)
+		for _, p := range parts {
+			h = SplitMix64(h ^ p)
+		}
+		return h
+	}
+	f := func(a, b, c, d, e uint64) bool {
+		all := []uint64{a, b, c, d, e}
+		for split := 0; split <= len(all); split++ {
+			if KeyFrom(Key(all[:split]...), all[split:]...) != fold(all...) {
+				return false
+			}
+		}
+		return Key() == fold() && Key(a) == fold(a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestKeyAvalancheProperty(t *testing.T) {
 	// Flipping one input bit should flip roughly half the output bits.
 	f := func(a, b uint64, bit uint8) bool {

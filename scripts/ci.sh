@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for every PR: build, vet, gofmt, race-enabled tests (the cdlab
-# end-to-end tests in cmd/cdlab included), WAL and survival-skip fuzz
-# passes, a compile-and-run pass over every benchmark (one iteration each)
+# end-to-end tests in cmd/cdlab included), WAL, survival-skip and
+# commit-skip fuzz passes, a compile-and-run pass over every benchmark (one iteration each)
 # and a perf-trajectory snapshot.
 #
 # Usage: scripts/ci.sh [extra go-test flags...]
@@ -42,6 +42,9 @@ go test -run '^$' -fuzz FuzzReplaySegment -fuzztime 5s ./internal/wal
 
 echo "== survival quadrature skip fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzSurvivalRowSkip -fuzztime 5s ./internal/core
+
+echo "== cell-explicit commit skip fuzz (committed corpus + 5s of new inputs) =="
+go test -run '^$' -fuzz FuzzCommitFaults -fuzztime 5s ./internal/dram
 
 echo "== benchmarks (1 iteration) =="
 go test -run xxx -bench . -benchtime 1x "$@" ./...
