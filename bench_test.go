@@ -349,9 +349,9 @@ func BenchmarkShardSplitPlan(b *testing.B) {
 }
 
 // BenchmarkDiffReadsFiltered measures the readout diff hot loop — word-XOR
-// flip extraction plus bitset row/cell filtering — over a 128-row, 1024-
-// column read with a sparse sprinkle of flips, the shape every
-// characterization experiment feeds it.
+// flip extraction plus the guard-band row filter fig21 passes — over a
+// 128-row, 1024-column read with a sparse sprinkle of flips, the shape
+// every characterization experiment feeds it.
 func BenchmarkDiffReadsFiltered(b *testing.B) {
 	const rows, cols = 128, 1024
 	recs := make([]bender.ReadRecord, rows)
@@ -365,15 +365,7 @@ func BenchmarkDiffReadsFiltered(b *testing.B) {
 		recs[r] = bender.ReadRecord{Row: r, Data: words}
 	}
 	g := dram.SmallGeometry()
-	f := &charz.Filter{
-		ExcludedRows: charz.GuardRows(g, []int{16}, 4),
-		Cols:         cols,
-	}
-	prof := &charz.RetentionProfile{
-		MinFailMs: map[int64]float64{charz.CellID(7, 37, cols): 50},
-		Cols:      cols, RowLast: rows - 1,
-	}
-	f.ExcludedCells = prof.FailingWithin(512)
+	f := &charz.Filter{ExcludedRows: charz.GuardRows(g, []int{16}, 4)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := charz.DiffReads(recs, dram.PatFF, f)

@@ -21,6 +21,11 @@ import (
 // generation: a permanent incompatibility, not a transient failure.
 var errProtocolMismatch = errors.New("client: worker protocol mismatch")
 
+// errBuildMismatch marks a 409 at registration: the server runs another
+// GOARCH or Go toolchain and refuses this worker. Permanent, like a
+// protocol mismatch.
+var errBuildMismatch = errors.New("client: server refused this worker's build")
+
 // errUnauthorized marks a 401 at registration: the server wants a bearer
 // token this worker does not hold. Permanent — retrying the same (absent
 // or wrong) credential would just hot-loop.
@@ -98,10 +103,10 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			if errors.Is(err, errProtocolMismatch) || errors.Is(err, errUnauthorized) {
-				// A different wire generation or a rejected credential is
-				// permanent: refuse to exchange work instead of hot-looping
-				// on registration.
+			if errors.Is(err, errProtocolMismatch) || errors.Is(err, errBuildMismatch) || errors.Is(err, errUnauthorized) {
+				// A different wire generation or build, or a rejected
+				// credential, is permanent: refuse to exchange work instead
+				// of hot-looping on registration.
 				return err
 			}
 			w.log.Warn("register failed, retrying", "server", w.base, "error", err)
@@ -183,7 +188,7 @@ func (w *worker) post(ctx context.Context, path string, body []byte) (*http.Resp
 }
 
 func (w *worker) register(ctx context.Context) (dispatch.RegisterResponse, error) {
-	body, _ := json.Marshal(dispatch.RegisterRequest{Name: w.opts.Name, Capacity: w.opts.Capacity})
+	body, _ := json.Marshal(dispatch.NewRegisterRequest(w.opts.Name, w.opts.Capacity))
 	resp, err := w.post(ctx, "/v1/workers", body)
 	if err != nil {
 		return dispatch.RegisterResponse{}, err
@@ -191,6 +196,9 @@ func (w *worker) register(ctx context.Context) (dispatch.RegisterResponse, error
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusUnauthorized {
 		return dispatch.RegisterResponse{}, fmt.Errorf("%w (pass -token matching the server's -auth-token)", errUnauthorized)
+	}
+	if resp.StatusCode == http.StatusConflict {
+		return dispatch.RegisterResponse{}, fmt.Errorf("%w: %v", errBuildMismatch, apiError(resp))
 	}
 	if resp.StatusCode != http.StatusOK {
 		return dispatch.RegisterResponse{}, apiError(resp)

@@ -3,11 +3,14 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +18,10 @@ import (
 	"time"
 
 	"columndisturb"
+	"columndisturb/internal/cache"
+	"columndisturb/internal/dispatch"
 	"columndisturb/internal/experiments"
+	"columndisturb/internal/service"
 )
 
 // Integration coverage for the distributed dispatch failure paths, driven
@@ -380,7 +386,8 @@ func TestWorkerKilledMidShardRequeues(t *testing.T) {
 // deadline passes.
 func TestSilentWorkerDroppedFromLeaseTable(t *testing.T) {
 	_, ts := newDispatchServer(t, 100*time.Millisecond)
-	resp, err := http.Post(ts.URL+"/v1/workers", "application/json", strings.NewReader(`{"name":"ghost","capacity":1}`))
+	body, _ := json.Marshal(dispatch.NewRegisterRequest("ghost", 1))
+	resp, err := http.Post(ts.URL+"/v1/workers", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,5 +504,79 @@ func waitForCond(t *testing.T, d time.Duration, cond func() bool, what string) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWorkerBuildSkewReachesNoCache: a worker registering with another
+// GOARCH or Go version (forged in flight here) is refused at registration
+// with an error naming both builds. RunWorker treats the refusal as
+// permanent and returns instead of retrying, no worker enters the lease
+// table, the job's shard stays queued, and nothing reaches the cache.
+func TestWorkerBuildSkewReachesNoCache(t *testing.T) {
+	const id = "client-test-build-skew"
+	registerSynthetic(experiments.Experiment{
+		ID: id, Paper: "test", Title: "build skew",
+		Plan: func(experiments.Config) (*experiments.Plan, error) {
+			return &experiments.Plan{
+				Shards: []experiments.Shard{{
+					Label: id + " shard 0",
+					Run:   func(context.Context) (any, error) { return []string{"0"}, nil },
+				}},
+				Merge: func([]any) (*experiments.Result, error) { return &experiments.Result{ID: id}, nil },
+			}, nil
+		},
+	})
+	store, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := dispatch.New(dispatch.Options{NoLocal: true, LeaseTTL: time.Minute})
+	var forge func(*dispatch.RegisterRequest)
+	svc, r := newServer(t, service.Options{Dispatcher: d, Cache: store}, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.Method == http.MethodPost && req.URL.Path == "/v1/workers" {
+				var reg dispatch.RegisterRequest
+				if err := json.NewDecoder(req.Body).Decode(&reg); err != nil {
+					t.Errorf("decode register request: %v", err)
+				}
+				forge(&reg)
+				body, _ := json.Marshal(reg)
+				req.Body = io.NopCloser(bytes.NewReader(body))
+				req.ContentLength = int64(len(body))
+			}
+			h.ServeHTTP(w, req)
+		})
+	})
+	j, err := svc.Submit(service.JobSpec{Experiment: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, f := range map[string]func(*dispatch.RegisterRequest){
+		"goarch":     func(reg *dispatch.RegisterRequest) { reg.GOARCH = "forged-arch" },
+		"go_version": func(reg *dispatch.RegisterRequest) { reg.GoVersion = "go0.0-forged" },
+	} {
+		forge = f
+		forged := dispatch.NewRegisterRequest("", 0)
+		f(&forged)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := RunWorker(ctx, r.base, WorkerOptions{RetryBackoff: time.Millisecond})
+		cancel()
+		if !errors.Is(err, errBuildMismatch) {
+			t.Fatalf("forged %s: RunWorker returned %v, want the permanent errBuildMismatch", field, err)
+		}
+		for _, want := range []string{forged.GOARCH, forged.GoVersion, runtime.GOARCH, runtime.Version()} {
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", want)) {
+				t.Errorf("forged %s: error %q does not name %q", field, err, want)
+			}
+		}
+	}
+	if ws := d.RemoteWorkers(); len(ws) != 0 {
+		t.Fatalf("refused workers entered the lease table: %+v", ws)
+	}
+	if st := j.State(); st != service.JobQueued && st != service.JobRunning {
+		t.Fatalf("job settled as %s with no admitted worker", st)
+	}
+	if store.Len() != 0 {
+		t.Fatalf("a refused worker's build reached the cache (%d entries)", store.Len())
 	}
 }

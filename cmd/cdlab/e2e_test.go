@@ -239,6 +239,26 @@ func TestUnknownIDExitsBeforeWork(t *testing.T) {
 	}
 }
 
+// TestStrayOperandsExit2: flag parsing stops at the first non-flag
+// argument, so serve, worker and workers must refuse a stray operand with
+// exit 2 instead of dropping every flag after it (a serve would then bind
+// :8080 with no cache and run until signalled).
+func TestStrayOperandsExit2(t *testing.T) {
+	dir := t.TempDir()
+	for name, args := range map[string][]string{
+		"serve":   {"serve", "stray", "-addr", "127.0.0.1:0", "-cache-dir", filepath.Join(dir, "cache")},
+		"worker":  {"worker", "stray", "-connect", "127.0.0.1:1"},
+		"workers": {"workers", "stray", "-remote", "127.0.0.1:1"},
+	} {
+		p := start(t, dir, name, args...)
+		code := p.exit(t)
+		stderr := read(p.stderr)
+		if code != 2 || !strings.Contains(stderr, "stray") || strings.Contains(stderr, "serving") {
+			t.Errorf("cdlab %v: exit %d, stderr %q; want 2 naming the operand, no serving line", args, code, stderr)
+		}
+	}
+}
+
 // TestColdWarmSweep: a cold `run all` writes the golden reports, and a
 // warm rerun over the same cache computes nothing and writes them again.
 func TestColdWarmSweep(t *testing.T) {

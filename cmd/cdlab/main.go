@@ -63,8 +63,9 @@
 //
 // Exit status: 0 on success, 1 when any experiment fails (a multi-ID
 // sweep keeps going and reports every failure), 2 on usage errors —
-// including any unknown experiment ID, which is rejected up front before
-// any work starts.
+// including any unknown experiment ID or override key, or an operand
+// serve, worker or workers does not take, all rejected before any work
+// starts.
 package main
 
 import (
@@ -175,7 +176,8 @@ func profiles() {
 	}
 }
 
-// kvFlags collects repeatable -set key=value flags.
+// kvFlags collects repeatable -set key=value flags; Set refuses a key that
+// names no override, so a typo is a usage error before any work starts.
 type kvFlags map[string]string
 
 func (f kvFlags) String() string {
@@ -196,8 +198,13 @@ func (f kvFlags) Set(s string) error {
 	if !ok || k == "" {
 		return fmt.Errorf("want key=value, got %q", s)
 	}
-	f[k] = v
-	return nil
+	for _, line := range columndisturb.OverrideKeys() {
+		if key, _, _ := strings.Cut(line, "\t"); key == k {
+			f[k] = v
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown override key %q (see `cdlab profiles`)", k)
 }
 
 // eventPrinter serializes the runner's event subscription onto the CLI's
@@ -390,6 +397,17 @@ func runExperiments(args []string) int {
 	return 0
 }
 
+// leftoverOperands reports, naming them on stderr, any arguments fs left
+// unparsed. flag parsing stops at the first non-flag argument, so every
+// flag after a stray operand would otherwise be dropped without a word.
+func leftoverOperands(fs *flag.FlagSet) bool {
+	if fs.NArg() == 0 {
+		return false
+	}
+	fmt.Fprintf(os.Stderr, "cdlab: %s takes no operands, got: %s\n", fs.Name(), strings.Join(fs.Args(), " "))
+	return true
+}
+
 // workers lists the remote workers attached to a `cdlab serve` process,
 // with each one's completed tasks, busy time and average task time.
 func workers(args []string) int {
@@ -399,6 +417,9 @@ func workers(args []string) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if leftoverOperands(fs) {
 		return 2
 	}
 	if *remote == "" {
@@ -455,6 +476,13 @@ func serve(args []string) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if leftoverOperands(fs) {
+		return 2
+	}
+	if *workers < 1 {
+		fmt.Fprintln(os.Stderr, "cdlab: -j must be at least 1")
 		return 2
 	}
 	level, err := obs.ParseLevel(*logLevel)
@@ -622,6 +650,13 @@ func worker(args []string) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	if leftoverOperands(fs) {
+		return 2
+	}
+	if *capacity < 1 {
+		fmt.Fprintln(os.Stderr, "cdlab: -j must be at least 1")
 		return 2
 	}
 	if *connect == "" {

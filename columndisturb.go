@@ -11,7 +11,6 @@ import (
 	"columndisturb/internal/dram"
 	"columndisturb/internal/energy"
 	"columndisturb/internal/experiments"
-	"columndisturb/internal/memsim"
 	"columndisturb/internal/mitigate"
 )
 
@@ -247,85 +246,4 @@ func AnalyzeMitigations() (MitigationAnalysis, error) {
 		PRVRThroughputReduction:   prvr.ThroughputLossReduction,
 		PRVREnergyReduction:       prvr.RefreshEnergyReduction,
 	}, nil
-}
-
-// RAIDRPoint is one point of a retention-aware refresh sweep.
-type RAIDRPoint struct {
-	WeakFraction      float64
-	EffectiveWeakFrac float64 // after Bloom false positives
-	SpeedupNormalized float64 // WS / WS(no refresh)
-	Benefit           float64 // share of the no-refresh headroom captured
-}
-
-// RAIDRSweep evaluates RAIDR (§6.2) over the given weak-row fractions,
-// averaged across `mixes` four-core workload mixes. useBloom selects the
-// 8 Kb/6-hash Bloom tracker; otherwise the exact bitmap.
-func RAIDRSweep(weakFractions []float64, useBloom bool, mixes int) ([]RAIDRPoint, error) {
-	if mixes < 1 {
-		mixes = 1
-	}
-	sys := memsim.DefaultSystem()
-	sys.MeasureInstr = 40_000
-	sys.WarmupInstr = 8_000
-	mixSet := memsim.Mixes(mixes)
-	seed := memsim.RunSeed(42)
-	solos := make([][]float64, len(mixSet))
-	for i, mix := range mixSet {
-		solos[i] = make([]float64, len(mix))
-		for j, w := range mix {
-			ipc, err := memsim.SoloIPC(sys, w, seed)
-			if err != nil {
-				return nil, err
-			}
-			solos[i][j] = ipc
-		}
-	}
-	avg := func(build func() (memsim.RefreshEngine, error)) (float64, error) {
-		sum := 0.0
-		for i, mix := range mixSet {
-			eng, err := build()
-			if err != nil {
-				return 0, err
-			}
-			ws, _, err := memsim.WeightedSpeedup(sys, mix, eng, seed, solos[i])
-			if err != nil {
-				return 0, err
-			}
-			sum += ws
-		}
-		return sum / float64(len(mixSet)), nil
-	}
-	wsNone, err := avg(func() (memsim.RefreshEngine, error) { return memsim.NoRefresh(), nil })
-	if err != nil {
-		return nil, err
-	}
-	wsP64, err := avg(func() (memsim.RefreshEngine, error) { return memsim.PeriodicRefresh(sys, 64) })
-	if err != nil {
-		return nil, err
-	}
-	tracker := memsim.TrackerBitmap
-	if useBloom {
-		tracker = memsim.TrackerBloom
-	}
-	var out []RAIDRPoint
-	for _, w := range weakFractions {
-		rc := memsim.DefaultRAIDR(tracker)
-		rc.WeakFraction = w
-		var info memsim.RAIDRInfo
-		ws, err := avg(func() (memsim.RefreshEngine, error) {
-			eng, i, err := memsim.NewRAIDR(sys, rc)
-			info = i
-			return eng, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, RAIDRPoint{
-			WeakFraction:      w,
-			EffectiveWeakFrac: float64(info.EffectiveWeakRows) / float64(sys.TotalRows()),
-			SpeedupNormalized: ws / wsNone,
-			Benefit:           memsim.BenefitFraction(ws, wsP64, wsNone),
-		})
-	}
-	return out, nil
 }

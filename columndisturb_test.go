@@ -136,19 +136,3 @@ func TestAnalyzeMitigations(t *testing.T) {
 		t.Fatalf("PRVR reductions too small: %+v", m)
 	}
 }
-
-func TestRAIDRSweepFacade(t *testing.T) {
-	pts, err := RAIDRSweep([]float64{1e-4, 0.002}, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("want 2 points, got %d", len(pts))
-	}
-	if pts[1].EffectiveWeakFrac <= pts[1].WeakFraction {
-		t.Fatal("bloom false positives must inflate the effective weak set")
-	}
-	if pts[1].Benefit >= pts[0].Benefit {
-		t.Fatal("benefit must erode as the filter saturates")
-	}
-}

@@ -13,11 +13,11 @@
 // FPGA-based testing infrastructure. This library substitutes calibrated
 // device-level simulation for the hardware (see DESIGN.md): a cell-explicit
 // DRAM model driven by command programs, a statistical population model for
-// the paper's large sweeps, the full characterization methodology (RowClone
-// boundary reverse engineering, retention profiling, bisection search), the
-// ECC analyses, and a cycle-accurate memory-system simulator (a per-bank
-// DRAM command state machine enforcing the datasheet timing constraints,
-// DESIGN.md §15) for the retention-aware refresh evaluation.
+// the paper's large sweeps, the characterization methodology (RowClone
+// boundary reverse engineering, guard-banded bitflip counting, bisection
+// search), the ECC analyses, and a cycle-accurate memory-system simulator
+// (a per-bank DRAM command state machine enforcing the datasheet timing
+// constraints, DESIGN.md §15) for the retention-aware refresh evaluation.
 //
 // The package exposes three levels of API:
 //
@@ -40,8 +40,8 @@
 //     worker death invisible to results. Subscribe observes the per-job
 //     event stream (queued/started/shard_done with cache hit/miss and the
 //     executing worker, finished/failed).
-//   - Analyses: the §6 mitigation arithmetic and RAIDR sweeps
-//     (AnalyzeMitigations, RAIDRSweep).
+//   - Analyses: the §6 mitigation arithmetic (AnalyzeMitigations); the
+//     RAIDR sweep is the fig23 experiment.
 //
 // Experiments execute on the parallel experiment engine (internal/engine)
 // under ONE contract (DESIGN.md §11): every experiment is a Plan — a list

@@ -3,13 +3,15 @@
 // RAIDR refreshes the few retention-weak rows every 64 ms and everything
 // else every 1024 ms, recovering most of the performance lost to refresh.
 // ColumnDisturb breaks the premise: under attack, *thousands* of rows
-// become weak within the strong-row window. This example sweeps the
-// weak-row proportion through the cycle-level memory system simulator for
-// both tracker variants and shows the benefit eroding — the Bloom-filter
-// variant collapses as soon as its 8 Kbit filter saturates.
+// become weak within the strong-row window. This example runs the fig23
+// experiment, which sweeps the weak-row proportion through the
+// cycle-level memory system simulator for both tracker variants and shows
+// the benefit eroding — the Bloom-filter variant collapses as soon as its
+// 8 Kbit filter saturates.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,30 +19,17 @@ import (
 )
 
 func main() {
-	fractions := []float64{1e-5, 1e-4, 1e-3, 2e-3, 4e-3, 0.05, 0.2, 0.4}
-	const mixes = 2
-
-	fmt.Println("RAIDR weighted speedup normalized to no-refresh; benefit = share of the")
-	fmt.Println("no-refresh headroom captured over plain 64 ms periodic refresh")
-	fmt.Println()
-	for _, bloom := range []bool{true, false} {
-		name := "bitmap (2 Mb, exact)"
-		if bloom {
-			name = "Bloom filter (8 Kb, 6 hashes)"
-		}
-		pts, err := columndisturb.RAIDRSweep(fractions, bloom, mixes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("tracker: %s\n", name)
-		fmt.Printf("  %-12s %-14s %-12s %s\n", "weak frac", "effective frac", "WS/noref", "benefit")
-		for _, p := range pts {
-			fmt.Printf("  %-12.2g %-14.4f %-12.4f %.0f%%\n",
-				p.WeakFraction, p.EffectiveWeakFrac, p.SpeedupNormalized, p.Benefit*100)
-		}
-		fmt.Println()
+	r, err := columndisturb.NewLocalRunner(columndisturb.LocalOptions{})
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println("ColumnDisturb pushes the weak fraction from ~1e-4 (retention only) to")
-	fmt.Println("0.3-0.5: the Bloom variant's benefit is eliminated and even the exact")
-	fmt.Println("bitmap loses about half of it (Takeaway 12).")
+	defer r.Close()
+
+	res, err := r.Run(context.Background(), columndisturb.Request{
+		Experiments: []string{"fig23"},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(res.Reports[0].Text)
 }

@@ -1,9 +1,8 @@
 // Package bitset provides a dense bit set over small non-negative integer
-// keys. The characterization pipeline's hot loops test row/cell membership
-// once per read-back bit (guard-band rows, profiled retention-weak cells);
-// a dense bitset answers those probes with one shift-and-mask instead of a
-// map lookup's hashing and pointer chasing, and a bank-sized cell set
-// (≈1M bits) costs ~128 KiB instead of a multi-megabyte map.
+// keys. The characterization pipeline's hot loops test guard-band row
+// membership once per read-back row; a dense bitset answers those probes
+// with one shift-and-mask instead of a map lookup's hashing and pointer
+// chasing.
 package bitset
 
 import "math/bits"

@@ -26,8 +26,6 @@ type TTFConfig struct {
 	// from counting (RowHammer/RowPress filtering; the paper uses 4 per
 	// side, i.e. the eight nearest victims).
 	GuardRows int
-	// Retention optionally excludes profiled retention-weak cells.
-	Retention *RetentionProfile
 }
 
 // DefaultTTFConfig returns the paper's search parameters with the
@@ -72,13 +70,7 @@ func TimeToFirstBitflip(h *bender.Host, bank, aggRow int, cfg TTFConfig) (TTFRes
 	first := g.SubarrayBase(sub)
 	last := first + g.RowsPerSubarray - 1
 
-	filter := &Filter{
-		ExcludedRows: GuardRows(g, []int{aggPhys}, cfg.GuardRows),
-		Cols:         g.Cols,
-	}
-	if cfg.Retention != nil {
-		filter.ExcludedCells = cfg.Retention.FailingWithin(cfg.MaxTimeMs)
-	}
+	filter := &Filter{ExcludedRows: GuardRows(g, []int{aggPhys}, cfg.GuardRows)}
 
 	res := TTFResult{}
 	probe := func(acts int) (bool, error) {

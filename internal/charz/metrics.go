@@ -1,11 +1,8 @@
 // Package charz implements the paper's characterization methodology (§3.2)
 // on top of the bender testing infrastructure: reverse engineering of
-// subarray boundaries via RowClone, reverse engineering of the in-DRAM row
-// address mapping via RowHammer probing, retention failure profiling with
-// repeated trials (variable retention time coverage), bisection search for
-// the time to the first ColumnDisturb bitflip, and the filtered bitflip
-// metrics (guard-banding the aggressor's RowHammer/RowPress neighbourhood,
-// excluding profiled retention-weak cells).
+// subarray boundaries via RowClone, bisection search for the time to the
+// first ColumnDisturb bitflip, and the filtered bitflip metrics
+// (guard-banding the aggressor's RowHammer/RowPress neighbourhood).
 package charz
 
 import (
@@ -16,34 +13,17 @@ import (
 	"columndisturb/internal/dram"
 )
 
-// CellID packs a bank-local (row, col) coordinate into a single key.
-func CellID(row, col, cols int) int64 {
-	return int64(row)*int64(cols) + int64(col)
-}
-
 // Filter selects which observed bitflips count towards ColumnDisturb
-// metrics, implementing the paper's two-step exclusion: the aggressor row
-// and its nearest neighbours (RowHammer/RowPress territory, excluded with a
-// guard band), and cells known to fail by retention within the test
-// interval.
+// metrics: it excludes the aggressor row and its nearest neighbours
+// (RowHammer/RowPress territory) with a guard band.
 type Filter struct {
 	// ExcludedRows are bank-level rows whose flips are ignored entirely.
 	ExcludedRows *bitset.Set
-	// ExcludedCells are bank-local cell IDs (CellID) ignored as known
-	// retention failures.
-	ExcludedCells *bitset.Set
-	// Cols is the geometry's column count, needed to compute cell IDs.
-	Cols int
 }
 
 // RowExcluded reports whether the row is filtered out.
 func (f *Filter) RowExcluded(row int) bool {
 	return f != nil && f.ExcludedRows.Contains(row)
-}
-
-// CellExcluded reports whether the cell is filtered out.
-func (f *Filter) CellExcluded(row, col int) bool {
-	return f != nil && f.ExcludedCells.Contains(int(CellID(row, col, f.Cols)))
 }
 
 // GuardRows returns the paper's guard band: the aggressor row plus the
@@ -75,7 +55,7 @@ type RowFlips struct {
 // returns per-row flip summaries, applying the filter. Data patterns are
 // byte-periodic, so every correct data word equals dram.PatternWord(want);
 // XORing against it finds the flipped columns of 64 cells at once, and
-// filter/direction bookkeeping runs only on the (rare) set bits.
+// direction bookkeeping runs only on the (rare) set bits.
 func DiffReads(recs []bender.ReadRecord, want dram.DataPattern, f *Filter) []RowFlips {
 	expWord := dram.PatternWord(want)
 	var out []RowFlips
@@ -89,10 +69,6 @@ func DiffReads(recs []bender.ReadRecord, want dram.DataPattern, f *Filter) []Row
 			for diff != 0 {
 				b := bits.TrailingZeros64(diff)
 				diff &= diff - 1
-				col := w<<6 | b
-				if f.CellExcluded(rec.Row, col) {
-					continue
-				}
 				rf.Flips++
 				rf.ChunkFlips[w]++
 				if expWord>>uint(b)&1 == 1 {

@@ -110,15 +110,3 @@ func ExhaustivePartition(h *bender.Host, bank, rows int) ([][]int, error) {
 	}
 	return out, nil
 }
-
-// SubarrayOfBoundaries returns the subarray index of a row given boundary
-// start rows from ScanSubarrayBoundaries.
-func SubarrayOfBoundaries(bounds []int, row int) int {
-	idx := 0
-	for i, b := range bounds {
-		if row >= b {
-			idx = i
-		}
-	}
-	return idx
-}

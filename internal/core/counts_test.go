@@ -211,7 +211,7 @@ func TestCrossValidationAgainstCellTier(t *testing.T) {
 		AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
 		DurationMs: 30, TAggOnNs: 70200, TRPNs: 14,
 		Subarrays: []int{0, 1, 2},
-	}, &charz.Filter{ExcludedRows: guard, Cols: g.Cols})
+	}, &charz.Filter{ExcludedRows: guard})
 	if err != nil {
 		t.Fatal(err)
 	}

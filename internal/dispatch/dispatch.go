@@ -65,6 +65,11 @@ var (
 	// holds (typically requeued after the worker was presumed lost); the
 	// worker just moves on.
 	ErrNoLease = errors.New("dispatch: no such lease")
+	// ErrBuildMismatch refuses a worker registering with another GOARCH or
+	// Go toolchain than the server's (or none): the same source can round
+	// floating point differently there, so its shards could break the
+	// byte-identity of reports. The worker should stop, not retry.
+	ErrBuildMismatch = errors.New("dispatch: worker build mismatch")
 )
 
 // Options configures a Dispatcher.
@@ -529,8 +534,14 @@ func (d *Dispatcher) expire(now time.Time) {
 }
 
 // Register adds a worker to the lease table and returns its identity and
-// heartbeat contract.
-func (d *Dispatcher) Register(name string, capacity int) (RegisterResponse, error) {
+// heartbeat contract. A worker whose GOARCH or Go version differs from
+// this process's, or is missing, is refused with ErrBuildMismatch.
+func (d *Dispatcher) Register(req RegisterRequest) (RegisterResponse, error) {
+	if req.GOARCH != runtime.GOARCH || req.GoVersion != runtime.Version() {
+		return RegisterResponse{}, fmt.Errorf("%w: worker runs GOARCH %q with Go %q, server runs GOARCH %q with Go %q",
+			ErrBuildMismatch, req.GOARCH, req.GoVersion, runtime.GOARCH, runtime.Version())
+	}
+	name, capacity := req.Name, req.Capacity
 	if capacity <= 0 {
 		capacity = 1
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -96,13 +97,48 @@ func TestDispatcherShardErrorSemantics(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesOtherBuilds: a worker reporting another GOARCH or Go
+// version, or none, is refused with ErrBuildMismatch naming both sides,
+// and never enters the lease table.
+func TestRegisterRefusesOtherBuilds(t *testing.T) {
+	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
+	defer d.Close()
+	for name, forge := range map[string]func(*RegisterRequest){
+		"goarch":        func(r *RegisterRequest) { r.GOARCH = "forged-arch" },
+		"go version":    func(r *RegisterRequest) { r.GoVersion = "go0.0-forged" },
+		"no goarch":     func(r *RegisterRequest) { r.GOARCH = "" },
+		"no go version": func(r *RegisterRequest) { r.GoVersion = "" },
+	} {
+		req := NewRegisterRequest("skewed", 1)
+		forge(&req)
+		_, err := d.Register(req)
+		if !errors.Is(err, ErrBuildMismatch) {
+			t.Fatalf("%s: err %v, want ErrBuildMismatch", name, err)
+		}
+		for _, side := range []string{
+			fmt.Sprintf("%q with Go %q", req.GOARCH, req.GoVersion),
+			fmt.Sprintf("%q with Go %q", runtime.GOARCH, runtime.Version()),
+		} {
+			if !strings.Contains(err.Error(), side) {
+				t.Errorf("%s: error %q does not name %s", name, err, side)
+			}
+		}
+	}
+	if ws := d.RemoteWorkers(); len(ws) != 0 {
+		t.Fatalf("refused workers entered the lease table: %+v", ws)
+	}
+	if _, err := d.Register(NewRegisterRequest("same", 1)); err != nil {
+		t.Fatalf("this build refused: %v", err)
+	}
+}
+
 // TestDispatcherRemoteLeaseComplete drives the worker protocol by hand:
 // with no local executors, every shard must flow through lease/complete,
 // and results land in canonical order regardless of completion order.
 func TestDispatcherRemoteLeaseComplete(t *testing.T) {
 	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
 	defer d.Close()
-	reg, err := d.Register("tester", 8)
+	reg, err := d.Register(NewRegisterRequest("tester", 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +203,7 @@ func TestDispatcherRemoteLeaseComplete(t *testing.T) {
 func TestDispatcherWorkerErrorFailsShard(t *testing.T) {
 	d := New(Options{NoLocal: true, LeaseTTL: time.Second})
 	defer d.Close()
-	reg, _ := d.Register("tester", 1)
+	reg, _ := d.Register(NewRegisterRequest("tester", 1))
 	done := make(chan error, 1)
 	go func() {
 		_, err := d.Run(context.Background(), []engine.Shard{remoteShard("x", "vx")}, false)
@@ -198,7 +234,7 @@ func TestDispatcherWorkerErrorFailsShard(t *testing.T) {
 func TestDispatcherLeaseExpiryRequeues(t *testing.T) {
 	d := New(Options{NoLocal: true, LeaseTTL: 60 * time.Millisecond})
 	defer d.Close()
-	dead, _ := d.Register("dead", 1)
+	dead, _ := d.Register(NewRegisterRequest("dead", 1))
 	done := make(chan error, 1)
 	go func() {
 		out, err := d.Run(context.Background(), []engine.Shard{remoteShard("x", "vx")}, false)
@@ -221,7 +257,7 @@ func TestDispatcherLeaseExpiryRequeues(t *testing.T) {
 	// requeued to a healthy worker.
 	waitFor(t, 2*time.Second, func() bool { return len(d.RemoteWorkers()) == 0 }, "silent worker dropped")
 
-	alive, _ := d.Register("alive", 1)
+	alive, _ := d.Register(NewRegisterRequest("alive", 1))
 	var g2 *LeaseGrant
 	waitFor(t, 2*time.Second, func() bool {
 		var err error
@@ -251,7 +287,7 @@ func TestDispatcherLeaseExpiryRequeues(t *testing.T) {
 func TestDispatcherDeregisterRequeues(t *testing.T) {
 	d := New(Options{NoLocal: true, LeaseTTL: time.Minute})
 	defer d.Close()
-	w1, _ := d.Register("w1", 1)
+	w1, _ := d.Register(NewRegisterRequest("w1", 1))
 	done := make(chan error, 1)
 	go func() {
 		_, err := d.Run(context.Background(), []engine.Shard{remoteShard("x", "vx")}, false)
@@ -267,7 +303,7 @@ func TestDispatcherDeregisterRequeues(t *testing.T) {
 	if err := d.Deregister(w1.WorkerID); err != nil {
 		t.Fatal(err)
 	}
-	w2, _ := d.Register("w2", 1)
+	w2, _ := d.Register(NewRegisterRequest("w2", 1))
 	var g *LeaseGrant
 	waitFor(t, 2*time.Second, func() bool {
 		var err error
@@ -316,7 +352,7 @@ func TestDispatcherCancellationUnblocksRun(t *testing.T) {
 	}, "queue pruned after cancellation")
 	// A healthy worker attaching later must find an empty queue, not the
 	// cancelled task.
-	reg, _ := d.Register("late", 1)
+	reg, _ := d.Register(NewRegisterRequest("late", 1))
 	g, err := d.Lease(context.Background(), reg.WorkerID, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +401,7 @@ func TestDispatcherLongLeasePollSurvivesJanitor(t *testing.T) {
 	const ttl = 120 * time.Millisecond // janitor ticks every ttl/4 = 30ms
 	d := New(Options{NoLocal: true, LeaseTTL: ttl})
 	defer d.Close()
-	reg, err := d.Register("patient", 1)
+	reg, err := d.Register(NewRegisterRequest("patient", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +425,7 @@ func TestDispatcherLongLeasePollSurvivesJanitor(t *testing.T) {
 func TestDispatcherLeaseCtxDoneReportsError(t *testing.T) {
 	d := New(Options{NoLocal: true, LeaseTTL: time.Minute})
 	defer d.Close()
-	reg, _ := d.Register("severed", 1)
+	reg, _ := d.Register(NewRegisterRequest("severed", 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -437,7 +473,7 @@ func TestDispatcherFIFOWithBoost(t *testing.T) {
 		return g
 	}
 
-	lost, _ := d.Register("lost", 1)
+	lost, _ := d.Register(NewRegisterRequest("lost", 1))
 	submit(false, "a0", "a1", "a2")
 	if g := lease(lost.WorkerID); string(g.Spec) != "a0" {
 		t.Fatalf("first lease %q, want a0", g.Spec)
@@ -446,7 +482,7 @@ func TestDispatcherFIFOWithBoost(t *testing.T) {
 	submit(true, "r0", "r1")
 	d.expire(time.Now().Add(2 * time.Minute)) // "lost" falls silent; a0 requeues
 
-	w, _ := d.Register("w", 1)
+	w, _ := d.Register(NewRegisterRequest("w", 1))
 	var order []string
 	for len(order) < 7 {
 		g := lease(w.WorkerID)
@@ -472,7 +508,7 @@ func TestDispatcherFIFOWithBoost(t *testing.T) {
 func TestDispatcherLateErrorAfterCancelNoEvent(t *testing.T) {
 	d := New(Options{NoLocal: true, LeaseTTL: time.Minute})
 	defer d.Close()
-	reg, _ := d.Register("tester", 2)
+	reg, _ := d.Register(NewRegisterRequest("tester", 2))
 	ctx, cancel := context.WithCancel(context.Background())
 	var accepts atomic.Int32
 	var shards []engine.Shard
@@ -529,7 +565,7 @@ func TestDispatcherUnknownWorkerVerbs(t *testing.T) {
 	if err := d.Complete("w999", "t1", nil, ""); !errors.Is(err, ErrUnknownWorker) {
 		t.Fatalf("complete error %v", err)
 	}
-	reg, _ := d.Register("w", 1)
+	reg, _ := d.Register(NewRegisterRequest("w", 1))
 	if err := d.Complete(reg.WorkerID, "t-none", nil, ""); !errors.Is(err, ErrNoLease) {
 		t.Fatalf("complete without lease error %v, want ErrNoLease", err)
 	}

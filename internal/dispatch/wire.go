@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 
 	"columndisturb/internal/cache"
 	"columndisturb/internal/engine"
@@ -141,6 +142,17 @@ type RegisterRequest struct {
 	// Capacity is how many shards the worker executes concurrently
 	// (<= 0 selects 1); the server leases it at most this many tasks.
 	Capacity int `json:"capacity,omitempty"`
+	// GOARCH and GoVersion name the worker's build (runtime.GOARCH and
+	// runtime.Version()). The server admits only its own: Config.Digest
+	// pins what a shard computes, these pin how its floating point rounds.
+	GOARCH    string `json:"goarch"`
+	GoVersion string `json:"go_version"`
+}
+
+// NewRegisterRequest returns the registration of a worker running this
+// build.
+func NewRegisterRequest(name string, capacity int) RegisterRequest {
+	return RegisterRequest{Name: name, Capacity: capacity, GOARCH: runtime.GOARCH, GoVersion: runtime.Version()}
 }
 
 // RegisterResponse acknowledges a registration.

@@ -85,8 +85,8 @@ func (d *Device) SetTemperature(tempC float64) { d.tempC = tempC }
 // Temperature returns the ambient temperature in °C.
 func (d *Device) Temperature() float64 { return d.tempC }
 
-// SetTrial selects the variable-retention-time trial index; the retention
-// profiler sweeps this to find each cell's minimum retention time.
+// SetTrial selects the variable-retention-time trial index; the
+// time-to-first-bitflip search sweeps this across its repeats.
 func (d *Device) SetTrial(trial int) { d.trial = trial }
 
 func (d *Device) bank(bank int) (*Bank, error) {

@@ -1,9 +1,8 @@
 // Package ecc implements the error-correcting codes the paper evaluates
 // against ColumnDisturb (§5.6): single-error-correcting Hamming codes —
-// including the (7,4) code, the (136,128) on-die ECC shape used by DDR5
-// devices, and the (72,64) SECDED rank-level code — plus the miscorrection
-// analysis showing that a SEC code handed a double error usually
-// *adds* a third bitflip (Obs 27).
+// including the (7,4) code and the (136,128) on-die ECC shape used by DDR5
+// devices — plus the miscorrection analysis showing that a SEC code handed
+// a double error usually *adds* a third bitflip (Obs 27).
 //
 // The construction is the classic positional Hamming code: codeword bits
 // occupy positions 1..N, parity bits sit at the power-of-two positions, and
@@ -31,7 +30,7 @@ const (
 	// StatusCorrected means the decoder flipped one position.
 	StatusCorrected
 	// StatusDetected means the error is detected but not correctable
-	// (invalid syndrome, or SECDED double-error signature).
+	// (a syndrome pointing past the end of a shortened code).
 	StatusDetected
 )
 
@@ -57,8 +56,7 @@ type SEC struct {
 }
 
 // NewSEC builds the shortest Hamming SEC code carrying dataBits data bits.
-// NewSEC(4) is the (7,4) code; NewSEC(128) the (136,128) on-die ECC shape;
-// NewSEC(64) the (71,64) core of the SECDED code.
+// NewSEC(4) is the (7,4) code; NewSEC(128) the (136,128) on-die ECC shape.
 func NewSEC(dataBits int) (*SEC, error) {
 	if dataBits < 1 {
 		return nil, fmt.Errorf("ecc: need at least one data bit")
@@ -157,85 +155,6 @@ func (c *SEC) decodeInto(data, cw []byte) DecodeResult {
 		data[i] = cw[pos-1] & 1
 	}
 	return res
-}
-
-// SECDED is a single-error-correcting, double-error-detecting extended
-// Hamming code: a SEC core plus an overall parity bit appended at the end
-// (position N+1 of the codeword slice).
-type SECDED struct {
-	Core *SEC
-}
-
-// NewSECDED builds the extended code; NewSECDED(64) is the classic (72,64)
-// rank-level DRAM ECC.
-func NewSECDED(dataBits int) (*SECDED, error) {
-	core, err := NewSEC(dataBits)
-	if err != nil {
-		return nil, err
-	}
-	return &SECDED{Core: core}, nil
-}
-
-// N returns the total codeword length including the overall parity bit.
-func (c *SECDED) N() int { return c.Core.N + 1 }
-
-// K returns the data width.
-func (c *SECDED) K() int { return c.Core.K }
-
-// Encode produces the extended codeword.
-func (c *SECDED) Encode(data []byte) ([]byte, error) {
-	cw, err := c.Core.Encode(data)
-	if err != nil {
-		return nil, err
-	}
-	cw = append(cw, overallParity(cw))
-	return cw, nil
-}
-
-func overallParity(bitsIn []byte) byte {
-	var p byte
-	for _, b := range bitsIn {
-		p ^= b & 1
-	}
-	return p
-}
-
-// Decode implements the SECDED decision table: syndrome + overall parity
-// distinguish single (correctable) from double (detected) errors.
-func (c *SECDED) Decode(cw []byte) ([]byte, DecodeResult, error) {
-	if len(cw) != c.N() {
-		return nil, DecodeResult{}, fmt.Errorf("ecc: codeword length %d, want %d", len(cw), c.N())
-	}
-	core := cw[:c.Core.N]
-	syn := c.Core.syndrome(core)
-	parityErr := overallParity(cw) == 1
-	res := DecodeResult{}
-	switch {
-	case syn == 0 && !parityErr:
-		// clean
-	case syn == 0 && parityErr:
-		// The overall parity bit itself flipped.
-		cw[c.Core.N] ^= 1
-		res.Status = StatusCorrected
-		res.FlippedPos = c.Core.N + 1
-	case syn != 0 && parityErr:
-		// Single error in the core.
-		if syn > c.Core.N {
-			res.Status = StatusDetected
-		} else {
-			core[syn-1] ^= 1
-			res.Status = StatusCorrected
-			res.FlippedPos = syn
-		}
-	default: // syn != 0 && !parityErr
-		// Even number of errors: detected, not correctable.
-		res.Status = StatusDetected
-	}
-	data := make([]byte, c.Core.K)
-	for i, pos := range c.Core.dataPos {
-		data[i] = core[pos-1] & 1
-	}
-	return data, res, nil
 }
 
 // Overhead returns the storage overhead of a (n,k) code as parity/data —

@@ -10,7 +10,7 @@ import (
 func TestCodeShapes(t *testing.T) {
 	cases := []struct{ data, n int }{
 		{4, 7},     // (7,4)
-		{64, 71},   // (71,64), SECDED core
+		{64, 71},   // (71,64)
 		{128, 136}, // (136,128) on-die ECC
 	}
 	for _, c := range cases {
@@ -95,67 +95,6 @@ func TestEncodeValidatesLength(t *testing.T) {
 	}
 	if _, _, err := c.Decode(make([]byte, 3)); err == nil {
 		t.Fatal("wrong codeword length accepted")
-	}
-}
-
-func TestSECDEDRoundTripAndShapes(t *testing.T) {
-	c, err := NewSECDED(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.N() != 72 || c.K() != 64 {
-		t.Fatalf("SECDED(64) = (%d,%d), want (72,64)", c.N(), c.K())
-	}
-	r := rng.New(3)
-	data := randData(r, 64)
-	cw, err := c.Encode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, res, err := c.Decode(cw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusClean || !bytesEqual(got, data) {
-		t.Fatal("SECDED round trip failed")
-	}
-}
-
-func TestSECDEDSingleCorrectDoubleDetect(t *testing.T) {
-	c, _ := NewSECDED(64)
-	r := rng.New(4)
-	for trial := 0; trial < 200; trial++ {
-		data := randData(r, 64)
-		cw, _ := c.Encode(data)
-		i := r.Intn(c.N())
-		cw[i] ^= 1
-		got, res, err := c.Decode(cw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != StatusCorrected || !bytesEqual(got, data) {
-			t.Fatalf("single error not corrected (pos %d): %v", i, res.Status)
-		}
-	}
-	// Every double error must be detected, never miscorrected — the whole
-	// point of the extended parity bit.
-	for trial := 0; trial < 200; trial++ {
-		data := randData(r, 64)
-		cw, _ := c.Encode(data)
-		i := r.Intn(c.N())
-		j := r.Intn(c.N() - 1)
-		if j >= i {
-			j++
-		}
-		cw[i] ^= 1
-		cw[j] ^= 1
-		_, res, err := c.Decode(cw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != StatusDetected {
-			t.Fatalf("double error (%d,%d) decoded as %v", i, j, res.Status)
-		}
 	}
 }
 

@@ -35,10 +35,7 @@ func TestOnDieECCEndToEnd(t *testing.T) {
 		AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
 		DurationMs: 1500, TAggOnNs: 70200, TRPNs: 14,
 		Subarrays: []int{0, 1, 2},
-	}, &charz.Filter{
-		ExcludedRows: charz.GuardRows(g, []int{agg}, 4),
-		Cols:         g.Cols,
-	})
+	}, &charz.Filter{ExcludedRows: charz.GuardRows(g, []int{agg}, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,6 @@ type Config struct {
 	// (outstanding misses per core) in memsim-based experiments; 0 keeps
 	// the memsim default.
 	MLP int
-	// Trials for the cell-explicit retention filtering methodology.
-	RetentionTrials int
 	// MaxShardShare bounds one shard's share of its plan's total estimated
 	// cost: plan builders subdivide any shard whose summed atom costs would
 	// exceed MaxShardShare × the plan total (see split.go). 0 selects the default
@@ -67,7 +65,6 @@ func Small() Config {
 		MeasureInstr:       40_000,
 		CellRows:           128,
 		CellCols:           256,
-		RetentionTrials:    3,
 		Seed:               1,
 	}
 }
@@ -82,7 +79,6 @@ func Full() Config {
 		MeasureInstr:       100_000,
 		CellRows:           512,
 		CellCols:           512,
-		RetentionTrials:    10,
 		Seed:               1,
 	}
 }

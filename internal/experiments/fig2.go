@@ -71,7 +71,7 @@ func planFig2(cfg Config) (*Plan, error) {
 					AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
 					DurationMs: durationMs, TAggOnNs: tAggOnNs, TRPNs: 14,
 					Subarrays: subs,
-				}, &charz.Filter{Cols: g.Cols})
+				}, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -89,7 +89,7 @@ func planFig2(cfg Config) (*Plan, error) {
 			flips, err := charz.RunDisturb(h, charz.DisturbConfig{
 				Bank: 0, Mode: charz.ModeIdle, VictimPattern: dram.PatFF,
 				DurationMs: durationMs, Subarrays: subs,
-			}, &charz.Filter{Cols: g.Cols})
+			}, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -69,10 +69,7 @@ func planFig21(cfg Config) (*Plan, error) {
 						AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
 						DurationMs: iv, TAggOnNs: 70_200, TRPNs: 14,
 						Subarrays: []int{0, 1, 2},
-					}, &charz.Filter{
-						ExcludedRows: charz.GuardRows(g, []int{agg}, 4),
-						Cols:         g.Cols,
-					})
+					}, &charz.Filter{ExcludedRows: charz.GuardRows(g, []int{agg}, 4)})
 					if err != nil {
 						return nil, err
 					}

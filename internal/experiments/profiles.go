@@ -140,8 +140,6 @@ var overrideFields = []overrideField{
 		intSetter(8, func(c *Config, v int) { c.CellRows = v })},
 	{"cell-cols", "columns in the cell-explicit experiments",
 		intSetter(8, func(c *Config, v int) { c.CellCols = v })},
-	{"retention-trials", "trials for the retention filtering methodology",
-		intSetter(1, func(c *Config, v int) { c.RetentionTrials = v })},
 	{"max-shard-share", "max shard share of a plan's estimated cost, (0,1]; 1 disables splitting", func(c *Config, s string) error {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {

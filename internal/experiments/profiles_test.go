@@ -65,14 +65,13 @@ func TestApplyOverridesEveryKey(t *testing.T) {
 		"measure-instr":        "123456",
 		"cell-rows":            "64",
 		"cell-cols":            "96",
-		"retention-trials":     "2",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Config{
 		SubarraysPerModule: 7, TTFSamples: 11, Mixes: 5, MeasureInstr: 123456,
-		CellRows: 64, CellCols: 96, RetentionTrials: 2, Seed: 99,
+		CellRows: 64, CellCols: 96, Seed: 99,
 	}
 	if got != want {
 		t.Fatalf("ApplyOverrides = %+v, want %+v", got, want)

@@ -83,8 +83,8 @@ type Params struct {
 
 	// Variable retention time: in any given trial a cell is in a weak
 	// state with probability VRTProb, multiplying its λ_base by VRTFactor.
-	// The retention profiler repeats trials and keeps the minimum
-	// retention time, exactly like the paper's methodology (§3.2).
+	// The time-to-first-bitflip search repeats trials and keeps the
+	// minimum, like the paper's methodology (§3.2).
 	VRTProb   float64
 	VRTFactor float64
 

@@ -35,7 +35,7 @@ import (
 // internal/dispatch):
 //
 //	GET    /v1/workers                     list attached workers
-//	POST   /v1/workers                     register (RegisterRequest → RegisterResponse)
+//	POST   /v1/workers                     register (RegisterRequest → RegisterResponse; 409 on a GOARCH/Go mismatch)
 //	POST   /v1/workers/<id>/heartbeat      renew the liveness deadline
 //	DELETE /v1/workers/<id>                deregister, requeueing held leases
 //	POST   /v1/workers/<id>/lease          long-poll for a task (?wait_ms=N; 200 LeaseGrant or 204)
@@ -331,7 +331,11 @@ func (s *Service) handleWorkers(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		resp, err := d.Register(reg.Name, reg.Capacity)
+		resp, err := d.Register(reg)
+		if errors.Is(err, dispatch.ErrBuildMismatch) {
+			writeError(w, http.StatusConflict, "%v", err)
+			return
+		}
 		if err != nil {
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
 			return

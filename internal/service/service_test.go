@@ -675,7 +675,7 @@ func TestMissTaskSpecKeepsPlanIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := d.Register("tester", 1)
+	reg, err := d.Register(dispatch.NewRegisterRequest("tester", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -731,7 +731,7 @@ func TestWorkerConfigSkewReachesNoCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := d.Register("tester", 1)
+	reg, err := d.Register(dispatch.NewRegisterRequest("tester", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,30 +176,3 @@ func TestBinomialWithinRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPoissonMean(t *testing.T) {
-	r := New(41)
-	for _, lambda := range []float64{0.5, 5, 100} {
-		const reps = 5000
-		sum := 0.0
-		for i := 0; i < reps; i++ {
-			sum += float64(r.Poisson(lambda))
-		}
-		mean := sum / reps
-		if math.Abs(mean-lambda) > 5*math.Sqrt(lambda/reps)+0.05 {
-			t.Errorf("Poisson(%v) mean %v", lambda, mean)
-		}
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := New(43)
-	const reps = 50000
-	sum := 0.0
-	for i := 0; i < reps; i++ {
-		sum += r.Exponential(3)
-	}
-	if mean := sum / reps; math.Abs(mean-3) > 0.1 {
-		t.Fatalf("Exponential mean %v, want 3", mean)
-	}
-}

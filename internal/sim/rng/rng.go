@@ -9,8 +9,6 @@
 // hash (splitmix64 chain) for coordinate-addressed randomness.
 package rng
 
-import "math"
-
 // SplitMix64 advances and scrambles x with the splitmix64 finalizer. It is
 // used both as a seeding function and as the mixing step of Key.
 func SplitMix64(x uint64) uint64 {
@@ -129,23 +127,7 @@ func (r *Rand) Norm() float64 {
 	return InvPhi(r.OpenFloat64())
 }
 
-// LogNormal returns exp(mu + sigma*Z) with Z standard normal.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Norm())
-}
-
-// Exponential returns an exponential variate with the given mean.
-func (r *Rand) Exponential(mean float64) float64 {
-	return -mean * math.Log(r.OpenFloat64())
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Fork derives an independent child generator keyed by id. Forked streams
-// are decorrelated from the parent and from each other.
-func (r *Rand) Fork(id uint64) *Rand {
-	return New(Key(r.Uint64(), id))
 }

@@ -178,63 +178,3 @@ func TestNormMoments(t *testing.T) {
 		t.Fatalf("normal variance %v too far from 1", variance)
 	}
 }
-
-func TestLogNormalMedian(t *testing.T) {
-	r := New(17)
-	const n = 100001
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = r.LogNormal(2, 0.5)
-	}
-	// Median of lognormal(mu, sigma) is exp(mu).
-	med := quickSelectMedian(vals)
-	if math.Abs(math.Log(med)-2) > 0.05 {
-		t.Fatalf("lognormal median log %v too far from 2", math.Log(med))
-	}
-}
-
-func quickSelectMedian(v []float64) float64 {
-	// Simple selection via partial sort; n is small enough.
-	k := len(v) / 2
-	lo, hi := 0, len(v)-1
-	for lo < hi {
-		p := v[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for v[i] < p {
-				i++
-			}
-			for v[j] > p {
-				j--
-			}
-			if i <= j {
-				v[i], v[j] = v[j], v[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			break
-		}
-	}
-	return v[k]
-}
-
-func TestForkDecorrelated(t *testing.T) {
-	r := New(3)
-	a := r.Fork(1)
-	b := r.Fork(2)
-	same := 0
-	for i := 0; i < 64; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("forked streams correlated: %d identical values", same)
-	}
-}

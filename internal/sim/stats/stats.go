@@ -1,7 +1,6 @@
 // Package stats provides the small statistics toolkit used to summarize
 // experiment outputs: percentiles, five-number box summaries (the paper's
-// box-and-whiskers figures), violin-style density summaries, histograms and
-// a handful of aggregate helpers.
+// box-and-whiskers figures) and a handful of aggregate helpers.
 package stats
 
 import (
@@ -53,24 +52,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values are skipped (matching how speedup geomeans are
-// computed over valid workloads only).
-func GeoMean(xs []float64) float64 {
-	sum := 0.0
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
@@ -131,73 +112,6 @@ func BoxPlot(xs []float64) Box {
 	}
 }
 
-// Violin is a coarse density summary: the quantile curve sampled at evenly
-// spaced probabilities, which is sufficient to regenerate the violin plots
-// in the paper (the full sample is huge; the quantile sketch is compact).
-type Violin struct {
-	N         int
-	Quantiles []float64 // values at probabilities i/(len-1), i = 0..len-1
-}
-
-// ViolinSketch computes a quantile sketch with the given number of points
-// (at least 2).
-func ViolinSketch(xs []float64, points int) Violin {
-	if points < 2 {
-		points = 2
-	}
-	if len(xs) == 0 {
-		return Violin{Quantiles: make([]float64, points)}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	v := Violin{N: len(xs), Quantiles: make([]float64, points)}
-	for i := 0; i < points; i++ {
-		p := float64(i) / float64(points-1) * 100
-		v.Quantiles[i] = percentileSorted(sorted, p)
-	}
-	return v
-}
-
-// Histogram counts xs into nBins equal-width bins over [min, max]. Values
-// outside the range are clamped into the edge bins.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram of xs.
-func NewHistogram(xs []float64, min, max float64, nBins int) Histogram {
-	if nBins < 1 {
-		nBins = 1
-	}
-	h := Histogram{Min: min, Max: max, Counts: make([]int, nBins)}
-	if max <= min {
-		h.Counts[0] = len(xs)
-		return h
-	}
-	w := (max - min) / float64(nBins)
-	for _, x := range xs {
-		i := int((x - min) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nBins {
-			i = nBins - 1
-		}
-		h.Counts[i]++
-	}
-	return h
-}
-
-// Total returns the total count in the histogram.
-func (h Histogram) Total() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
 // Ratio returns a/b, or 0 if b == 0. Used for "X times more than Y" style
 // observation statistics where the denominator can legitimately be zero
 // (e.g. zero retention failures at short intervals).
@@ -206,21 +120,4 @@ func Ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// MinMax returns the extremes of xs; ok is false for an empty sample.
-func MinMax(xs []float64) (min, max float64, ok bool) {
-	if len(xs) == 0 {
-		return 0, 0, false
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max, true
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -29,22 +28,12 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestMeanAndGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) != 0")
 	}
 	if !almostEq(Mean([]float64{2, 4}), 3, 1e-12) {
 		t.Fatal("Mean wrong")
-	}
-	if !almostEq(GeoMean([]float64{1, 100}), 10, 1e-9) {
-		t.Fatal("GeoMean wrong")
-	}
-	// Non-positive values are skipped.
-	if !almostEq(GeoMean([]float64{0, 10, -3, 10}), 10, 1e-9) {
-		t.Fatal("GeoMean should skip non-positive values")
-	}
-	if GeoMean([]float64{0, -1}) != 0 {
-		t.Fatal("GeoMean of all non-positive should be 0")
 	}
 }
 
@@ -108,65 +97,12 @@ func TestBoxPlot(t *testing.T) {
 	}
 }
 
-func TestViolinSketchQuantilesSorted(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}
-	v := ViolinSketch(xs, 11)
-	if v.N != len(xs) || len(v.Quantiles) != 11 {
-		t.Fatalf("bad violin: %+v", v)
-	}
-	if !sort.Float64sAreSorted(v.Quantiles) {
-		t.Fatalf("violin quantiles not sorted: %v", v.Quantiles)
-	}
-	if v.Quantiles[0] != 1 || v.Quantiles[10] != 9 {
-		t.Fatalf("violin extremes wrong: %v", v.Quantiles)
-	}
-}
-
-func TestViolinSketchDegenerate(t *testing.T) {
-	v := ViolinSketch(nil, 0)
-	if len(v.Quantiles) != 2 {
-		t.Fatalf("expected clamped 2-point sketch, got %d", len(v.Quantiles))
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.5, 0.9, 1.5, -2}
-	h := NewHistogram(xs, 0, 1, 4)
-	if h.Total() != len(xs) {
-		t.Fatalf("histogram lost values: %d", h.Total())
-	}
-	// -2 clamps into bin 0; 1.5 clamps into bin 3.
-	if h.Counts[0] != 3 { // 0.1, 0.2, -2
-		t.Fatalf("bin 0 = %d, want 3 (%v)", h.Counts[0], h.Counts)
-	}
-	if h.Counts[3] != 2 { // 0.9, 1.5
-		t.Fatalf("bin 3 = %d, want 2 (%v)", h.Counts[3], h.Counts)
-	}
-}
-
-func TestHistogramDegenerateRange(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 3}, 5, 5, 3)
-	if h.Total() != 3 || h.Counts[0] != 3 {
-		t.Fatalf("degenerate range should dump all into bin 0: %+v", h)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(10, 2) != 5 {
 		t.Fatal("Ratio wrong")
 	}
 	if Ratio(10, 0) != 0 {
 		t.Fatal("Ratio by zero should be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max, ok := MinMax([]float64{3, -1, 7})
-	if !ok || min != -1 || max != 7 {
-		t.Fatalf("MinMax wrong: %v %v %v", min, max, ok)
-	}
-	if _, _, ok := MinMax(nil); ok {
-		t.Fatal("MinMax(nil) should not be ok")
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for every PR: build, vet, gofmt, race-enabled tests (the cdlab
-# end-to-end tests in cmd/cdlab included), WAL, survival-skip and
-# commit-skip fuzz passes, a compile-and-run pass over every benchmark (one iteration each)
-# and a perf-trajectory snapshot.
+# end-to-end tests in cmd/cdlab included), a run of every example, WAL,
+# survival-skip and commit-skip fuzz passes, a compile-and-run pass over
+# every benchmark (one iteration each) and a perf-trajectory snapshot.
 #
 # Usage: scripts/ci.sh [extra go-test flags...]
 set -euo pipefail
@@ -29,6 +29,13 @@ fi
 
 echo "== go test -race =="
 go test -race "$@" ./...
+
+echo "== examples: build and run each program =="
+# A facade change that compiles can still fail at run time; every example
+# runs in well under a second.
+for ex in examples/*/; do
+    go run "./$ex" >/dev/null
+done
 
 echo "== repeated race: shard scheduling, remote clients and the cdlab processes =="
 # The shard loop, the dispatch queue, the service's flight lifecycle and
