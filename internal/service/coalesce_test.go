@@ -3,54 +3,11 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"columndisturb/internal/experiments"
 )
-
-// registerCountingExperiment is registerBlockingExperiment plus an
-// execution counter, so single-flight tests can assert how many times
-// each shard actually computed.
-func registerCountingExperiment(id string, shards int, execs *atomic.Int64, started chan<- string, release <-chan struct{}) {
-	registerSynthetic(experiments.Experiment{
-		ID:    id,
-		Paper: "test",
-		Title: "synthetic counting sweep",
-		Plan: func(cfg experiments.Config) (*experiments.Plan, error) {
-			plan := &experiments.Plan{}
-			for i := 0; i < shards; i++ {
-				label := fmt.Sprintf("%s shard %d", id, i)
-				plan.Shards = append(plan.Shards, experiments.Shard{
-					Label: label,
-					Run: func(ctx context.Context) (any, error) {
-						execs.Add(1)
-						select {
-						case started <- label:
-						default:
-						}
-						select {
-						case <-release:
-							return "ok", nil
-						case <-ctx.Done():
-							return nil, ctx.Err()
-						}
-					},
-				})
-			}
-			plan.Merge = func(parts []any) (*experiments.Result, error) {
-				res := &experiments.Result{ID: id, Title: "counting"}
-				for range parts {
-					res.AddRow("ok")
-				}
-				return res, nil
-			}
-			return plan, nil
-		},
-	})
-}
 
 // TestCoalescingSingleFlight is the single-flight acceptance scenario:
 // three concurrent identical submissions share ONE computation — each

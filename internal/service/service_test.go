@@ -248,6 +248,13 @@ func registerSynthetic(e experiments.Experiment) {
 // shards block until released (or their context is cancelled), giving the
 // cancellation tests a controllable mid-sweep state.
 func registerBlockingExperiment(id string, shards int, started chan<- string, release <-chan struct{}) {
+	registerCountingExperiment(id, shards, new(atomic.Int64), started, release)
+}
+
+// registerCountingExperiment is registerBlockingExperiment plus an
+// execution counter, so a test can assert how many times each shard
+// actually computed.
+func registerCountingExperiment(id string, shards int, execs *atomic.Int64, started chan<- string, release <-chan struct{}) {
 	registerSynthetic(experiments.Experiment{
 		ID:    id,
 		Paper: "test",
@@ -259,6 +266,7 @@ func registerBlockingExperiment(id string, shards int, started chan<- string, re
 				plan.Shards = append(plan.Shards, experiments.Shard{
 					Label: label,
 					Run: func(ctx context.Context) (any, error) {
+						execs.Add(1)
 						select {
 						case started <- label:
 						default:
@@ -404,6 +412,72 @@ func TestMaxActiveJobsSerializes(t *testing.T) {
 	}
 	if _, err := second.Wait(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCancelWhileQueued: a job cancelled while it waits for the scheduler
+// settles at once with a two-event stream and never runs a shard, even
+// after the scheduler later pops it; the slot holder still finishes and
+// the scheduler keeps serving new jobs.
+func TestCancelWhileQueued(t *testing.T) {
+	started := make(chan string, 8)
+	release := make(chan struct{})
+	registerBlockingExperiment("svc-queued-hold", 1, started, release)
+	var execs atomic.Int64
+	registerCountingExperiment("svc-queued-victim", 2, &execs, make(chan string, 4), release)
+
+	svc := New(Options{Workers: 2, MaxActiveJobs: 1})
+	defer svc.Close()
+
+	first, err := svc.Submit(JobSpec{Experiment: "svc-queued-hold"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	second, err := svc.Submit(JobSpec{Experiment: "svc-queued-victim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := second.State(); st != JobQueued {
+		t.Fatalf("second job %s while first holds the scheduler slot", st)
+	}
+	second.Cancel()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := second.Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued job cancelled, Wait = %v, want context.Canceled", err)
+	}
+	if st := first.State(); st != JobRunning {
+		t.Fatalf("first job %s before its release", st)
+	}
+	checkQueuedCancel := func() {
+		t.Helper()
+		hist := second.EventHistory()
+		if len(hist) != 2 || hist[0].Type != EventJobQueued || hist[1].Type != EventJobFailed ||
+			hist[0].Seq != 0 || hist[1].Seq != 1 || hist[1].ElapsedMs <= 0 {
+			t.Fatalf("queued-cancel stream %+v, want job_queued then job_failed (seq 0, 1, elapsed > 0)", hist)
+		}
+	}
+	checkQueuedCancel()
+
+	close(release)
+	if _, err := first.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	checkEventStream(t, first.EventHistory(), 1, false)
+	// The scheduler pops the cancelled job before the third (first in,
+	// first out), so once the third settles the second was dequeued too.
+	third, err := svc.Submit(JobSpec{Experiment: "svc-queued-victim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := third.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	checkEventStream(t, third.EventHistory(), 2, false)
+	checkQueuedCancel()
+	if got := execs.Load(); got != 2 {
+		t.Fatalf("victim shards executed %d times, want 2 (the third job's only)", got)
 	}
 }
 
