@@ -63,9 +63,9 @@
 //
 // Exit status: 0 on success, 1 when any experiment fails (a multi-ID
 // sweep keeps going and reports every failure), 2 on usage errors —
-// including any unknown experiment ID or override key, or an operand
-// serve, worker or workers does not take, all rejected before any work
-// starts.
+// including any unknown or repeated experiment ID, an unknown override
+// key, or an operand serve, worker or workers does not take, all rejected
+// before any work starts.
 package main
 
 import (
@@ -274,12 +274,19 @@ func runExperiments(args []string) int {
 		return 2
 	}
 
-	// `all` expands to the catalog and cannot be mixed with explicit IDs.
+	// `all` expands to the catalog and cannot be mixed with explicit IDs;
+	// an explicit ID names one report, so it may appear only once.
+	seen := make(map[string]bool, len(ids))
 	for _, id := range ids {
 		if id == "all" && len(ids) > 1 {
 			fmt.Fprintln(os.Stderr, "cdlab: `all` cannot be combined with explicit experiment IDs")
 			return 2
 		}
+		if seen[id] {
+			fmt.Fprintf(os.Stderr, "cdlab: experiment %s named more than once\n", id)
+			return 2
+		}
+		seen[id] = true
 	}
 
 	// Build the runner: local dispatcher execution, or the /v1 client.

@@ -12,6 +12,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"run", "table1", "-set", "retention-trials=3"},
 		{"run", "fig6", "-full"},
 		{"run", "all", "fig6"},
+		{"run", "fig6", "fig6"},
+		{"run", "fig6", "table1", "fig6", "-remote", "127.0.0.1:1"},
 		{"run", "fig6", "-remote", "127.0.0.1:1", "-cache-dir", t.TempDir()},
 		{"serve", "-j", "0"},
 		{"worker", "-connect", "127.0.0.1:1", "-j", "0"},

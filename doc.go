@@ -68,12 +68,12 @@
 // the journal — interrupted jobs requeue under their original IDs, done
 // jobs re-render cache-hot, and reconnecting clients resume event
 // streams and reports byte-identically across the crash. SIGTERM drains
-// gracefully and records a clean shutdown. Identical concurrent
-// submissions (same experiment and config digest, without NoCache)
-// coalesce into one single-flight computation with independent event
-// streams and reports per submission, and `-auth-token` gates mutating
-// /v1 verbs behind a bearer token while reads and metrics stay open.
+// gracefully and records a clean shutdown. Each submission is one job
+// and one computation: identical jobs share work only through the shard
+// cache. `-auth-token` gates mutating /v1 verbs behind a bearer token
+// while reads and metrics stay open.
 //
-// Everything is deterministic for a fixed seed and runs on a laptop; see
-// EXPERIMENTS.md for measured-vs-paper results of every artifact.
+// Everything is deterministic for a fixed seed and runs on a laptop. Each
+// report prints its measured values next to the paper's in `(paper: …)`
+// notes, and DESIGN.md §5 lists the gaps of the calibrated constants.
 package columndisturb

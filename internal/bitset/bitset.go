@@ -5,8 +5,6 @@
 // chasing.
 package bitset
 
-import "math/bits"
-
 // Set is a dense bit set. The zero value and the nil pointer are both
 // empty, usable sets (membership tests only; Add requires a non-nil Set).
 type Set struct {
@@ -68,18 +66,4 @@ func (s *Set) Len() int {
 		return 0
 	}
 	return s.n
-}
-
-// ForEach calls fn for every member in ascending order.
-func (s *Set) ForEach(fn func(i int)) {
-	if s == nil {
-		return
-	}
-	for w, word := range s.words {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			fn(w<<6 | b)
-		}
-	}
 }

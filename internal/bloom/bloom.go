@@ -78,14 +78,6 @@ func (f *Filter) Test(key uint64) bool {
 	return hit
 }
 
-// Reset clears the filter.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.count = 0
-}
-
 // FalsePositiveRate empirically measures the false positive rate with
 // `probes` keys drawn from a disjoint key space.
 func (f *Filter) FalsePositiveRate(probes int, r *rng.Rand) float64 {

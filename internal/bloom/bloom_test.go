@@ -103,18 +103,6 @@ func TestFPRGrowsWithLoad(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	f, _ := New(8192, 6)
-	f.Add(42)
-	if !f.Test(42) {
-		t.Fatal("add failed")
-	}
-	f.Reset()
-	if f.Test(42) || f.Count() != 0 {
-		t.Fatal("reset incomplete")
-	}
-}
-
 func TestFalsePositiveRateEdge(t *testing.T) {
 	f, _ := New(8192, 6)
 	if f.FalsePositiveRate(0, rng.New(1)) != 0 {

@@ -23,8 +23,6 @@ type epoch struct {
 	rho          [4]float64
 }
 
-func (e *epoch) durNs() float64 { return e.toNs - e.fromNs }
-
 // Bank models one DRAM bank: row storage, open-row state, per-row restore
 // times, accumulated neighbour aggression (RowHammer/RowPress), and the
 // bitline exposure history used to evaluate ColumnDisturb at read time.

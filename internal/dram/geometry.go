@@ -63,10 +63,6 @@ func (g Geometry) SubarrayBase(sub int) int { return sub * g.RowsPerSubarray }
 // SameSubarray reports whether two bank-level rows share a subarray.
 func (g Geometry) SameSubarray(a, b int) bool { return g.SubarrayOf(a) == g.SubarrayOf(b) }
 
-// ChipOf returns the chip that owns column col (columns stripe across chips
-// in contiguous blocks).
-func (g Geometry) ChipOf(col int) int { return col / (g.Cols / g.Chips) }
-
 // SharedAggressorColumn implements the open-bitline column sharing of §2.1:
 // two neighbouring subarrays share half of their bitlines through the sense
 // amplifier stripe between them. By convention the even bitlines of

@@ -43,9 +43,6 @@ func TestGeometryHelpers(t *testing.T) {
 	if !g.SameSubarray(16, 31) || g.SameSubarray(15, 16) {
 		t.Fatal("SameSubarray wrong")
 	}
-	if g.ChipOf(0) != 0 || g.ChipOf(64) != 1 {
-		t.Fatal("chip striping wrong")
-	}
 }
 
 func TestSharedAggressorColumnParity(t *testing.T) {

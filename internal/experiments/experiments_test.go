@@ -96,7 +96,8 @@ func TestResultRendering(t *testing.T) {
 }
 
 // Observation-level regression checks: the headline shapes the reproduction
-// must preserve (loose bands — the exact factors live in EXPERIMENTS.md).
+// must preserve (loose bands — each report's `(paper: …)` notes and
+// DESIGN.md §5 give the exact factors).
 func TestHeadlineShapes(t *testing.T) {
 	cfg := Small()
 

@@ -12,8 +12,7 @@ type EventType string
 const (
 	// EventJobQueued is emitted once when Submit accepts the job.
 	EventJobQueued EventType = "job_queued"
-	// EventJobStarted is emitted when the scheduler starts the job's
-	// flight.
+	// EventJobStarted is emitted when the scheduler starts the job.
 	EventJobStarted EventType = "job_started"
 	// EventShardDone is emitted after each shard completes, with Done/Total
 	// progress and whether the shard was served from the result cache.

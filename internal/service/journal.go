@@ -76,7 +76,7 @@ type RecoveredJob struct {
 	// a resumed client's merged stream stays consistent (no shard can
 	// appear to outlast its job).
 	At time.Time
-	// State is "" for a job interrupted mid-flight, or the terminal state
+	// State is "" for a job interrupted before it settled, or the terminal state
 	// the journal recorded. Done jobs are resurrected (their reports may
 	// not have been fetched); failed/canceled ones are not.
 	State JobState

@@ -373,7 +373,7 @@ func TestJournalSubmitFailureRejectsJob(t *testing.T) {
 // TestRecoveredBoostFlagsBackendQueue: interrupted work re-enters the
 // engine queue boosted after a crash but not after a clean suspend — the
 // observable difference is just that both complete; the flag plumbing is
-// asserted on the flight.
+// asserted on the job.
 func TestRecoveredBoostFlagsBackendQueue(t *testing.T) {
 	const shards = 2
 	started := make(chan string, shards)
@@ -397,8 +397,8 @@ func TestRecoveredBoostFlagsBackendQueue(t *testing.T) {
 	if !ok {
 		t.Fatal("job not recovered")
 	}
-	if !j.f.recovered {
-		t.Fatal("crash-recovered flight not marked recovered")
+	if !j.recovered {
+		t.Fatal("crash-recovered job not marked recovered")
 	}
 	for i := 0; i < shards; i++ {
 		release <- struct{}{}
@@ -409,7 +409,7 @@ func TestRecoveredBoostFlagsBackendQueue(t *testing.T) {
 }
 
 // TestWALMetricsExported: a journal- and cache-backed service exports the
-// WAL, recovery, coalescing and cache families through its registry.
+// WAL, recovery and cache families through its registry.
 func TestWALMetricsExported(t *testing.T) {
 	dir := t.TempDir()
 	svc, rec := openRecoverable(t, dir, 1)
@@ -427,7 +427,7 @@ func TestWALMetricsExported(t *testing.T) {
 	for _, family := range []string{
 		"cdlab_wal_records_total", "cdlab_wal_bytes_total",
 		"cdlab_wal_syncs_total", "cdlab_wal_segments",
-		"cdlab_jobs_recovered_total", "cdlab_jobs_coalesced_total",
+		"cdlab_jobs_recovered_total",
 		"cdlab_cache_hits_total", "cdlab_cache_mem_bytes",
 	} {
 		if !containsMetric(out, family) {

@@ -146,8 +146,7 @@ func TestSubmitTraceID(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || st.TraceID != "client-correlation-1" {
 		t.Fatalf("supplied trace ID not honored: %s, %+v", resp.Status, st)
 	}
-	// A different experiment, so the second job cannot coalesce into the
-	// first flight and inherit its trace ID (the follower contract).
+	// A job submitted without a trace ID gets a freshly minted one.
 	resp2, st2 := submit(`{"experiment":"sec61"}`)
 	if resp2.StatusCode != http.StatusAccepted || st2.TraceID == "" || st2.TraceID == st.TraceID {
 		t.Fatalf("minted trace ID missing or colliding: %+v vs %+v", st2, st)

@@ -1,23 +1,20 @@
 // Package service is the experiment service subsystem (DESIGN.md §8): a
 // job queue and cross-experiment scheduler that executes any number of
 // concurrently submitted experiments on ONE shared shard backend (the
-// dispatcher, internal/dispatch), with
-// shard-level result caching, a typed JSONL event stream per job,
-// single-flight coalescing of identical submissions, and (with a Journal)
-// WAL-backed crash recovery.
+// dispatcher, internal/dispatch), with shard-level result caching, a typed
+// JSONL event stream per job, and (with a Journal) WAL-backed crash
+// recovery.
 //
 // The layering:
 //
 //   - Submit validates a JobSpec, journals it durably (when a Journal is
-//     configured) and enqueues it. Identical live submissions coalesce: a
-//     job whose (experiment, config digest) matches an in-flight one
-//     attaches to that flight as a follower — one computation, N
-//     independent event streams and reports (DESIGN.md §14).
-//   - A flight is the unit of execution. The scheduler starts queued
-//     flights (optionally bounded by MaxActiveJobs); a started flight
-//     feeds its shards into the shared dispatcher, where they interleave
-//     with every other in-flight flight's shards on local executors or
-//     remote workers.
+//     configured) and enqueues it. A job owns its computation: two
+//     identical jobs share work only through the result cache (DESIGN.md
+//     §14).
+//   - The scheduler starts queued jobs (optionally bounded by
+//     MaxActiveJobs); a started job feeds its shards into the shared
+//     dispatcher, where they interleave with every other running job's
+//     shards on local executors or remote workers.
 //   - Before anything is scheduled, the service looks every shard up in
 //     the result cache under (experiment ID, config digest, shard label).
 //     A hit decodes the stored bytes and becomes its part directly; only
@@ -28,14 +25,13 @@
 //     also why crash recovery can simply re-run journaled jobs: their
 //     settled shards are cache hits, and the re-merged report is
 //     byte-identical by construction.
-//   - Every state transition is emitted on each member job's event stream
+//   - Every state transition is emitted on the job's event stream
 //     (Event), consumable live (Job.Events replays history then follows)
 //     and serialized as JSON lines by the front-ends: `cdlab run -json`
 //     and `cdlab serve`'s per-job HTTP stream.
 //
-// Cancellation flows through membership: cancelling a job detaches it
-// from its flight and settles just that stream with context.Canceled; the
-// computation stops only when its last member leaves.
+// Cancelling a job, queued or running, stops its computation and settles
+// its stream with context.Canceled.
 package service
 
 import (
@@ -66,11 +62,10 @@ type Options struct {
 	// Dispatcher is nil (<= 0 selects GOMAXPROCS). Ignored when Dispatcher
 	// is set (the dispatcher's own options size its local executors).
 	Workers int
-	// MaxActiveJobs bounds how many flights run concurrently (0 =
+	// MaxActiveJobs bounds how many jobs run concurrently (0 =
 	// unlimited). Shard-level parallelism is always bounded by Workers;
-	// this knob only serializes whole computations, e.g. to keep per-job
-	// latency predictable. Coalesced followers ride their flight and do
-	// not consume a slot.
+	// this knob only serializes whole jobs, e.g. to keep per-job latency
+	// predictable.
 	MaxActiveJobs int
 	// Dispatcher is the shard backend: shards run on its local executors or
 	// on remote workers leased over the /v1 worker API, which Handler
@@ -117,14 +112,6 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// coalesceKey identifies a computation for single-flight purposes: two
-// submissions with equal keys would run identical shard sets to identical
-// results, so one flight serves both.
-type coalesceKey struct {
-	experiment string
-	digest     string
-}
-
 // Service owns the shard backend (the dispatcher), the job table and the
 // scheduler.
 type Service struct {
@@ -139,7 +126,6 @@ type Service struct {
 	mJobMs     *obs.Histogram  // job wall time
 	mShardMs   *obs.Histogram  // computed shard wall time
 	mShards    *obs.CounterVec // finished shards by source (local/remote/cache)
-	mCoalesced *obs.Counter    // submissions attached to a live identical flight
 	mRecovered *obs.Counter    // jobs reconstructed from the journal at startup
 
 	baseCtx    context.Context
@@ -150,16 +136,15 @@ type Service struct {
 	// settled, so the next open recovers and re-runs them.
 	draining atomic.Bool
 
-	mu       sync.Mutex
-	seq      int
-	jobs     map[string]*Job
-	order    []string // job IDs in submission order
-	settled  []string // settled job IDs in settle order (retention ring)
-	queue    []*flight
-	inflight map[coalesceKey]*flight // live (queued or running) coalescible flights
-	active   int
-	closed   bool
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	seq     int
+	jobs    map[string]*Job
+	order   []string // job IDs in submission order
+	settled []string // settled job IDs in settle order (retention ring)
+	queue   []*Job
+	active  int
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 // New starts a service. Callers must release it with Close (or Shutdown,
@@ -188,7 +173,6 @@ func New(opts Options) *Service {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
-		inflight:   make(map[coalesceKey]*flight),
 	}
 	s.registerMetrics(reg)
 	return s
@@ -206,18 +190,16 @@ func (s *Service) registerMetrics(reg *obs.Registry) {
 		"Computed shard wall time (cache hits excluded), in milliseconds.", nil)
 	s.mShards = reg.CounterVec("cdlab_shards_total",
 		"Finished shards by execution source.", "source")
-	s.mCoalesced = reg.Counter("cdlab_jobs_coalesced_total",
-		"Submissions that attached to a live identical flight (single-flight coalescing) instead of recomputing.")
 	s.mRecovered = reg.Counter("cdlab_jobs_recovered_total",
 		"Jobs reconstructed from the WAL journal at startup (interrupted re-runs plus resurrected reports).")
 	reg.GaugeFunc("cdlab_jobs_active",
-		"Flights currently running (coalesced member jobs share one flight).", func() float64 {
+		"Jobs currently running.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(s.active)
 		})
 	reg.GaugeFunc("cdlab_jobs_pending",
-		"Flights queued behind the scheduler's MaxActiveJobs bound.", func() float64 {
+		"Jobs queued behind the scheduler's MaxActiveJobs bound.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(len(s.queue))
@@ -294,11 +276,11 @@ func (s *Service) CacheStats() cache.Stats {
 // not resurrect them — and a clean-shutdown record closes the log.
 func (s *Service) Close() { s.shutdown(false) }
 
-// Shutdown is Close for a serve process that intends to resume: in-flight
-// jobs are interrupted and their streams settled with context.Canceled,
-// but the journal records NO settle for them — so the next OpenJournal
-// recovers and re-runs them under their original IDs, and reconnecting
-// clients resume their streams across the restart. The WAL is fsynced and
+// Shutdown is Close for a serve process that intends to resume: queued
+// and running jobs are interrupted and their streams settled with
+// context.Canceled, but the journal records NO settle for them — so the
+// next OpenJournal recovers and re-runs them under their original IDs, and
+// reconnecting clients resume their streams across the restart. The WAL is fsynced and
 // a clean-shutdown record written, telling the next replay that nothing
 // crashed mid-write. Without a journal, Shutdown is Close.
 func (s *Service) Shutdown() { s.shutdown(true) }
@@ -336,14 +318,12 @@ type JobSpec struct {
 	// profile (experiments.ApplyOverrides keys, e.g. "seed", "mixes").
 	Overrides map[string]string `json:"overrides,omitempty"`
 	// NoCache bypasses the shard-result cache for this job: nothing is
-	// read from or written to the store. A NoCache job also never
-	// coalesces — it demanded its own fresh computation.
+	// read from or written to the store.
 	NoCache bool `json:"no_cache,omitempty"`
 	// TraceID, when set, names the job's observability trace (a client
 	// propagating its own correlation ID); empty lets the service mint one.
 	// Trace IDs are a pure side channel: they never enter the config digest,
 	// cache keys or report bytes, so they cannot perturb byte-identity.
-	// A coalesced follower adopts its flight's trace.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -404,130 +384,90 @@ func (st JobState) terminal() bool {
 	return st == JobDone || st == JobFailed || st == JobCanceled
 }
 
-// flightRecord is one canonical emission of a flight: the event template
-// every member stream receives, restamped per member (Job, Seq, Done).
-type flightRecord struct {
-	ev      Event
-	state   JobState  // "" keeps the member's state
-	started time.Time // member start anchor, set on the job_started record
-}
-
-// flight is one computation: the shard run every member job shares.
-// Members join at Submit (creator) or by coalescing (followers attaching
-// to a live flight with the same coalesceKey); each keeps an independent,
-// complete event stream — a follower replays the flight's history on
-// attach, so every stream starts at Seq 0 regardless of join time.
-type flight struct {
-	svc       *Service
-	creator   string // first member's job ID: names the trace and journal shard records
+// Job is one submitted experiment run and the computation behind it: its
+// own context, trace, event stream and report.
+type Job struct {
+	id        string
 	spec      JobSpec
-	cfg       experiments.Config
-	digest    string
-	key       coalesceKey
-	coalesce  bool // participates in s.inflight (NoCache jobs do not)
-	recovered bool // crash-recovered: shards enter the dispatch queue boosted
-	anchor    time.Time
+	profile   string             // resolved profile name ("small" when the spec left it empty)
+	cfg       experiments.Config // resolved at Submit; the runner never re-resolves
+	digest    string             // cfg.Digest(): keys the job's cache entries and worker tasks
+	submitted time.Time          // the job's clock starts here; see Elapsed
+	recovered bool               // crash-recovered: shards enter the dispatch queue boosted
+	svc       *Service
 	ctx       context.Context
 	cancel    context.CancelFunc
 	trace     *obs.Trace
+	done      chan struct{}
 
-	// emitMu serializes whole emissions (history append + per-member fan
-	// out + OnEvent callbacks) and guards the fields below; each member's
-	// mu is taken inside it, never the reverse, and s.mu is never held
-	// while acquiring it.
-	emitMu  sync.Mutex
-	members []*Job
-	history []flightRecord
-	state   JobState
-	started time.Time
-	settled bool
+	// emitMu serializes whole emissions (stamp, append, OnEvent callback),
+	// so OnEvent sees the job's events in Seq order. mu is taken inside
+	// it, never the reverse.
+	emitMu sync.Mutex
+
+	mu        sync.Mutex
+	state     JobState
+	events    []Event
+	notify    chan struct{} // closed and replaced on every append
+	result    *experiments.Result
+	err       error
+	elapsed   time.Duration
+	shards    int // total shards, known once running
+	completed int
+	hits      int // cache hits (0 when caching disabled)
+	misses    int
 }
 
-// newFlight builds a flight around its creating job. The caller
-// registers it with the scheduler.
-func (s *Service) newFlight(j *Job, recovered bool) *flight {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	f := &flight{
-		svc:       s,
-		creator:   j.id,
-		spec:      j.spec,
-		cfg:       j.cfg,
-		digest:    j.cfg.Digest(),
-		coalesce:  !j.spec.NoCache,
-		recovered: recovered,
-		anchor:    j.submitted,
-		ctx:       ctx,
-		cancel:    cancel,
-		trace:     obs.NewTrace(j.spec.TraceID, j.id, j.spec.Experiment),
-		state:     JobQueued,
-	}
-	f.key = coalesceKey{experiment: j.spec.Experiment, digest: f.digest}
-	return f
-}
-
-// attach adds a member to a live flight, replaying the flight's history
-// into the member's stream so it is complete from Seq 0. Returns false if
-// the flight already settled or was cancelled — the caller must start a
-// fresh flight instead.
-func (f *flight) attach(j *Job) bool {
-	f.emitMu.Lock()
-	if f.settled || f.ctx.Err() != nil {
-		f.emitMu.Unlock()
+// emit stamps ev with the job's envelope and next Seq, appends it to the
+// stream and moves the job to state ("" keeps the current phase). settle,
+// when non-nil, runs under j.mu together with the append, so a terminal
+// event and the job's result land at once. Once the job has settled, emit
+// drops the event and reports false: a late completion can trail a
+// settled job (a presumed-lost remote worker replying after its shard was
+// requeued and the job cancelled), and the terminal event must end every
+// stream.
+func (j *Job) emit(ev Event, state JobState, settle func()) bool {
+	j.emitMu.Lock()
+	defer j.emitMu.Unlock()
+	j.mu.Lock()
+	if j.state.terminal() {
+		j.mu.Unlock()
 		return false
 	}
-	j.f = f
-	f.members = append(f.members, j)
-	var outs []Event
-	j.mu.Lock()
-	for _, rec := range f.history {
-		outs = append(outs, j.applyRecordLocked(rec))
-	}
-	j.mu.Unlock()
-	if cb := f.svc.opts.OnEvent; cb != nil {
-		for _, ev := range outs {
-			cb(ev)
+	ev.V = EventSchemaVersion
+	ev.Job = j.id
+	ev.Experiment = j.spec.Experiment
+	ev.Seq = len(j.events)
+	ev.Time = time.Now()
+	if ev.Type == EventShardDone {
+		j.completed++
+		if *ev.Cached {
+			j.hits++
+		} else {
+			j.misses++
 		}
+		ev.Done = j.completed
 	}
-	f.emitMu.Unlock()
+	if state != "" {
+		j.state = state
+	}
+	if settle != nil {
+		settle()
+	}
+	j.events = append(j.events, ev)
+	close(j.notify)
+	j.notify = make(chan struct{})
+	j.mu.Unlock()
+	if cb := j.svc.opts.OnEvent; cb != nil {
+		cb(ev)
+	}
 	return true
 }
 
-// emit appends one canonical record and fans it out to every member
-// stream. state "" keeps the flight's lifecycle phase.
-func (f *flight) emit(ev Event, state JobState, started time.Time) {
-	ev.V = EventSchemaVersion
-	ev.Experiment = f.spec.Experiment
-	ev.Time = time.Now()
-	rec := flightRecord{ev: ev, state: state, started: started}
-	f.emitMu.Lock()
-	if f.settled {
-		// A late completion can trail a settled flight (a presumed-lost
-		// remote worker replying after its shard was requeued and the job
-		// cancelled): drop it, preserving the invariant that the terminal
-		// event ends every stream.
-		f.emitMu.Unlock()
-		return
-	}
-	if state != "" {
-		f.state = state
-	}
-	f.history = append(f.history, rec)
-	cb := f.svc.opts.OnEvent
-	for _, j := range f.members {
-		j.mu.Lock()
-		out := j.applyRecordLocked(rec)
-		j.mu.Unlock()
-		if cb != nil {
-			cb(out)
-		}
-	}
-	f.emitMu.Unlock()
-}
-
-// shardDone records one finished shard: metrics and the journal once per
-// flight, then the event fan-out to every member.
-func (f *flight) shardDone(label string, total int, cached bool, worker string, elapsedMs float64) {
-	s := f.svc
+// shardDone records one finished shard in the metrics, the journal (when
+// computed) and the job's stream.
+func (j *Job) shardDone(label string, total int, cached bool, worker string, elapsedMs float64) {
+	s := j.svc
 	source := "local"
 	switch {
 	case cached:
@@ -540,20 +480,20 @@ func (f *flight) shardDone(label string, total int, cached bool, worker string, 
 		s.mShardMs.Observe(elapsedMs)
 		// Journal the cache key, not the result: the cache holds the bytes,
 		// the journal only needs to witness that they exist.
-		s.journal.shardSettled(f.creator, f.spec.Experiment, f.digest, label)
+		s.journal.shardSettled(j.id, j.spec.Experiment, j.digest, label)
 	}
 	s.log.Debug("shard done",
-		"job", f.creator, "shard", label, "source", source, "worker", worker, "elapsed_ms", elapsedMs)
-	c := cached
-	f.emit(Event{Type: EventShardDone, Shard: label, Total: total, Cached: &c, Worker: worker, ElapsedMs: elapsedMs}, "", time.Time{})
+		"job", j.id, "shard", label, "source", source, "worker", worker, "elapsed_ms", elapsedMs)
+	j.emit(Event{Type: EventShardDone, Shard: label, Total: total, Cached: &cached, Worker: worker, ElapsedMs: elapsedMs}, "", nil)
 }
 
-// finish settles the flight: one terminal record fans out to every member
-// stream, every member's result and done channel settle, and the
-// scheduler and coalesce table forget the flight.
-func (f *flight) finish(res *experiments.Result, err error) {
-	s := f.svc
-	f.cancel() // release the context either way
+// finish settles the job exactly once: it stops the computation, appends
+// the terminal event together with the result, and records the settle in
+// the metrics, the log and the journal before Wait returns. Calls after
+// the first do nothing.
+func (j *Job) finish(res *experiments.Result, err error) {
+	s := j.svc
+	j.cancel() // release the context either way
 
 	state := JobDone
 	evType := EventJobFinished
@@ -565,214 +505,42 @@ func (f *flight) finish(res *experiments.Result, err error) {
 	default:
 		state, evType, errText = JobFailed, EventJobFailed, err.Error()
 	}
-
-	f.emitMu.Lock()
-	if f.settled {
-		f.emitMu.Unlock()
-		return
-	}
-	elapsed := time.Since(f.started)
-	if f.started.IsZero() {
-		elapsed = 0
-	}
+	elapsed := time.Since(j.submitted)
 	elapsedMs := float64(elapsed) / float64(time.Millisecond)
 	if elapsedMs <= 0 {
 		elapsedMs = 0.001 // terminal events measure a positive wall time
 	}
-	ev := Event{Type: evType, ElapsedMs: elapsedMs, Error: errText}
-	ev.V = EventSchemaVersion
-	ev.Experiment = f.spec.Experiment
-	ev.Time = time.Now()
-	f.state = state
-	f.settled = true
-	rec := flightRecord{ev: ev, state: state}
-	f.history = append(f.history, rec)
-	members := append([]*Job(nil), f.members...)
-	cb := s.opts.OnEvent
-	for _, j := range members {
-		j.mu.Lock()
-		j.result, j.err = res, err
-		j.elapsed = elapsed
-		out := j.applyRecordLocked(rec)
-		j.mu.Unlock()
-		if cb != nil {
-			cb(out)
-		}
-	}
-	f.emitMu.Unlock()
-
-	s.removeFlight(f)
-	draining := s.draining.Load()
-	for _, j := range members {
-		s.mJobs.With(string(state)).Inc()
-		s.mJobMs.Observe(elapsedMs)
-		if err != nil {
-			s.log.Warn("job settled",
-				"job", j.id, "experiment", f.spec.Experiment, "state", state,
-				"elapsed_ms", elapsedMs, "error", err.Error())
-		} else {
-			s.log.Info("job settled",
-				"job", j.id, "experiment", f.spec.Experiment, "state", state,
-				"elapsed_ms", elapsedMs)
-		}
-		// A suspend shutdown interrupts jobs without journaling the settle:
-		// the WAL still shows them live, so the next open re-runs them.
-		if !(draining && state == JobCanceled) {
-			s.journal.settled(j.id, state, errText)
-		}
-		// done closes last: once Wait returns, the job already counts as
-		// settled for retention.
-		s.noteSettled(j.id)
-		close(j.done)
-	}
-}
-
-// removeFlight forgets a flight in the coalesce table (if it is still the
-// one registered under its key).
-func (s *Service) removeFlight(f *flight) {
-	if !f.coalesce {
+	settle := func() { j.result, j.err, j.elapsed = res, err, elapsed }
+	if !j.emit(Event{Type: evType, ElapsedMs: elapsedMs, Error: errText}, state, settle) {
 		return
 	}
-	s.mu.Lock()
-	if s.inflight[f.key] == f {
-		delete(s.inflight, f.key)
-	}
-	s.mu.Unlock()
-}
 
-// drop detaches one member from a live flight (Job.Cancel): the member's
-// stream settles with context.Canceled, the computation keeps running for
-// the remaining members, and the LAST member leaving cancels it.
-func (f *flight) drop(j *Job) {
-	s := f.svc
-	f.emitMu.Lock()
-	if f.settled {
-		f.emitMu.Unlock()
-		return
-	}
-	idx := -1
-	for i, m := range f.members {
-		if m == j {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		f.emitMu.Unlock()
-		return
-	}
-	f.members = append(f.members[:idx], f.members[idx+1:]...)
-	last := len(f.members) == 0
-
-	err := context.Canceled
-	j.mu.Lock()
-	elapsed := time.Since(j.submitted)
-	elapsedMs := float64(elapsed) / float64(time.Millisecond)
-	if elapsedMs <= 0 {
-		elapsedMs = 0.001
-	}
-	ev := Event{
-		V:          EventSchemaVersion,
-		Type:       EventJobFailed,
-		Job:        j.id,
-		Experiment: f.spec.Experiment,
-		Time:       time.Now(),
-		Seq:        len(j.events),
-		ElapsedMs:  elapsedMs,
-		Error:      err.Error(),
-	}
-	j.state = JobCanceled
-	j.result, j.err = nil, err
-	j.elapsed = elapsed
-	j.events = append(j.events, ev)
-	close(j.notify)
-	j.notify = make(chan struct{})
-	j.mu.Unlock()
-	if cb := s.opts.OnEvent; cb != nil {
-		cb(ev)
-	}
-	f.emitMu.Unlock()
-
-	if last {
-		// Nobody wants the result anymore: stop the computation and forget
-		// the flight, so a NEW submission starts fresh instead of attaching
-		// to a doomed one.
-		f.cancel()
-		s.removeFlight(f)
-	}
-	s.mJobs.With(string(JobCanceled)).Inc()
+	s.mJobs.With(string(state)).Inc()
 	s.mJobMs.Observe(elapsedMs)
-	s.log.Warn("job settled",
-		"job", j.id, "experiment", f.spec.Experiment, "state", JobCanceled,
-		"elapsed_ms", elapsedMs, "error", err.Error(), "detached", !last)
-	if !s.draining.Load() {
-		s.journal.settled(j.id, JobCanceled, err.Error())
+	if err != nil {
+		s.log.Warn("job settled",
+			"job", j.id, "experiment", j.spec.Experiment, "state", state,
+			"elapsed_ms", elapsedMs, "error", err.Error())
+	} else {
+		s.log.Info("job settled",
+			"job", j.id, "experiment", j.spec.Experiment, "state", state,
+			"elapsed_ms", elapsedMs)
 	}
+	// A suspend shutdown interrupts jobs without journaling the settle:
+	// the WAL still shows them live, so the next open re-runs them.
+	if !(s.draining.Load() && state == JobCanceled) {
+		s.journal.settled(j.id, state, errText)
+	}
+	// done closes last: once Wait returns, the job already counts as
+	// settled for retention.
 	s.noteSettled(j.id)
 	close(j.done)
-}
-
-// Job is one submitted experiment run: a member of a flight. Coalesced
-// members share the flight's computation but keep independent event
-// streams, IDs and reports.
-type Job struct {
-	id        string
-	spec      JobSpec
-	profile   string             // resolved profile name ("small" when the spec left it empty)
-	cfg       experiments.Config // resolved at Submit; the flight never re-resolves
-	submitted time.Time
-	svc       *Service
-	f         *flight
-	done      chan struct{}
-
-	mu        sync.Mutex
-	state     JobState
-	events    []Event
-	notify    chan struct{} // closed and replaced on every append
-	result    *experiments.Result
-	err       error
-	started   time.Time
-	elapsed   time.Duration
-	shards    int // total shards, known once running
-	completed int
-	hits      int // cache hits (0 when caching disabled)
-	misses    int
-}
-
-// applyRecordLocked stamps one canonical flight record into this member's
-// stream: per-member Job, Seq and Done, state transition, progress
-// counters. Caller holds j.mu (inside the flight's emitMu).
-func (j *Job) applyRecordLocked(rec flightRecord) Event {
-	ev := rec.ev
-	ev.Job = j.id
-	ev.Seq = len(j.events)
-	switch ev.Type {
-	case EventShardDone:
-		j.completed++
-		if ev.Cached != nil && *ev.Cached {
-			j.hits++
-		} else {
-			j.misses++
-		}
-		ev.Done = j.completed
-	case EventJobStarted:
-		j.started = rec.started
-	}
-	if rec.state != "" {
-		j.state = rec.state
-	}
-	j.events = append(j.events, ev)
-	close(j.notify)
-	j.notify = make(chan struct{})
-	return ev
 }
 
 // Submit validates the spec — the experiment must exist and the
 // profile/override combination must resolve to a configuration — journals
 // it (when the service has a Journal: the job is durable before the
-// caller learns its ID), and either attaches it to a live identical
-// flight (single-flight coalescing) or queues a new one. Events begin
-// with job_queued.
+// caller learns its ID) and queues it. Events begin with job_queued.
 func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	return s.submit(spec, "", time.Time{}, false)
 }
@@ -811,13 +579,19 @@ func (s *Service) submit(spec JobSpec, id string, at time.Time, boost bool) (*Jo
 		s.mu.Unlock()
 		return nil, fmt.Errorf("service: job %s already exists", id)
 	}
+	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &Job{
 		id:        id,
 		spec:      spec,
 		profile:   profile,
 		cfg:       cfg,
+		digest:    cfg.Digest(),
 		submitted: at,
+		recovered: boost,
 		svc:       s,
+		ctx:       ctx,
+		cancel:    cancel,
+		trace:     obs.NewTrace(spec.TraceID, id, spec.Experiment),
 		done:      make(chan struct{}),
 		state:     JobQueued,
 		notify:    make(chan struct{}),
@@ -839,51 +613,23 @@ func (s *Service) submit(spec JobSpec, id string, at time.Time, boost bool) (*Jo
 			}
 		}
 		s.mu.Unlock()
+		cancel()
 		return nil, fmt.Errorf("service: journal submit: %w", err)
 	}
 	s.mJobs.With("submitted").Inc()
 	s.log.Info("job submitted",
 		"job", j.id, "experiment", spec.Experiment, "profile", profile, "trace", spec.TraceID)
 
-	key := coalesceKey{experiment: spec.Experiment, digest: cfg.Digest()}
-	for {
-		s.mu.Lock()
-		var live *flight
-		if !spec.NoCache {
-			live = s.inflight[key]
-		}
-		if live == nil {
-			f := s.newFlight(j, boost)
-			if f.coalesce {
-				s.inflight[key] = f
-			}
-			s.wg.Add(1)
-			s.mu.Unlock()
-			// Cannot fail: the flight is fresh, neither settled nor
-			// cancelled. job_queued is emitted before the flight enters the
-			// scheduler's queue: were the order reversed, the scheduler
-			// could start it and emit job_started first, tearing the
-			// stream's opening invariant.
-			f.attach(j)
-			f.emit(Event{Type: EventJobQueued}, JobQueued, time.Time{})
-			s.mu.Lock()
-			s.queue = append(s.queue, f)
-			s.startQueuedLocked()
-			s.mu.Unlock()
-			return j, nil
-		}
-		s.mu.Unlock()
-		if live.attach(j) {
-			s.mCoalesced.Inc()
-			s.log.Info("job coalesced onto live flight",
-				"job", j.id, "experiment", spec.Experiment, "flight", live.creator, "digest", key.digest)
-			return j, nil
-		}
-		// The flight settled (or was cancelled) between lookup and attach:
-		// forget it and retry — the next round starts a fresh flight that
-		// will serve this job from the now-warm cache.
-		s.removeFlight(live)
-	}
+	// job_queued is emitted before the job enters the scheduler's queue:
+	// were the order reversed, the scheduler could start it and emit
+	// job_started first, tearing the stream's opening invariant.
+	j.emit(Event{Type: EventJobQueued}, JobQueued, nil)
+	s.mu.Lock()
+	s.wg.Add(1)
+	s.queue = append(s.queue, j)
+	s.startQueuedLocked()
+	s.mu.Unlock()
+	return j, nil
 }
 
 // Recover rebuilds the job table from a journal fold: every interrupted
@@ -967,73 +713,64 @@ func (s *Service) Jobs() []*Job {
 	return out
 }
 
-// startQueuedLocked pops queued flights into runners while the scheduler
-// has capacity. Caller holds s.mu.
+// startQueuedLocked pops queued jobs into runners while the scheduler has
+// capacity. Caller holds s.mu.
 func (s *Service) startQueuedLocked() {
 	for len(s.queue) > 0 && (s.opts.MaxActiveJobs <= 0 || s.active < s.opts.MaxActiveJobs) {
-		f := s.queue[0]
+		j := s.queue[0]
 		s.queue = s.queue[1:]
 		s.active++
-		go s.runFlight(f)
+		go s.runJob(j)
 	}
 }
 
-// flightSettled releases the flight's scheduler slot and starts the next
-// queued one.
-func (s *Service) flightSettled() {
+// runJob executes one job and settles it. The scheduler slot is released
+// first, so a job the runner settles no longer counts as active once its
+// Wait returns.
+func (s *Service) runJob(j *Job) {
+	defer s.wg.Done()
+	res, err := s.compute(j)
 	s.mu.Lock()
 	s.active--
 	s.startQueuedLocked()
 	s.mu.Unlock()
-	s.wg.Done()
+	j.finish(res, err)
 }
 
-// runFlight executes one flight end to end: cache hits become their parts
-// directly, and only the misses are scheduled on the dispatcher.
-func (s *Service) runFlight(f *flight) {
-	defer s.flightSettled()
-
-	e, _ := experiments.ByID(f.spec.Experiment) // validated at Submit
-	cfg := f.cfg                                // resolved at Submit
-
-	start := time.Now()
-	if !f.anchor.IsZero() && f.anchor.Before(start) {
-		// A recovered flight's clock starts at the ORIGINAL submission: the
-		// terminal event's wall time then spans the crash, so a resumed
-		// client's merged stream can never show a shard outlasting its job.
-		start = f.anchor
+// compute runs a job's plan: cache hits become their parts directly, and
+// only the misses are scheduled on the dispatcher.
+func (s *Service) compute(j *Job) (*experiments.Result, error) {
+	// A job cancelled while queued has settled already and runs nothing.
+	if !j.emit(Event{Type: EventJobStarted}, JobRunning, nil) {
+		return nil, context.Canceled
 	}
-	f.emitMu.Lock()
-	f.started = start
-	f.emitMu.Unlock()
-	f.emit(Event{Type: EventJobStarted}, JobRunning, start)
-
-	if err := f.ctx.Err(); err != nil {
-		f.finish(nil, err)
-		return
+	if err := j.ctx.Err(); err != nil {
+		return nil, err
 	}
 
-	shards, merge, err := experiments.BuildShards(e, cfg)
+	e, _ := experiments.ByID(j.spec.Experiment) // validated at Submit
+	shards, merge, err := experiments.BuildShards(e, j.cfg)
 	if err != nil {
-		f.finish(nil, err)
-		return
+		return nil, err
 	}
-	f.setShards(len(shards))
+	j.mu.Lock()
+	j.shards = len(shards)
+	j.mu.Unlock()
 
 	parts := make([]any, len(shards))
 	var misses []engine.Shard
 	var missAt []int // plan index of each miss
 	for i, sh := range shards {
-		if v, ok := s.cached(f, sh.Label); ok {
-			f.trace.NewSpan(sh.Label).Complete("", true)
-			f.shardDone(sh.Label, len(shards), true, "", 0)
+		if v, ok := s.cached(j, sh.Label); ok {
+			j.trace.NewSpan(sh.Label).Complete("", true)
+			j.shardDone(sh.Label, len(shards), true, "", 0)
 			parts[i] = v
 			continue
 		}
-		misses = append(misses, s.wrapShard(f, i, len(shards), sh))
+		misses = append(misses, s.wrapShard(j, i, len(shards), sh))
 		missAt = append(missAt, i)
 	}
-	computed, err := s.d.Run(f.ctx, misses, f.recovered)
+	computed, err := s.d.Run(j.ctx, misses, j.recovered)
 	if err != nil {
 		// The dispatcher numbers failed shards among the misses; report
 		// them by plan index instead.
@@ -1044,32 +781,18 @@ func (s *Service) runFlight(f *flight) {
 				}
 			}
 		}
-		f.finish(nil, fmt.Errorf("service: %s: %w", f.spec.Experiment, err))
-		return
+		return nil, fmt.Errorf("service: %s: %w", j.spec.Experiment, err)
 	}
 	for k, i := range missAt {
 		parts[i] = computed[k]
 	}
-	res, err := safeMerge(f.spec.Experiment, merge, parts)
-	f.finish(res, err)
-}
-
-// setShards records the plan size on the flight and every member (late
-// attachers copy it from the flight).
-func (f *flight) setShards(n int) {
-	f.emitMu.Lock()
-	for _, j := range f.members {
-		j.mu.Lock()
-		j.shards = n
-		j.mu.Unlock()
-	}
-	f.emitMu.Unlock()
+	return safeMerge(j.spec.Experiment, merge, parts)
 }
 
 // safeMerge runs the merge step with the same panic isolation the engine
 // gives shards: merges type-assert their parts, so a foreign value (e.g.
 // out of a cross-version cache directory) must fail the one job, not kill
-// the serve process and every other in-flight job with it.
+// the serve process and every other running job with it.
 func safeMerge(id string, merge func([]any) (*experiments.Result, error), parts []any) (res *experiments.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -1081,13 +804,13 @@ func safeMerge(id string, merge func([]any) (*experiments.Result, error), parts 
 	return merge(parts)
 }
 
-// cached looks one shard up in the result cache. A NoCache flight, or a
+// cached looks one shard up in the result cache. A NoCache job, or a
 // service without a cache, always misses.
-func (s *Service) cached(f *flight, label string) (any, bool) {
-	if s.opts.Cache == nil || f.spec.NoCache {
+func (s *Service) cached(j *Job, label string) (any, bool) {
+	if s.opts.Cache == nil || j.spec.NoCache {
 		return nil, false
 	}
-	data, ok := s.opts.Cache.Get(cache.Key{Experiment: f.spec.Experiment, ConfigDigest: f.digest, Shard: label})
+	data, ok := s.opts.Cache.Get(cache.Key{Experiment: j.spec.Experiment, ConfigDigest: j.digest, Shard: label})
 	if !ok {
 		return nil, false
 	}
@@ -1103,12 +826,12 @@ func (s *Service) cached(f *flight, label string) (any, bool) {
 // ingests a worker's gob reply with the same cache fill and event emission
 // the local path performs. A NoCache job stores nothing — useful to force
 // a recomputation without retiring the store's existing entries.
-func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine.Shard {
+func (s *Service) wrapShard(j *Job, index, total int, sh engine.Shard) engine.Shard {
 	run := sh.Run
 	label := sh.Label
-	useCache := s.opts.Cache != nil && !f.spec.NoCache
-	key := cache.Key{Experiment: f.spec.Experiment, ConfigDigest: f.digest, Shard: label}
-	span := f.trace.NewSpan(label)
+	useCache := s.opts.Cache != nil && !j.spec.NoCache
+	key := cache.Key{Experiment: j.spec.Experiment, ConfigDigest: j.digest, Shard: label}
+	span := j.trace.NewSpan(label)
 	return engine.Shard{
 		Label: label,
 		Span:  span,
@@ -1130,17 +853,17 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 				}
 			}
 			span.Complete("", false)
-			f.shardDone(label, total, false, "", elapsedMs)
+			j.shardDone(label, total, false, "", elapsedMs)
 			return v, nil
 		},
 		Remote: &engine.RemoteSpec{
 			Spec: dispatch.EncodeTask(dispatch.TaskSpec{
-				Experiment:   f.spec.Experiment,
-				Config:       f.cfg,
-				ConfigDigest: f.digest,
+				Experiment:   j.spec.Experiment,
+				Config:       j.cfg,
+				ConfigDigest: j.digest,
 				Shard:        index,
 				Label:        label,
-				TraceID:      f.spec.TraceID,
+				TraceID:      j.spec.TraceID,
 			}),
 			Accept: func(from string, elapsed time.Duration, reply []byte) (any, error) {
 				v, err := cache.Gob{}.Decode(reply)
@@ -1157,7 +880,7 @@ func (s *Service) wrapShard(f *flight, index, total int, sh engine.Shard) engine
 					_ = s.opts.Cache.Put(key, reply)
 				}
 				span.Complete(from, false)
-				f.shardDone(label, total, false, from, elapsedMs)
+				j.shardDone(label, total, false, from, elapsedMs)
 				return v, nil
 			},
 		},
@@ -1177,15 +900,14 @@ func (j *Job) Profile() string { return j.profile }
 // Config returns the job's resolved experiment configuration.
 func (j *Job) Config() experiments.Config { return j.cfg }
 
-// TraceID returns the job's trace identifier: the flight's, which for a
-// coalesced follower is the trace minted (or propagated) by the flight's
-// creator.
-func (j *Job) TraceID() string { return j.f.trace.ID() }
+// TraceID returns the job's trace identifier: JobSpec.TraceID when the
+// submitter set one, else the ID Submit minted.
+func (j *Job) TraceID() string { return j.trace.ID() }
 
 // Trace snapshots the job's span set as the /v1/jobs/{id}/trace wire
 // record, stamped with the job's current lifecycle phase.
 func (j *Job) Trace() obs.TraceRecord {
-	return j.f.trace.Snapshot(string(j.State()))
+	return j.trace.Snapshot(string(j.State()))
 }
 
 // State returns the job's current lifecycle phase.
@@ -1211,22 +933,24 @@ func (j *Job) CacheCounts() (hits, misses int) {
 	return j.hits, j.misses
 }
 
-// Elapsed returns the job's wall time: running jobs report time since
-// start, finished jobs the final figure measured once at completion.
+// Elapsed returns the job's wall time since submission: running jobs
+// report it live, settled jobs the final figure measured once at settle.
+// A recovered job's clock starts at its ORIGINAL submission, so its
+// terminal wall time spans the crash and a resumed client's merged stream
+// never shows a shard outlasting its job.
 func (j *Job) Elapsed() time.Duration {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == JobRunning {
-		return time.Since(j.started)
+		return time.Since(j.submitted)
 	}
 	return j.elapsed
 }
 
-// Cancel asks the job to stop: the job detaches from its flight and its
-// stream settles with context.Canceled. The underlying computation stops
-// only when its last member job leaves — coalesced followers are
-// unaffected by one member's cancellation.
-func (j *Job) Cancel() { j.f.drop(j) }
+// Cancel asks the job to stop: its computation is cancelled and its
+// stream settles with context.Canceled at once, whether the job is queued
+// or running. Cancelling a settled job does nothing.
+func (j *Job) Cancel() { j.finish(nil, context.Canceled) }
 
 // Wait blocks until the job settles (or ctx is cancelled) and returns its
 // result.
@@ -1241,8 +965,8 @@ func (j *Job) Wait(ctx context.Context) (*experiments.Result, error) {
 	return j.result, j.err
 }
 
-// Result returns the finished report (nil while the job is in flight or
-// failed).
+// Result returns the finished report (nil while the job is queued or
+// running, or when it failed).
 func (j *Job) Result() (*experiments.Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -481,6 +481,72 @@ func TestCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// TestIdenticalSubmitsRunIndependently hammers Submit with one spec from
+// many goroutines (run under -race): every job is its own computation,
+// with a distinct ID and trace, a valid stream and its own report, and
+// cancelling one leaves the rest to finish.
+func TestIdenticalSubmitsRunIndependently(t *testing.T) {
+	const shards = 3
+	const clients = 16
+	var execs atomic.Int64
+	release := make(chan struct{})
+	registerCountingExperiment("svc-identical", shards, &execs, make(chan string), release)
+
+	svc := New(Options{Workers: 2})
+	defer svc.Close()
+
+	spec := JobSpec{Experiment: "svc-identical"}
+	jobs := make([]*Job, clients)
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for i := 0; i < clients; i++ {
+		go func(i int) {
+			defer wg.Done()
+			j, err := svc.Submit(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			jobs[i] = j
+		}(i)
+	}
+	wg.Wait()
+	ids, traces := map[string]bool{}, map[string]bool{}
+	for _, j := range jobs {
+		if j == nil {
+			t.Fatal("a submission failed")
+		}
+		if ids[j.ID()] || traces[j.TraceID()] {
+			t.Fatalf("%s shares its ID or trace %s with another job", j.ID(), j.TraceID())
+		}
+		ids[j.ID()], traces[j.TraceID()] = true, true
+	}
+
+	victim := jobs[0]
+	waitFor(t, func() bool { return victim.State() == JobRunning })
+	victim.Cancel()
+	close(release)
+	if _, err := victim.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job settled with %v", err)
+	}
+	checkEventStream(t, victim.EventHistory(), -1, false)
+	for _, j := range jobs[1:] {
+		res, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", j.ID(), err)
+		}
+		if len(res.Rows) != shards {
+			t.Fatalf("%s: result has %d rows", j.ID(), len(res.Rows))
+		}
+		checkEventStream(t, j.EventHistory(), shards, false)
+	}
+	// Without a cache nothing is shared: every surviving job computed its
+	// own shards (the cancelled one may have run some of its own).
+	if got, least := execs.Load(), int64((clients-1)*shards); got < least || got > least+shards {
+		t.Fatalf("shards executed %d times, want %d to %d", got, least, least+shards)
+	}
+}
+
 // TestMergePanicFailsOnlyThatJob: a panicking merge (e.g. over a foreign
 // cached part type) must fail its job, not kill the service.
 func TestMergePanicFailsOnlyThatJob(t *testing.T) {
@@ -783,7 +849,7 @@ func TestMissTaskSpecKeepsPlanIndex(t *testing.T) {
 	checkEventStream(t, j.EventHistory(), 3, true)
 }
 
-// TestWorkerConfigSkewReachesNoCache: a leased task carries the flight's
+// TestWorkerConfigSkewReachesNoCache: a leased task carries the job's
 // config digest. A worker whose build decodes the Config differently —
 // here, a newer server's extra key it lacks — refuses the task, the job
 // fails, and no reply reaches the cache under the server's digest.
@@ -818,7 +884,7 @@ func TestWorkerConfigSkewReachesNoCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if spec.ConfigDigest != cfg.Digest() {
-		t.Fatalf("task carries digest %q, the flight's is %q", spec.ConfigDigest, cfg.Digest())
+		t.Fatalf("task carries digest %q, the job's is %q", spec.ConfigDigest, cfg.Digest())
 	}
 
 	// The grant as a newer server would have sent it: one more Config key,

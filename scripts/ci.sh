@@ -38,7 +38,7 @@ for ex in examples/*/; do
 done
 
 echo "== repeated race: shard scheduling, remote clients and the cdlab processes =="
-# The shard loop, the dispatch queue, the service's flight lifecycle and
+# The shard loop, the dispatch queue, the service's job lifecycle and
 # the remote client and worker loops share goroutines and settle-order
 # invariants, and the end-to-end tests race real processes; a flake there
 # may show in only one run out of many, so repeat them.
