@@ -63,30 +63,6 @@ func (g *GroupScramble) Logical(p int) int {
 
 func (g *GroupScramble) Name() string { return "group-scramble" }
 
-// XorFold XORs the low address bits with a function of a higher bit:
-// physical = logical ^ (Mask if bit SelectBit of logical is set). Because
-// the mask never touches SelectBit itself, the transform is an involution
-// and trivially bijective. This models vendor mappings where the low bits
-// are conditionally inverted in alternating blocks.
-type XorFold struct {
-	SelectBit int
-	Mask      int
-}
-
-func (x XorFold) Physical(l int) int {
-	if x.Mask&(1<<x.SelectBit) != 0 {
-		panic("dram: XorFold mask must not include its select bit")
-	}
-	if l&(1<<x.SelectBit) != 0 {
-		return l ^ x.Mask
-	}
-	return l
-}
-
-func (x XorFold) Logical(p int) int { return x.Physical(p) } // involution
-
-func (x XorFold) Name() string { return "xor-fold" }
-
 // Module couples a Device with the logical row addressing a host sees. All
 // bender programs address rows logically; characterization code that wants
 // physical adjacency must reverse engineer (or be told) the mapping.

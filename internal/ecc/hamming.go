@@ -13,7 +13,6 @@ package ecc
 
 import (
 	"fmt"
-	"math/bits"
 
 	"columndisturb/internal/sim/rng"
 )
@@ -227,13 +226,4 @@ func bytesEqual(a, b []byte) bool {
 		}
 	}
 	return true
-}
-
-// popcount is used by tests and analyses comparing codeword distances.
-func popcount(cw []byte) int {
-	n := 0
-	for _, b := range cw {
-		n += bits.OnesCount8(b & 1)
-	}
-	return n
 }

@@ -252,9 +252,3 @@ func TestSEC74AlwaysActsOnDoubleErrors(t *testing.T) {
 		t.Fatalf("(7,4) has no invalid syndromes, got %d detections", res.Detected)
 	}
 }
-
-func TestPopcountHelper(t *testing.T) {
-	if popcount([]byte{1, 0, 1, 1}) != 3 {
-		t.Fatal("popcount helper wrong")
-	}
-}

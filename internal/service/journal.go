@@ -5,15 +5,15 @@
 // needed to re-run the job, because re-running IS the recovery mechanism:
 // shard results live in the content-addressed cache, so a recovered job's
 // shards come back as cache hits and the re-merge renders the
-// byte-identical report the determinism invariant guarantees. Shard
-// records therefore carry only the cache key (experiment, config digest,
-// shard label); settle and retire records carry IDs and final states.
+// byte-identical report the determinism invariant guarantees. So the
+// journal writes only what the fold reads: settle and retire records
+// carry IDs and final states, and no record names a shard.
 //
 // Durability tiers match the semantics: a submitted record is fsynced
 // before Submit acknowledges (the client learned the ID, so the job must
-// survive), while shard/settle/retire records are buffered and ride the
-// next group commit — losing the most recent ones to a crash only means
-// recovery re-runs a little more cache-hot work.
+// survive), while settle/retire records are buffered and ride the next
+// AppendSync or the close — losing the most recent ones to a crash only
+// means recovery re-runs a little more cache-hot work.
 package service
 
 import (
@@ -31,7 +31,7 @@ import (
 // magic); these tag the payloads inside it.
 const (
 	recSubmitted byte = 1 // full JobSpec: the job exists and must survive
-	recShard     byte = 2 // cache key of a computed shard (result is in the cache)
+	recShard     byte = 2 // legacy: a computed shard's cache key; no longer written, folded as a no-op
 	recSettled   byte = 3 // terminal state of a job
 	recRetired   byte = 4 // retention dropped the job; never resurrect it
 	recSeq       byte = 5 // job-ID counter floor, written at clean shutdown
@@ -42,13 +42,6 @@ type submittedRec struct {
 	ID   string    `json:"id"`
 	Spec JobSpec   `json:"spec"`
 	At   time.Time `json:"at"`
-}
-
-type shardRec struct {
-	Job        string `json:"job"`
-	Experiment string `json:"experiment"`
-	Digest     string `json:"digest"`
-	Shard      string `json:"shard"`
 }
 
 type settledRec struct {
@@ -80,9 +73,6 @@ type RecoveredJob struct {
 	// the journal recorded. Done jobs are resurrected (their reports may
 	// not have been fetched); failed/canceled ones are not.
 	State JobState
-	// Shards counts the job's journaled computed-shard records — evidence
-	// of cache-resident results the re-run will hit.
-	Shards int
 }
 
 // Recovered is the journal fold: what a restarted service must
@@ -105,11 +95,12 @@ type Recovered struct {
 
 // Journal wraps the WAL with the service's record schema. A nil *Journal
 // is a valid no-op journal, so the service code carries no nil checks.
+// The WAL serializes appends and latches its first write failure, after
+// which the journal is dead; failed reports that failure once.
 type Journal struct {
-	mu  sync.Mutex
-	log *wal.Log
-	err error // first write failure; logged once, journal goes dead
-	lg  *slog.Logger
+	log    *wal.Log
+	lg     *slog.Logger
+	failed sync.Once
 }
 
 // OpenJournal opens (or creates) the job journal in dir, replays it, and
@@ -132,12 +123,12 @@ func OpenJournal(dir string, logger *slog.Logger) (*Journal, *Recovered, error) 
 // foldRecords reduces the replayed record stream to live job state.
 // Last-write-wins per job ID: a resubmitted record (recovery re-journals
 // survivors before compacting) resets the job to interrupted, a settle
-// records its terminal state, a retire drops it for good.
+// records its terminal state, a retire drops it for good. Shard records
+// written by older versions are skipped silently.
 func foldRecords(records []wal.Record) *Recovered {
 	rec := &Recovered{}
 	jobs := map[string]*RecoveredJob{}
 	var order []string
-	retired := map[string]bool{}
 	for _, r := range records {
 		switch r.Type {
 		case recSubmitted:
@@ -169,16 +160,8 @@ func foldRecords(records []wal.Record) *Recovered {
 			}
 			jobs[sr.ID] = &RecoveredJob{ID: sr.ID, Spec: sr.Spec.JobSpec, At: sr.At}
 			order = append(order, sr.ID)
-			delete(retired, sr.ID)
 		case recShard:
-			var sh shardRec
-			if json.Unmarshal(r.Data, &sh) != nil {
-				rec.Skipped++
-				continue
-			}
-			if j, ok := jobs[sh.Job]; ok {
-				j.Shards++
-			}
+			// Legacy: recovery never needed it, so it is not counted as skipped.
 		case recSettled:
 			var st settledRec
 			if json.Unmarshal(r.Data, &st) != nil {
@@ -195,7 +178,6 @@ func foldRecords(records []wal.Record) *Recovered {
 				continue
 			}
 			delete(jobs, ir.ID)
-			retired[ir.ID] = true
 		case recSeq:
 			var sq seqRec
 			if json.Unmarshal(r.Data, &sq) != nil {
@@ -221,15 +203,10 @@ func foldRecords(records []wal.Record) *Recovered {
 }
 
 // append marshals and appends one record; sync additionally waits for
-// durability. Both are nil-safe and latch the first failure.
+// durability. It is nil-safe.
 func (jn *Journal) append(typ byte, v any, sync bool) error {
 	if jn == nil {
 		return nil
-	}
-	jn.mu.Lock()
-	defer jn.mu.Unlock()
-	if jn.err != nil {
-		return jn.err
 	}
 	var data []byte
 	if v != nil {
@@ -246,8 +223,9 @@ func (jn *Journal) append(typ byte, v any, sync bool) error {
 		err = jn.log.Append(r)
 	}
 	if err != nil {
-		jn.err = err
-		jn.lg.Error("wal: journal write failed; durability lost for this process", "error", err)
+		jn.failed.Do(func() {
+			jn.lg.Error("wal: journal write failed; durability lost for this process", "error", err)
+		})
 	}
 	return err
 }
@@ -256,11 +234,6 @@ func (jn *Journal) append(typ byte, v any, sync bool) error {
 // orphan a client-visible ID, so it is fsynced before Submit returns.
 func (jn *Journal) submitted(id string, spec JobSpec, at time.Time) error {
 	return jn.append(recSubmitted, submittedRec{ID: id, Spec: spec, At: at}, true)
-}
-
-// shardSettled journals one computed shard's cache key (buffered).
-func (jn *Journal) shardSettled(job, experiment, digest, shard string) {
-	_ = jn.append(recShard, shardRec{Job: job, Experiment: experiment, Digest: digest, Shard: shard}, false)
 }
 
 // settled journals a job's terminal state (buffered).

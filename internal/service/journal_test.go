@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,8 +26,8 @@ func mustJSON(t *testing.T, v any) []byte {
 
 // TestFoldRecords exercises the journal fold's state machine directly:
 // last-write-wins per job, earliest-At preservation across resubmissions,
-// retirement finality, the seq floor, and the final-record-only clean
-// marker.
+// retirement finality, the seq floor, the final-record-only clean
+// marker, and legacy shard records folding silently.
 func TestFoldRecords(t *testing.T) {
 	early := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	late := early.Add(time.Hour)
@@ -34,8 +35,9 @@ func TestFoldRecords(t *testing.T) {
 	recs := []wal.Record{
 		{Type: recSubmitted, Data: mustJSON(t, submittedRec{ID: "job-1", Spec: spec, At: early})},
 		{Type: recSubmitted, Data: mustJSON(t, submittedRec{ID: "job-2", Spec: spec, At: early})},
-		{Type: recShard, Data: mustJSON(t, shardRec{Job: "job-1", Experiment: "table1", Digest: "d", Shard: "s0"})},
-		{Type: recShard, Data: mustJSON(t, shardRec{Job: "job-1", Experiment: "table1", Digest: "d", Shard: "s1"})},
+		// Shard records, as older versions wrote them once per computed shard.
+		{Type: recShard, Data: []byte(`{"job":"job-1","experiment":"table1","digest":"d","shard":"s0"}`)},
+		{Type: recShard, Data: []byte(`{"job":"job-1","experiment":"table1","digest":"d","shard":"s1"}`)},
 		{Type: recSettled, Data: mustJSON(t, settledRec{ID: "job-2", State: JobDone})},
 		{Type: recSubmitted, Data: mustJSON(t, submittedRec{ID: "job-3", Spec: spec, At: early})},
 		{Type: recSettled, Data: mustJSON(t, settledRec{ID: "job-3", State: JobCanceled, Error: "canceled"})},
@@ -64,8 +66,8 @@ func TestFoldRecords(t *testing.T) {
 	for _, j := range rec.Jobs {
 		byID[j.ID] = j
 	}
-	if j := byID["job-1"]; j.State != "" || j.Shards != 2 || !j.At.Equal(early) {
-		t.Fatalf("job-1 folded as %+v, want interrupted with 2 shards at the original time", j)
+	if j := byID["job-1"]; j.State != "" || !j.At.Equal(early) {
+		t.Fatalf("job-1 folded as %+v, want interrupted at the original time", j)
 	}
 	if j := byID["job-2"]; j.State != JobDone {
 		t.Fatalf("job-2 folded as %q, want done", j.State)
@@ -79,7 +81,7 @@ func TestFoldRecords(t *testing.T) {
 
 	// The clean marker only counts as the FINAL record: anything journaled
 	// after it proves the process kept running past its "shutdown".
-	recs = append(recs, wal.Record{Type: recShard, Data: mustJSON(t, shardRec{Job: "job-1"})})
+	recs = append(recs, wal.Record{Type: recSettled, Data: mustJSON(t, settledRec{ID: "job-1", State: JobDone})})
 	if foldRecords(recs).Clean {
 		t.Fatal("clean marker honored despite later records")
 	}
@@ -336,6 +338,50 @@ func TestRecoverResurrectsDoneJobs(t *testing.T) {
 	}
 	if hits, misses := j2.CacheCounts(); misses != 0 || hits == 0 {
 		t.Fatalf("resurrection recomputed shards: hits=%d misses=%d", hits, misses)
+	}
+}
+
+// TestJournalTrafficPerJob: a cold job journals its lifecycle, never its
+// shards. A job of several computed shards appends exactly a submitted and
+// a settled record; the close adds the seq floor and the clean marker.
+func TestJournalTrafficPerJob(t *testing.T) {
+	const shards = 5
+	var execs atomic.Int64
+	release := make(chan struct{}, shards)
+	for i := 0; i < shards; i++ {
+		release <- struct{}{}
+	}
+	registerCountingExperiment("svc-journal-traffic", shards, &execs, nil, release)
+	dir := t.TempDir()
+
+	svc, rec := openRecoverable(t, dir, 2)
+	svc.Recover(rec)
+	j, err := svc.Submit(JobSpec{Experiment: "svc-journal-traffic"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	if got := execs.Load(); got != shards {
+		t.Fatalf("cold job computed %d shards, want %d", got, shards)
+	}
+	if got := svc.journal.WALStats().Records; got != 4 {
+		t.Fatalf("journal appended %d records, want 4 (submitted, settled, seq, clean)", got)
+	}
+
+	log, recs, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	var types []byte
+	for _, r := range recs {
+		types = append(types, r.Type)
+	}
+	if want := []byte{recSubmitted, recSettled, recSeq, recClean}; !reflect.DeepEqual(types, want) {
+		t.Fatalf("journal holds record types %v, want %v", types, want)
 	}
 }
 

@@ -221,7 +221,7 @@ func (s *Service) registerMetrics(reg *obs.Registry) {
 				return float64(jn.WALStats().Bytes)
 			})
 		reg.CounterFunc("cdlab_wal_syncs_total",
-			"WAL fsync barriers (group commits, rotations, close).", func() float64 {
+			"WAL fsync barriers (synced appends, compaction, close).", func() float64 {
 				return float64(jn.WALStats().Syncs)
 			})
 		reg.GaugeFunc("cdlab_wal_segments",
@@ -464,8 +464,8 @@ func (j *Job) emit(ev Event, state JobState, settle func()) bool {
 	return true
 }
 
-// shardDone records one finished shard in the metrics, the journal (when
-// computed) and the job's stream.
+// shardDone records one finished shard in the metrics and the job's
+// stream.
 func (j *Job) shardDone(label string, total int, cached bool, worker string, elapsedMs float64) {
 	s := j.svc
 	source := "local"
@@ -478,9 +478,6 @@ func (j *Job) shardDone(label string, total int, cached bool, worker string, ela
 	s.mShards.With(source).Inc()
 	if !cached {
 		s.mShardMs.Observe(elapsedMs)
-		// Journal the cache key, not the result: the cache holds the bytes,
-		// the journal only needs to witness that they exist.
-		s.journal.shardSettled(j.id, j.spec.Experiment, j.digest, label)
 	}
 	s.log.Debug("shard done",
 		"job", j.id, "shard", label, "source", source, "worker", worker, "elapsed_ms", elapsedMs)
@@ -680,7 +677,7 @@ func (s *Service) Recover(rec *Recovered) {
 		}
 		s.log.Info("wal: recovered job",
 			"job", rj.ID, "experiment", rj.Spec.Experiment,
-			"interrupted", rj.State == "", "settled_shards", rj.Shards)
+			"interrupted", rj.State == "")
 	}
 	if n := interrupted + resurrected; n > 0 {
 		s.mRecovered.Add(int64(n))

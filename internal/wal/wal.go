@@ -6,7 +6,8 @@
 //
 // The contract, in order of importance:
 //
-//   - A record acknowledged by Sync (or AppendSync) survives a crash.
+//   - A record acknowledged by AppendSync survives a crash, and so does
+//     every record appended before it or before a successful Close.
 //   - Replay never invents records: a frame is returned only when its
 //     length, checksum and segment header all verify.
 //   - A torn tail — the partially written frame a SIGKILL leaves at the
@@ -15,18 +16,16 @@
 //     it means lost history, not an interrupted write, and the caller
 //     must decide, not guess.
 //
-// Writes are buffered; Sync is a group commit. Concurrent appenders pile
-// records into one buffered writer, and the first Sync caller flushes and
-// fsyncs for everyone who appended before it — under fan-in (many Submits
-// racing) the log coalesces their durability barriers into one disk
-// flush, the classic group-commit shape.
+// One mutex serializes every operation. Append buffers; AppendSync
+// flushes and fsyncs under the lock, so each call is one disk barrier —
+// the journal's traffic is one synced record per submission, too sparse
+// for batching to pay.
 //
-// Segments rotate at MaxSegmentBytes. Open never appends to an existing
-// segment: it replays them read-only and starts a fresh one, so a replay
-// boundary is always a file boundary. DropHistory deletes the segments a
-// Log inherited at Open — the compaction hook: once the application has
-// re-journaled the live state into the new segment, the old generations
-// are dead weight.
+// Each Open writes exactly one new segment: it replays the existing ones
+// read-only and starts a fresh one, so a replay boundary is always a file
+// boundary. DropHistory deletes the segments a Log inherited at Open — the
+// compaction hook: once the application has re-journaled the live state
+// into the new segment, the old generations are dead weight.
 package wal
 
 import (
@@ -71,13 +70,6 @@ var ErrCorrupt = errors.New("wal: corrupt segment")
 type Options struct {
 	// Dir holds the segment files. Created if missing.
 	Dir string
-	// MaxSegmentBytes rotates the active segment once it grows past this
-	// size (<= 0 selects 4 MiB). Rotation is a durability barrier: the
-	// finished segment is flushed and fsynced before the next one opens.
-	MaxSegmentBytes int64
-	// NoSync skips fsync (tests on slow filesystems). The group-commit
-	// bookkeeping still runs; only the physical barrier is elided.
-	NoSync bool
 }
 
 // Record is one journaled entry: an application-defined type tag and an
@@ -91,9 +83,8 @@ type Record struct {
 type Stats struct {
 	Records  int64 // records appended this session
 	Bytes    int64 // frame bytes appended this session
-	Syncs    int64 // fsync barriers issued (group commits, rotations, close)
+	Syncs    int64 // fsync barriers issued (AppendSync, DropHistory, Close)
 	Segments int   // segment files on disk (inherited + active)
-	Replayed int   // records recovered by Open's replay
 	// Truncated reports that Open cut a torn tail off the newest inherited
 	// segment — the expected signature of a crash mid-append.
 	Truncated bool
@@ -101,19 +92,13 @@ type Stats struct {
 
 // Log is an open write-ahead log. Safe for concurrent use.
 type Log struct {
-	opts   Options
-	segMax int64
+	dir string
 
 	mu        sync.Mutex
-	cond      *sync.Cond // group-commit rendezvous; broadcast after each fsync
 	f         *os.File
 	w         *bufio.Writer
-	seg       int   // active segment number
-	size      int64 // active segment size including header
 	inherited []int // segments replayed at Open; DropHistory's victims
-	appended  int64 // records written into the buffer
-	synced    int64 // records known durable
-	syncing   bool  // an fsync is in flight outside mu
+	dirty     bool  // records appended since the last fsync
 	err       error // first write/sync error; the log is dead once set
 	closed    bool
 	stats     Stats
@@ -126,9 +111,10 @@ func segName(n int) string { return fmt.Sprintf("%08d.wal", n) }
 // Open replays every segment in dir (in segment order) and returns the
 // recovered records together with a log ready for appends. The newest
 // segment may carry a torn tail, which Open truncates; any other decode
-// failure returns ErrCorrupt. The returned log writes to a NEW segment —
-// inherited ones are never appended to, and DropHistory deletes them once
-// the caller has re-journaled what it still needs.
+// failure returns ErrCorrupt. The returned log writes to ONE new segment,
+// whose directory entry is fsynced before Open returns — inherited ones
+// are never appended to, and DropHistory deletes them once the caller has
+// re-journaled what it still needs.
 func Open(opts Options) (*Log, []Record, error) {
 	if opts.Dir == "" {
 		return nil, nil, errors.New("wal: Options.Dir is required")
@@ -140,11 +126,7 @@ func Open(opts Options) (*Log, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Log{opts: opts, segMax: opts.MaxSegmentBytes}
-	if l.segMax <= 0 {
-		l.segMax = 4 << 20
-	}
-	l.cond = sync.NewCond(&l.mu)
+	l := &Log{dir: opts.Dir}
 
 	var records []Record
 	next := 1
@@ -173,6 +155,7 @@ func Open(opts Options) (*Log, []Record, error) {
 				return nil, nil, fmt.Errorf("wal: %w", err)
 			}
 			l.stats.Truncated = true
+			continue // not inherited
 		default:
 			if err := os.Truncate(path, int64(good)); err != nil {
 				return nil, nil, fmt.Errorf("wal: %w", err)
@@ -180,16 +163,11 @@ func Open(opts Options) (*Log, []Record, error) {
 			l.stats.Truncated = true
 		}
 		records = append(records, recs...)
-		if !clean && good < len(magic) {
-			continue // file removed above; not inherited
-		}
 		l.inherited = append(l.inherited, seg)
 		next = seg + 1
 	}
-	l.stats.Replayed = len(records)
 
-	l.seg = next
-	if err := l.openSegmentLocked(); err != nil {
+	if err := l.createSegment(next); err != nil {
 		return nil, nil, err
 	}
 	return l, records, nil
@@ -212,18 +190,37 @@ func listSegments(dir string) ([]int, error) {
 	return segs, nil
 }
 
-// openSegmentLocked creates the active segment and writes its header.
-func (l *Log) openSegmentLocked() error {
-	f, err := os.OpenFile(filepath.Join(l.opts.Dir, segName(l.seg)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+// createSegment creates the active segment, buffers its header and
+// fsyncs the directory, so the new file's entry is durable before the
+// first AppendSync can acknowledge a record in it — and before
+// DropHistory can delete the generations it replaces.
+func (l *Log) createSegment(seg int) error {
+	f, err := os.OpenFile(filepath.Join(l.dir, segName(seg)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	if err := syncDir(l.dir); err != nil {
+		f.Close()
+		return err
+	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 64<<10)
-	if _, err := l.w.WriteString(magic); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	// The header rides the first sync: a crash before it leaves an empty
+	// file, which the next Open removes.
+	_, _ = l.w.WriteString(magic) // cannot fail: the buffer is larger than magic
+	return nil
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
 	}
-	l.size = int64(len(magic))
+	if err != nil {
+		return fmt.Errorf("wal: sync dir: %w", err)
+	}
 	return nil
 }
 
@@ -268,9 +265,9 @@ func appendFrame(buf []byte, r Record) []byte {
 	return append(buf, payload...)
 }
 
-// Append buffers one record. It is NOT durable until a Sync (or rotation,
-// or Close) covers it — callers journaling a must-survive transition use
-// AppendSync.
+// Append buffers one record. It is NOT durable until a later AppendSync,
+// DropHistory or Close covers it — callers journaling a must-survive
+// transition use AppendSync.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -287,11 +284,6 @@ func (l *Log) appendLocked(r Record) error {
 	if 1+len(r.Data) > MaxRecordSize {
 		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordSize", 1+len(r.Data))
 	}
-	if l.size >= l.segMax {
-		if err := l.rotateLocked(); err != nil {
-			return err
-		}
-	}
 	var hdr [frameHeader + 1]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(1+len(r.Data)))
 	crc := crc32.Update(crc32.Checksum([]byte{r.Type}, castagnoli), castagnoli, r.Data)
@@ -299,31 +291,21 @@ func (l *Log) appendLocked(r Record) error {
 	hdr[frameHeader] = r.Type
 	if _, err := l.w.Write(hdr[:]); err != nil {
 		l.err = err
-		l.cond.Broadcast()
 		return err
 	}
 	if _, err := l.w.Write(r.Data); err != nil {
 		l.err = err
-		l.cond.Broadcast()
 		return err
 	}
 	n := int64(frameHeader + 1 + len(r.Data))
-	l.size += n
-	l.appended++
+	l.dirty = true
 	l.stats.Records++
 	l.stats.Bytes += n
 	return nil
 }
 
-// Sync makes every record appended before the call durable. Concurrent
-// callers group-commit: one fsync covers all of them.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
-// AppendSync appends one record and waits for it to be durable.
+// AppendSync appends one record and waits for it to be durable: it
+// flushes the buffer and fsyncs the segment before it returns.
 func (l *Log) AppendSync(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -333,81 +315,29 @@ func (l *Log) AppendSync(r Record) error {
 	return l.syncLocked()
 }
 
-// syncLocked is the group-commit core. The leader flushes the buffer
-// under mu, then fsyncs OUTSIDE mu so appenders keep making progress;
-// followers wait on cond and re-check whether a later leader already
-// covered their records.
+// syncLocked flushes the buffer and fsyncs the active segment, unless
+// nothing was written since the last fsync. The first failure latches:
+// every later call returns it.
 func (l *Log) syncLocked() error {
-	target := l.appended
-	for l.synced < target && l.err == nil && !l.closed {
-		if l.syncing {
-			l.cond.Wait()
-			continue
-		}
-		l.syncing = true
-		if err := l.w.Flush(); err != nil {
-			l.err = err
-			l.syncing = false
-			l.cond.Broadcast()
-			break
-		}
-		mark := l.appended // everything up to here is now in the OS buffer
-		f := l.f
-		l.mu.Unlock()
-		var serr error
-		if !l.opts.NoSync {
-			serr = f.Sync()
-		}
-		l.mu.Lock()
-		l.syncing = false
-		l.stats.Syncs++
-		if serr != nil {
-			l.err = serr
-		} else if mark > l.synced {
-			l.synced = mark
-		}
-		l.cond.Broadcast()
-	}
 	if l.err != nil {
 		return l.err
 	}
-	if l.closed && l.synced < target {
+	if !l.dirty {
+		return nil
+	}
+	if l.closed {
 		return ErrClosed
-	}
-	return nil
-}
-
-// rotateLocked finishes the active segment (flush + fsync + close) and
-// opens the next one. It waits out any in-flight group commit first so
-// the fsync target cannot be closed under it.
-func (l *Log) rotateLocked() error {
-	for l.syncing {
-		l.cond.Wait()
-	}
-	if l.err != nil {
-		return l.err
 	}
 	if err := l.w.Flush(); err != nil {
 		l.err = err
 		return err
 	}
-	if !l.opts.NoSync {
-		if err := l.f.Sync(); err != nil {
-			l.err = err
-			return err
-		}
+	if err := l.f.Sync(); err != nil {
+		l.err = err
+		return err
 	}
 	l.stats.Syncs++
-	l.synced = l.appended
-	if err := l.f.Close(); err != nil {
-		l.err = err
-		return err
-	}
-	l.seg++
-	if err := l.openSegmentLocked(); err != nil {
-		l.err = err
-		return err
-	}
+	l.dirty = false
 	return nil
 }
 
@@ -425,7 +355,7 @@ func (l *Log) DropHistory() error {
 	l.inherited = nil
 	l.mu.Unlock()
 	for _, seg := range victims {
-		if err := os.Remove(filepath.Join(l.opts.Dir, segName(seg))); err != nil && !os.IsNotExist(err) {
+		if err := os.Remove(filepath.Join(l.dir, segName(seg))); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("wal: %w", err)
 		}
 	}
@@ -441,9 +371,6 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.opts.Dir }
-
 // Close flushes, fsyncs and closes the log. Records appended before Close
 // are durable when it returns nil.
 func (l *Log) Close() error {
@@ -454,18 +381,14 @@ func (l *Log) Close() error {
 	}
 	err := l.syncLocked()
 	l.closed = true
-	l.cond.Broadcast()
-	if l.f != nil {
-		if ferr := l.f.Close(); err == nil && ferr != nil {
-			err = ferr
-		}
-		l.f = nil
+	if ferr := l.f.Close(); err == nil {
+		err = ferr
 	}
 	return err
 }
 
-// Abandon drops the log without flushing or syncing buffered records —
-// the closest a test gets to SIGKILL. Records already covered by a Sync
+// Abandon drops the log without flushing buffered records to disk —
+// the closest a test gets to SIGKILL. Records already covered by a sync
 // stay on disk; buffered ones vanish, exactly as a crash would lose them.
 func (l *Log) Abandon() {
 	l.mu.Lock()
@@ -473,13 +396,6 @@ func (l *Log) Abandon() {
 	if l.closed {
 		return
 	}
-	for l.syncing {
-		l.cond.Wait()
-	}
 	l.closed = true
-	l.cond.Broadcast()
-	if l.f != nil {
-		_ = l.f.Close() // without flushing l.w: the buffer is dropped
-		l.f = nil
-	}
+	_ = l.f.Close() // without flushing l.w: the buffer is dropped
 }

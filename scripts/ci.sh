@@ -37,12 +37,13 @@ for ex in examples/*/; do
     go run "./$ex" >/dev/null
 done
 
-echo "== repeated race: shard scheduling, remote clients and the cdlab processes =="
-# The shard loop, the dispatch queue, the service's job lifecycle and
-# the remote client and worker loops share goroutines and settle-order
-# invariants, and the end-to-end tests race real processes; a flake there
-# may show in only one run out of many, so repeat them.
-go test -race -count=3 ./internal/engine ./internal/dispatch ./internal/service ./client ./cmd/cdlab
+echo "== repeated race: shard scheduling, the WAL, remote clients and the cdlab processes =="
+# The shard loop, the dispatch queue, the service's job lifecycle, the
+# WAL's single lock and the remote client and worker loops share
+# goroutines and settle-order invariants, and the end-to-end tests race
+# real processes; a flake there may show in only one run out of many, so
+# repeat them.
+go test -race -count=3 ./internal/engine ./internal/dispatch ./internal/wal ./internal/service ./client ./cmd/cdlab
 
 echo "== wal decoder fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzReplaySegment -fuzztime 5s ./internal/wal
