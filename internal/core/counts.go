@@ -50,8 +50,8 @@ func NewCountsSampler(cfg SubarrayConfig) *CountsSampler {
 	// The residual (post-row-effect) sigmas are row-invariant, so the
 	// quadrature's exp factors are prepared once per class; each row then
 	// only shifts the location parameters (see fastpath.go).
-	s.evals = prepareClasses(cfg)
 	s.threshold = faultmodel.Ln2 / cfg.DurationMs
+	s.evals = prepareClasses(cfg, s.threshold)
 	return s
 }
 
@@ -66,6 +66,10 @@ func (s *CountsSampler) Sample(r *rng.Rand) SubarrayCounts {
 		flips := 0
 		for i := range s.evals {
 			ce := &s.evals[i]
+			if ce.zeroRow(zB, zK) {
+				// p is exactly 0, and Binomial(n, 0) draws nothing.
+				continue
+			}
 			p := ce.eval.survivalRow(s.threshold, ce.eval.muB+ce.dMuB*zB, ce.eval.muK+ce.dMuK*zK)
 			flips += r.Binomial(ce.cells, p)
 		}

@@ -38,7 +38,20 @@ import (
 //     result is bit-identical; nodes within the slack of the cutoff still
 //     take the log. A per-row flip probability that is exactly 0 (most rows
 //     of a blast-radius sweep) then costs one exp for T instead of eight
-//     logs, sixteen under the VRT mixture, whose components share T.
+//     logs, sixteen under the VRT mixture, whose components share T;
+//   - the tabulated loose kernel: loose mode evaluates fastPhiC by cubic
+//     Hermite interpolation in a process-wide table of its values and
+//     derivatives (loosePhiC), mirrored at 0 as fastPhiC mirrors, with no
+//     exp. TestLoosePhiCTable pins it within 1e-12 of fastPhiC (3.4e-13
+//     absolute and 6e-10 relative measured), inside the relative 1e-7 on
+//     every flip probability that still leaves every report byte-identical;
+//   - the zero-row skip: CountsSampler tests each class's zero-row bound
+//     (setZeroBound) on the row's z-scores before calling survivalRow. A
+//     row the bound covers has every node in the upper tail, so its flip
+//     probability is exactly 0 and Binomial(n, 0) draws nothing; skipping
+//     it costs three compares instead of two exps and the node loop, and
+//     changes no draw. TestZeroRowBound and FuzzZeroRowBound check that
+//     survivalRow returns exactly 0 wherever the bound skips.
 //
 // In strict mode results agree with the pre-fastpath evaluation to ~1e-15
 // relative (the factored exponentials differ in the last ulp);
@@ -76,8 +89,8 @@ const (
 	// strictMode keeps relative tail accuracy: rng.PhiC with the strict
 	// cutoffs, as quantile inversion (TTF) needs.
 	strictMode evalMode = iota
-	// looseMode needs absolute accuracy only: fastPhiC with the loose
-	// cutoffs, for binomial flip probabilities.
+	// looseMode needs absolute accuracy only: the tabulated fastPhiC
+	// (loosePhiC) with the loose cutoffs, for binomial flip probabilities.
 	looseMode
 )
 
@@ -94,24 +107,90 @@ type survivalEval struct {
 	vrtProb, vrtFactor   float64
 	lnVRT                float64
 	cutHi, cutLo         float64 // PhiC tail cutoffs of the mode
-	loose                bool    // looseMode: fastPhiC + loose cutoffs
+	loose                bool    // looseMode: loosePhiC + loose cutoffs
 	skipT                float64 // skipThreshold(muK)
 }
+
+// Abramowitz–Stegun 26.2.17: PhiC(z) ≈ φ(z)·(a1·t + … + a5·t⁵) with
+// t = 1/(1 + asK·z), for z ≥ 0.
+const (
+	asK                          = 0.2316419
+	asA1, asA2, asA3, asA4, asA5 = 0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429
+	invSqrt2Pi                   = 0.3989422804014327
+)
 
 // fastPhiC approximates the complementary normal CDF with absolute error
 // below 7.5e-8 (Abramowitz–Stegun 26.2.17): one exp and a degree-5
 // polynomial, roughly a third of math.Erfc's cost. Only the loose
-// (binomial-probability) evaluation mode uses it — quantile inversion
-// needs relative tail accuracy and stays on rng.PhiC.
+// (binomial-probability) evaluation mode uses it, through loosePhiC's
+// table — quantile inversion needs relative tail accuracy and stays on
+// rng.PhiC.
 func fastPhiC(z float64) float64 {
 	neg := z < 0
 	if neg {
 		z = -z
 	}
-	t := 1 / (1 + 0.2316419*z)
-	poly := t * (0.319381530 + t*(-0.356563782+t*(1.781477937+t*(-1.821255978+t*1.330274429))))
-	p := 0.3989422804014327 * math.Exp(-0.5*z*z) * poly
+	t := 1 / (1 + asK*z)
+	poly := t * (asA1 + t*(asA2+t*(asA3+t*(asA4+t*asA5))))
+	p := invSqrt2Pi * math.Exp(-0.5*z*z) * poly
 	if neg {
+		return 1 - p
+	}
+	return p
+}
+
+// The loose kernel's table: fastPhiC itself (not the exact PhiC, so the
+// two kernels agree far below the binomial draws' resolution) sampled with
+// its derivative at 1/phiCTableScale steps over [0, phiCTableMax], the
+// upper half only. fastPhiC's polynomial fit steps by about 1e-9 at z = 0,
+// where it mirrors, so a table that interpolated across 0 would carry that
+// step as error; the mirrored table is within 1e-12 of fastPhiC
+// everywhere (TestLoosePhiCTable).
+const (
+	phiCTableScale = 256
+	phiCTableMax   = 5.75 // just past phiCZeroLoose
+	phiCTableKnots = 1473 // phiCTableMax·phiCTableScale + 1
+)
+
+// phiCKnot is one knot of the loose kernel's table: fastPhiC's value and
+// its derivative times the knot spacing.
+type phiCKnot struct{ p, m float64 }
+
+// loosePhiCTable is built once at package initialization and never written
+// afterwards, so every sampler and shard goroutine shares it race-free.
+var loosePhiCTable = newLoosePhiCTable()
+
+func newLoosePhiCTable() *[phiCTableKnots]phiCKnot {
+	tab := new([phiCTableKnots]phiCKnot)
+	for i := range tab {
+		z := float64(i) / phiCTableScale
+		t := 1 / (1 + asK*z)
+		poly := t * (asA1 + t*(asA2+t*(asA3+t*(asA4+t*asA5))))
+		dpoly := asA1 + t*(2*asA2+t*(3*asA3+t*(4*asA4+t*5*asA5)))
+		// d/dz of φ(z)·poly(t), with dt/dz = −asK·t².
+		deriv := invSqrt2Pi * math.Exp(-0.5*z*z) * (-z*poly - asK*t*t*dpoly)
+		tab[i] = phiCKnot{p: fastPhiC(z), m: deriv / phiCTableScale}
+	}
+	return tab
+}
+
+// loosePhiC is the loose mode's PhiC kernel: fastPhiC by cubic Hermite
+// interpolation in loosePhiCTable, mirrored as 1 − p below 0 as fastPhiC
+// mirrors. NaN, ±Inf and |z| ≥ phiCTableMax fall back to fastPhiC.
+func loosePhiC(z float64) float64 {
+	az := math.Abs(z)
+	if !(az < phiCTableMax) {
+		return fastPhiC(z)
+	}
+	u := az * phiCTableScale
+	i := int(u)
+	f := u - float64(i)
+	k0, k1 := &loosePhiCTable[i], &loosePhiCTable[i+1]
+	dp := k1.p - k0.p
+	c2 := 3*dp - 2*k0.m - k1.m
+	c3 := k0.m + k1.m - 2*dp
+	p := k0.p + f*(k0.m+f*(c2+f*c3))
+	if z < 0 {
 		return 1 - p
 	}
 	return p
@@ -229,7 +308,7 @@ func (e *survivalEval) survivalOne(x, eb, muB, muK, t float64) float64 {
 			break
 		}
 		if e.loose {
-			sum += ghWeights[j] * fastPhiC(a)
+			sum += ghWeights[j] * loosePhiC(a)
 		} else {
 			sum += ghWeights[j] * rng.PhiC(a)
 		}
@@ -288,18 +367,87 @@ func (e *survivalEval) quantileSurvival(s float64) float64 {
 }
 
 // classEval is one column class of a subarray experiment prepared for the
-// per-row sweep: the residual-variance survival evaluator plus the per-unit
-// row-effect shifts of the location parameters.
+// per-row sweep: the residual-variance survival evaluator, the per-unit
+// row-effect shifts of the location parameters, and the zero-row bound.
 type classEval struct {
 	eval       survivalEval
 	dMuB, dMuK float64
 	cells      int
+	// The zero-row bound (setZeroBound): zeroRow holds where zB ≤ zeroZR,
+	// zK ≤ zeroGL and zK ≤ zeroC0 + zeroSlope·zB. Disabled, zeroZR is NaN,
+	// which no zB is at or below.
+	zeroZR, zeroGL    float64
+	zeroC0, zeroSlope float64
+}
+
+const (
+	// zeroRowMargin is the zero-row bound's margin in log space, as the
+	// cell tier's survival bound keeps: far above the few-ulp rounding of
+	// the row's location shifts, exp, log and the chord itself.
+	zeroRowMargin = 1e-6
+	// zeroChordU is the binding node's share of x, b_max/x, at the chord's
+	// right end: x − b_max stays at least x/3 there, so the subtraction
+	// cannot cancel the margin away.
+	zeroChordU = 2.0 / 3
+	// zeroChordWidth is the chord's span in zB; with zeroChordU it keeps
+	// about 95% of a small sweep's provably-zero rows.
+	zeroChordWidth = 5
+)
+
+// setZeroBound prepares the class's zero-row bound at threshold x. With a
+// coupling term, survivalRow is exactly 0 when every node of every mixture
+// component has a PhiC argument ≥ cutHi, and the binding node is the
+// largest base rate b_max (node 7, scaled by VRTFactor in the weak
+// component). In (zB, zK) that holds for zK ≤ g(zB) with
+//
+//	g(zB) = (ln(x − b_max(zB)) − muK − cutHi·σK − δ)/dMuK,
+//
+// b_max(zB) = b_max(0)·e^{dMuB·zB}. g is concave and decreasing, so the
+// chord from zL to zR lies below it on [zL, zR], and g(zL) bounds it below
+// zL. The bound is off where a term it rests on is not positive and finite.
+func (ce *classEval) setZeroBound(x float64) {
+	e := &ce.eval
+	ce.zeroZR = math.NaN()
+	if e.kDisabled || !(e.sigmaK > 0) || !(ce.dMuK > 0) || !(ce.dMuB > 0) {
+		return
+	}
+	eMax := e.eNode[0]
+	for _, v := range e.eNode {
+		eMax = math.Max(eMax, v)
+	}
+	lnBMax := e.muB + math.Log(eMax)
+	if e.vrtProb > 0 && e.vrtFactor > 1 {
+		lnBMax += e.lnVRT
+	}
+	lnX := math.Log(x)
+	if !(math.Abs(lnX) < 700) || !(math.Abs(lnBMax) < 700) || !(math.Abs(e.muK) < 700) {
+		return
+	}
+	g := func(zB float64) float64 {
+		u := math.Exp(ce.dMuB*zB + lnBMax - lnX) // b_max(zB)/x
+		return (lnX + math.Log1p(-u) - e.muK - e.cutHi*e.sigmaK - zeroRowMargin) / ce.dMuK
+	}
+	zR := (lnX - lnBMax + math.Log(zeroChordU)) / ce.dMuB
+	zL := zR - zeroChordWidth
+	gL, gR := g(zL), g(zR)
+	if math.IsNaN(gL-gR) || math.IsInf(gL-gR, 0) {
+		return
+	}
+	slope := (gR - gL) / zeroChordWidth
+	ce.zeroZR, ce.zeroGL = zR, gL
+	ce.zeroSlope, ce.zeroC0 = slope, gL-slope*zL
+}
+
+// zeroRow reports whether the bound proves the class's flip probability
+// exactly 0 for the row z-scores (zB, zK); see setZeroBound.
+func (ce *classEval) zeroRow(zB, zK float64) bool {
+	return zB <= ce.zeroZR && zK <= ce.zeroGL && zK <= ce.zeroC0+ce.zeroSlope*zB
 }
 
 // prepareClasses builds the per-class evaluators for CountsSampler's row
-// loop. Classes that round to zero cells are dropped (matching the
-// pre-fastpath skip, which never drew from the RNG for them).
-func prepareClasses(cfg SubarrayConfig) []classEval {
+// loop at threshold x. Classes that round to zero cells are dropped
+// (matching the pre-fastpath skip, which never drew from the RNG for them).
+func prepareClasses(cfg SubarrayConfig, x float64) []classEval {
 	evals := make([]classEval, 0, len(cfg.Classes))
 	for _, cl := range cfg.Classes {
 		cells := int(math.Round(cl.Frac * float64(cfg.Cols)))
@@ -317,6 +465,7 @@ func prepareClasses(cfg SubarrayConfig) []classEval {
 		if !base.KDisabled {
 			ce.dMuK = base.SigmaK * math.Sqrt(cfg.Params.KappaRowVarFrac)
 		}
+		ce.setZeroBound(x)
 		evals = append(evals, ce)
 	}
 	return evals

@@ -113,6 +113,47 @@ func TestFastPhiCAccuracy(t *testing.T) {
 	}
 }
 
+// TestLoosePhiCTable pins the loose kernel's table to the function it
+// tabulates: within 1e-12 of fastPhiC over the loose cutoffs' range, on a
+// grid whose step does not divide the knot spacing, plus points within a
+// few ulps of 0, of every 64th knot and of both cutoffs. Arguments the
+// table does not cover must return fastPhiC's value, NaN included.
+func TestLoosePhiCTable(t *testing.T) {
+	zs := []float64{math.Copysign(0, -1)}
+	for z := phiCOneLoose; z <= phiCZeroLoose; z += 1.0 / 997 {
+		zs = append(zs, z)
+	}
+	near := []float64{0, phiCOneLoose, phiCZeroLoose}
+	for k := 0; k*64 < phiCTableKnots; k++ {
+		z := float64(k*64) / 256
+		near = append(near, z, -z)
+	}
+	for _, c := range near {
+		for k := -4; k <= 4; k++ {
+			zs = append(zs, stepULPs(c, k))
+		}
+	}
+	worst, worstZ := 0.0, 0.0
+	for _, z := range zs {
+		if d := math.Abs(loosePhiC(z) - fastPhiC(z)); !(d <= worst) {
+			worst, worstZ = d, z
+		}
+	}
+	if !(worst <= 1e-12) {
+		t.Fatalf("table error %g at z = %v exceeds 1e-12", worst, worstZ)
+	}
+	t.Logf("%d points, worst |table − fastPhiC| = %.3g at z = %v", len(zs), worst, worstZ)
+
+	edge := 5.75
+	for _, z := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), edge, -edge,
+		stepULPs(edge, 1), stepULPs(-edge, -1), 6, -6, 40, -40, 1e300, -1e300, math.MaxFloat64} {
+		got, want := loosePhiC(z), fastPhiC(z)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("loosePhiC(%v) = %v, fastPhiC %v", z, got, want)
+		}
+	}
+}
+
 // TestTTFSamplerMatchesSampleTTF pins the reuse contract: construction
 // draws nothing from the RNG, so one sampler reused across draws consumes
 // the stream and returns values exactly as a fresh sampler per draw does.
@@ -179,7 +220,7 @@ func refSurvivalOneNoSkip(e *survivalEval, x, eb, muB, muK float64) float64 {
 			break
 		}
 		if e.loose {
-			sum += ghWeights[j] * fastPhiC(a)
+			sum += ghWeights[j] * loosePhiC(a)
 		} else {
 			sum += ghWeights[j] * rng.PhiC(a)
 		}
@@ -354,6 +395,174 @@ func FuzzSurvivalRowSkip(f *testing.F) {
 		for i := range evals {
 			re := &evals[i]
 			checkSkipBitExact(t, re, x, re.eval.muB+dMuB, re.eval.muK+dMuK)
+		}
+	})
+}
+
+var sinkPhiC float64
+
+// BenchmarkLoosePhiC measures the loose PhiC kernel, the survival
+// quadrature's innermost call, on arguments spread over the loose cutoffs'
+// range: "table" is the interpolated kernel survivalOne calls, "fastPhiC"
+// the approximation it tabulates.
+func BenchmarkLoosePhiC(b *testing.B) {
+	// 389 is odd, so i·389 mod 1024 visits every argument once, scattered
+	// over the table rather than walking it knot by knot.
+	var zs [1024]float64
+	for i := range zs {
+		zs[i] = phiCOneLoose + (phiCZeroLoose-phiCOneLoose)*float64(i*389%1024)/1024
+	}
+	for _, bc := range []struct {
+		name string
+		f    func(float64) float64
+	}{{"table", loosePhiC}, {"fastPhiC", fastPhiC}} {
+		b.Run(bc.name, func(b *testing.B) {
+			acc := 0.0
+			for i := 0; i < b.N; i++ {
+				acc += bc.f(zs[i&1023])
+			}
+			sinkPhiC = acc
+		})
+	}
+}
+
+// zeroBoundClasses prepares, as CountsSampler does, the blast-radius
+// classes (worst-case aggressor subarray and all-1 retention) of each
+// module at every characterization temperature and a range of refresh
+// windows, each with its threshold.
+func zeroBoundClasses(specs []chipdb.ModuleSpec) (classes []classEval, xs []float64) {
+	worstCase := PatternSetup{
+		AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
+		TAggOnNs: 70_200, TRPNs: 14,
+	}
+	for _, spec := range specs {
+		p := spec.BuildParams()
+		g := spec.Geometry()
+		for _, cls := range [][]ColumnClass{AggressorSubarrayClasses(p, worstCase), RetentionClasses(p, dram.PatFF)} {
+			for _, tempC := range []float64{45, 65, 85, 95} {
+				for _, ms := range []float64{64, 512, 1024, 4096, 16000} {
+					x := faultmodel.Ln2 / ms
+					cfg := SubarrayConfig{Params: p, TempC: tempC, DurationMs: ms,
+						Rows: g.RowsPerSubarray, Cols: g.Cols, Classes: cls}
+					for _, ce := range prepareClasses(cfg, x) {
+						classes = append(classes, ce)
+						xs = append(xs, x)
+					}
+				}
+			}
+		}
+	}
+	return classes, xs
+}
+
+// representativeSpecs returns every manufacturer's representative module.
+func representativeSpecs() []chipdb.ModuleSpec {
+	var reps []chipdb.ModuleSpec
+	for _, mfr := range chipdb.Manufacturers() {
+		reps = append(reps, chipdb.Representative(mfr))
+	}
+	return reps
+}
+
+// checkZeroRow evaluates the class at row z-scores (zB, zK) as
+// CountsSampler does and fails the test if the zero-row bound claims a
+// skip where the flip probability is not exactly 0. It returns whether
+// the bound skipped and the probability.
+func checkZeroRow(t testing.TB, ce *classEval, x, zB, zK float64) (skip bool, p float64) {
+	t.Helper()
+	skip = ce.zeroRow(zB, zK)
+	p = ce.eval.survivalRow(x, ce.eval.muB+ce.dMuB*zB, ce.eval.muK+ce.dMuK*zK)
+	if skip && p != 0 {
+		t.Errorf("zeroRow(zB=%v, zK=%v) at x=%v claims a zero row, survivalRow = %v", zB, zK, x, p)
+	}
+	return skip, p
+}
+
+// TestZeroRowBound checks that the zero-row bound skips only rows whose
+// flip probability is exactly 0: random rows over every manufacturer's
+// representative module, then rows constructed on both sides of the
+// bound's edge, a few ulps to 1e-4 away from it at zB on and around the
+// chord's span.
+func TestZeroRowBound(t *testing.T) {
+	classes, xs := zeroBoundClasses(representativeSpecs())
+	r := rng.New(25)
+	random, randomSkipped := 0, 0
+	for i := range classes {
+		for k := 0; k < 256; k++ {
+			skip, _ := checkZeroRow(t, &classes[i], xs[i], 1.5*r.Norm(), 1.5*r.Norm())
+			random++
+			if skip {
+				randomSkipped++
+			}
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	edge, skipped, unskipped, live := 0, 0, 0, 0
+	for i := range classes {
+		ce := &classes[i]
+		if math.IsNaN(ce.zeroZR) {
+			continue
+		}
+		zL := ce.zeroZR - zeroChordWidth
+		var zBs []float64
+		for k := -8; k <= 24; k++ {
+			zBs = append(zBs, zL+float64(k)*zeroChordWidth/16)
+		}
+		for k := -4; k <= 4; k++ {
+			zBs = append(zBs, stepULPs(zL, k), stepULPs(ce.zeroZR, k))
+		}
+		for _, zB := range zBs {
+			// The bound's edge at zB, recomputed from its definition.
+			zK0 := ce.zeroGL
+			if c := ce.zeroC0 + ce.zeroSlope*zB; c < zK0 {
+				zK0 = c
+			}
+			var zKs []float64
+			for k := -4; k <= 4; k++ {
+				zKs = append(zKs, stepULPs(zK0, k))
+			}
+			for _, d := range []float64{1e-9, 1e-6, 1e-4} {
+				zKs = append(zKs, zK0-d, zK0+d)
+			}
+			for _, zK := range zKs {
+				skip, p := checkZeroRow(t, ce, xs[i], zB, zK)
+				edge++
+				switch {
+				case skip:
+					skipped++
+				case p > 0:
+					unskipped++
+					live++
+				default:
+					unskipped++
+				}
+			}
+		}
+	}
+	// Both sides of the edge must be reached, and past the margin the
+	// edge must meet rows that really flip.
+	if randomSkipped == 0 || randomSkipped == random || skipped < 1000 || unskipped < 1000 || live < 100 {
+		t.Fatalf("random: %d rows, %d skipped; edge: %d rows, %d skipped, %d not (%d with p > 0)",
+			random, randomSkipped, edge, skipped, unskipped, live)
+	}
+	t.Logf("%d classes; random: %d rows, %d skipped; edge: %d rows, %d skipped, %d not (%d with p > 0)",
+		len(classes), random, randomSkipped, edge, skipped, unskipped, live)
+}
+
+// FuzzZeroRowBound checks the zero-row bound over fuzzed row z-scores for
+// every manufacturer's representative module: wherever it claims a skip,
+// survivalRow must return exactly 0.
+func FuzzZeroRowBound(f *testing.F) {
+	classes, xs := zeroBoundClasses(representativeSpecs())
+	for _, seed := range [][2]float64{{0, 0}, {-3, 2}, {2, -5}, {-8, -8}, {1.5, -1}, {math.Inf(-1), 0}} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, zB, zK float64) {
+		for i := range classes {
+			checkZeroRow(t, &classes[i], xs[i], zB, zK)
 		}
 	})
 }

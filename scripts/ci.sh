@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for every PR: build, vet, gofmt, race-enabled tests (the cdlab
 # end-to-end tests in cmd/cdlab included), a run of every example, WAL,
-# survival-skip and commit-skip fuzz passes, a compile-and-run pass over
+# survival-skip, zero-row-bound and commit-skip fuzz passes, a compile-and-run pass over
 # every benchmark (one iteration each) and a perf-trajectory snapshot.
 #
 # Usage: scripts/ci.sh [extra go-test flags...]
@@ -51,6 +51,9 @@ go test -run '^$' -fuzz FuzzReplaySegment -fuzztime 5s ./internal/wal
 echo "== survival quadrature skip fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzSurvivalRowSkip -fuzztime 5s ./internal/core
 
+echo "== counts sampler zero-row bound fuzz (committed corpus + 5s of new inputs) =="
+go test -run '^$' -fuzz FuzzZeroRowBound -fuzztime 5s ./internal/core
+
 echo "== cell-explicit commit skip fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzCommitFaults -fuzztime 5s ./internal/dram
 
@@ -61,9 +64,15 @@ echo "== benchjson: perf-trajectory snapshot =="
 # Every revision can emit a parseable BENCH_<rev>.json; the check gate
 # fails if a trajectory benchmark (RunAll{Serial,Parallel,WarmCache})
 # stops emitting. Commit the snapshot on tentpole PRs to grow the
-# tracked perf history.
+# tracked perf history. The snapshot measures the working tree, so a tree
+# that differs from HEAD (tracked changes or untracked files, earlier
+# snapshots aside) names it BENCH_<rev>-dirty.json: only a clean tree's
+# numbers carry the bare revision label.
 rev=$(git rev-parse --short HEAD)
-go run ./scripts/benchjson -out "BENCH_${rev}.json"
+if [ -n "$(git status --porcelain -- . ':(exclude)BENCH_*.json')" ]; then
+    rev="${rev}-dirty"
+fi
+go run ./scripts/benchjson -rev "$rev" -out "BENCH_${rev}.json"
 go run ./scripts/benchjson -check "BENCH_${rev}.json"
 
 echo "CI OK"
