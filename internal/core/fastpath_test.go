@@ -386,11 +386,7 @@ func ulpDistance(a, b float64) int64 {
 // precomputed exp(muB) and skip threshold. Each input runs against every
 // manufacturer's representative module.
 func FuzzSurvivalRowSkip(f *testing.F) {
-	var reps []chipdb.ModuleSpec
-	for _, mfr := range chipdb.Manufacturers() {
-		reps = append(reps, chipdb.Representative(mfr))
-	}
-	evals := skipTestEvals(f, reps)
+	evals := skipTestEvals(f, representativeSpecs())
 	f.Fuzz(func(t *testing.T, x, dMuB, dMuK float64) {
 		for i := range evals {
 			re := &evals[i]
