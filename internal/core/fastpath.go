@@ -33,18 +33,25 @@ import (
 //     where T = exp(muK + cutHi·SigmaK)·(1+skipSlack), comparing instead of
 //     taking a log. The slack (1e-9 in log space) keeps every skipped node's
 //     computed argument at or above cutHi despite the few-ulp rounding of
-//     exp and log, so the skip drops only nodes the loop would have
-//     discarded anyway, the sum's terms and order are unchanged and the
-//     result is bit-identical; nodes within the slack of the cutoff still
-//     take the log. A per-row flip probability that is exactly 0 (most rows
-//     of a blast-radius sweep) then costs one exp for T instead of eight
-//     logs, sixteen under the VRT mixture, whose components share T;
+//     exp and of the log (math.Log, or looseLog's 4 ulp in loose mode), so
+//     the skip drops only nodes the loop would have discarded anyway, the
+//     sum's terms and order are unchanged and the result is bit-identical;
+//     nodes within the slack of the cutoff still take the log. A per-row
+//     flip probability that is exactly 0 (most rows of a blast-radius
+//     sweep) then costs one exp for T instead of eight logs, sixteen under
+//     the VRT mixture, whose components share T;
 //   - the tabulated loose kernel: loose mode evaluates fastPhiC by cubic
 //     Hermite interpolation in a process-wide table of its values and
 //     derivatives (loosePhiC), mirrored at 0 as fastPhiC mirrors, with no
 //     exp. TestLoosePhiCTable pins it within 1e-12 of fastPhiC (3.4e-13
 //     absolute and 6e-10 relative measured), inside the relative 1e-7 on
 //     every flip probability that still leaves every report byte-identical;
+//   - the table-driven loose log: loose mode takes each node's log with
+//     looseLog, a 256-bucket table of reciprocals and logs plus a degree-5
+//     log1p polynomial, with no division and no libm call. TestLooseLog
+//     pins it within max(4 ulp, 1e-15 absolute) of math.Log (3 ulp and
+//     3.3e-16 absolute measured over 2e7 random arguments); strict mode,
+//     the kDisabled branch and setZeroBound keep math.Log;
 //   - the zero-row skip: CountsSampler tests each class's zero-row bound
 //     (setZeroBound) on the row's z-scores before calling survivalRow. A
 //     row the bound covers has every node in the upper tail, so its flip
@@ -77,8 +84,8 @@ const (
 	phiCOneLoose  = -5.7
 	// skipSlack is the relative margin of the upper-tail skip threshold T:
 	// ln(1+skipSlack) ≈ 1e-9 in log space, far above the few-ulp rounding of
-	// exp, log and the argument's affine map over the range skipThreshold
-	// admits.
+	// exp, log (looseLog's 4 ulp included) and the argument's affine map
+	// over the range skipThreshold admits.
 	skipSlack = 1e-9
 )
 
@@ -90,7 +97,8 @@ const (
 	// cutoffs, as quantile inversion (TTF) needs.
 	strictMode evalMode = iota
 	// looseMode needs absolute accuracy only: the tabulated fastPhiC
-	// (loosePhiC) with the loose cutoffs, for binomial flip probabilities.
+	// (loosePhiC) and log (looseLog) with the loose cutoffs, for binomial
+	// flip probabilities.
 	looseMode
 )
 
@@ -107,7 +115,7 @@ type survivalEval struct {
 	vrtProb, vrtFactor   float64
 	lnVRT                float64
 	cutHi, cutLo         float64 // PhiC tail cutoffs of the mode
-	loose                bool    // looseMode: loosePhiC + loose cutoffs
+	loose                bool    // looseMode: loosePhiC, looseLog + loose cutoffs
 	skipT                float64 // skipThreshold(muK)
 }
 
@@ -194,6 +202,58 @@ func loosePhiC(z float64) float64 {
 		return 1 - p
 	}
 	return p
+}
+
+// The loose log kernel's table: one entry per bucket of the top
+// logTableBits mantissa bits, holding 1/c for the bucket midpoint c and
+// the log of that reciprocal's exact inverse, so the rounding of 1/c does
+// not enter the result.
+const (
+	logTableBits = 8
+	logTableSize = 1 << logTableBits
+
+	fracBits = 52
+	fracMask = 1<<fracBits - 1
+	expBias  = 1023
+)
+
+// logBucket is one entry of looseLogTable.
+type logBucket struct{ inv, ln float64 }
+
+// looseLogTable is built once at package initialization and never written
+// afterwards, as loosePhiCTable is.
+var looseLogTable = newLooseLogTable()
+
+func newLooseLogTable() *[logTableSize]logBucket {
+	tab := new([logTableSize]logBucket)
+	for i := range tab {
+		inv := 1 / (1 + (float64(i)+0.5)/logTableSize)
+		tab[i] = logBucket{inv: inv, ln: -math.Log(inv)}
+	}
+	return tab
+}
+
+// looseLog is the loose mode's log kernel. It splits y = 2^k·m with m in
+// [1, 2), looks up the bucket of m's top eight bits, and returns
+// k·ln2 + ln c + log1p(r) for r = m/c − 1, |r| < 2⁻⁹, with log1p as its
+// degree-5 Taylor polynomial (truncation below 1e-17). TestLooseLog pins it
+// within max(4 ulp, 1e-15) of math.Log. Zero, subnormal, negative, ±Inf
+// and NaN arguments fall back to math.Log.
+func looseLog(y float64) float64 {
+	bits := math.Float64bits(y)
+	// A positive normal y has a biased exponent in [1, 0x7fe] and a clear
+	// sign bit. Subtracting 1<<fracBits maps exactly those to values below
+	// the bound: zero and subnormals wrap around, and the sign bit, 0x7ff
+	// exponents (±Inf, NaN) and negatives land at or above it.
+	if bits-1<<fracBits >= 0x7fe<<fracBits {
+		return math.Log(y)
+	}
+	k := float64(int(bits>>fracBits) - expBias)
+	b := &looseLogTable[(bits>>(fracBits-logTableBits))&(logTableSize-1)]
+	m := math.Float64frombits(bits&fracMask | expBias<<fracBits)
+	r := m*b.inv - 1
+	p := r * r * (-0.5 + r*(1.0/3+r*(-0.25+r*0.2)))
+	return (k*math.Ln2 + b.ln) + (r + p)
 }
 
 func newSurvivalEval(m RateModel, mode evalMode) survivalEval {
@@ -297,7 +357,13 @@ func (e *survivalEval) survivalOne(x, eb, muB, muK, t float64) float64 {
 			sum += e.suffixW[j]
 			break
 		}
-		a := (math.Log(x-b) - muK) * e.invSigmaK
+		var lnD float64
+		if e.loose {
+			lnD = looseLog(x - b)
+		} else {
+			lnD = math.Log(x - b)
+		}
+		a := (lnD - muK) * e.invSigmaK
 		if a >= e.cutHi {
 			continue // upper tail: below the caller's accuracy floor
 		}

@@ -154,6 +154,103 @@ func TestLoosePhiCTable(t *testing.T) {
 	}
 }
 
+// checkLooseLog compares looseLog(y) with math.Log(y). A positive normal y
+// must come within max(4 ulp of math.Log(y), 1e-15): the absolute floor
+// covers y near 1, where ln y and its ulp vanish. Every other argument must
+// give math.Log's exact bits. It returns the error in ulps of math.Log(y)
+// and in absolute terms (both 0 for the exact arguments).
+func checkLooseLog(t testing.TB, y float64) (ulps, abs float64) {
+	t.Helper()
+	got, want := looseLog(y), math.Log(y)
+	if !(y >= 0x1p-1022 && y <= math.MaxFloat64) {
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("looseLog(%v) = %v (%#x), math.Log %v (%#x)",
+				y, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		return 0, 0
+	}
+	aw := math.Abs(want)
+	ulp := math.Nextafter(aw, math.Inf(1)) - aw
+	abs = math.Abs(got - want)
+	if !(abs <= math.Max(4*ulp, 1e-15)) {
+		t.Errorf("looseLog(%v) = %v, math.Log %v: off by %.3g (%.3g ulp)", y, got, want, abs, abs/ulp)
+	}
+	return abs / ulp, abs
+}
+
+// TestLooseLog pins the loose log kernel against math.Log alone: random
+// positive bit patterns over the whole normal range, both edges of every
+// 1/256-wide mantissa bucket (± 4 ulps) at exponents across the range,
+// every power of two, y within 1e-6 of 1, and the largest and smallest
+// normals. Zero, subnormals, negatives, ±Inf and NaN must return
+// math.Log's exact bits.
+func TestLooseLog(t *testing.T) {
+	var ys []float64
+	r := rng.New(26)
+	for len(ys) < 1<<20 {
+		y := math.Float64frombits(r.Uint64() &^ (1 << 63))
+		if y >= 0x1p-1022 && y <= math.MaxFloat64 {
+			ys = append(ys, y)
+		}
+	}
+	for _, e := range []int{-1022, -700, -64, -2, -1, 0, 1, 2, 64, 700, 1023} {
+		for i := 0; i <= 256; i++ {
+			edge := math.Ldexp(1+float64(i)/256, e)
+			for k := -4; k <= 4; k++ {
+				ys = append(ys, stepULPs(edge, k))
+			}
+		}
+	}
+	for e := -1022; e <= 1023; e++ {
+		ys = append(ys, math.Ldexp(1, e))
+	}
+	for d := -1e-6; d <= 1e-6; d += 1.0 / (1 << 30) {
+		ys = append(ys, 1+d)
+	}
+	for k := -64; k <= 64; k++ {
+		ys = append(ys, stepULPs(1, k))
+	}
+	for _, y := range []float64{0x1p-1022, math.MaxFloat64} {
+		for k := -4; k <= 4; k++ {
+			ys = append(ys, stepULPs(y, k))
+		}
+	}
+	worstULP, worstAbs := 0.0, 0.0
+	var worstULPY, worstAbsY float64
+	for _, y := range ys {
+		ulps, abs := checkLooseLog(t, y)
+		if t.Failed() {
+			t.FailNow()
+		}
+		if math.Abs(math.Log(y)) > 1 {
+			if ulps > worstULP {
+				worstULP, worstULPY = ulps, y
+			}
+		} else if abs > worstAbs {
+			worstAbs, worstAbsY = abs, y
+		}
+	}
+	t.Logf("%d points: worst %.2f ulp where |ln y| > 1 (y = %v), worst %.3g absolute where |ln y| ≤ 1 (y = %v)",
+		len(ys), worstULP, worstULPY, worstAbs, worstAbsY)
+
+	for _, y := range []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64,
+		stepULPs(0x1p-1022, -1), 1e-310, -1e-310, -1, -0x1p-1022, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8000000000001)} {
+		checkLooseLog(t, y)
+	}
+}
+
+// FuzzLooseLog checks the loose log kernel's bound, or its fallback's
+// exact bits, at fuzzed arguments.
+func FuzzLooseLog(f *testing.F) {
+	for _, y := range []float64{1, 0.5, 2, 1 + 1.0/512, 3, 1e-300, 1e300, 0, -1, 1e-310, math.Inf(1)} {
+		f.Add(y)
+	}
+	f.Fuzz(func(t *testing.T, y float64) {
+		checkLooseLog(t, y)
+	})
+}
+
 // TestTTFSamplerMatchesSampleTTF pins the reuse contract: construction
 // draws nothing from the RNG, so one sampler reused across draws consumes
 // the stream and returns values exactly as a fresh sampler per draw does.
@@ -177,8 +274,11 @@ func TestTTFSamplerMatchesSampleTTF(t *testing.T) {
 
 // refSurvivalRowNoSkip is survivalRow together with survivalOne as they
 // stood before the upper-tail prefix skip, copied verbatim apart from the
-// receiver: every node takes its log before the cutoff test. The skip must
-// reproduce it bit for bit.
+// receiver and the kernels: every node takes its log before the cutoff
+// test. It calls the same log and PhiC kernels as survivalOne in each mode
+// (looseLog and loosePhiC in loose mode), so the comparison checks the skip,
+// not the kernels, which TestLooseLog and TestLoosePhiCTable pin. The skip
+// must reproduce it bit for bit.
 func refSurvivalRowNoSkip(e *survivalEval, x, muB, muK float64) float64 {
 	if x <= 0 {
 		return 1
@@ -209,7 +309,13 @@ func refSurvivalOneNoSkip(e *survivalEval, x, eb, muB, muK float64) float64 {
 			sum += e.suffixW[j]
 			break
 		}
-		a := (math.Log(x-b) - muK) * e.invSigmaK
+		var lnD float64
+		if e.loose {
+			lnD = looseLog(x - b)
+		} else {
+			lnD = math.Log(x - b)
+		}
+		a := (lnD - muK) * e.invSigmaK
 		if a >= e.cutHi {
 			continue // upper tail: below the caller's accuracy floor
 		}
@@ -418,6 +524,31 @@ func BenchmarkLoosePhiC(b *testing.B) {
 				acc += bc.f(zs[i&1023])
 			}
 			sinkPhiC = acc
+		})
+	}
+}
+
+var sinkLog float64
+
+// BenchmarkLooseLog measures the loose log kernel, which takes one log per
+// live quadrature node, on arguments spread log-uniformly over 2^±20:
+// "table" is the kernel survivalOne calls in loose mode, "math.Log" the
+// libm call it replaces there.
+func BenchmarkLooseLog(b *testing.B) {
+	var ys [1024]float64
+	for i := range ys {
+		ys[i] = math.Exp2(-20 + 40*float64(i*389%1024)/1024)
+	}
+	for _, bc := range []struct {
+		name string
+		f    func(float64) float64
+	}{{"table", looseLog}, {"math.Log", math.Log}} {
+		b.Run(bc.name, func(b *testing.B) {
+			acc := 0.0
+			for i := 0; i < b.N; i++ {
+				acc += bc.f(ys[i&1023])
+			}
+			sinkLog = acc
 		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -89,6 +90,12 @@ func writeGolden(t *testing.T, path string, got map[string]string) {
 	}
 }
 
+// reportsHowTo is how a change that means to move report bytes updates
+// the golden files.
+const reportsHowTo = "if the change is intended, bump resultSchemaVersion in experiments.go " +
+	"and regenerate both golden files in the same change: " +
+	"go test ./internal/experiments -run 'TestSerialParallelBitIdentical|TestFullProfileGolden' -update"
+
 // checkGolden compares the hashes of the reports that ran against the
 // committed golden file: reports must stay byte-identical from one
 // revision to the next unless the change means them to move.
@@ -98,12 +105,9 @@ func checkGolden(t *testing.T, path string, got map[string]string) {
 		writeGolden(t, path, got)
 		return
 	}
-	const howTo = "if the change is intended, bump resultSchemaVersion in experiments.go " +
-		"and regenerate both golden files in the same change: " +
-		"go test ./internal/experiments -run 'TestSerialParallelBitIdentical|TestFullProfileGolden' -update"
 	header, want := readGolden(t, path)
 	if header != goldenHeader {
-		t.Errorf("%s header is %q, want %q; %s", path, header, goldenHeader, howTo)
+		t.Errorf("%s header is %q, want %q; %s", path, header, goldenHeader, reportsHowTo)
 	}
 	registered := map[string]bool{}
 	for _, e := range All() {
@@ -111,16 +115,55 @@ func checkGolden(t *testing.T, path string, got map[string]string) {
 		golden, ok := want[e.ID]
 		switch sum, ran := got[e.ID]; {
 		case !ok:
-			t.Errorf("%s: no golden hash for %s; %s", path, e.ID, howTo)
+			t.Errorf("%s: no golden hash for %s; %s", path, e.ID, reportsHowTo)
 		case ran && sum != golden:
-			t.Errorf("%s report moved: sha256 %s, golden %s (%s); %s", e.ID, sum, golden, path, howTo)
+			t.Errorf("%s report moved: sha256 %s, golden %s (%s); %s", e.ID, sum, golden, path, reportsHowTo)
 		}
 	}
 	for id := range want {
 		if !registered[id] {
-			t.Errorf("%s: golden hash for unregistered experiment %s; %s", path, id, howTo)
+			t.Errorf("%s: golden hash for unregistered experiment %s; %s", path, id, reportsHowTo)
 		}
 	}
+}
+
+// smallMemo holds one serial run of each experiment at Small(), shared by
+// the tests that need the small profile's reports (smallSerial).
+var smallMemo struct {
+	sync.Mutex
+	res    map[string]*Result
+	golden map[string]string // small.sha256, read at first use
+}
+
+// smallSerial returns e's serial report at Small(), computed once per test
+// binary and shared by the tests that sweep the small profile. The run is
+// checked against small.sha256 when it is made (except under -update), so
+// a test that compares another mode with it — a parallel, split or fresh
+// run — checks that mode against the golden file too.
+func smallSerial(t *testing.T, e Experiment) *Result {
+	t.Helper()
+	smallMemo.Lock()
+	defer smallMemo.Unlock()
+	if r, ok := smallMemo.res[e.ID]; ok {
+		return r
+	}
+	r, err := e.RunWith(context.Background(), Small(), 1)
+	if err != nil {
+		t.Fatalf("%s at Small(), serial: %v", e.ID, err)
+	}
+	if !*update {
+		if smallMemo.golden == nil {
+			_, smallMemo.golden = readGolden(t, smallGoldenPath)
+		}
+		if sum, golden := reportHash(r), smallMemo.golden[e.ID]; sum != golden {
+			t.Fatalf("%s report moved: sha256 %s, golden %q (%s); %s", e.ID, sum, golden, smallGoldenPath, reportsHowTo)
+		}
+	}
+	if smallMemo.res == nil {
+		smallMemo.res = map[string]*Result{}
+	}
+	smallMemo.res[e.ID] = r
+	return r
 }
 
 // checkGoldenLines compares got, one entry per line, against the
@@ -163,21 +206,19 @@ func reportHash(r fmt.Stringer) string {
 
 // TestSerialParallelBitIdentical is the engine's end-to-end determinism
 // regression: for every registered experiment, the serial reference path
-// (workers=1) and a 4-worker parallel run must render byte-identical
-// output. The formerly-serial experiments (fig21–fig23, sec61, ttf, the
-// ablations) are covered by the registry sweep like everything else. The
-// serial renders are then hashed against the committed goldens, which
-// pins the same bytes across revisions (-update rewrites them).
+// (workers=1, the shared smallSerial run) and a 4-worker parallel run must
+// render byte-identical output. The formerly-serial experiments
+// (fig21–fig23, sec61, ttf, the ablations) are covered by the registry
+// sweep like everything else. The serial renders are then hashed against
+// the committed goldens, which pins the same bytes across revisions
+// (-update rewrites them).
 func TestSerialParallelBitIdentical(t *testing.T) {
 	cfg := Small()
 	got := map[string]string{}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			serial, err := e.RunWith(context.Background(), cfg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			serial := smallSerial(t, e)
 			parallel, err := e.RunWith(context.Background(), cfg, 4)
 			if err != nil {
 				t.Fatal(err)

@@ -27,14 +27,10 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 }
 
 func TestAllExperimentsRunAtSmallScale(t *testing.T) {
-	cfg := Small()
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			res, err := e.RunWith(context.Background(), cfg, 1)
-			if err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
-			}
+			res := smallSerial(t, e)
 			if res.ID != e.ID {
 				t.Fatalf("result ID %q, want %q", res.ID, e.ID)
 			}
@@ -52,14 +48,13 @@ func TestAllExperimentsRunAtSmallScale(t *testing.T) {
 	}
 }
 
+// TestExperimentsDeterministic reruns experiments from scratch and
+// compares each fresh report with the shared smallSerial one.
 func TestExperimentsDeterministic(t *testing.T) {
 	cfg := Small()
 	for _, id := range []string{"fig6", "fig11", "fig23"} {
 		e, _ := ByID(id)
-		a, err := e.RunWith(context.Background(), cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := smallSerial(t, e)
 		b, err := e.RunWith(context.Background(), cfg, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -99,14 +94,9 @@ func TestResultRendering(t *testing.T) {
 // must preserve (loose bands — each report's `(paper: …)` notes and
 // DESIGN.md §5 give the exact factors).
 func TestHeadlineShapes(t *testing.T) {
-	cfg := Small()
-
 	t.Run("fig6-scaling", func(t *testing.T) {
 		e, _ := ByID("fig6")
-		res, err := e.RunWith(context.Background(), cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := smallSerial(t, e)
 		joined := strings.Join(res.Notes, "\n")
 		if !strings.Contains(joined, "Obs 2") {
 			t.Fatal("missing die-scaling note")
@@ -115,10 +105,7 @@ func TestHeadlineShapes(t *testing.T) {
 
 	t.Run("sec61-anchors", func(t *testing.T) {
 		e, _ := ByID("sec61")
-		res, err := e.RunWith(context.Background(), cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := smallSerial(t, e)
 		joined := strings.Join(res.Notes, " ")
 		if !strings.Contains(joined, "PRVR reduces") {
 			t.Fatal("missing PRVR comparison")
@@ -127,10 +114,7 @@ func TestHeadlineShapes(t *testing.T) {
 
 	t.Run("fig21-miscorrection", func(t *testing.T) {
 		e, _ := ByID("fig21")
-		res, err := e.RunWith(context.Background(), cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := smallSerial(t, e)
 		joined := strings.Join(res.Notes, " ")
 		if !strings.Contains(joined, "miscorrects 88") {
 			t.Fatalf("SEC miscorrection should land near the paper's 88.5%%: %s", joined)

@@ -57,8 +57,10 @@ func micronTTFCosts() []int64 {
 // a plan's atoms are packed into shards must never show in its output.
 // Each split-capable experiment runs unsplit (MaxShardShare=1), aggressively
 // split serially, and aggressively split on 4 workers — all three renders
-// must be byte-identical, and the aggressive plan must actually have more
-// shards than the unsplit one (so the test can't pass vacuously).
+// must be byte-identical to the default profile's serial report (the shared
+// smallSerial run, which small.sha256 pins), and the aggressive plan must
+// actually have more shards than the unsplit one (so the test can't pass
+// vacuously).
 func TestSplitUnsplitBitIdentical(t *testing.T) {
 	unsplit := Small()
 	unsplit.MaxShardShare = 1
@@ -83,23 +85,20 @@ func TestSplitUnsplitBitIdentical(t *testing.T) {
 				t.Fatalf("aggressive split produced %d shards, unsplit %d — splitting inert",
 					len(sp.Shards), len(up.Shards))
 			}
-			ref, err := e.RunWith(context.Background(), unsplit, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			serial, err := e.RunWith(context.Background(), split, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parallel, err := e.RunWith(context.Background(), split, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := serial.String(), ref.String(); got != want {
-				t.Fatalf("split serial output differs from unsplit:\n--- unsplit ---\n%s\n--- split ---\n%s", want, got)
-			}
-			if got, want := parallel.String(), ref.String(); got != want {
-				t.Fatalf("split -j4 output differs from unsplit:\n--- unsplit ---\n%s\n--- split -j4 ---\n%s", want, got)
+			ref := smallSerial(t, e).String()
+			for _, run := range []struct {
+				name    string
+				cfg     Config
+				workers int
+			}{{"unsplit", unsplit, 1}, {"split", split, 1}, {"split -j4", split, 4}} {
+				r, err := e.RunWith(context.Background(), run.cfg, run.workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := r.String(); got != ref {
+					t.Fatalf("%s output differs from the default profile's:\n--- default ---\n%s\n--- %s ---\n%s",
+						run.name, ref, run.name, got)
+				}
 			}
 		})
 	}

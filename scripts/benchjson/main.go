@@ -7,8 +7,9 @@
 // Write mode runs the root package's sweep benchmarks — the three
 // RunAll trajectory points (serial reference, parallel sweep, warm-cache
 // replay floor) plus the inner-loop micro benchmarks of the core
-// machinery — at one iteration each and records ns/op per benchmark,
-// keyed by the git revision. Committing one BENCH_<rev>.json per tentpole
+// machinery — and internal/core's survival-quadrature kernel benchmarks
+// at one iteration each, and records ns/op per benchmark, keyed by the
+// git revision. Committing one BENCH_<rev>.json per tentpole
 // revision turns `git log --oneline BENCH_*.json` into the perf history.
 //
 // Check mode validates a snapshot without running anything: schema
@@ -20,6 +21,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -58,7 +60,12 @@ var required = []string{
 // subsets of RunAll and would double CI's bench wall time).
 const benchRegexp = "^Benchmark(RunAll|DeviceReadRow|Hammer512ms|" +
 	"StatisticalSubarray|BlastRadiusSample|TTFSample|SECDecode|Memsim|RowCloneScan|" +
-	"ShardSplitPlan|DiffReadsFiltered|CouplingEval)"
+	"ShardSplitPlan|DiffReadsFiltered|CouplingEval|LoosePhiC|LooseLog)"
+
+// benchPackages are the packages benchRegexp selects from: the root
+// package's sweeps and inner loops, and internal/core, whose unexported
+// survival-quadrature kernels the root package cannot reach.
+var benchPackages = []string{".", "./internal/core"}
 
 // resultLine matches `go test -bench` output such as
 // "BenchmarkRunAllSerial-8   1   123456789 ns/op".
@@ -99,25 +106,17 @@ func write(path, bench, benchtime, rev string) error {
 		}
 		rev = strings.TrimSpace(string(raw))
 	}
-	// The sweep and inner-loop benchmarks all live in the root package;
 	// -run ^$ skips tests so only benchmarks execute.
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", bench, "-benchtime", benchtime, ".")
+	args := append([]string{"test", "-run", "^$", "-bench", bench, "-benchtime", benchtime}, benchPackages...)
+	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
 	if err != nil {
 		return fmt.Errorf("go test -bench: %w", err)
 	}
-	benches := map[string]float64{}
-	for _, line := range strings.Split(string(raw), "\n") {
-		m := resultLine.FindStringSubmatch(strings.TrimSpace(line))
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return fmt.Errorf("parse %q: %w", line, err)
-		}
-		benches[m[1]] = ns
+	benches, err := parseBench(string(raw))
+	if err != nil {
+		return err
 	}
 	if len(benches) == 0 {
 		return fmt.Errorf("no benchmark results matched %q", bench)
@@ -140,6 +139,37 @@ func write(path, bench, benchtime, rev string) error {
 	}
 	fmt.Printf("benchjson: wrote %s (%d benchmarks at rev %s)\n", path, len(benches), rev)
 	return nil
+}
+
+// parseBench reads ns/op per benchmark from `go test -bench` output over
+// one or more packages. Sub-benchmarks keep their full name; the -N
+// GOMAXPROCS suffix is dropped. A name reported twice (the same benchmark
+// in two packages) is an error rather than a silent overwrite.
+func parseBench(out string) (map[string]float64, error) {
+	benches := map[string]float64{}
+	pkgOf := map[string]string{}
+	pkg := ""
+	sc := bufio.NewScanner(strings.NewReader(out))
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = p
+			continue
+		}
+		m := resultLine.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		ns, err := strconv.ParseFloat(m[2], 64)
+		if err != nil {
+			return nil, fmt.Errorf("parse %q: %w", line, err)
+		}
+		if prev, dup := pkgOf[m[1]]; dup {
+			return nil, fmt.Errorf("%s reported twice (packages %q and %q)", m[1], prev, pkg)
+		}
+		benches[m[1]], pkgOf[m[1]] = ns, pkg
+	}
+	return benches, sc.Err()
 }
 
 func checkFile(path string, minSpeedup float64) error {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for every PR: build, vet, gofmt, race-enabled tests (the cdlab
 # end-to-end tests in cmd/cdlab included), a run of every example, WAL,
-# survival-skip, zero-row-bound and commit-skip fuzz passes, a
+# survival-skip, loose-log, zero-row-bound and commit-skip fuzz passes, a
 # compile-and-run pass over every benchmark (one iteration each) and a
 # perf-trajectory snapshot.
 #
@@ -51,6 +51,9 @@ go test -run '^$' -fuzz FuzzReplaySegment -fuzztime 5s ./internal/wal
 
 echo "== survival quadrature skip fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzSurvivalRowSkip -fuzztime 5s ./internal/core
+
+echo "== loose log kernel fuzz (seed inputs + 5s of new inputs) =="
+go test -run '^$' -fuzz FuzzLooseLog -fuzztime 5s ./internal/core
 
 echo "== counts sampler zero-row bound fuzz (seed inputs + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzZeroRowBound -fuzztime 5s ./internal/core
