@@ -9,8 +9,8 @@
 // replay floor) plus the inner-loop micro benchmarks of the core
 // machinery — and internal/core's survival-quadrature kernel benchmarks
 // at one iteration each, and records ns/op per benchmark, keyed by the
-// git revision. Committing one BENCH_<rev>.json per tentpole
-// revision turns `git log --oneline BENCH_*.json` into the perf history.
+// git revision. Committing one BENCH_<rev>.json per tentpole revision
+// turns `git log --oneline BENCH_*.json` into the perf history.
 //
 // Check mode validates a snapshot without running anything: schema
 // version, a non-empty revision, positive ns/op values, and the presence
@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -149,9 +148,8 @@ func parseBench(out string) (map[string]float64, error) {
 	benches := map[string]float64{}
 	pkgOf := map[string]string{}
 	pkg := ""
-	sc := bufio.NewScanner(strings.NewReader(out))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for _, line := range strings.Split(out, "\n") {
+		line = strings.TrimSpace(line)
 		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
 			pkg = p
 			continue
@@ -169,7 +167,7 @@ func parseBench(out string) (map[string]float64, error) {
 		}
 		benches[m[1]], pkgOf[m[1]] = ns, pkg
 	}
-	return benches, sc.Err()
+	return benches, nil
 }
 
 func checkFile(path string, minSpeedup float64) error {
