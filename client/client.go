@@ -204,18 +204,30 @@ func (r *Runner) Workers(ctx context.Context) ([]dispatch.WorkerInfo, error) {
 	return out, nil
 }
 
+// checkJobID rejects a job ID that cannot name one job in a request path:
+// the server decodes %2F and cleans dot segments, so an ID that is empty, a
+// dot segment or contains a slash would route to another resource.
+func checkJobID(id string) error {
+	if id == "" || id == "." || id == ".." || strings.Contains(id, "/") {
+		return fmt.Errorf("client: invalid job ID %q", id)
+	}
+	return nil
+}
+
+// jobPath is the path of one job's resource, /v1/jobs/<id>, with the ID
+// path-escaped.
+func jobPath(id string) string { return "/v1/jobs/" + url.PathEscape(id) }
+
 // Trace fetches one job's span set (GET /v1/jobs/<id>/trace) and validates
 // the artifact's envelope and timestamp monotonicity. `cdlab trace` renders
-// the returned record with obs.RenderTrace. jobID is path-escaped; an ID
-// that is empty, a dot segment or contains a slash is rejected before any
-// request, since the server decodes %2F and cleans dot segments and would
-// route it to another resource.
+// the returned record with obs.RenderTrace. An invalid jobID (checkJobID)
+// is rejected before any request.
 func (r *Runner) Trace(ctx context.Context, jobID string) (obs.TraceRecord, error) {
-	if jobID == "" || jobID == "." || jobID == ".." || strings.Contains(jobID, "/") {
-		return obs.TraceRecord{}, fmt.Errorf("client: invalid job ID %q", jobID)
+	if err := checkJobID(jobID); err != nil {
+		return obs.TraceRecord{}, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		r.base+"/v1/jobs/"+url.PathEscape(jobID)+"/trace", nil)
+		r.base+jobPath(jobID)+"/trace", nil)
 	if err != nil {
 		return obs.TraceRecord{}, fmt.Errorf("client: %w", err)
 	}
@@ -283,8 +295,10 @@ func (r *Runner) submit(spec service.JobSpec) (service.JobStatus, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return service.JobStatus{}, fmt.Errorf("client: decode submit response: %w", err)
 	}
-	if st.ID == "" {
-		return service.JobStatus{}, fmt.Errorf("client: submit response carries no job ID")
+	// Every later request puts the ID in its path, so an ID no path can
+	// carry is refused here, before any of them.
+	if err := checkJobID(st.ID); err != nil {
+		return service.JobStatus{}, fmt.Errorf("client: submit response: %w", err)
 	}
 	return st, nil
 }
@@ -296,7 +310,7 @@ func (r *Runner) cancelJobs(ids []string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for _, id := range ids {
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, r.base+"/v1/jobs/"+id, nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, r.base+jobPath(id), nil)
 		if err != nil {
 			continue
 		}
@@ -322,7 +336,7 @@ func (r *Runner) followJob(ctx context.Context, id string) (columndisturb.Event,
 			return zero, err
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-			fmt.Sprintf("%s/v1/jobs/%s/events?from=%d", r.base, id, next), nil)
+			fmt.Sprintf("%s%s/events?from=%d", r.base, jobPath(id), next), nil)
 		if err != nil {
 			return fail(err)
 		}
@@ -428,7 +442,7 @@ func (r *Runner) report(ctx context.Context, id string) (*columndisturb.Report, 
 			return nil, ctx.Err()
 		}
 		var wire service.ReportPayload
-		err := r.getJSON(ctx, "/v1/jobs/"+id+"/report", &wire)
+		err := r.getJSON(ctx, jobPath(id)+"/report", &wire)
 		if err == nil {
 			return &columndisturb.Report{
 				ID: wire.ID, Title: wire.Title, Headers: wire.Headers,
@@ -540,7 +554,7 @@ func (r *Runner) Run(ctx context.Context, req columndisturb.Request) (*columndis
 // initiated the cancellation.
 func (r *Runner) failureError(ctx context.Context, experiment, jobID string, terminal columndisturb.Event) error {
 	var st service.JobStatus
-	if err := r.getJSON(ctx, "/v1/jobs/"+jobID, &st); err == nil && st.State == string(service.JobCanceled) {
+	if err := r.getJSON(ctx, jobPath(jobID), &st); err == nil && st.State == string(service.JobCanceled) {
 		return fmt.Errorf("%s: job %s cancelled on server: %w", experiment, jobID, context.Canceled)
 	}
 	return fmt.Errorf("%s: %s", experiment, terminal.Error)

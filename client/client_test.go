@@ -474,3 +474,53 @@ func TestSubmitFailureCancelsSiblings(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestServerJobIDsNeverReroute: job IDs come from the server, and the
+// client puts them in request paths. A submit answer whose ID no path can
+// carry ("a/b") is refused before any request names it, and an ID that is
+// valid but needs escaping ("job?1") reaches the server path-escaped — here
+// in the DELETE that cancels the first job once the second submit failed.
+func TestServerJobIDsNeverReroute(t *testing.T) {
+	var mu sync.Mutex
+	posts := 0
+	var jobRequests []string // method and escaped path of every /v1/jobs/... request
+	wrap := func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+				posts++
+				id := "job?1"
+				if posts == 2 {
+					id = "a/b"
+				}
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusAccepted)
+				fmt.Fprintf(w, `{"id":%q,"experiment":"table1","state":"queued"}`, id)
+			case strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
+				req := r.Method + " " + r.URL.EscapedPath()
+				if r.URL.RawQuery != "" {
+					req += "?" + r.URL.RawQuery
+				}
+				jobRequests = append(jobRequests, req)
+				http.Error(w, `{"error":"no such job"}`, http.StatusNotFound)
+			default:
+				inner.ServeHTTP(w, r)
+			}
+		})
+	}
+	_, remote := newServer(t, service.Options{Workers: 1}, wrap)
+
+	_, err := remote.Run(context.Background(),
+		columndisturb.Request{Experiments: []string{"table1", "fig6"}})
+	if err == nil || !strings.Contains(err.Error(), `invalid job ID "a/b"`) {
+		t.Fatalf("Run error = %v, want the submit of fig6 refusing job ID \"a/b\"", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"DELETE /v1/jobs/job%3F1"}
+	if fmt.Sprint(jobRequests) != fmt.Sprint(want) {
+		t.Fatalf("job requests %q, want only %q", jobRequests, want)
+	}
+}

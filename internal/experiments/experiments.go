@@ -39,10 +39,6 @@ type Config struct {
 	MeasureInstr int64
 	// CellRows/CellCols scale the cell-explicit experiments (Fig 2, 21).
 	CellRows, CellCols int
-	// MLP overrides the simulated cores' memory-level parallelism
-	// (outstanding misses per core) in memsim-based experiments; 0 keeps
-	// the memsim default.
-	MLP int
 	// MaxShardShare bounds one shard's share of its plan's total estimated
 	// cost: plan builders subdivide any shard whose summed atom costs would
 	// exceed MaxShardShare × the plan total (see split.go). 0 selects the default

@@ -7,6 +7,7 @@ import (
 	"columndisturb/internal/core"
 	"columndisturb/internal/dram"
 	"columndisturb/internal/memsim"
+	"columndisturb/internal/sim/rng"
 	"columndisturb/internal/sim/stats"
 )
 
@@ -54,16 +55,13 @@ func planFig23(cfg Config) (*Plan, error) {
 	sys := memsim.DefaultSystem()
 	sys.MeasureInstr = cfg.MeasureInstr
 	sys.WarmupInstr = cfg.MeasureInstr / 5
-	if cfg.MLP > 0 {
-		sys.MLP = cfg.MLP
-	}
 	// Reject a broken timing set at plan time, before any shard is
 	// scheduled (locally or on a remote worker).
 	if _, err := sys.Timing(); err != nil {
 		return nil, fmt.Errorf("fig23: %v", err)
 	}
 	mixes := memsim.Mixes(cfg.Mixes)
-	seed := memsim.RunSeed(cfg.Seed, 23)
+	seed := rng.Key(cfg.Seed, 23)
 	arms := fig23Arms()
 
 	// runAtom executes one simulation atom of a mix, returning per-core
@@ -75,15 +73,7 @@ func planFig23(cfg Config) (*Plan, error) {
 	runAtom := func(mix []memsim.CoreWorkload, atom int) ([]float64, error) {
 		switch {
 		case atom == 0:
-			solos := make([]float64, len(mix))
-			for j, w := range mix {
-				ipc, err := memsim.SoloIPC(sys, w, seed)
-				if err != nil {
-					return nil, err
-				}
-				solos[j] = ipc
-			}
-			return solos, nil
+			return memsim.SoloIPCs(sys, mix, seed)
 		case atom == 1:
 			return memsim.MixIPCs(sys, mix, memsim.NoRefresh(), seed)
 		case atom == 2:
@@ -96,11 +86,11 @@ func planFig23(cfg Config) (*Plan, error) {
 			arm := arms[atom-3]
 			rc := memsim.DefaultRAIDR(arm.Tracker)
 			rc.WeakFraction = arm.W
-			eng, _, err := memsim.NewRAIDR(sys, rc)
+			raidr, _, err := memsim.NewRAIDR(sys, rc)
 			if err != nil {
 				return nil, err
 			}
-			return memsim.MixIPCs(sys, mix, eng, seed)
+			return memsim.MixIPCs(sys, mix, raidr, seed)
 		}
 	}
 

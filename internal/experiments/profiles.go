@@ -123,8 +123,6 @@ var overrideFields = []overrideField{
 		intSetter(1, func(c *Config, v int) { c.TTFSamples = v })},
 	{"mixes", "four-core workload mixes for memsim-based experiments",
 		intSetter(1, func(c *Config, v int) { c.Mixes = v })},
-	{"mlp", "outstanding misses per core in memsim (0 = memsim default)",
-		intSetter(1, func(c *Config, v int) { c.MLP = v })},
 	{"measure-instr", "per-core measured instruction count in memsim", func(c *Config, s string) error {
 		v, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -55,31 +56,76 @@ func TestRegisterProfileValidation(t *testing.T) {
 	}
 }
 
+// overrideSamples holds one valid value per override key, each different
+// from Small()'s field.
+var overrideSamples = map[string]string{
+	"seed":                 "99",
+	"subarrays-per-module": "7",
+	"ttf-samples":          "11",
+	"mixes":                "5",
+	"measure-instr":        "123456",
+	"cell-rows":            "64",
+	"cell-cols":            "96",
+	"max-shard-share":      "0.5",
+}
+
+// TestApplyOverridesEveryKey drives every entry of the key table: each key
+// alone must move exactly one Config field and the digest, and every
+// exported Config field must be moved by exactly one key. A field added
+// without a key, or a key whose setter moves no field (or several), fails.
 func TestApplyOverridesEveryKey(t *testing.T) {
 	base := Small()
-	got, err := ApplyOverrides(base, map[string]string{
-		"seed":                 "99",
-		"subarrays-per-module": "7",
-		"ttf-samples":          "11",
-		"mixes":                "5",
-		"measure-instr":        "123456",
-		"cell-rows":            "64",
-		"cell-cols":            "96",
-	})
+	if len(overrideSamples) != len(overrideFields) {
+		t.Fatalf("overrideSamples has %d keys, the key table %d", len(overrideSamples), len(overrideFields))
+	}
+	rt := reflect.TypeOf(base)
+	keysPerField := make(map[string][]string)
+	for _, f := range overrideFields {
+		v, ok := overrideSamples[f.key]
+		if !ok {
+			t.Fatalf("override key %q has no sample value", f.key)
+		}
+		got, err := ApplyOverrides(base, map[string]string{f.key: v})
+		if err != nil {
+			t.Fatalf("%s=%s: %v", f.key, v, err)
+		}
+		if got.Digest() == base.Digest() {
+			t.Errorf("%s=%s: digest unchanged", f.key, v)
+		}
+		gv, bv := reflect.ValueOf(got), reflect.ValueOf(base)
+		var moved []string
+		for i := 0; i < rt.NumField(); i++ {
+			if gv.Field(i).Interface() != bv.Field(i).Interface() {
+				moved = append(moved, rt.Field(i).Name)
+			}
+		}
+		if len(moved) != 1 {
+			t.Errorf("%s=%s moved fields %v, want exactly one", f.key, v, moved)
+			continue
+		}
+		keysPerField[moved[0]] = append(keysPerField[moved[0]], f.key)
+	}
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		if !rt.Field(i).IsExported() {
+			continue
+		}
+		if keys := keysPerField[name]; len(keys) != 1 {
+			t.Errorf("Config.%s is set by override keys %v, want exactly one", name, keys)
+		}
+	}
+
+	// All keys at once compose field by field.
+	got, err := ApplyOverrides(base, overrideSamples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Config{
 		SubarraysPerModule: 7, TTFSamples: 11, Mixes: 5, MeasureInstr: 123456,
-		CellRows: 64, CellCols: 96, Seed: 99,
+		CellRows: 64, CellCols: 96, MaxShardShare: 0.5, Seed: 99,
 	}
 	if got != want {
 		t.Fatalf("ApplyOverrides = %+v, want %+v", got, want)
-	}
-	// The key table covers the whole struct: every override key changed its
-	// field away from the base, so the digest must differ too.
-	if got.Digest() == base.Digest() {
-		t.Fatal("overridden config digests like the base config")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"columndisturb/internal/memsim"
+	"columndisturb/internal/sim/rng"
 )
 
 func init() {
@@ -18,7 +19,7 @@ func init() {
 }
 
 // prvrMixPart is one workload mix's weighted speedups under the three
-// refresh mechanisms, plus each engine's (deterministic) refresh-rate
+// refresh mechanisms, plus each schedule's (deterministic) refresh-rate
 // statistics.
 type prvrMixPart struct {
 	Base, Naive, PRVR                float64
@@ -37,15 +38,12 @@ func planPRVRSim(cfg Config) (*Plan, error) {
 	sys.TRFCns = 410 // §6.1's 32 Gb DDR5 point
 	sys.MeasureInstr = cfg.MeasureInstr
 	sys.WarmupInstr = cfg.MeasureInstr / 5
-	if cfg.MLP > 0 {
-		sys.MLP = cfg.MLP
-	}
 	// Validate the tweaked timing set at plan time, before any shard runs.
 	if _, err := sys.Timing(); err != nil {
 		return nil, fmt.Errorf("prvr-sim: %v", err)
 	}
 	mixes := memsim.Mixes(cfg.Mixes)
-	seed := memsim.RunSeed(cfg.Seed, 61)
+	seed := rng.Key(cfg.Seed, 61)
 
 	shards := make([]Shard, len(mixes))
 	for i, mix := range mixes {
@@ -53,38 +51,30 @@ func planPRVRSim(cfg Config) (*Plan, error) {
 		shards[i] = Shard{
 			Label: shardLabel("prvr-sim", "mix", fmt.Sprintf("%d", i)),
 			Run: func(context.Context) (any, error) {
-				solos := make([]float64, len(mix))
-				for j, w := range mix {
-					ipc, err := memsim.SoloIPC(sys, w, seed)
-					if err != nil {
-						return nil, err
-					}
-					solos[j] = ipc
+				solos, err := memsim.SoloIPCs(sys, mix, seed)
+				if err != nil {
+					return nil, err
 				}
-				ws := func(build func() (memsim.RefreshEngine, error)) (float64, memsim.RefreshStats, error) {
-					eng, err := build()
+				// ws takes a schedule constructor's results directly, so each
+				// call below is ws(constructor(...)).
+				ws := func(sched *memsim.RefreshSchedule, err error) (float64, memsim.RefreshStats, error) {
 					if err != nil {
 						return 0, memsim.RefreshStats{}, err
 					}
-					st := eng.Stats()
-					v, _, err := memsim.WeightedSpeedup(sys, mix, eng, seed, solos)
-					return v, st, err
+					shared, err := memsim.MixIPCs(sys, mix, sched, seed)
+					if err != nil {
+						return 0, memsim.RefreshStats{}, err
+					}
+					return memsim.WeightedSpeedupFrom(shared, solos), sched.Stats(), nil
 				}
 				var part prvrMixPart
-				var err error
-				if part.Base, part.BaseStats, err = ws(func() (memsim.RefreshEngine, error) {
-					return memsim.PeriodicRefresh(sys, 32)
-				}); err != nil {
+				if part.Base, part.BaseStats, err = ws(memsim.PeriodicRefresh(sys, 32)); err != nil {
 					return nil, err
 				}
-				if part.Naive, part.NaiveStats, err = ws(func() (memsim.RefreshEngine, error) {
-					return memsim.PeriodicRefresh(sys, 8)
-				}); err != nil {
+				if part.Naive, part.NaiveStats, err = ws(memsim.PeriodicRefresh(sys, 8)); err != nil {
 					return nil, err
 				}
-				if part.PRVR, part.PRVRStats, err = ws(func() (memsim.RefreshEngine, error) {
-					return memsim.PRVR(sys, 32, 3072, 8)
-				}); err != nil {
+				if part.PRVR, part.PRVRStats, err = ws(memsim.PRVR(sys, 32, 3072, 8)); err != nil {
 					return nil, err
 				}
 				return part, nil

@@ -13,7 +13,7 @@ import "math"
 //	        first free data-bus slot
 //	PRE   ≥ ACT+tRAS, lastRD+tRTP, end of write data+tWR
 //
-// REF enters the command stream through the RefreshEngine's schedule: every
+// REF enters the command stream through the RefreshSchedule: every
 // command issue is pushed past the bank's refresh occupancy windows
 // (cycle-rounded), and a window passing over an open row closes it, exactly
 // as the internal precharge of a real REF does.
@@ -33,7 +33,8 @@ type bankState struct {
 
 // refSpan is one bank's cached refresh-free span: every cycle in
 // [from, until) is known to sit outside all refresh windows, so commands
-// issued inside it never touch the ns-domain schedule engine.
+// issued inside it never touch the ns-domain refresh schedule. The zero
+// value is empty; the bank's first query fills it.
 type refSpan struct {
 	from, until int64
 }
@@ -43,14 +44,10 @@ type refSpan struct {
 // spacing, the shared data bus).
 type memController struct {
 	t       Timing
-	refresh RefreshEngine
-	// refIdle short-circuits the ns-domain schedule queries when the engine
-	// has no blocking windows at all (the no-refresh baseline).
-	refIdle bool
-	// sched enables the free-span cache when the engine is schedule-based
-	// (every built-in engine is); a foreign RefreshEngine falls back to one
-	// NextFree query per command.
-	sched     *scheduleEngine
+	refresh *RefreshSchedule
+	// refIdle short-circuits the ns-domain schedule queries when the
+	// schedule has no blocking windows at all (the no-refresh baseline).
+	refIdle   bool
 	refSpans  []refSpan
 	banks     []bankState
 	group     []int    // bank -> bank group (contiguous blocks)
@@ -65,22 +62,16 @@ type memController struct {
 	refStalls                 int64 // commands delayed by a refresh window
 }
 
-func newController(cfg SystemConfig, t Timing, refresh RefreshEngine) *memController {
+func newController(cfg SystemConfig, t Timing, refresh *RefreshSchedule) *memController {
 	mc := &memController{
 		t:         t,
 		refresh:   refresh,
-		refIdle:   refreshIdle(refresh),
+		refIdle:   refresh.idle(),
+		refSpans:  make([]refSpan, cfg.Banks),
 		banks:     make([]bankState, cfg.Banks),
 		group:     make([]int, cfg.Banks),
 		ccdGroup:  make([]int64, cfg.BankGroups),
 		idleClose: t.Cycles(cfg.IdleCloseNs),
-	}
-	if se, ok := refresh.(*scheduleEngine); ok {
-		mc.sched = se
-		mc.refSpans = make([]refSpan, cfg.Banks)
-		for b := range mc.refSpans {
-			mc.refSpans[b] = refSpan{from: 0, until: -1} // empty: first query fills it
-		}
 	}
 	banksPerGroup := cfg.Banks / cfg.BankGroups
 	for b := range mc.banks {
@@ -98,41 +89,32 @@ func newController(cfg SystemConfig, t Timing, refresh RefreshEngine) *memContro
 }
 
 // refreshFree returns the earliest cycle ≥ cyc at which the bank is outside
-// every refresh occupancy window. For schedule-based engines one ns-domain
-// query yields a whole free span in cycles, and every command issued inside
-// the cached span resolves with two integer compares — the hot path.
+// every refresh occupancy window. One ns-domain query yields a whole free
+// span in cycles, and every command issued inside the cached span resolves
+// with two integer compares — the hot path.
 func (mc *memController) refreshFree(bank int, cyc int64) int64 {
 	if mc.refIdle {
 		return cyc
 	}
-	if mc.sched != nil {
-		sp := &mc.refSpans[bank]
-		if cyc >= sp.from && cyc < sp.until {
-			return cyc
-		}
-		freeNs, untilNs := mc.sched.freeSpan(bank, mc.t.Ns(cyc))
-		free := cyc
-		if f := mc.t.Cycles(freeNs); f > cyc {
-			mc.refStalls++
-			free = f
-		}
-		sp.from = free
-		if math.IsInf(untilNs, 1) {
-			sp.until = 1<<62 - 1
-		} else {
-			// Round down: a cycle landing exactly on the window start is
-			// blocked, so it must fall outside the cached span.
-			sp.until = int64(untilNs / mc.t.TCKns)
-		}
-		return free
-	}
-	ns := mc.t.Ns(cyc)
-	free := mc.refresh.NextFree(bank, ns)
-	if free <= ns {
+	sp := &mc.refSpans[bank]
+	if cyc >= sp.from && cyc < sp.until {
 		return cyc
 	}
-	mc.refStalls++
-	return mc.t.Cycles(free)
+	freeNs, untilNs := mc.refresh.freeSpan(bank, mc.t.Ns(cyc))
+	free := cyc
+	if f := mc.t.Cycles(freeNs); f > cyc {
+		mc.refStalls++
+		free = f
+	}
+	sp.from = free
+	if math.IsInf(untilNs, 1) {
+		sp.until = 1<<62 - 1
+	} else {
+		// Round down: a cycle landing exactly on the window start is
+		// blocked, so it must fall outside the cached span.
+		sp.until = int64(untilNs / mc.t.TCKns)
+	}
+	return free
 }
 
 // precharge issues a PRE at the given cycle: the bank closes and the next
@@ -169,12 +151,9 @@ func (mc *memController) access(bank, row int, write bool, at int64) (done int64
 	// precharges). When both endpoints sit inside the span refreshFree just
 	// cached, no window can lie between them and the query is skipped.
 	if bk.openRow >= 0 && !mc.refIdle {
-		inSpan := false
-		if mc.sched != nil {
-			sp := mc.refSpans[bank]
-			inSpan = bk.lastUse >= sp.from && start < sp.until
-		}
-		if !inSpan && mc.refresh.BlockedBetween(bank, mc.t.Ns(bk.lastUse), mc.t.Ns(start)) {
+		sp := mc.refSpans[bank]
+		inSpan := bk.lastUse >= sp.from && start < sp.until
+		if !inSpan && mc.refresh.blockedBetween(bank, mc.t.Ns(bk.lastUse), mc.t.Ns(start)) {
 			bk.openRow = -1
 			bk.actReady = maxI64(bk.actReady, start)
 		}
@@ -220,11 +199,4 @@ func (mc *memController) access(bank, row int, write bool, at int64) (done int64
 	}
 	bk.lastUse = done
 	return done, hit
-}
-
-// refreshIdle reports whether the engine can never block a command, letting
-// the controller skip the ns-domain schedule queries entirely.
-func refreshIdle(e RefreshEngine) bool {
-	se, ok := e.(*scheduleEngine)
-	return ok && len(se.chipWide) == 0 && se.perBank == nil
 }

@@ -17,7 +17,7 @@ func cmdTestSystem() SystemConfig {
 	}
 }
 
-func newTestController(t *testing.T, cfg SystemConfig, refresh RefreshEngine) *memController {
+func newTestController(t *testing.T, cfg SystemConfig, refresh *RefreshSchedule) *memController {
 	t.Helper()
 	tim, err := cfg.Timing()
 	if err != nil {

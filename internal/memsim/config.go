@@ -1,12 +1,13 @@
-// Package memsim is a cycle-accurate DRAM memory-system simulator in the
+// Package memsim is a cycle-level DRAM memory-system simulator in the
 // spirit of the Ramulator + Self-Managing-DRAM setup the paper uses for its
 // §6.2 evaluation: trace-driven cores with blocking misses over an
 // open-page memory controller whose per-bank command state machine issues
 // explicit ACT/PRE/RD/WR commands on an integer DRAM-cycle clock, enforcing
-// tRCD/tRAS/tRP/tRC/tFAW/tCCD_S/tCCD_L/tRTP/tWR (command.go, timing.go),
-// with pluggable refresh mechanisms (none, periodic, RAIDR with a Bloom
-// filter or a bitmap tracker, PRVR) whose tRFC-class occupancy windows gate
-// the command stream. Its purpose is the *relative* weighted speedup of
+// tRCD/tRAS/tRP/tRC/tFAW/tCCD_S/tCCD_L/tRTP/tWR (command.go, timing.go;
+// tRRD_S/L and tWTR_S/L are not modeled). Every refresh mechanism (none,
+// periodic, RAIDR with a Bloom filter or a bitmap tracker, PRVR) is one
+// RefreshSchedule of periodic tRFC-class occupancy windows that gate the
+// command stream. Its purpose is the *relative* weighted speedup of
 // refresh policies as the weak-row population grows — the quantity behind
 // Fig 23 — not absolute performance prediction.
 package memsim

@@ -57,7 +57,7 @@ type RAIDRInfo struct {
 // commands covering every row once per refresh window.
 const refreshCommandsPerWindow = 8192
 
-// NewRAIDR builds the RAIDR refresh engine for the system: weak rows
+// NewRAIDR builds the RAIDR refresh schedule for the system: weak rows
 // refresh every WeakPeriodMs, strong rows every StrongPeriodMs. Like the
 // original RAIDR, refreshes are standard chip-wide refresh commands whose
 // *rate* is modulated by the weak/strong bin populations — so a module
@@ -65,7 +65,7 @@ const refreshCommandsPerWindow = 8192
 // With the Bloom tracker, false positives promote strong rows to the fast
 // rate, eroding the benefit as the weak population grows (the Fig 23
 // dynamic).
-func NewRAIDR(cfg SystemConfig, rc RAIDRConfig) (RefreshEngine, RAIDRInfo, error) {
+func NewRAIDR(cfg SystemConfig, rc RAIDRConfig) (*RefreshSchedule, RAIDRInfo, error) {
 	if rc.WeakFraction < 0 || rc.WeakFraction > 1 {
 		return nil, RAIDRInfo{}, fmt.Errorf("memsim: weak fraction %v out of [0,1]", rc.WeakFraction)
 	}
@@ -89,18 +89,17 @@ func NewRAIDR(cfg SystemConfig, rc RAIDRConfig) (RefreshEngine, RAIDRInfo, error
 	info.CommandsPerSec = cmdPerSec
 	name := fmt.Sprintf("raidr-%s-w%.2g", map[Tracker]string{TrackerBitmap: "bitmap", TrackerBloom: "bloom"}[rc.Tracker], rc.WeakFraction)
 	if cmdPerSec <= 0 {
-		return &scheduleEngine{name: name}, info, nil
+		return &RefreshSchedule{name: name}, info, nil
 	}
 	periodNs := 1e9 / cmdPerSec
 	if periodNs <= cfg.TRFCns {
 		return nil, RAIDRInfo{}, fmt.Errorf("memsim: RAIDR command rate %v/s saturates the chip", cmdPerSec)
 	}
-	eng := &scheduleEngine{
+	return &RefreshSchedule{
 		name:     name,
 		chipWide: []schedule{{periodNs: periodNs, busyNs: cfg.TRFCns}},
 		stats:    RefreshStats{AllBankPerSec: cmdPerSec},
-	}
-	return eng, info, nil
+	}, info, nil
 }
 
 // BenefitFraction expresses a retention-aware mechanism's result on the

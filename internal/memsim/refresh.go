@@ -6,23 +6,7 @@ import (
 	"strings"
 )
 
-// RefreshEngine describes when refresh operations block a bank. Refresh
-// schedules are strictly periodic, so the simulator queries them
-// analytically instead of queueing refresh events.
-type RefreshEngine interface {
-	Name() string
-	// NextFree returns the earliest time ≥ t (ns) at which the bank is not
-	// blocked by a refresh operation.
-	NextFree(bank int, t float64) float64
-	// BlockedBetween reports whether any refresh operation overlapped the
-	// bank during (t0, t1] — used to invalidate the open row.
-	BlockedBetween(bank int, t0, t1 float64) bool
-	// Stats returns the engine's refresh operation rates for energy and
-	// Fig 22-style accounting.
-	Stats() RefreshStats
-}
-
-// RefreshStats summarizes an engine's refresh work.
+// RefreshStats summarizes a schedule's refresh work.
 type RefreshStats struct {
 	// AllBankPerSec is the rate of REFab commands.
 	AllBankPerSec float64
@@ -36,7 +20,6 @@ type schedule struct {
 	periodNs float64
 	busyNs   float64
 	offsetNs float64
-	allBanks bool
 }
 
 func (s schedule) nextFree(t float64) float64 {
@@ -74,9 +57,11 @@ func (s schedule) blockedBetween(t0, t1 float64) bool {
 	return start <= t1
 }
 
-// scheduleEngine composes periodic schedules, each either chip-wide or
-// per-bank staggered.
-type scheduleEngine struct {
+// RefreshSchedule describes when refresh operations block a bank: a
+// composition of periodic schedules, each either chip-wide or per-bank
+// staggered. Refresh schedules are strictly periodic, so the simulator
+// queries them analytically instead of queueing refresh events.
+type RefreshSchedule struct {
 	name string
 	// chipWide apply to every bank identically; perBank[b] apply to bank b.
 	chipWide []schedule
@@ -84,17 +69,23 @@ type scheduleEngine struct {
 	stats    RefreshStats
 }
 
-func (e *scheduleEngine) Name() string        { return e.name }
-func (e *scheduleEngine) Stats() RefreshStats { return e.stats }
+// Stats returns the schedule's refresh operation rates.
+func (e *RefreshSchedule) Stats() RefreshStats { return e.stats }
 
-// nextFreeMaxIters bounds the fixed-point iteration in NextFree. One pass
+// idle reports whether the schedule has no blocking window at all (the
+// no-refresh baseline), letting the controller skip every query.
+func (e *RefreshSchedule) idle() bool { return len(e.chipWide) == 0 && e.perBank == nil }
+
+// nextFreeMaxIters bounds the fixed-point iteration in nextFree. One pass
 // resolves every window chain that advances in schedule order; each extra
 // pass is only needed when a later-listed schedule pushes the time back into
 // an earlier-listed one's window, so the bound is the longest such reversed
 // chain a sane composition can produce, with a wide margin.
 const nextFreeMaxIters = 64
 
-func (e *scheduleEngine) NextFree(bank int, t float64) float64 {
+// nextFree returns the earliest time ≥ t (ns) at which the bank is not
+// blocked by a refresh operation.
+func (e *RefreshSchedule) nextFree(bank int, t float64) float64 {
 	// Iterate to a fixed point: leaving one window can land inside
 	// another.
 	for iter := 0; iter < nextFreeMaxIters; iter++ {
@@ -123,8 +114,8 @@ func (e *scheduleEngine) NextFree(bank int, t float64) float64 {
 // the next blocking window after it — the controller's span cache turns one
 // such query into cycle-domain answers for every command issued until the
 // span ends (see memController.refreshFree).
-func (e *scheduleEngine) freeSpan(bank int, t float64) (free, until float64) {
-	free = e.NextFree(bank, t)
+func (e *RefreshSchedule) freeSpan(bank int, t float64) (free, until float64) {
+	free = e.nextFree(bank, t)
 	until = math.Inf(1)
 	for _, s := range e.chipWide {
 		until = math.Min(until, s.nextStart(free))
@@ -137,7 +128,9 @@ func (e *scheduleEngine) freeSpan(bank int, t float64) (free, until float64) {
 	return free, until
 }
 
-func (e *scheduleEngine) BlockedBetween(bank int, t0, t1 float64) bool {
+// blockedBetween reports whether any refresh operation overlapped the bank
+// during (t0, t1] — used to invalidate the open row.
+func (e *RefreshSchedule) blockedBetween(bank int, t0, t1 float64) bool {
 	for _, s := range e.chipWide {
 		if s.blockedBetween(t0, t1) {
 			return true
@@ -155,32 +148,32 @@ func (e *scheduleEngine) BlockedBetween(bank int, t0, t1 float64) bool {
 
 // NoRefresh returns the hypothetical no-refresh configuration the paper
 // uses as the speedup headroom baseline.
-func NoRefresh() RefreshEngine {
-	return &scheduleEngine{name: "no-refresh"}
+func NoRefresh() *RefreshSchedule {
+	return &RefreshSchedule{name: "no-refresh"}
 }
 
 // PeriodicRefresh returns the standard all-bank refresh: one REFab of
 // tRFC every period/8192 (the DDR4/DDR5 convention of 8192 refresh
 // commands per window).
-func PeriodicRefresh(cfg SystemConfig, periodMs float64) (RefreshEngine, error) {
+func PeriodicRefresh(cfg SystemConfig, periodMs float64) (*RefreshSchedule, error) {
 	const refreshesPerWindow = 8192
 	trefi := periodMs * 1e6 / refreshesPerWindow
 	if trefi <= cfg.TRFCns {
 		return nil, fmt.Errorf("memsim: refresh period %v ms leaves no service time", periodMs)
 	}
-	return &scheduleEngine{
+	return &RefreshSchedule{
 		name:     fmt.Sprintf("periodic-%.0fms", periodMs),
 		chipWide: []schedule{{periodNs: trefi, busyNs: cfg.TRFCns}},
 		stats:    RefreshStats{AllBankPerSec: 1e9 / trefi},
 	}, nil
 }
 
-// RowRateRefresh returns an engine issuing row-granular refresh operations
+// rowRateRefresh returns a schedule issuing row-granular refresh operations
 // in every bank at the given per-bank rate (rows per second), staggered
 // across banks so the chip-wide schedule is smooth.
-func RowRateRefresh(cfg SystemConfig, name string, rowsPerSecPerBank float64) (RefreshEngine, error) {
+func rowRateRefresh(cfg SystemConfig, name string, rowsPerSecPerBank float64) (*RefreshSchedule, error) {
 	if rowsPerSecPerBank <= 0 {
-		return &scheduleEngine{name: name}, nil
+		return &RefreshSchedule{name: name}, nil
 	}
 	periodNs := 1e9 / rowsPerSecPerBank
 	if periodNs <= cfg.RowRefreshNs {
@@ -194,32 +187,28 @@ func RowRateRefresh(cfg SystemConfig, name string, rowsPerSecPerBank float64) (R
 			offsetNs: periodNs * float64(b) / float64(cfg.Banks),
 		}}
 	}
-	return &scheduleEngine{
+	return &RefreshSchedule{
 		name:    name,
 		perBank: perBank,
 		stats:   RefreshStats{RowPerSecPerBank: rowsPerSecPerBank},
 	}, nil
 }
 
-// Compose overlays several engines (e.g. PRVR = periodic + victim rows).
-func Compose(engines ...RefreshEngine) RefreshEngine {
+// compose overlays several schedules (e.g. PRVR = periodic + victim rows).
+func compose(scheds ...*RefreshSchedule) *RefreshSchedule {
 	var names []string
-	out := &scheduleEngine{}
-	for _, e := range engines {
-		se, ok := e.(*scheduleEngine)
-		if !ok {
-			panic("memsim: Compose supports schedule-based engines only")
-		}
+	out := &RefreshSchedule{}
+	for _, se := range scheds {
 		names = append(names, se.name)
 		out.chipWide = append(out.chipWide, se.chipWide...)
 		if se.perBank != nil {
 			if out.perBank == nil {
 				out.perBank = make([][]schedule, len(se.perBank))
 			} else if len(se.perBank) != len(out.perBank) {
-				// Engines built from one SystemConfig always agree on the
+				// Schedules built from one SystemConfig always agree on the
 				// bank count; silently indexing would either drop schedules
 				// or walk off the shorter slice.
-				panic(fmt.Sprintf("memsim: Compose: engine %q covers %d banks, earlier engines cover %d",
+				panic(fmt.Sprintf("memsim: compose: schedule %q covers %d banks, earlier schedules cover %d",
 					se.name, len(se.perBank), len(out.perBank)))
 			}
 			for b := range se.perBank {
@@ -237,15 +226,15 @@ func Compose(engines ...RefreshEngine) RefreshEngine {
 // default periodic refresh: victimRows rows per bank refreshed once per
 // ttfMs window (the time ColumnDisturb needs to induce its first bitflip),
 // assuming every bank hosts a hammered aggressor (§6.1's worst case).
-func PRVR(cfg SystemConfig, basePeriodMs float64, victimRows int, ttfMs float64) (RefreshEngine, error) {
+func PRVR(cfg SystemConfig, basePeriodMs float64, victimRows int, ttfMs float64) (*RefreshSchedule, error) {
 	base, err := PeriodicRefresh(cfg, basePeriodMs)
 	if err != nil {
 		return nil, err
 	}
-	victims, err := RowRateRefresh(cfg, fmt.Sprintf("prvr-%drows-%.0fms", victimRows, ttfMs),
+	victims, err := rowRateRefresh(cfg, fmt.Sprintf("prvr-%drows-%.0fms", victimRows, ttfMs),
 		float64(victimRows)/(ttfMs/1000))
 	if err != nil {
 		return nil, err
 	}
-	return Compose(base, victims), nil
+	return compose(base, victims), nil
 }

@@ -56,13 +56,13 @@ func TestPeriodicRefreshEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// tREFI = 64 ms / 8192 = 7812.5 ns; tRFC = 350 ns.
-	if got := eng.NextFree(0, 10); math.Abs(got-350) > 1e-9 {
-		t.Fatalf("NextFree inside REFab = %v, want 350", got)
+	if got := eng.nextFree(0, 10); math.Abs(got-350) > 1e-9 {
+		t.Fatalf("nextFree inside REFab = %v, want 350", got)
 	}
-	if got := eng.NextFree(3, 1000); got != 1000 {
-		t.Fatalf("NextFree idle = %v", got)
+	if got := eng.nextFree(3, 1000); got != 1000 {
+		t.Fatalf("nextFree idle = %v", got)
 	}
-	if !eng.BlockedBetween(5, 7800, 7900) {
+	if !eng.blockedBetween(5, 7800, 7900) {
 		t.Fatal("second REFab window missed")
 	}
 	if eng.Stats().AllBankPerSec == 0 {
@@ -75,41 +75,41 @@ func TestPeriodicRefreshEngine(t *testing.T) {
 
 func TestRowRateRefreshStagger(t *testing.T) {
 	cfg := DefaultSystem()
-	eng, err := RowRateRefresh(cfg, "rows", 1e6) // one row per µs per bank
+	eng, err := rowRateRefresh(cfg, "rows", 1e6) // one row per µs per bank
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Bank 0's window starts at 0, bank 8's halfway through the period.
-	if got := eng.NextFree(0, 0); math.Abs(got-cfg.RowRefreshNs) > 1e-9 {
-		t.Fatalf("bank 0 NextFree(0) = %v", got)
+	if got := eng.nextFree(0, 0); math.Abs(got-cfg.RowRefreshNs) > 1e-9 {
+		t.Fatalf("bank 0 nextFree(0) = %v", got)
 	}
-	if got := eng.NextFree(8, 0); got != 0 {
+	if got := eng.nextFree(8, 0); got != 0 {
 		t.Fatalf("bank 8 should be free at 0, got %v", got)
 	}
-	if _, err := RowRateRefresh(cfg, "sat", 1e9); err == nil {
+	if _, err := rowRateRefresh(cfg, "sat", 1e9); err == nil {
 		t.Fatal("saturating row rate accepted")
 	}
-	// Zero rate = no-op engine.
-	z, err := RowRateRefresh(cfg, "zero", 0)
+	// Zero rate = no-op schedule.
+	z, err := rowRateRefresh(cfg, "zero", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.NextFree(0, 5) != 5 {
-		t.Fatal("zero-rate engine must never block")
+	if z.nextFree(0, 5) != 5 {
+		t.Fatal("zero-rate schedule must never block")
 	}
 }
 
 func TestComposeOverlaysSchedules(t *testing.T) {
 	cfg := DefaultSystem()
 	p, _ := PeriodicRefresh(cfg, 64)
-	r, _ := RowRateRefresh(cfg, "rows", 1e5)
-	c := Compose(p, r)
+	r, _ := rowRateRefresh(cfg, "rows", 1e5)
+	c := compose(p, r)
 	if c.Stats().AllBankPerSec == 0 || c.Stats().RowPerSecPerBank == 0 {
 		t.Fatal("composed stats incomplete")
 	}
 	// Blocked wherever either component blocks.
-	if got := c.NextFree(0, 10); got < 350 {
-		t.Fatalf("composed engine must respect REFab: %v", got)
+	if got := c.nextFree(0, 10); got < 350 {
+		t.Fatalf("composed schedule must respect REFab: %v", got)
 	}
 }
 
@@ -131,17 +131,21 @@ func TestPRVREngine(t *testing.T) {
 
 func TestNoRefreshNeverBlocks(t *testing.T) {
 	e := NoRefresh()
-	if e.NextFree(0, 123) != 123 || e.BlockedBetween(0, 0, 1e12) {
-		t.Fatal("no-refresh engine must never block")
+	if e.nextFree(0, 123) != 123 || e.blockedBetween(0, 0, 1e12) {
+		t.Fatal("no-refresh schedule must never block")
+	}
+	// The controller skips every schedule query for an idle schedule.
+	if !e.idle() {
+		t.Fatal("no-refresh schedule is not idle")
 	}
 }
 
-// chainEngine builds a pathological composition of n abutting windows
-// [0,100), [100,200), ... listed in REVERSE order, so each NextFree
+// chainSchedule builds a pathological composition of n abutting windows
+// [0,100), [100,200), ... listed in REVERSE order, so each nextFree
 // fixed-point pass escapes exactly one window: the earliest free time from 0
 // is n*100 and reaching it takes n+1 passes.
-func chainEngine(n int) *scheduleEngine {
-	e := &scheduleEngine{name: "chain"}
+func chainSchedule(n int) *RefreshSchedule {
+	e := &RefreshSchedule{name: "chain"}
 	for i := n - 1; i >= 0; i-- {
 		e.chipWide = append(e.chipWide, schedule{
 			periodNs: 1e12, busyNs: 100, offsetNs: float64(i) * 100,
@@ -154,19 +158,19 @@ func TestNextFreeConvergesThroughDeepChain(t *testing.T) {
 	// Regression: the fixed point used to be capped at 8 iterations and
 	// SILENTLY returned a still-blocked time — here the old code would
 	// report 800 while windows block everything up to 2000.
-	e := chainEngine(20)
-	if got := e.NextFree(0, 0); math.Abs(got-2000) > 1e-9 {
-		t.Fatalf("NextFree(0) through 20 chained windows = %v, want 2000", got)
+	e := chainSchedule(20)
+	if got := e.nextFree(0, 0); math.Abs(got-2000) > 1e-9 {
+		t.Fatalf("nextFree(0) through 20 chained windows = %v, want 2000", got)
 	}
 	// A free starting point stays untouched.
-	if got := e.NextFree(0, 2500); got != 2500 {
-		t.Fatalf("NextFree(2500) = %v", got)
+	if got := e.nextFree(0, 2500); got != 2500 {
+		t.Fatalf("nextFree(2500) = %v", got)
 	}
 }
 
 func TestNextFreePanicsOnSaturatedChain(t *testing.T) {
 	// A chain deeper than the iteration bound means the bank effectively
-	// never frees; the engine must fail loudly instead of handing the
+	// never frees; the schedule must fail loudly instead of handing the
 	// simulator a blocked timestamp.
 	defer func() {
 		r := recover()
@@ -177,40 +181,40 @@ func TestNextFreePanicsOnSaturatedChain(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	chainEngine(100).NextFree(0, 0)
+	chainSchedule(100).nextFree(0, 0)
 }
 
 func TestComposeBankCountMismatchPanics(t *testing.T) {
-	// Regression: Compose used to size perBank from the FIRST per-bank
-	// engine; a wider second engine then indexed out of range (or silently
+	// Regression: compose used to size perBank from the FIRST per-bank
+	// schedule; a wider second schedule then indexed out of range (or silently
 	// dropped banks the other way around).
 	small := DefaultSystem()
 	small.Banks = 4
 	big := DefaultSystem() // 16 banks
-	a, err := RowRateRefresh(small, "narrow", 1e5)
+	a, err := rowRateRefresh(small, "narrow", 1e5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RowRateRefresh(big, "wide", 1e5)
+	b, err := rowRateRefresh(big, "wide", 1e5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, order := range [][]RefreshEngine{{a, b}, {b, a}} {
+	for _, order := range [][]*RefreshSchedule{{a, b}, {b, a}} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatal("mismatched bank counts composed silently")
 				}
 			}()
-			Compose(order[0], order[1])
+			compose(order[0], order[1])
 		}()
 	}
 	// Same bank count still composes fine.
-	c, err := RowRateRefresh(big, "wide2", 2e5)
+	c, err := rowRateRefresh(big, "wide2", 2e5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Compose(b, c)
+	compose(b, c)
 }
 
 func TestFreeSpan(t *testing.T) {
@@ -219,19 +223,18 @@ func TestFreeSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := eng.(*scheduleEngine)
 	// Inside the first REFab: free at tRFC=350, next window at tREFI=7812.5.
-	free, until := se.freeSpan(0, 10)
+	free, until := eng.freeSpan(0, 10)
 	if math.Abs(free-350) > 1e-9 || math.Abs(until-7812.5) > 1e-9 {
 		t.Fatalf("freeSpan(10) = (%v, %v), want (350, 7812.5)", free, until)
 	}
 	// Idle: span starts immediately.
-	free, until = se.freeSpan(0, 1000)
+	free, until = eng.freeSpan(0, 1000)
 	if free != 1000 || math.Abs(until-7812.5) > 1e-9 {
 		t.Fatalf("freeSpan(1000) = (%v, %v)", free, until)
 	}
 	// No windows at all: the span never ends.
-	nr := NoRefresh().(*scheduleEngine)
+	nr := NoRefresh()
 	free, until = nr.freeSpan(0, 42)
 	if free != 42 || !math.IsInf(until, 1) {
 		t.Fatalf("no-refresh freeSpan = (%v, %v)", free, until)

@@ -1,10 +1,6 @@
 package memsim
 
-import (
-	"fmt"
-
-	"columndisturb/internal/sim/rng"
-)
+import "fmt"
 
 // CoreResult reports one core's measured performance.
 type CoreResult struct {
@@ -71,11 +67,11 @@ func (c *coreState) nextIssue() int64 {
 }
 
 // Run simulates the workload mix on the memory system under the given
-// refresh engine. Deterministic for a given (mix, engine, seed): the whole
+// refresh schedule. Deterministic for a given (mix, schedule, seed): the whole
 // simulation advances on an integer DRAM-cycle clock through the per-bank
 // command state machine (see command.go), so there is no float timing state
 // to accumulate or diverge.
-func Run(cfg SystemConfig, mix []CoreWorkload, refresh RefreshEngine, seed uint64) (RunResult, error) {
+func Run(cfg SystemConfig, mix []CoreWorkload, refresh *RefreshSchedule, seed uint64) (RunResult, error) {
 	if len(mix) == 0 {
 		return RunResult{}, fmt.Errorf("memsim: empty workload mix")
 	}
@@ -188,22 +184,26 @@ func Run(cfg SystemConfig, mix []CoreWorkload, refresh RefreshEngine, seed uint6
 	return res, nil
 }
 
-// SoloIPC measures a core's IPC running alone with refresh disabled — the
-// denominator of weighted speedup.
-func SoloIPC(cfg SystemConfig, w CoreWorkload, seed uint64) (float64, error) {
-	res, err := Run(cfg, []CoreWorkload{w}, NoRefresh(), seed)
-	if err != nil {
-		return 0, err
+// SoloIPCs measures each core's IPC running alone with refresh disabled —
+// the denominators of weighted speedup.
+func SoloIPCs(cfg SystemConfig, mix []CoreWorkload, seed uint64) ([]float64, error) {
+	solos := make([]float64, len(mix))
+	for i, w := range mix {
+		res, err := Run(cfg, []CoreWorkload{w}, NoRefresh(), seed)
+		if err != nil {
+			return nil, err
+		}
+		solos[i] = res.Cores[0].IPC
 	}
-	return res.Cores[0].IPC, nil
+	return solos, nil
 }
 
-// MixIPCs runs the mix under the refresh engine and returns the per-core
+// MixIPCs runs the mix under the refresh schedule and returns the per-core
 // shared IPCs — the raw measurements weighted speedup is reduced from.
 // Plan builders that split a sweep across shards ship these instead of the
 // reduced scalar, so the merge step can fold them against solo baselines
 // measured in a different shard.
-func MixIPCs(cfg SystemConfig, mix []CoreWorkload, refresh RefreshEngine, seed uint64) ([]float64, error) {
+func MixIPCs(cfg SystemConfig, mix []CoreWorkload, refresh *RefreshSchedule, seed uint64) ([]float64, error) {
 	res, err := Run(cfg, mix, refresh, seed)
 	if err != nil {
 		return nil, err
@@ -216,8 +216,7 @@ func MixIPCs(cfg SystemConfig, mix []CoreWorkload, refresh RefreshEngine, seed u
 }
 
 // WeightedSpeedupFrom reduces per-core shared IPCs against solo baselines:
-// Σ IPC_shared/IPC_alone. It is the one reduction both WeightedSpeedup and
-// split-plan merges use, so the two paths are bitwise identical.
+// Σ IPC_shared/IPC_alone.
 func WeightedSpeedupFrom(sharedIPC, soloIPC []float64) float64 {
 	ws := 0.0
 	for i, ipc := range sharedIPC {
@@ -227,31 +226,3 @@ func WeightedSpeedupFrom(sharedIPC, soloIPC []float64) float64 {
 	}
 	return ws
 }
-
-// WeightedSpeedup computes Σ IPC_shared/IPC_alone for the mix under the
-// refresh engine. soloIPC may be nil, in which case the solo baselines are
-// measured on the fly (callers doing sweeps should cache them).
-func WeightedSpeedup(cfg SystemConfig, mix []CoreWorkload, refresh RefreshEngine, seed uint64, soloIPC []float64) (float64, RunResult, error) {
-	if soloIPC == nil {
-		soloIPC = make([]float64, len(mix))
-		for i, w := range mix {
-			ipc, err := SoloIPC(cfg, w, seed)
-			if err != nil {
-				return 0, RunResult{}, err
-			}
-			soloIPC[i] = ipc
-		}
-	}
-	res, err := Run(cfg, mix, refresh, seed)
-	if err != nil {
-		return 0, RunResult{}, err
-	}
-	shared := make([]float64, len(res.Cores))
-	for i, c := range res.Cores {
-		shared[i] = c.IPC
-	}
-	return WeightedSpeedupFrom(shared, soloIPC), res, nil
-}
-
-// Deterministic seed helper for experiment reproducibility.
-func RunSeed(parts ...uint64) uint64 { return rng.Key(parts...) }

@@ -75,7 +75,7 @@ func TestRunValidation(t *testing.T) {
 func TestRefreshDegradesIPC(t *testing.T) {
 	cfg := smallSys()
 	mix := Mixes(2)[1]
-	ipc := func(e RefreshEngine) float64 {
+	ipc := func(e *RefreshSchedule) float64 {
 		res, err := Run(cfg, mix, e, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -104,15 +104,20 @@ func TestRefreshDegradesIPC(t *testing.T) {
 func TestWeightedSpeedupBounds(t *testing.T) {
 	cfg := smallSys()
 	mix := Mixes(3)[2]
-	ws, res, err := WeightedSpeedup(cfg, mix, NoRefresh(), 5, nil)
+	solo, err := SoloIPCs(cfg, mix, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shared, err := MixIPCs(cfg, mix, NoRefresh(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(solo) != 4 || len(shared) != 4 {
+		t.Fatalf("missing core results: %d solo, %d shared", len(solo), len(shared))
+	}
+	ws := WeightedSpeedupFrom(shared, solo)
 	if ws <= 0 || ws > float64(len(mix))+1e-9 {
 		t.Fatalf("weighted speedup %v out of (0, %d]", ws, len(mix))
-	}
-	if len(res.Cores) != 4 {
-		t.Fatal("missing core results")
 	}
 	// Shared execution cannot beat solo for every core simultaneously by
 	// much; with contention WS should be below the core count.
@@ -122,27 +127,44 @@ func TestWeightedSpeedupBounds(t *testing.T) {
 }
 
 func TestSoloBaselineCaching(t *testing.T) {
+	// Split plans measure solo baselines in one shard and fold them into
+	// weighted speedups in another, so SoloIPCs must equal, bit for bit,
+	// each core run alone with refresh disabled, and repeat exactly.
 	cfg := smallSys()
 	mix := Mixes(4)[3]
-	solo := make([]float64, len(mix))
+	solo, err := SoloIPCs(cfg, mix, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := SoloIPCs(cfg, mix, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, w := range mix {
-		ipc, err := SoloIPC(cfg, w, 5)
+		res, err := Run(cfg, []CoreWorkload{w}, NoRefresh(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		solo[i] = ipc
+		if solo[i] != res.Cores[0].IPC || again[i] != solo[i] {
+			t.Fatalf("core %d: SoloIPCs %v, repeat %v, lone run %v", i, solo[i], again[i], res.Cores[0].IPC)
+		}
 	}
-	a, _, err := WeightedSpeedup(cfg, mix, NoRefresh(), 5, solo)
+	bad := append([]CoreWorkload(nil), mix...)
+	bad[2].MPKI = 0
+	if _, err := SoloIPCs(cfg, bad, 5); err == nil {
+		t.Fatal("zero MPKI accepted")
+	}
+}
+
+// wsFor measures the mix's weighted speedup under the schedule against the
+// given solo baselines, the way fig23 and prvr-sim reduce their runs.
+func wsFor(t *testing.T, cfg SystemConfig, mix []CoreWorkload, sched *RefreshSchedule, seed uint64, solo []float64) float64 {
+	t.Helper()
+	shared, err := MixIPCs(cfg, mix, sched, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := WeightedSpeedup(cfg, mix, NoRefresh(), 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a-b) > 1e-12 {
-		t.Fatalf("cached vs fresh solo baselines disagree: %v %v", a, b)
-	}
+	return WeightedSpeedupFrom(shared, solo)
 }
 
 func TestRAIDRBeatsPeriodicAtLowWeakFraction(t *testing.T) {
@@ -156,20 +178,14 @@ func TestRAIDRBeatsPeriodicAtLowWeakFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wsPeriodic, _, err := WeightedSpeedup(cfg, mix, p64, 9, solo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wsPeriodic := wsFor(t, cfg, mix, p64, 9, solo)
 	rc := DefaultRAIDR(TrackerBitmap)
 	rc.WeakFraction = 1e-4
 	raidr, _, err := NewRAIDR(cfg, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wsRaidr, _, err := WeightedSpeedup(cfg, mix, raidr, 9, solo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wsRaidr := wsFor(t, cfg, mix, raidr, 9, solo)
 	if wsRaidr <= wsPeriodic {
 		t.Fatalf("RAIDR (%v) must beat 64 ms periodic (%v) at 0.01%% weak rows",
 			wsRaidr, wsPeriodic)
@@ -178,13 +194,9 @@ func TestRAIDRBeatsPeriodicAtLowWeakFraction(t *testing.T) {
 
 func soloFor(t *testing.T, cfg SystemConfig, mix []CoreWorkload) []float64 {
 	t.Helper()
-	solo := make([]float64, len(mix))
-	for i, w := range mix {
-		ipc, err := SoloIPC(cfg, w, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo[i] = ipc
+	solo, err := SoloIPCs(cfg, mix, 9)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return solo
 }
@@ -204,10 +216,7 @@ func TestRAIDRWeakFractionErodesSpeedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, _, err := WeightedSpeedup(cfg, mix, eng, 11, solo)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ws := wsFor(t, cfg, mix, eng, 11, solo)
 		speedups = append(speedups, ws)
 	}
 	// Adjacent points may wiggle ~1% from refresh/access phase alignment;
@@ -345,14 +354,8 @@ func TestBloomBenefitCollapsesNearSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wsP, _, err := WeightedSpeedup(cfg, mix, p64, 21, solo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wsN, _, err := WeightedSpeedup(cfg, mix, NoRefresh(), 21, solo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wsP := wsFor(t, cfg, mix, p64, 21, solo)
+	wsN := wsFor(t, cfg, mix, NoRefresh(), 21, solo)
 	benefit := func(w float64) float64 {
 		rc := DefaultRAIDR(TrackerBloom)
 		rc.WeakFraction = w
@@ -360,10 +363,7 @@ func TestBloomBenefitCollapsesNearSaturation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, _, err := WeightedSpeedup(cfg, mix, eng, 21, solo)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ws := wsFor(t, cfg, mix, eng, 21, solo)
 		return BenefitFraction(ws, wsP, wsN)
 	}
 	low := benefit(1e-5)
