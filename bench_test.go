@@ -11,7 +11,6 @@ import (
 	"context"
 	"testing"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/charz"
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/core"
@@ -141,17 +140,17 @@ func BenchmarkRunAllWarmCache(b *testing.B) { benchRunAll(b, 0, true) }
 // fault-evaluated read of one 1024-column row.
 func BenchmarkDeviceReadRow(b *testing.B) {
 	spec, _ := chipdb.ByID("S0")
-	mod, err := spec.Open()
+	d, err := spec.Open()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := mod.WriteRowPattern(0, 5, dram.PatFF); err != nil {
+	if err := d.WriteRowPattern(0, 5, dram.PatFF); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mod.AdvanceNs(1e9) // one second of decay to evaluate per read
-		if _, err := mod.ReadRow(0, 5); err != nil {
+		d.AdvanceNs(1e9) // one second of decay to evaluate per read
+		if _, err := d.ReadRow(0, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -161,13 +160,13 @@ func BenchmarkDeviceReadRow(b *testing.B) {
 // pressing campaign.
 func BenchmarkHammer512ms(b *testing.B) {
 	spec, _ := chipdb.ByID("S0")
-	mod, err := spec.Open()
+	d, err := spec.Open()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mod.Device.HammerFor(0, 1536, 512e6, 70200, 14); err != nil {
+		if _, err := d.HammerFor(0, 1536, 512e6, 70200, 14); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -354,7 +353,7 @@ func BenchmarkShardSplitPlan(b *testing.B) {
 // every characterization experiment feeds it.
 func BenchmarkDiffReadsFiltered(b *testing.B) {
 	const rows, cols = 128, 1024
-	recs := make([]bender.ReadRecord, rows)
+	recs := make([]charz.ReadRecord, rows)
 	for r := range recs {
 		words := make([]uint64, cols/64)
 		dram.FillWords(words, dram.PatFF)
@@ -362,7 +361,7 @@ func BenchmarkDiffReadsFiltered(b *testing.B) {
 			dram.SetWordBit(words, (r*37)%cols, 0)
 			dram.SetWordBit(words, (r*613)%cols, 0)
 		}
-		recs[r] = bender.ReadRecord{Row: r, Data: words}
+		recs[r] = charz.ReadRecord{Row: r, Data: words}
 	}
 	g := dram.SmallGeometry()
 	f := &charz.Filter{ExcludedRows: charz.GuardRows(g, []int{16}, 4)}

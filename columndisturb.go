@@ -2,10 +2,10 @@ package columndisturb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/charz"
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/dram"
@@ -42,12 +42,11 @@ func Catalog() []ChipInfo {
 	return out
 }
 
-// Chip is an opened module under test: a simulated device attached to the
-// testing infrastructure, addressed like the real thing (banks × rows ×
-// columns, logical row addresses).
+// Chip is an opened module under test: a simulated device addressed like
+// the real thing (banks × rows × columns).
 type Chip struct {
 	spec chipdb.ModuleSpec
-	host *bender.Host
+	dev  *dram.Device
 }
 
 // Open instantiates a catalog module as a simulated device at the 85 °C
@@ -57,11 +56,11 @@ func Open(id string) (*Chip, error) {
 	if !ok {
 		return nil, fmt.Errorf("columndisturb: unknown module %q (see Catalog)", id)
 	}
-	mod, err := spec.Open()
+	dev, err := spec.Open()
 	if err != nil {
 		return nil, err
 	}
-	return &Chip{spec: spec, host: bender.NewHost(mod)}, nil
+	return &Chip{spec: spec, dev: dev}, nil
 }
 
 // OpenScaled instantiates a module on a smaller geometry (rows per
@@ -79,11 +78,11 @@ func OpenScaled(id string, banks, subarrays, rowsPerSubarray, cols int) (*Chip, 
 	if g.Chips < 1 {
 		g.Chips = 1
 	}
-	mod, err := spec.OpenWithGeometry(g)
+	dev, err := spec.OpenWithGeometry(g)
 	if err != nil {
 		return nil, err
 	}
-	return &Chip{spec: spec, host: bender.NewHost(mod)}, nil
+	return &Chip{spec: spec, dev: dev}, nil
 }
 
 // Info returns the chip's catalog entry.
@@ -94,35 +93,33 @@ func (c *Chip) Info() ChipInfo {
 }
 
 // Banks returns the number of banks.
-func (c *Chip) Banks() int { return c.host.Module().Geometry().Banks }
+func (c *Chip) Banks() int { return c.dev.Geometry().Banks }
 
 // RowsPerBank returns the rows per bank.
-func (c *Chip) RowsPerBank() int { return c.host.Module().Geometry().RowsPerBank() }
+func (c *Chip) RowsPerBank() int { return c.dev.Geometry().RowsPerBank() }
 
 // RowsPerSubarray returns the subarray height.
-func (c *Chip) RowsPerSubarray() int { return c.host.Module().Geometry().RowsPerSubarray }
+func (c *Chip) RowsPerSubarray() int { return c.dev.Geometry().RowsPerSubarray }
 
 // Columns returns the physical columns per row.
-func (c *Chip) Columns() int { return c.host.Module().Geometry().Cols }
+func (c *Chip) Columns() int { return c.dev.Geometry().Cols }
 
 // SubarrayOf returns the subarray index of a row.
-func (c *Chip) SubarrayOf(row int) int { return c.host.Module().Geometry().SubarrayOf(row) }
+func (c *Chip) SubarrayOf(row int) int { return c.dev.Geometry().SubarrayOf(row) }
 
 // SetTemperature retargets the temperature rig (°C).
-func (c *Chip) SetTemperature(celsius float64) { c.host.SetTemperature(celsius) }
+func (c *Chip) SetTemperature(celsius float64) { c.dev.SetTemperature(celsius) }
 
 // FillRows writes the repeating byte pattern into rows [first, last].
 func (c *Chip) FillRows(bank, first, last int, pattern byte) error {
-	_, err := c.host.Run(bender.InitRowsProgram(bank, first, last, dram.DataPattern(pattern)))
-	return err
+	return charz.WriteRows(c.dev, bank, first, last, dram.DataPattern(pattern))
 }
 
 // Hammer runs the paper's key access pattern — ACT(row)–tAggOn–PRE–tRP —
 // for the given number of activations. tAggOn ≈ tRAS (36 ns) is classic
 // hammering; large tAggOn (e.g. 70.2 µs) is pressing.
 func (c *Chip) Hammer(bank, row, activations int, tAggOnNs, tRPNs float64) error {
-	_, err := c.host.Run(bender.HammerProgram(bank, row, activations, tAggOnNs, tRPNs))
-	return err
+	return c.dev.Hammer(bank, row, activations, tAggOnNs, tRPNs)
 }
 
 // Press keeps the aggressor row open in 70.2 µs windows for the given
@@ -136,24 +133,32 @@ func (c *Chip) Press(bank, row int, durationMs float64) error {
 	return c.Hammer(bank, row, acts, tAggOn, tRP)
 }
 
-// Idle keeps the chip precharged with refresh disabled (retention test).
+// Idle keeps the chip precharged with refresh disabled (retention test). A
+// negative or non-finite duration is an error.
 func (c *Chip) Idle(durationMs float64) error {
-	_, err := c.host.Run(bender.RetentionProgram(durationMs))
-	return err
+	if !(durationMs >= 0) || math.IsInf(durationMs, 1) {
+		return fmt.Errorf("columndisturb: idle duration %v ms must be finite and non-negative", durationMs)
+	}
+	c.dev.AdvanceNs(durationMs * 1e6)
+	return nil
 }
 
 // RowBitflips reads rows [first, last] and counts mismatches against the
-// expected pattern, returning one count per row.
+// expected pattern, returning one count per row. An empty range (last <
+// first) is an error.
 func (c *Chip) RowBitflips(bank, first, last int, expected byte) ([]int, error) {
-	res, err := c.host.Run(bender.ReadRowsProgram(bank, first, last, "read"))
-	if err != nil {
-		return nil, err
+	if last < first {
+		return nil, fmt.Errorf("columndisturb: row range [%d, %d] is empty", first, last)
 	}
-	want := make([]uint64, c.host.Module().Geometry().WordsPerRow())
+	want := make([]uint64, c.dev.Geometry().WordsPerRow())
 	dram.FillWords(want, dram.DataPattern(expected))
 	counts := make([]int, last-first+1)
-	for _, rec := range res.ByTag("read") {
-		counts[rec.Row-first] = dram.CountMismatches(rec.Data, want)
+	for r := first; r <= last; r++ {
+		data, err := c.dev.ReadRow(bank, r)
+		if err != nil {
+			return nil, err
+		}
+		counts[r-first] = dram.CountMismatches(data, want)
 	}
 	return counts, nil
 }
@@ -161,7 +166,7 @@ func (c *Chip) RowBitflips(bank, first, last int, expected byte) ([]int, error) 
 // SubarrayBoundaries reverse engineers the bank's subarray layout with the
 // RowClone methodology (§3.2) and returns the first row of each subarray.
 func (c *Chip) SubarrayBoundaries(bank int) ([]int, error) {
-	return charz.ScanSubarrayBoundaries(c.host, bank)
+	return charz.ScanSubarrayBoundaries(c.dev, bank)
 }
 
 // TTFResult reports a time-to-first-bitflip search.
@@ -176,11 +181,11 @@ type TTFResult struct {
 // the worst-case pattern (all-0 aggressor, all-1 victims, pressing), with
 // the ±4-row guard band applied.
 func (c *Chip) TimeToFirstBitflip(bank, aggressorRow int, repeats int) (TTFResult, error) {
-	cfg := charz.DefaultTTFConfig(c.host.Module().Timing())
+	cfg := charz.DefaultTTFConfig(c.dev.Timing())
 	if repeats > 0 {
 		cfg.Repeats = repeats
 	}
-	res, err := charz.TimeToFirstBitflip(c.host, bank, aggressorRow, cfg)
+	res, err := charz.TimeToFirstBitflip(c.dev, bank, aggressorRow, cfg)
 	if err != nil {
 		return TTFResult{}, err
 	}

@@ -2,6 +2,7 @@ package columndisturb
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,56 @@ func TestCatalogShape(t *testing.T) {
 func TestOpenUnknownModule(t *testing.T) {
 	if _, err := Open("XYZ"); err == nil {
 		t.Fatal("unknown module accepted")
+	}
+}
+
+func openSmallChip(t *testing.T) *Chip {
+	t.Helper()
+	chip, err := OpenScaled("S0", 1, 3, 32, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chip
+}
+
+// An inverted row range is an error, not a makeslice panic.
+func TestRowBitflipsRejectsEmptyRange(t *testing.T) {
+	chip := openSmallChip(t)
+	if counts, err := chip.RowBitflips(0, 10, 5, 0xFF); err == nil {
+		t.Fatalf("RowBitflips(0, 10, 5) returned %v, want an error", counts)
+	}
+	counts, err := chip.RowBitflips(0, 5, 5, 0xFF)
+	if err != nil || len(counts) != 1 {
+		t.Fatalf("one-row range: counts %v, err %v", counts, err)
+	}
+}
+
+// The cell tier's fast-forward rejects negative and non-finite timings
+// instead of running the clock backwards.
+func TestChipHammerRejectsBadTimings(t *testing.T) {
+	chip := openSmallChip(t)
+	for _, tm := range [][2]float64{{-1000, 14}, {36, -14}, {math.NaN(), 14}, {36, math.Inf(1)}} {
+		if err := chip.Hammer(0, 3, 10, tm[0], tm[1]); err == nil {
+			t.Errorf("Hammer accepted tAggOn=%v ns, tRP=%v ns", tm[0], tm[1])
+		}
+	}
+	if err := chip.Hammer(0, 3, 10, 36, 14); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Idle validates its own duration; the device clock is never asked to
+// run backwards.
+func TestChipIdleRejectsBadDuration(t *testing.T) {
+	chip := openSmallChip(t)
+	for _, ms := range []float64{-1, math.NaN(), math.Inf(1)} {
+		err := chip.Idle(ms)
+		if err == nil || !strings.HasPrefix(err.Error(), "columndisturb: idle duration") {
+			t.Errorf("Idle(%v) = %v, want the facade's duration error", ms, err)
+		}
+	}
+	if err := chip.Idle(0); err != nil {
+		t.Fatal(err)
 	}
 }
 

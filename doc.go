@@ -12,7 +12,7 @@
 // The original work characterizes 216 real DDR4 and 4 HBM2 chips on an
 // FPGA-based testing infrastructure. This library substitutes calibrated
 // device-level simulation for the hardware (see DESIGN.md): a cell-explicit
-// DRAM model driven by command programs, a statistical population model for
+// DRAM model driven by DDR commands, a statistical population model for
 // the paper's large sweeps, the characterization methodology (RowClone
 // boundary reverse engineering, guard-banded bitflip counting, bisection
 // search), the ECC analyses, and a cycle-accurate memory-system simulator

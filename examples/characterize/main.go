@@ -7,8 +7,8 @@
 //  2. Run the bisection search for the minimum time to the first
 //     ColumnDisturb bitflip in several subarrays, at two temperatures.
 //
-// Everything happens through DDR command programs on the simulated device —
-// the code path a real DRAM Bender deployment would exercise.
+// Everything happens through DDR commands on the simulated device and
+// reads of its rows, the operations a real DRAM Bender test program uses.
 package main
 
 import (

@@ -3,7 +3,6 @@ package charz
 import (
 	"fmt"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/dram"
 )
 
@@ -55,8 +54,8 @@ type TTFResult struct {
 // inducing the first ColumnDisturb bitflip in the aggressor row's subarray,
 // using the bisection method of prior work: bracket [1, maxActs], shrink
 // until within tolerance, repeat and keep the minimum.
-func TimeToFirstBitflip(h *bender.Host, bank, aggRow int, cfg TTFConfig) (TTFResult, error) {
-	g := h.Module().Geometry()
+func TimeToFirstBitflip(d *dram.Device, bank, aggRow int, cfg TTFConfig) (TTFResult, error) {
+	g := d.Geometry()
 	cycleNs := cfg.TAggOnNs + cfg.TRPNs
 	if cycleNs <= 0 {
 		return TTFResult{}, fmt.Errorf("charz: non-positive hammer cycle")
@@ -65,37 +64,27 @@ func TimeToFirstBitflip(h *bender.Host, bank, aggRow int, cfg TTFConfig) (TTFRes
 	if maxActs < 1 {
 		maxActs = 1
 	}
-	aggPhys := h.Module().Mapping().Physical(aggRow)
-	sub := g.SubarrayOf(aggPhys)
+	sub := g.SubarrayOf(aggRow)
 	first := g.SubarrayBase(sub)
 	last := first + g.RowsPerSubarray - 1
 
-	filter := &Filter{ExcludedRows: GuardRows(g, []int{aggPhys}, cfg.GuardRows)}
+	filter := &Filter{ExcludedRows: GuardRows(g, []int{aggRow}, cfg.GuardRows)}
 
 	res := TTFResult{}
 	probe := func(acts int) (bool, error) {
 		res.Probes++
-		if _, err := h.Run(bender.InitRowsProgram(bank, first, last, cfg.VictimPattern)); err != nil {
+		if err := WriteRows(d, bank, first, last, cfg.VictimPattern); err != nil {
 			return false, err
 		}
-		if _, err := h.Run(bender.Program{Instrs: []bender.Instr{
-			bender.Write{Bank: bank, Row: aggRow, Pattern: cfg.AggPattern},
-		}}); err != nil {
+		if err := d.WriteRowPattern(bank, aggRow, cfg.AggPattern); err != nil {
 			return false, err
 		}
-		if _, err := h.Run(bender.HammerProgram(bank, aggRow, acts, cfg.TAggOnNs, cfg.TRPNs)); err != nil {
+		if err := d.Hammer(bank, aggRow, acts, cfg.TAggOnNs, cfg.TRPNs); err != nil {
 			return false, err
 		}
-		read, err := h.Run(bender.ReadRowsProgram(bank, first, last, "ttf"))
+		recs, err := readRows(d, bank, first, last)
 		if err != nil {
 			return false, err
-		}
-		// The read records carry logical row numbers; filtering works on
-		// physical rows, so translate.
-		recs := read.ByTag("ttf")
-		m := h.Module().Mapping()
-		for i := range recs {
-			recs[i].Row = m.Physical(recs[i].Row)
 		}
 		rows := DiffReads(recs, cfg.VictimPattern, filter)
 		return Aggregate(rows).Flips > 0, nil
@@ -107,7 +96,7 @@ func TimeToFirstBitflip(h *bender.Host, bank, aggRow int, cfg TTFConfig) (TTFRes
 	}
 	bestActs := -1
 	for rep := 0; rep < repeats; rep++ {
-		h.Module().SetTrial(rep)
+		d.SetTrial(rep)
 		any, err := probe(maxActs)
 		if err != nil {
 			return TTFResult{}, err
@@ -132,7 +121,7 @@ func TimeToFirstBitflip(h *bender.Host, bank, aggRow int, cfg TTFConfig) (TTFRes
 			bestActs = hi
 		}
 	}
-	h.Module().SetTrial(0)
+	d.SetTrial(0)
 	if bestActs < 0 {
 		return res, nil
 	}

@@ -4,15 +4,14 @@ import (
 	"math"
 	"testing"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/dram"
 	"columndisturb/internal/faultmodel"
 )
 
-// newHost builds a small module under test. cdMs/retMs pick the
+// newDevice builds a small module under test. cdMs/retMs pick the
 // vulnerability; hcMedian sets the RowHammer threshold median (0 keeps the
 // default, effectively disabling RowHammer at test scales).
-func newHost(t *testing.T, seed uint64, cdMs, retMs, hcMedian float64, m dram.RowMapping) *bender.Host {
+func newDevice(t *testing.T, seed uint64, cdMs, retMs, hcMedian float64) *dram.Device {
 	t.Helper()
 	g := dram.SmallGeometry()
 	p := faultmodel.Default()
@@ -29,20 +28,20 @@ func newHost(t *testing.T, seed uint64, cdMs, retMs, hcMedian float64, m dram.Ro
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bender.NewHost(dram.NewModule(d, m))
+	return d
 }
 
 func TestSameSubarrayByRowClone(t *testing.T) {
-	h := newHost(t, 1, 5, 50, 0, nil)
-	g := h.Module().Geometry()
-	same, err := SameSubarrayByRowClone(h, 0, 3, 17)
+	d := newDevice(t, 1, 5, 50, 0)
+	g := d.Geometry()
+	same, err := SameSubarrayByRowClone(d, 0, 3, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !same {
 		t.Fatal("rows 3 and 17 share subarray 0")
 	}
-	diff, err := SameSubarrayByRowClone(h, 0, 3, g.SubarrayBase(1)+3)
+	diff, err := SameSubarrayByRowClone(d, 0, 3, g.SubarrayBase(1)+3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +51,9 @@ func TestSameSubarrayByRowClone(t *testing.T) {
 }
 
 func TestScanSubarrayBoundaries(t *testing.T) {
-	h := newHost(t, 2, 5, 50, 0, nil)
-	g := h.Module().Geometry()
-	bounds, err := ScanSubarrayBoundaries(h, 0)
+	d := newDevice(t, 2, 5, 50, 0)
+	g := d.Geometry()
+	bounds, err := ScanSubarrayBoundaries(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +69,10 @@ func TestScanSubarrayBoundaries(t *testing.T) {
 }
 
 func TestExhaustivePartitionMatchesScan(t *testing.T) {
-	h := newHost(t, 3, 5, 50, 0, nil)
-	g := h.Module().Geometry()
+	d := newDevice(t, 3, 5, 50, 0)
+	g := d.Geometry()
 	// Cover the first boundary: rows 0..39 span subarrays 0 and 1.
-	groups, err := ExhaustivePartition(h, 0, 40)
+	groups, err := ExhaustivePartition(d, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +98,8 @@ func TestExhaustivePartitionMatchesScan(t *testing.T) {
 // first-retention-failure module.
 func TestRetentionAllZeroVictimsNeverFail(t *testing.T) {
 	idle := func(victims dram.DataPattern) int {
-		h := newHost(t, 8, 5, 50, 0, nil)
-		out, err := RunDisturb(h, DisturbConfig{
+		d := newDevice(t, 8, 5, 50, 0)
+		out, err := RunDisturb(d, DisturbConfig{
 			Bank: 0, Mode: ModeIdle, VictimPattern: victims,
 			DurationMs: 800, Subarrays: []int{0},
 		}, nil)
@@ -118,12 +117,12 @@ func TestRetentionAllZeroVictimsNeverFail(t *testing.T) {
 }
 
 func TestTimeToFirstBitflip(t *testing.T) {
-	h := newHost(t, 9, 5, 50, 0, nil)
-	g := h.Module().Geometry()
-	cfg := DefaultTTFConfig(h.Module().Timing())
+	d := newDevice(t, 9, 5, 50, 0)
+	g := d.Geometry()
+	cfg := DefaultTTFConfig(d.Timing())
 	cfg.Repeats = 2
 	agg := g.SubarrayBase(1) + g.RowsPerSubarray/2
-	res, err := TimeToFirstBitflip(h, 0, agg, cfg)
+	res, err := TimeToFirstBitflip(d, 0, agg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +141,12 @@ func TestTimeToFirstBitflip(t *testing.T) {
 }
 
 func TestTimeToFirstBitflipNotFound(t *testing.T) {
-	h := newHost(t, 10, 1e7, 1e7, 0, nil) // essentially invulnerable
-	g := h.Module().Geometry()
-	cfg := DefaultTTFConfig(h.Module().Timing())
+	d := newDevice(t, 10, 1e7, 1e7, 0) // essentially invulnerable
+	g := d.Geometry()
+	cfg := DefaultTTFConfig(d.Timing())
 	cfg.Repeats = 1
 	cfg.MaxTimeMs = 64
-	res, err := TimeToFirstBitflip(h, 0, g.SubarrayBase(1)+5, cfg)
+	res, err := TimeToFirstBitflip(d, 0, g.SubarrayBase(1)+5, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +159,9 @@ func TestRunDisturbCDvsRetention(t *testing.T) {
 	g := dram.SmallGeometry()
 	agg := g.SubarrayBase(1) + 16
 	run := func(mode DisturbMode) map[int][]RowFlips {
-		h := newHost(t, 11, 5, 50, 0, nil)
+		d := newDevice(t, 11, 5, 50, 0)
 		f := &Filter{ExcludedRows: GuardRows(g, []int{agg}, 4)}
-		out, err := RunDisturb(h, DisturbConfig{
+		out, err := RunDisturb(d, DisturbConfig{
 			Bank: 0, AggRow: agg, Mode: mode,
 			AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
 			DurationMs: 100, TAggOnNs: 70200, TRPNs: 14,
@@ -196,9 +195,9 @@ func TestRunDisturbCDvsRetention(t *testing.T) {
 func TestRunDisturbTwoAggressor(t *testing.T) {
 	g := dram.SmallGeometry()
 	base := g.SubarrayBase(1)
-	h := newHost(t, 12, 5, 50, 0, nil)
+	d := newDevice(t, 12, 5, 50, 0)
 	f := &Filter{ExcludedRows: GuardRows(g, []int{base + 10, base + 20}, 4)}
-	out, err := RunDisturb(h, DisturbConfig{
+	out, err := RunDisturb(d, DisturbConfig{
 		Bank: 0, AggRow: base + 10, AggRow2: base + 20, Mode: ModeTwoAggressor,
 		AggPattern: dram.Pat00, Agg2Pattern: dram.PatFF, VictimPattern: dram.PatFF,
 		DurationMs: 100, TAggOnNs: 70200, TRPNs: 14,
@@ -213,8 +212,8 @@ func TestRunDisturbTwoAggressor(t *testing.T) {
 }
 
 func TestRunDisturbRejectsTooShortDuration(t *testing.T) {
-	h := newHost(t, 13, 5, 50, 0, nil)
-	_, err := RunDisturb(h, DisturbConfig{
+	d := newDevice(t, 13, 5, 50, 0)
+	_, err := RunDisturb(d, DisturbConfig{
 		Bank: 0, AggRow: 5, Mode: ModeHammer,
 		AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
 		DurationMs: 1e-6, TAggOnNs: 70200, TRPNs: 14,

@@ -2,9 +2,9 @@ package charz
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/dram"
 )
 
@@ -28,7 +28,7 @@ const (
 // DisturbConfig describes one disturbance experiment on a bank.
 type DisturbConfig struct {
 	Bank          int
-	AggRow        int // physical aggressor row (ignored for ModeIdle)
+	AggRow        int // aggressor row (ignored for ModeIdle)
 	AggRow2       int // second aggressor (ModeTwoAggressor)
 	Mode          DisturbMode
 	AggPattern    dram.DataPattern
@@ -45,14 +45,9 @@ type DisturbConfig struct {
 // RunDisturb initializes the victim rows, runs the access pattern for the
 // configured duration with refresh disabled, reads every tested row and
 // returns per-subarray row flip summaries (filtered through f, which may be
-// nil for raw counts). Rows are reported with physical indices.
-//
-// The helper assumes a subarray-preserving row mapping (vendor mappings
-// scramble within small groups, so the logical and physical row sets of a
-// subarray coincide), which ScanSubarrayBoundaries verifies in practice.
-func RunDisturb(h *bender.Host, cfg DisturbConfig, f *Filter) (map[int][]RowFlips, error) {
-	g := h.Module().Geometry()
-	m := h.Module().Mapping()
+// nil for raw counts).
+func RunDisturb(d *dram.Device, cfg DisturbConfig, f *Filter) (map[int][]RowFlips, error) {
+	g := d.Geometry()
 	subs := cfg.Subarrays
 	if subs == nil {
 		if cfg.Mode == ModeIdle {
@@ -66,16 +61,14 @@ func RunDisturb(h *bender.Host, cfg DisturbConfig, f *Filter) (map[int][]RowFlip
 	// Initialize victims.
 	for _, s := range subs {
 		first := g.SubarrayBase(s)
-		if _, err := h.Run(bender.InitRowsProgram(cfg.Bank, first, first+g.RowsPerSubarray-1, cfg.VictimPattern)); err != nil {
+		if err := WriteRows(d, cfg.Bank, first, first+g.RowsPerSubarray-1, cfg.VictimPattern); err != nil {
 			return nil, err
 		}
 	}
 	// Initialize aggressor(s) and run the pattern.
 	switch cfg.Mode {
 	case ModeHammer:
-		if _, err := h.Run(bender.Program{Instrs: []bender.Instr{
-			bender.Write{Bank: cfg.Bank, Row: m.Logical(cfg.AggRow), Pattern: cfg.AggPattern},
-		}}); err != nil {
+		if err := d.WriteRowPattern(cfg.Bank, cfg.AggRow, cfg.AggPattern); err != nil {
 			return nil, err
 		}
 		cycle := cfg.TAggOnNs + cfg.TRPNs
@@ -83,14 +76,14 @@ func RunDisturb(h *bender.Host, cfg DisturbConfig, f *Filter) (map[int][]RowFlip
 		if acts < 1 {
 			return nil, fmt.Errorf("charz: duration %v ms too short for one cycle", cfg.DurationMs)
 		}
-		if _, err := h.Run(bender.HammerProgram(cfg.Bank, m.Logical(cfg.AggRow), acts, cfg.TAggOnNs, cfg.TRPNs)); err != nil {
+		if err := d.Hammer(cfg.Bank, cfg.AggRow, acts, cfg.TAggOnNs, cfg.TRPNs); err != nil {
 			return nil, err
 		}
 	case ModeTwoAggressor:
-		if _, err := h.Run(bender.Program{Instrs: []bender.Instr{
-			bender.Write{Bank: cfg.Bank, Row: m.Logical(cfg.AggRow), Pattern: cfg.AggPattern},
-			bender.Write{Bank: cfg.Bank, Row: m.Logical(cfg.AggRow2), Pattern: cfg.Agg2Pattern},
-		}}); err != nil {
+		if err := d.WriteRowPattern(cfg.Bank, cfg.AggRow, cfg.AggPattern); err != nil {
+			return nil, err
+		}
+		if err := d.WriteRowPattern(cfg.Bank, cfg.AggRow2, cfg.Agg2Pattern); err != nil {
 			return nil, err
 		}
 		cycle := 2 * (cfg.TAggOnNs + cfg.TRPNs)
@@ -98,13 +91,14 @@ func RunDisturb(h *bender.Host, cfg DisturbConfig, f *Filter) (map[int][]RowFlip
 		if pairs < 1 {
 			return nil, fmt.Errorf("charz: duration %v ms too short for one pair", cfg.DurationMs)
 		}
-		if _, err := h.Run(bender.TwoAggressorProgram(cfg.Bank, m.Logical(cfg.AggRow), m.Logical(cfg.AggRow2), pairs, cfg.TAggOnNs, cfg.TRPNs)); err != nil {
+		if err := d.HammerTwo(cfg.Bank, cfg.AggRow, cfg.AggRow2, pairs, cfg.TAggOnNs, cfg.TRPNs); err != nil {
 			return nil, err
 		}
 	case ModeIdle:
-		if _, err := h.Run(bender.RetentionProgram(cfg.DurationMs)); err != nil {
-			return nil, err
+		if !(cfg.DurationMs >= 0) || math.IsInf(cfg.DurationMs, 1) {
+			return nil, fmt.Errorf("charz: idle duration %v ms must be finite and non-negative", cfg.DurationMs)
 		}
+		d.AdvanceNs(cfg.DurationMs * 1e6)
 	default:
 		return nil, fmt.Errorf("charz: unknown mode %d", cfg.Mode)
 	}
@@ -112,17 +106,36 @@ func RunDisturb(h *bender.Host, cfg DisturbConfig, f *Filter) (map[int][]RowFlip
 	out := make(map[int][]RowFlips, len(subs))
 	for _, s := range subs {
 		first := g.SubarrayBase(s)
-		res, err := h.Run(bender.ReadRowsProgram(cfg.Bank, first, first+g.RowsPerSubarray-1, "d"))
+		recs, err := readRows(d, cfg.Bank, first, first+g.RowsPerSubarray-1)
 		if err != nil {
 			return nil, err
-		}
-		recs := res.ByTag("d")
-		for i := range recs {
-			recs[i].Row = m.Physical(recs[i].Row)
 		}
 		rows := DiffReads(recs, cfg.VictimPattern, f)
 		sort.Slice(rows, func(i, j int) bool { return rows[i].Row < rows[j].Row })
 		out[s] = rows
 	}
 	return out, nil
+}
+
+// WriteRows fills rows [first, last] of the bank with the pattern.
+func WriteRows(d *dram.Device, bank, first, last int, p dram.DataPattern) error {
+	for r := first; r <= last; r++ {
+		if err := d.WriteRowPattern(bank, r, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readRows reads rows [first, last] of the bank in ascending order.
+func readRows(d *dram.Device, bank, first, last int) ([]ReadRecord, error) {
+	recs := make([]ReadRecord, 0, max(last-first+1, 0))
+	for r := first; r <= last; r++ {
+		data, err := d.ReadRow(bank, r)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, ReadRecord{Row: r, Data: data})
+	}
+	return recs, nil
 }

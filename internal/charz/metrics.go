@@ -1,14 +1,16 @@
 // Package charz implements the paper's characterization methodology (§3.2)
-// on top of the bender testing infrastructure: reverse engineering of
-// subarray boundaries via RowClone, bisection search for the time to the
-// first ColumnDisturb bitflip, and the filtered bitflip metrics
-// (guard-banding the aggressor's RowHammer/RowPress neighbourhood).
+// against a simulated DRAM device, the way the paper's test programs drive
+// a real module: it issues device commands and reads rows back, and never
+// looks at the fault parameters or cell state behind them. It covers
+// reverse engineering of subarray boundaries via RowClone, bisection
+// search for the time to the first ColumnDisturb bitflip, and the filtered
+// bitflip metrics (guard-banding the aggressor's RowHammer/RowPress
+// neighbourhood).
 package charz
 
 import (
 	"math/bits"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/bitset"
 	"columndisturb/internal/dram"
 )
@@ -51,12 +53,18 @@ type RowFlips struct {
 	ChunkFlips []int // flips per 64-bit (8-byte) chunk index, for ECC analysis
 }
 
+// ReadRecord is the content of one row as read back from the device.
+type ReadRecord struct {
+	Row  int
+	Data []uint64
+}
+
 // DiffReads compares read records against the expected victim pattern and
 // returns per-row flip summaries, applying the filter. Data patterns are
 // byte-periodic, so every correct data word equals dram.PatternWord(want);
 // XORing against it finds the flipped columns of 64 cells at once, and
 // direction bookkeeping runs only on the (rare) set bits.
-func DiffReads(recs []bender.ReadRecord, want dram.DataPattern, f *Filter) []RowFlips {
+func DiffReads(recs []ReadRecord, want dram.DataPattern, f *Filter) []RowFlips {
 	expWord := dram.PatternWord(want)
 	var out []RowFlips
 	for _, rec := range recs {

@@ -3,7 +3,6 @@ package charz
 import (
 	"testing"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/bitset"
 	"columndisturb/internal/dram"
 )
@@ -30,17 +29,17 @@ func TestGuardRowsClipsToSubarray(t *testing.T) {
 	}
 }
 
-func mkRecord(row int, pattern dram.DataPattern, flipCols []int) bender.ReadRecord {
+func mkRecord(row int, pattern dram.DataPattern, flipCols []int) ReadRecord {
 	words := make([]uint64, 2) // 128 columns
 	dram.FillWords(words, pattern)
 	for _, c := range flipCols {
 		dram.SetWordBit(words, c, 1-pattern.Bit(c))
 	}
-	return bender.ReadRecord{Row: row, Data: words}
+	return ReadRecord{Row: row, Data: words}
 }
 
 func TestDiffReadsDirections(t *testing.T) {
-	recs := []bender.ReadRecord{
+	recs := []ReadRecord{
 		mkRecord(3, dram.PatAA, []int{0, 1, 65}), // col0: 0→1, col1: 1→0, col65: 1→0
 	}
 	rows := DiffReads(recs, dram.PatAA, &Filter{})
@@ -57,7 +56,7 @@ func TestDiffReadsDirections(t *testing.T) {
 }
 
 func TestDiffReadsRowExclusion(t *testing.T) {
-	recs := []bender.ReadRecord{
+	recs := []ReadRecord{
 		mkRecord(3, dram.PatFF, []int{5}),
 		mkRecord(4, dram.PatFF, []int{6}),
 	}
@@ -69,7 +68,7 @@ func TestDiffReadsRowExclusion(t *testing.T) {
 }
 
 func TestDiffReadsNilFilter(t *testing.T) {
-	recs := []bender.ReadRecord{mkRecord(1, dram.PatFF, []int{0})}
+	recs := []ReadRecord{mkRecord(1, dram.PatFF, []int{0})}
 	rows := DiffReads(recs, dram.PatFF, nil)
 	if len(rows) != 1 || rows[0].Flips != 1 {
 		t.Fatal("nil filter should count everything")
@@ -77,7 +76,7 @@ func TestDiffReadsNilFilter(t *testing.T) {
 }
 
 func TestAggregateAndBlastRadius(t *testing.T) {
-	recs := []bender.ReadRecord{
+	recs := []ReadRecord{
 		mkRecord(0, dram.PatFF, []int{1, 2}),
 		mkRecord(1, dram.PatFF, nil),
 		mkRecord(2, dram.PatFF, []int{7}),
@@ -101,7 +100,7 @@ func TestFractionOfCellsEmpty(t *testing.T) {
 }
 
 func TestChunkHistogramClamps(t *testing.T) {
-	recs := []bender.ReadRecord{
+	recs := []ReadRecord{
 		mkRecord(0, dram.PatFF, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}), // 18 flips in chunk 0
 		mkRecord(1, dram.PatFF, []int{64}),
 		mkRecord(2, dram.PatFF, []int{64, 65, 66}),

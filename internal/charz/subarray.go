@@ -3,11 +3,10 @@ package charz
 import (
 	"fmt"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/dram"
 )
 
-// SameSubarrayByRowClone tests whether two logical rows share a subarray by
+// SameSubarrayByRowClone tests whether two rows share a subarray by
 // attempting the in-DRAM copy of §3.2: after ACT src – PRE – (interrupted
 // precharge) – ACT dst, the destination holds the source's content exactly
 // when both rows connect to the same sense amplifiers.
@@ -15,44 +14,55 @@ import (
 // The probe overwrites both rows with marker patterns and leaves the
 // destination holding the copy result; callers re-initialize rows
 // afterwards (the methodology always rewrites rows between tests).
-func SameSubarrayByRowClone(h *bender.Host, bank, src, dst int) (bool, error) {
+func SameSubarrayByRowClone(d *dram.Device, bank, src, dst int) (bool, error) {
 	if src == dst {
 		return true, nil
 	}
 	const marker, anti = dram.PatAA, dram.Pat00
-	setup := bender.Program{Name: "rowclone-setup", Instrs: []bender.Instr{
-		bender.Write{Bank: bank, Row: src, Pattern: marker},
-		bender.Write{Bank: bank, Row: dst, Pattern: anti},
-	}}
-	if _, err := h.Run(setup); err != nil {
+	if err := d.WriteRowPattern(bank, src, marker); err != nil {
 		return false, err
 	}
-	if _, err := h.Run(bender.RowCloneProgram(bank, src, dst, h.Module().Timing())); err != nil {
+	if err := d.WriteRowPattern(bank, dst, anti); err != nil {
 		return false, err
 	}
-	res, err := h.Run(bender.Program{Name: "rowclone-verify", Instrs: []bender.Instr{
-		bender.Read{Bank: bank, Row: dst, Tag: "dst"},
-	}})
+	// ACT src, PRE, then ACT dst inside the RowClone violation window, and
+	// a clean precharge.
+	t := d.Timing()
+	if err := d.Activate(bank, src); err != nil {
+		return false, err
+	}
+	d.AdvanceNs(t.TRASns)
+	if err := d.Precharge(bank); err != nil {
+		return false, err
+	}
+	d.AdvanceNs(t.RowCloneViolationNs / 2)
+	if err := d.Activate(bank, dst); err != nil {
+		return false, err
+	}
+	d.AdvanceNs(t.TRASns)
+	if err := d.Precharge(bank); err != nil {
+		return false, err
+	}
+	d.AdvanceNs(t.TRPns)
+	got, err := d.ReadRow(bank, dst)
 	if err != nil {
 		return false, err
 	}
-	want := make([]uint64, h.Module().Geometry().WordsPerRow())
+	want := make([]uint64, d.Geometry().WordsPerRow())
 	dram.FillWords(want, marker)
-	got := res.ByTag("dst")[0].Data
 	return dram.CountMismatches(got, want) == 0, nil
 }
 
 // ScanSubarrayBoundaries reverse engineers the subarray layout of a bank by
-// RowClone-testing each adjacent logical row pair, returning the first row
-// of every subarray (always including row 0). It assumes subarrays occupy
-// contiguous logical ranges, which holds for the group-local scrambling
-// real mappings use; ExhaustivePartition drops that assumption and is
+// RowClone-testing each adjacent row pair, returning the first row of every
+// subarray (always including row 0). It assumes subarrays occupy
+// contiguous row ranges; ExhaustivePartition drops that assumption and is
 // cross-checked against this scan in tests.
-func ScanSubarrayBoundaries(h *bender.Host, bank int) ([]int, error) {
-	rows := h.Module().Geometry().RowsPerBank()
+func ScanSubarrayBoundaries(d *dram.Device, bank int) ([]int, error) {
+	rows := d.Geometry().RowsPerBank()
 	bounds := []int{0}
 	for r := 0; r+1 < rows; r++ {
-		same, err := SameSubarrayByRowClone(h, bank, r, r+1)
+		same, err := SameSubarrayByRowClone(d, bank, r, r+1)
 		if err != nil {
 			return nil, fmt.Errorf("charz: boundary scan at row %d: %w", r, err)
 		}
@@ -64,11 +74,11 @@ func ScanSubarrayBoundaries(h *bender.Host, bank int) ([]int, error) {
 }
 
 // ExhaustivePartition reverse engineers subarray membership by RowClone-
-// testing *every* source/destination pair of the first `rows` logical rows
+// testing *every* source/destination pair of the first `rows` rows
 // (the paper's full methodology). It returns the partition as a list of
 // row groups. Quadratic in rows — intended for small banks and for
 // validating ScanSubarrayBoundaries.
-func ExhaustivePartition(h *bender.Host, bank, rows int) ([][]int, error) {
+func ExhaustivePartition(d *dram.Device, bank, rows int) ([][]int, error) {
 	parent := make([]int, rows)
 	for i := range parent {
 		parent[i] = i
@@ -86,7 +96,7 @@ func ExhaustivePartition(h *bender.Host, bank, rows int) ([][]int, error) {
 			if src == dst || find(src) == find(dst) {
 				continue
 			}
-			same, err := SameSubarrayByRowClone(h, bank, src, dst)
+			same, err := SameSubarrayByRowClone(d, bank, src, dst)
 			if err != nil {
 				return nil, err
 			}

@@ -151,17 +151,13 @@ func (m ModuleSpec) BuildParams() *faultmodel.Params { return m.BuildParamsFor(m
 
 // OpenWithGeometry instantiates the module on a custom (typically scaled-
 // down) geometry, re-calibrating the fault parameters to the population.
-func (m ModuleSpec) OpenWithGeometry(g dram.Geometry) (*dram.Module, error) {
-	dev, err := dram.NewDevice(g, m.BuildParamsFor(g), m.Timing(), m.Seed())
-	if err != nil {
-		return nil, err
-	}
-	return dram.NewModule(dev, nil), nil
+func (m ModuleSpec) OpenWithGeometry(g dram.Geometry) (*dram.Device, error) {
+	return dram.NewDevice(g, m.BuildParamsFor(g), m.Timing(), m.Seed())
 }
 
 // Open instantiates the module as a simulated device with its calibrated
-// fault parameters, geometry, timing and a direct row mapping.
-func (m ModuleSpec) Open() (*dram.Module, error) { return m.OpenWithGeometry(m.Geometry()) }
+// fault parameters, geometry and timing.
+func (m ModuleSpec) Open() (*dram.Device, error) { return m.OpenWithGeometry(m.Geometry()) }
 
 // Per-manufacturer process characteristics (see DESIGN.md §5 for how each
 // constant traces back to a published observation, and for the values the

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/charz"
 	"columndisturb/internal/dram"
 	"columndisturb/internal/sim/rng"
@@ -203,10 +202,9 @@ func TestCrossValidationAgainstCellTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := bender.NewHost(dram.NewModule(d, nil))
 	agg := g.SubarrayBase(1) + g.RowsPerSubarray/2
 	guard := charz.GuardRows(g, []int{agg}, 4)
-	out, err := charz.RunDisturb(h, charz.DisturbConfig{
+	out, err := charz.RunDisturb(d, charz.DisturbConfig{
 		Bank: 0, AggRow: agg, Mode: charz.ModeHammer,
 		AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
 		DurationMs: 30, TAggOnNs: 70200, TRPNs: 14,

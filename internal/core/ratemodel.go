@@ -1,9 +1,9 @@
 // Package core is the statistical evaluation tier of the ColumnDisturb
 // model — the paper's primary contribution rendered as a population model.
 //
-// The cell-explicit tier (internal/dram + internal/bender) evaluates every
-// cell through the command-level methodology; it is faithful but costs one
-// pass per cell per experiment. The paper, however, characterizes 46 080
+// The cell-explicit tier (internal/dram, driven by internal/charz)
+// evaluates every cell through the command-level methodology; it is
+// faithful but costs one pass per cell per experiment. The paper, however, characterizes 46 080
 // subarrays across 28 modules under dozens of conditions. This package
 // evaluates the same fault law (internal/faultmodel) in closed form:
 //

@@ -10,7 +10,9 @@ import (
 // grant's spec bytes come off the network, and a malformed, truncated or
 // wrong-version spec must error — never panic — because one bad grant must
 // not kill an executor that may hold other leases. Seed corpus committed
-// under testdata/fuzz.
+// under testdata/fuzz. The body checks only what an accepted spec must
+// satisfy; TestDecodeTaskAcceptsEncodedProfiles requires that well-formed
+// specs are accepted.
 func FuzzDecodeTask(f *testing.F) {
 	small := experiments.Small()
 	f.Add(EncodeTask(TaskSpec{Experiment: "fig6", Config: small, ConfigDigest: small.Digest(), Shard: 2, Label: "arm 3/3"}))

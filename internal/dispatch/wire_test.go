@@ -31,3 +31,20 @@ func TestDecodeTaskRejects(t *testing.T) {
 		t.Fatalf("a spec carrying its config's digest must decode: %v", err)
 	}
 }
+
+// TestDecodeTaskAcceptsEncodedProfiles requires what FuzzDecodeTask cannot:
+// that a spec the server encodes is accepted. The specs are built here from
+// the current profiles, so a Config change cannot leave a stale encoding
+// behind.
+func TestDecodeTaskAcceptsEncodedProfiles(t *testing.T) {
+	for name, cfg := range map[string]experiments.Config{"small": experiments.Small(), "full": experiments.Full()} {
+		spec := TaskSpec{V: ProtocolVersion, Experiment: "fig6", Config: cfg, ConfigDigest: cfg.Digest(), Shard: 2, Label: "arm 3/3"}
+		got, err := DecodeTask(EncodeTask(spec))
+		if err != nil {
+			t.Fatalf("%s: encoded spec rejected: %v", name, err)
+		}
+		if got != spec {
+			t.Fatalf("%s: round trip mutated the spec: %+v vs %+v", name, got, spec)
+		}
+	}
+}

@@ -188,7 +188,7 @@ func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs float64) 
 	b.restoredNs[row] = end // each activation restores the aggressor
 	b.aggression[row] = 0
 	b.addNeighborAggression(row, b.params.PressEquivalentActs(numActs, tAggOnNs))
-	b.lastPreNs = end
+	b.lastPreNs = end - tRPNs // the last PRE, a full tRP before end
 	b.lastOpenRow = row
 	return end, nil
 }
@@ -232,7 +232,7 @@ func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPN
 		b.aggression[r] = 0
 		b.addNeighborAggression(r, b.params.PressEquivalentActs(numPairs, tAggOnNs))
 	}
-	b.lastPreNs = end
+	b.lastPreNs = end - tRPNs
 	b.lastOpenRow = row2
 	return end, nil
 }

@@ -2,14 +2,14 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"columndisturb/internal/faultmodel"
 )
 
 // Device models one DRAM module under test: banks of subarrays, a clock,
-// an ambient temperature, and the fault parameters of its chips. All
-// addresses at this layer are *physical* bank-level row addresses; the
-// Module wrapper adds the in-DRAM logical-to-physical mapping.
+// an ambient temperature, and the fault parameters of its chips. Rows are
+// addressed by their physical bank-level index.
 //
 // A Device is NOT goroutine-safe: its clock, open-row state and exposure
 // history mutate on every command, and its banks share the device clock,
@@ -187,10 +187,25 @@ func (d *Device) RefreshRow(bank, row int) error {
 	return b.refreshRow(d.nowNs, row, d.tempC, d.trial)
 }
 
+// checkPatternTimings rejects a row-open time or precharge gap that no
+// command sequence can have: negative, NaN or infinite.
+func checkPatternTimings(tAggOnNs, tRPNs float64) error {
+	for _, v := range [...]float64{tAggOnNs, tRPNs} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("dram: hammer timings tAggOn=%v ns, tRP=%v ns must be finite and non-negative", tAggOnNs, tRPNs)
+		}
+	}
+	return nil
+}
+
 // Hammer fast-forwards numActs cycles of the single-aggressor pattern
 // ACT–tAggOn–PRE–tRP on (bank, row), advancing the device clock to the end
-// of the pattern.
+// of the pattern. Every row then reads back the bits that issuing the
+// cycles one command at a time would leave.
 func (d *Device) Hammer(bank, row, numActs int, tAggOnNs, tRPNs float64) error {
+	if err := checkPatternTimings(tAggOnNs, tRPNs); err != nil {
+		return err
+	}
 	b, err := d.bank(bank)
 	if err != nil {
 		return err
@@ -204,8 +219,14 @@ func (d *Device) Hammer(bank, row, numActs int, tAggOnNs, tRPNs float64) error {
 }
 
 // HammerTwo fast-forwards numPairs cycles of the two-aggressor pattern on
-// (bank, row1, row2), advancing the device clock.
+// (bank, row1, row2), advancing the device clock. Like Hammer it leaves
+// the bits literal execution would, provided tRP is at least the RowClone
+// violation window: with a shorter gap each literal ACT of row2 copies
+// row1, which the fast-forward does not model.
 func (d *Device) HammerTwo(bank, row1, row2, numPairs int, tAggOnNs, tRPNs float64) error {
+	if err := checkPatternTimings(tAggOnNs, tRPNs); err != nil {
+		return err
+	}
 	b, err := d.bank(bank)
 	if err != nil {
 		return err

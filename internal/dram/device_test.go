@@ -486,6 +486,28 @@ func TestHammerRejectsOpenBank(t *testing.T) {
 	}
 }
 
+func TestHammerRejectsBadTimings(t *testing.T) {
+	d := newTestDevice(t, 15)
+	base := d.Geometry().SubarrayBase(1)
+	for _, tm := range [][2]float64{
+		{-1000, 14}, {36, -14}, {math.NaN(), 14}, {36, math.NaN()},
+		{math.Inf(1), 14}, {36, math.Inf(1)}, {math.Inf(-1), 14},
+	} {
+		if err := d.Hammer(0, base+3, 10, tm[0], tm[1]); err == nil {
+			t.Errorf("Hammer accepted tAggOn=%v ns, tRP=%v ns", tm[0], tm[1])
+		}
+		if err := d.HammerTwo(0, base+3, base+8, 10, tm[0], tm[1]); err == nil {
+			t.Errorf("HammerTwo accepted tAggOn=%v ns, tRP=%v ns", tm[0], tm[1])
+		}
+	}
+	if d.NowNs() != 0 {
+		t.Fatalf("rejected patterns moved the clock to %v ns", d.NowNs())
+	}
+	if err := d.Hammer(0, base+3, 10, 0, 0); err != nil {
+		t.Fatalf("zero timings are a valid (degenerate) pattern: %v", err)
+	}
+}
+
 func TestHammerTwoRequiresSameSubarray(t *testing.T) {
 	d := newTestDevice(t, 13)
 	g := d.Geometry()

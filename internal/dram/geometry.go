@@ -1,7 +1,7 @@
 // Package dram models a DRAM module at device level: banks of subarrays in
 // the open-bitline architecture, per-cell data storage, the DDR command
-// state machine (ACT/PRE/RD/WR/REF), RowClone timing-violation semantics,
-// and in-DRAM logical-to-physical row address mapping.
+// state machine (ACT/PRE/RD/WR/REF) and RowClone timing-violation
+// semantics. Rows are addressed by their physical index within the bank.
 //
 // The model is *fault-aware*: every read evaluates the accumulated
 // disturbance of each cell (retention, ColumnDisturb through the bitline

@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/charz"
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/dram"
@@ -23,14 +22,13 @@ import (
 func TestOnDieECCEndToEnd(t *testing.T) {
 	spec, _ := chipdb.ByID("S0")
 	g := dram.Geometry{Banks: 1, SubarraysPerBank: 3, RowsPerSubarray: 96, Cols: 256, Chips: 8}
-	mod, err := spec.OpenWithGeometry(g)
+	d, err := spec.OpenWithGeometry(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod.SetTemperature(85)
-	h := bender.NewHost(mod)
+	d.SetTemperature(85)
 	agg := g.SubarrayBase(1) + g.RowsPerSubarray/2
-	out, err := charz.RunDisturb(h, charz.DisturbConfig{
+	out, err := charz.RunDisturb(d, charz.DisturbConfig{
 		Bank: 0, AggRow: agg, Mode: charz.ModeHammer,
 		AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
 		DurationMs: 1500, TAggOnNs: 70200, TRPNs: 14,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/charz"
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/dram"
@@ -47,14 +46,6 @@ func planFig2(cfg Config) (*Plan, error) {
 	g := fig2Geometry(cfg)
 	const durationMs = 16_000.0
 
-	openHost := func() (*bender.Host, error) {
-		mod, err := spec.OpenWithGeometry(g)
-		if err != nil {
-			return nil, err
-		}
-		return bender.NewHost(mod), nil
-	}
-
 	agg := g.SubarrayBase(1) + g.RowsPerSubarray/2
 	subs := []int{0, 1, 2}
 
@@ -62,11 +53,11 @@ func planFig2(cfg Config) (*Plan, error) {
 		return Shard{
 			Label: shardLabel("fig2", "arm", arm),
 			Run: func(context.Context) (any, error) {
-				h, err := openHost()
+				d, err := spec.OpenWithGeometry(g)
 				if err != nil {
 					return nil, err
 				}
-				flips, err := charz.RunDisturb(h, charz.DisturbConfig{
+				flips, err := charz.RunDisturb(d, charz.DisturbConfig{
 					Bank: 0, AggRow: agg, Mode: charz.ModeHammer,
 					AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
 					DurationMs: durationMs, TAggOnNs: tAggOnNs, TRPNs: 14,
@@ -82,11 +73,11 @@ func planFig2(cfg Config) (*Plan, error) {
 	idle := Shard{
 		Label: shardLabel("fig2", "arm", "idle"),
 		Run: func(context.Context) (any, error) {
-			h, err := openHost()
+			d, err := spec.OpenWithGeometry(g)
 			if err != nil {
 				return nil, err
 			}
-			flips, err := charz.RunDisturb(h, charz.DisturbConfig{
+			flips, err := charz.RunDisturb(d, charz.DisturbConfig{
 				Bank: 0, Mode: charz.ModeIdle, VictimPattern: dram.PatFF,
 				DurationMs: durationMs, Subarrays: subs,
 			}, nil)

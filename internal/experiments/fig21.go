@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"columndisturb/internal/bender"
 	"columndisturb/internal/charz"
 	"columndisturb/internal/chipdb"
 	"columndisturb/internal/dram"
@@ -58,13 +57,12 @@ func planFig21(cfg Config) (*Plan, error) {
 			shards = append(shards, Shard{
 				Label: shardLabel("fig21", "module", id, "iv", fmt.Sprintf("%.0fms", iv)),
 				Run: func(context.Context) (any, error) {
-					mod, err := spec.OpenWithGeometry(g)
+					d, err := spec.OpenWithGeometry(g)
 					if err != nil {
 						return nil, err
 					}
-					mod.SetTemperature(65)
-					h := bender.NewHost(mod)
-					out, err := charz.RunDisturb(h, charz.DisturbConfig{
+					d.SetTemperature(65)
+					out, err := charz.RunDisturb(d, charz.DisturbConfig{
 						Bank: 0, AggRow: agg, Mode: charz.ModeHammer,
 						AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
 						DurationMs: iv, TAggOnNs: 70_200, TRPNs: 14,
