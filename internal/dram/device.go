@@ -60,9 +60,6 @@ func (d *Device) Geometry() Geometry { return d.geom }
 // Timing returns the device timing parameters.
 func (d *Device) Timing() Timing { return d.timing }
 
-// Params returns the device's fault model parameters.
-func (d *Device) Params() *faultmodel.Params { return d.params }
-
 // Seed returns the module seed.
 func (d *Device) Seed() uint64 { return d.seed }
 
