@@ -107,17 +107,23 @@ func (c *Chip) Columns() int { return c.dev.Geometry().Cols }
 // SubarrayOf returns the subarray index of a row.
 func (c *Chip) SubarrayOf(row int) int { return c.dev.Geometry().SubarrayOf(row) }
 
-// SetTemperature retargets the temperature rig (°C).
-func (c *Chip) SetTemperature(celsius float64) { c.dev.SetTemperature(celsius) }
+// SetTemperature retargets the temperature rig (°C). A NaN or infinite
+// temperature is an error and leaves the rig where it was.
+func (c *Chip) SetTemperature(celsius float64) error { return c.dev.SetTemperature(celsius) }
 
-// FillRows writes the repeating byte pattern into rows [first, last].
+// FillRows writes the repeating byte pattern into rows [first, last]. An
+// empty range (last < first) is an error.
 func (c *Chip) FillRows(bank, first, last int, pattern byte) error {
+	if last < first {
+		return fmt.Errorf("columndisturb: row range [%d, %d] is empty", first, last)
+	}
 	return charz.WriteRows(c.dev, bank, first, last, dram.DataPattern(pattern))
 }
 
 // Hammer runs the paper's key access pattern — ACT(row)–tAggOn–PRE–tRP —
 // for the given number of activations. tAggOn ≈ tRAS (36 ns) is classic
-// hammering; large tAggOn (e.g. 70.2 µs) is pressing.
+// hammering; large tAggOn (e.g. 70.2 µs) is pressing. Zero activations do
+// nothing; a negative count is an error.
 func (c *Chip) Hammer(bank, row, activations int, tAggOnNs, tRPNs float64) error {
 	return c.dev.Hammer(bank, row, activations, tAggOnNs, tRPNs)
 }

@@ -38,11 +38,18 @@ func openSmallChip(t *testing.T) *Chip {
 	return chip
 }
 
-// An inverted row range is an error, not a makeslice panic.
+// An inverted row range is an error, not a makeslice panic in
+// RowBitflips or a silent no-op in FillRows.
 func TestRowBitflipsRejectsEmptyRange(t *testing.T) {
 	chip := openSmallChip(t)
+	if err := chip.FillRows(0, 10, 5, 0xFF); err == nil {
+		t.Fatal("FillRows(0, 10, 5) returned nil, want an error")
+	}
 	if counts, err := chip.RowBitflips(0, 10, 5, 0xFF); err == nil {
 		t.Fatalf("RowBitflips(0, 10, 5) returned %v, want an error", counts)
+	}
+	if err := chip.FillRows(0, 5, 5, 0xFF); err != nil {
+		t.Fatalf("one-row FillRows: %v", err)
 	}
 	counts, err := chip.RowBitflips(0, 5, 5, 0xFF)
 	if err != nil || len(counts) != 1 {
@@ -50,14 +57,57 @@ func TestRowBitflipsRejectsEmptyRange(t *testing.T) {
 	}
 }
 
-// The cell tier's fast-forward rejects negative and non-finite timings
-// instead of running the clock backwards.
+// A NaN or infinite temperature is an error and leaves the rig where it
+// was: after 20 s idle the chip shows the decay flips of 85 °C, not none
+// (NaN) or every charged cell (+Inf).
+func TestChipSetTemperatureRejectsNonFinite(t *testing.T) {
+	flips := func(temps ...float64) int {
+		chip, err := OpenScaled("M8", 1, 3, 32, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range temps {
+			if err := chip.SetTemperature(c); err == nil {
+				t.Errorf("SetTemperature accepted %v °C", c)
+			}
+		}
+		last := chip.RowsPerBank() - 1
+		if err := chip.FillRows(0, 0, last, 0xFF); err != nil {
+			t.Fatal(err)
+		}
+		if err := chip.Idle(20_000); err != nil {
+			t.Fatal(err)
+		}
+		counts, err := chip.RowBitflips(0, 0, last, 0xFF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, c := range counts {
+			n += c
+		}
+		return n
+	}
+	at85 := flips()
+	if at85 == 0 {
+		t.Fatal("no decay flip after 20 s idle at 85 °C: the comparison is vacuous")
+	}
+	if got := flips(math.NaN(), math.Inf(1), math.Inf(-1)); got != at85 {
+		t.Fatalf("after rejected temperatures: %d flips, want the 85 °C count %d", got, at85)
+	}
+}
+
+// The cell tier's fast-forward rejects negative counts and negative or
+// non-finite timings instead of running the clock backwards.
 func TestChipHammerRejectsBadTimings(t *testing.T) {
 	chip := openSmallChip(t)
 	for _, tm := range [][2]float64{{-1000, 14}, {36, -14}, {math.NaN(), 14}, {36, math.Inf(1)}} {
 		if err := chip.Hammer(0, 3, 10, tm[0], tm[1]); err == nil {
 			t.Errorf("Hammer accepted tAggOn=%v ns, tRP=%v ns", tm[0], tm[1])
 		}
+	}
+	if err := chip.Hammer(0, 3, -5, 36, 14); err == nil {
+		t.Error("Hammer accepted -5 activations")
 	}
 	if err := chip.Hammer(0, 3, 10, 36, 14); err != nil {
 		t.Fatal(err)

@@ -36,7 +36,9 @@ func main() {
 
 	// Step 2: time to first ColumnDisturb bitflip per subarray.
 	for _, tempC := range []float64{85, 95} {
-		chip.SetTemperature(tempC)
+		if err := chip.SetTemperature(tempC); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("time to first ColumnDisturb bitflip at %.0f °C:\n", tempC)
 		for s, first := range bounds {
 			agg := first + chip.RowsPerSubarray()/2

@@ -36,21 +36,22 @@ type Bank struct {
 	params *faultmodel.Params
 	seed   uint64
 
-	rows        [][]uint64 // stored data, [row][word]
-	restoredNs  []float64  // last time each row's charge was restored
-	aggression  []float64  // RowHammer-equivalent activations since restore
-	epochs      []epoch
-	ovScratch   []epochOverlap // reused by commitFaults, one entry per live epoch
-	colNorms    []float64      // κ column components of subarray colSub
-	colNormMax  float64        // the largest of colNorms
-	colSub      int            // subarray colNorms holds, -1 before the first commit
-	openRow     int            // -1 when precharged
-	openedAtNs  float64
-	lastPreNs   float64 // time of the last PRE (for RowClone detection)
-	lastOpenRow int     // row open before the last PRE
+	rows         [][]uint64 // stored data, [row][word]
+	restoredNs   []float64  // last time each row's charge was restored
+	aggression   []float64  // RowHammer-equivalent activations since restore
+	epochs       []epoch
+	ovScratch    []epochOverlap // reused by commitFaults, one entry per live epoch
+	colNorms     []float64      // κ column components of subarray colSub
+	colNormMax   float64        // the largest of colNorms
+	colSub       int            // subarray colNorms holds, -1 before the first commit
+	openRow      int            // -1 when precharged
+	openedAtNs   float64
+	lastOpenRow  int     // row open before the last PRE, -1 before the first
+	rowCloneNs   float64 // the RowClone violation window
+	cloneUntilNs float64 // an ACT before this time interrupts the last PRE
 }
 
-func newBank(geom Geometry, index int, params *faultmodel.Params, seed uint64) *Bank {
+func newBank(geom Geometry, index int, params *faultmodel.Params, seed uint64, rowCloneNs float64) *Bank {
 	rows := make([][]uint64, geom.RowsPerBank())
 	backing := make([]uint64, geom.RowsPerBank()*geom.WordsPerRow())
 	for i := range rows {
@@ -67,13 +68,10 @@ func newBank(geom Geometry, index int, params *faultmodel.Params, seed uint64) *
 		epochs:      nil,
 		colSub:      -1,
 		openRow:     -1,
-		lastPreNs:   -1e18,
 		lastOpenRow: -1,
+		rowCloneNs:  rowCloneNs,
 	}
 }
-
-// OpenRow returns the currently open row, or -1 if the bank is precharged.
-func (b *Bank) OpenRow() int { return b.openRow }
 
 func (b *Bank) checkRow(row int) error {
 	if row < 0 || row >= b.geom.RowsPerBank() {
@@ -88,17 +86,14 @@ func (b *Bank) checkRow(row int) error {
 // still hold the previous row's content and this activation overwrites the
 // new row with it — the RowClone in-DRAM copy the paper's methodology uses
 // to reverse engineer subarray boundaries (§3.2).
-func (b *Bank) activate(nowNs float64, row int, timing Timing) error {
+func (b *Bank) activate(nowNs float64, row int) error {
 	if err := b.checkRow(row); err != nil {
 		return err
 	}
 	if b.openRow >= 0 {
 		return fmt.Errorf("dram: bank %d: ACT row %d while row %d open", b.index, row, b.openRow)
 	}
-	if b.lastOpenRow >= 0 && nowNs-b.lastPreNs < timing.RowCloneViolationNs &&
-		b.geom.SameSubarray(b.lastOpenRow, row) && row != b.lastOpenRow {
-		copy(b.rows[row], b.rows[b.lastOpenRow])
-	}
+	b.rowClone(nowNs, row)
 	b.openRow = row
 	b.openedAtNs = nowNs
 	// Activation restores the row's charge through the sense amplifiers and
@@ -106,6 +101,18 @@ func (b *Bank) activate(nowNs float64, row int, timing Timing) error {
 	b.restoredNs[row] = nowNs
 	b.aggression[row] = 0
 	return nil
+}
+
+// rowClone applies the RowClone semantics of an ACT of row at nowNs: if it
+// interrupts the precharge of a different row of the same subarray, the
+// sense amplifiers overwrite row with that row's content. The deadline is
+// fixed at the PRE, so an ACT issued exactly one window later stays
+// outside it however the clock rounds.
+func (b *Bank) rowClone(nowNs float64, row int) {
+	if b.lastOpenRow >= 0 && nowNs < b.cloneUntilNs &&
+		b.geom.SameSubarray(b.lastOpenRow, row) && row != b.lastOpenRow {
+		copy(b.rows[row], b.rows[b.lastOpenRow])
+	}
 }
 
 // precharge closes the open row at time nowNs, recording the bitline
@@ -132,7 +139,7 @@ func (b *Bank) precharge(nowNs float64) error {
 		// damage on the immediate neighbours.
 		b.addNeighborAggression(b.openRow, b.params.PressEquivalentActs(1, open))
 	}
-	b.lastPreNs = nowNs
+	b.cloneUntilNs = nowNs + b.rowCloneNs
 	b.lastOpenRow = b.openRow
 	b.openRow = -1
 	return nil
@@ -161,6 +168,7 @@ func (b *Bank) addNeighborAggression(aggRow int, equivActs float64) {
 
 // hammer fast-forwards numActs cycles of the single-aggressor pattern
 // ACT(row)–tAggOn–PRE–tRP–… starting at nowNs. The bank must be precharged.
+// Only the first ACT can RowClone: every later one re-opens row itself.
 // It returns the end time.
 func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs float64) (float64, error) {
 	if err := b.checkRow(row); err != nil {
@@ -172,6 +180,7 @@ func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs float64) 
 	if numActs <= 0 {
 		return nowNs, nil
 	}
+	b.rowClone(nowNs, row)
 	end := nowNs + float64(numActs)*(tAggOnNs+tRPNs)
 	snapshot := append([]uint64(nil), b.rows[row]...)
 	b.appendEpoch(epoch{
@@ -188,14 +197,16 @@ func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs float64) 
 	b.restoredNs[row] = end // each activation restores the aggressor
 	b.aggression[row] = 0
 	b.addNeighborAggression(row, b.params.PressEquivalentActs(numActs, tAggOnNs))
-	b.lastPreNs = end - tRPNs // the last PRE, a full tRP before end
+	b.cloneUntilNs = end + (b.rowCloneNs - tRPNs) // the last PRE was a full tRP before end
 	b.lastOpenRow = row
 	return end, nil
 }
 
 // hammerTwo fast-forwards numPairs cycles of the two-aggressor pattern
 // ACT(row1)–tAggOn–PRE–tRP–ACT(row2)–tAggOn–PRE–tRP–…; each aggressor is
-// activated numPairs times.
+// activated numPairs times. Only the first ACT can RowClone: the caller
+// keeps tRP outside the RowClone window, so no later ACT interrupts a
+// precharge.
 func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPNs float64) (float64, error) {
 	if err := b.checkRow(row1); err != nil {
 		return nowNs, err
@@ -212,6 +223,7 @@ func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPN
 	if numPairs <= 0 {
 		return nowNs, nil
 	}
+	b.rowClone(nowNs, row1)
 	end := nowNs + float64(numPairs)*2*(tAggOnNs+tRPNs)
 	d1 := append([]uint64(nil), b.rows[row1]...)
 	d2 := append([]uint64(nil), b.rows[row2]...)
@@ -232,7 +244,7 @@ func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPN
 		b.aggression[r] = 0
 		b.addNeighborAggression(r, b.params.PressEquivalentActs(numPairs, tAggOnNs))
 	}
-	b.lastPreNs = end - tRPNs
+	b.cloneUntilNs = end + (b.rowCloneNs - tRPNs)
 	b.lastOpenRow = row2
 	return end, nil
 }
@@ -249,26 +261,6 @@ func (b *Bank) writeRow(nowNs float64, row int, words []uint64) error {
 	return nil
 }
 
-// refreshRow restores one row's charge in place (REF targeting the row, or
-// an ACT+PRE refresh). Pending disturbance is evaluated and committed
-// first: refresh rewrites whatever the sense amplifiers latch, including
-// already-flipped cells.
-func (b *Bank) refreshRow(nowNs float64, row int, tempC float64, trial int) error {
-	if err := b.checkRow(row); err != nil {
-		return err
-	}
-	b.commitFaults(nowNs, row, tempC, trial)
-	return nil
-}
-
-// refreshAll restores every row (an all-bank REF sweep).
-func (b *Bank) refreshAll(nowNs float64, tempC float64, trial int) {
-	for r := range b.rows {
-		b.commitFaults(nowNs, r, tempC, trial)
-	}
-	b.pruneEpochs()
-}
-
 // readRow evaluates all pending faults of the row, commits them, restores
 // the row (a read is ACT+RD+PRE: the activation rewrites the latched,
 // possibly corrupted, values) and returns a copy of the data.
@@ -279,11 +271,6 @@ func (b *Bank) readRow(nowNs float64, row int, tempC float64, trial int) ([]uint
 	b.commitFaults(nowNs, row, tempC, trial)
 	out := append([]uint64(nil), b.rows[row]...)
 	return out, nil
-}
-
-// peekRaw returns the stored bits without fault evaluation (test hook).
-func (b *Bank) peekRaw(row int) []uint64 {
-	return append([]uint64(nil), b.rows[row]...)
 }
 
 // commitFaults applies every disturbance accumulated since the row's last
@@ -421,25 +408,4 @@ func (b *Bank) exposureMs(overlaps []epochOverlap, sub, col int, totalNs, rhoIdl
 	}
 	exposure += (totalNs - covered) * rhoIdle
 	return exposure * 1e-6
-}
-
-// pruneEpochs drops epochs that end before every row's restore time; they
-// can no longer contribute to any exposure integral.
-func (b *Bank) pruneEpochs() {
-	if len(b.epochs) == 0 {
-		return
-	}
-	minRestore := b.restoredNs[0]
-	for _, t := range b.restoredNs[1:] {
-		if t < minRestore {
-			minRestore = t
-		}
-	}
-	keep := b.epochs[:0]
-	for _, e := range b.epochs {
-		if e.toNs > minRestore {
-			keep = append(keep, e)
-		}
-	}
-	b.epochs = keep
 }

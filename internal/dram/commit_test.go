@@ -203,8 +203,8 @@ func randomScenario(r *rng.Rand) commitScenario {
 
 // run drives the scenario's device through a random history of hammer,
 // two-aggressor, press and idle spans, with temperature, trial and row
-// rewrites between them. Every commit — reads, single-row refreshes, bank
-// refreshes and a final read of every row — is checked bit for bit
+// rewrites between them. Every commit — reads of one row, reads of every
+// row of a bank and a final read of every row — is checked bit for bit
 // against refCommit on the same pre-commit state. It returns the decay
 // and hammer flips the reference committed.
 func (sc *commitScenario) run(t testing.TB) (decay, hammer int) {
@@ -214,7 +214,9 @@ func (sc *commitScenario) run(t testing.TB) (decay, hammer int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetTemperature(sc.tempC)
+	if err := d.SetTemperature(sc.tempC); err != nil {
+		t.Fatal(err)
+	}
 	d.SetTrial(sc.trial)
 	r := rng.New(sc.seed ^ 0x636f6d6d6974)
 	fill := func(bank, row int) {
@@ -229,7 +231,7 @@ func (sc *commitScenario) run(t testing.TB) (decay, hammer int) {
 				words[i] = r.Uint64()
 			}
 		}
-		if err := d.WriteRow(bank, row, words); err != nil {
+		if err := d.banks[bank].writeRow(d.nowNs, row, words); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,14 +241,14 @@ func (sc *commitScenario) run(t testing.TB) (decay, hammer int) {
 		}
 	}
 	span := func() float64 { return sc.durMs * msNs * (0.05 + r.Float64()) }
-	// commit checks one fault-evaluating command against the reference
-	// commit of each row it touches.
+	// commit checks fault-evaluating commands against the reference
+	// commit of each row they touch.
 	commit := func(bank int, rows []int, op func() error) {
 		b := d.banks[bank]
 		want := make([][]uint64, len(rows))
 		for i, row := range rows {
 			var dc, hc int
-			want[i], dc, hc = refCommit(b, d.NowNs(), row, d.Temperature(), d.trial)
+			want[i], dc, hc = refCommit(b, d.nowNs, row, d.tempC, d.trial)
 			decay += dc
 			hammer += hc
 		}
@@ -263,6 +265,16 @@ func (sc *commitScenario) run(t testing.TB) (decay, hammer int) {
 	for i := range allRows {
 		allRows[i] = i
 	}
+	read := func(bank int, rows []int) func() error {
+		return func() error {
+			for _, row := range rows {
+				if _, err := d.ReadRow(bank, row); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
 	tAggOns := []float64{36, 636, 7800, 70200}
 	steps := 3 + r.Intn(6)
 	for step := 0; step < steps; step++ {
@@ -275,7 +287,7 @@ func (sc *commitScenario) run(t testing.TB) (decay, hammer int) {
 			}
 		case 2:
 			base := g.SubarrayBase(g.SubarrayOf(row))
-			row2 := base + (g.RowInSubarray(row)+1+r.Intn(g.RowsPerSubarray-1))%g.RowsPerSubarray
+			row2 := base + (row-base+1+r.Intn(g.RowsPerSubarray-1))%g.RowsPerSubarray
 			tOn := tAggOns[r.Intn(len(tAggOns))]
 			if err := d.HammerTwo(bank, row, row2, 1+int(span()/(2*(tOn+14))), tOn, 14); err != nil {
 				t.Fatal(err)
@@ -290,14 +302,14 @@ func (sc *commitScenario) run(t testing.TB) (decay, hammer int) {
 			}
 		case 4:
 			d.AdvanceNs(span())
-		case 5:
-			commit(bank, []int{row}, func() error { _, err := d.ReadRow(bank, row); return err })
-		case 6:
-			commit(bank, []int{row}, func() error { return d.RefreshRow(bank, row) })
+		case 5, 6:
+			commit(bank, []int{row}, read(bank, []int{row}))
 		case 7:
-			commit(bank, allRows, func() error { return d.RefreshAll(bank) })
+			commit(bank, allRows, read(bank, allRows))
 		default:
-			d.SetTemperature(45 + 50*r.Float64())
+			if err := d.SetTemperature(45 + 50*r.Float64()); err != nil {
+				t.Fatal(err)
+			}
 			d.SetTrial(r.Intn(4))
 			fill(bank, row)
 		}
@@ -305,7 +317,7 @@ func (sc *commitScenario) run(t testing.TB) (decay, hammer int) {
 	d.AdvanceNs(span())
 	for bank := 0; bank < g.Banks; bank++ {
 		for _, row := range allRows {
-			commit(bank, []int{row}, func() error { _, err := d.ReadRow(bank, row); return err })
+			commit(bank, []int{row}, read(bank, []int{row}))
 		}
 	}
 	return decay, hammer

@@ -31,7 +31,8 @@ func pressAndCount(seed uint64) (int, error) {
 	if err := d.WriteRowPattern(0, agg, Pat00); err != nil {
 		return 0, err
 	}
-	if _, err := d.HammerFor(0, agg, 40*msNs, 70_200, 14); err != nil {
+	// 569 whole press cycles fit in 40 ms.
+	if err := d.Hammer(0, agg, 569, 70_200, 14); err != nil {
 		return 0, err
 	}
 	want := make([]uint64, g.WordsPerRow())

@@ -20,9 +20,7 @@ import (
 // bit-identical wherever they run. See internal/engine.
 type Device struct {
 	geom   Geometry
-	params *faultmodel.Params
 	timing Timing
-	seed   uint64
 
 	nowNs float64
 	tempC float64
@@ -42,14 +40,12 @@ func NewDevice(geom Geometry, params *faultmodel.Params, timing Timing, seed uin
 	}
 	d := &Device{
 		geom:   geom,
-		params: params,
 		timing: timing,
-		seed:   seed,
 		tempC:  params.RefTempC,
 	}
 	d.banks = make([]*Bank, geom.Banks)
 	for i := range d.banks {
-		d.banks[i] = newBank(geom, i, params, seed)
+		d.banks[i] = newBank(geom, i, params, seed, timing.RowCloneViolationNs)
 	}
 	return d, nil
 }
@@ -59,12 +55,6 @@ func (d *Device) Geometry() Geometry { return d.geom }
 
 // Timing returns the device timing parameters.
 func (d *Device) Timing() Timing { return d.timing }
-
-// Seed returns the module seed.
-func (d *Device) Seed() uint64 { return d.seed }
-
-// NowNs returns the device clock in nanoseconds.
-func (d *Device) NowNs() float64 { return d.nowNs }
 
 // AdvanceNs moves the clock forward (idle time: all banks precharged or
 // holding their current state).
@@ -76,11 +66,14 @@ func (d *Device) AdvanceNs(dt float64) {
 }
 
 // SetTemperature sets the ambient temperature in °C (the heater-pad
-// substitute).
-func (d *Device) SetTemperature(tempC float64) { d.tempC = tempC }
-
-// Temperature returns the ambient temperature in °C.
-func (d *Device) Temperature() float64 { return d.tempC }
+// substitute). A NaN or infinite temperature is an error.
+func (d *Device) SetTemperature(tempC float64) error {
+	if math.IsNaN(tempC) || math.IsInf(tempC, 0) {
+		return fmt.Errorf("dram: temperature %v °C must be finite", tempC)
+	}
+	d.tempC = tempC
+	return nil
+}
 
 // SetTrial selects the variable-retention-time trial index; the
 // time-to-first-bitflip search sweeps this across its repeats.
@@ -99,7 +92,7 @@ func (d *Device) Activate(bank, row int) error {
 	if err != nil {
 		return err
 	}
-	return b.activate(d.nowNs, row, d.timing)
+	return b.activate(d.nowNs, row)
 }
 
 // Precharge issues PRE to the bank at the current time.
@@ -111,32 +104,15 @@ func (d *Device) Precharge(bank int) error {
 	return b.precharge(d.nowNs)
 }
 
-// OpenRow returns the open row of a bank (-1 if precharged).
-func (d *Device) OpenRow(bank int) int {
-	b, err := d.bank(bank)
-	if err != nil {
-		return -1
-	}
-	return b.OpenRow()
-}
-
 // WriteRowPattern fills a row with the repeating data pattern and restores
 // its charge.
 func (d *Device) WriteRowPattern(bank, row int, p DataPattern) error {
-	words := make([]uint64, d.geom.WordsPerRow())
-	FillWords(words, p)
-	return d.WriteRow(bank, row, words)
-}
-
-// WriteRow overwrites a row with the given bits and restores its charge.
-func (d *Device) WriteRow(bank, row int, words []uint64) error {
 	b, err := d.bank(bank)
 	if err != nil {
 		return err
 	}
-	if len(words) != d.geom.WordsPerRow() {
-		return fmt.Errorf("dram: row write of %d words, want %d", len(words), d.geom.WordsPerRow())
-	}
+	words := make([]uint64, d.geom.WordsPerRow())
+	FillWords(words, p)
 	return b.writeRow(d.nowNs, row, words)
 }
 
@@ -150,43 +126,13 @@ func (d *Device) ReadRow(bank, row int) ([]uint64, error) {
 	return b.readRow(d.nowNs, row, d.tempC, d.trial)
 }
 
-// PeekRaw returns the stored bits without evaluating faults or disturbing
-// state. It exists for tests and debugging only — real hardware has no
-// such operation.
-func (d *Device) PeekRaw(bank, row int) ([]uint64, error) {
-	b, err := d.bank(bank)
-	if err != nil {
-		return nil, err
+// checkPattern rejects a cycle count or timing that no command sequence
+// can have: a negative count, or a negative, NaN or infinite row-open time
+// or precharge gap.
+func checkPattern(count int, tAggOnNs, tRPNs float64) error {
+	if count < 0 {
+		return fmt.Errorf("dram: negative hammer count %d", count)
 	}
-	if err := b.checkRow(row); err != nil {
-		return nil, err
-	}
-	return b.peekRaw(row), nil
-}
-
-// RefreshAll refreshes every row of the bank at the current time (REFab
-// sweep: pending faults are latched and rewritten, charge restored).
-func (d *Device) RefreshAll(bank int) error {
-	b, err := d.bank(bank)
-	if err != nil {
-		return err
-	}
-	b.refreshAll(d.nowNs, d.tempC, d.trial)
-	return nil
-}
-
-// RefreshRow refreshes a single row at the current time.
-func (d *Device) RefreshRow(bank, row int) error {
-	b, err := d.bank(bank)
-	if err != nil {
-		return err
-	}
-	return b.refreshRow(d.nowNs, row, d.tempC, d.trial)
-}
-
-// checkPatternTimings rejects a row-open time or precharge gap that no
-// command sequence can have: negative, NaN or infinite.
-func checkPatternTimings(tAggOnNs, tRPNs float64) error {
 	for _, v := range [...]float64{tAggOnNs, tRPNs} {
 		if !(v >= 0) || math.IsInf(v, 1) {
 			return fmt.Errorf("dram: hammer timings tAggOn=%v ns, tRP=%v ns must be finite and non-negative", tAggOnNs, tRPNs)
@@ -198,9 +144,10 @@ func checkPatternTimings(tAggOnNs, tRPNs float64) error {
 // Hammer fast-forwards numActs cycles of the single-aggressor pattern
 // ACT–tAggOn–PRE–tRP on (bank, row), advancing the device clock to the end
 // of the pattern. Every row then reads back the bits that issuing the
-// cycles one command at a time would leave.
+// cycles one command at a time would leave. A zero count is a no-op; a
+// negative one is an error.
 func (d *Device) Hammer(bank, row, numActs int, tAggOnNs, tRPNs float64) error {
-	if err := checkPatternTimings(tAggOnNs, tRPNs); err != nil {
+	if err := checkPattern(numActs, tAggOnNs, tRPNs); err != nil {
 		return err
 	}
 	b, err := d.bank(bank)
@@ -217,12 +164,15 @@ func (d *Device) Hammer(bank, row, numActs int, tAggOnNs, tRPNs float64) error {
 
 // HammerTwo fast-forwards numPairs cycles of the two-aggressor pattern on
 // (bank, row1, row2), advancing the device clock. Like Hammer it leaves
-// the bits literal execution would, provided tRP is at least the RowClone
-// violation window: with a shorter gap each literal ACT of row2 copies
-// row1, which the fast-forward does not model.
+// the bits literal execution would. It rejects a tRP below the RowClone
+// violation window: issued literally, every ACT of row2 would then copy
+// row1 into it, a different command sequence from the one modelled here.
 func (d *Device) HammerTwo(bank, row1, row2, numPairs int, tAggOnNs, tRPNs float64) error {
-	if err := checkPatternTimings(tAggOnNs, tRPNs); err != nil {
+	if err := checkPattern(numPairs, tAggOnNs, tRPNs); err != nil {
 		return err
+	}
+	if tRPNs < d.timing.RowCloneViolationNs {
+		return fmt.Errorf("dram: two-aggressor tRP=%v ns is inside the %v ns RowClone window", tRPNs, d.timing.RowCloneViolationNs)
 	}
 	b, err := d.bank(bank)
 	if err != nil {
@@ -234,19 +184,4 @@ func (d *Device) HammerTwo(bank, row1, row2, numPairs int, tAggOnNs, tRPNs float
 	}
 	d.nowNs = end
 	return nil
-}
-
-// HammerFor runs the single-aggressor pattern for the given duration,
-// issuing as many whole cycles as fit. It returns the number of
-// activations issued.
-func (d *Device) HammerFor(bank, row int, durNs, tAggOnNs, tRPNs float64) (int, error) {
-	cycle := tAggOnNs + tRPNs
-	if cycle <= 0 {
-		return 0, fmt.Errorf("dram: non-positive hammer cycle")
-	}
-	n := int(durNs / cycle)
-	if n <= 0 {
-		return 0, nil
-	}
-	return n, d.Hammer(bank, row, n, tAggOnNs, tRPNs)
 }

@@ -33,6 +33,15 @@ func newTestDevice(t *testing.T, seed uint64) *Device {
 
 const msNs = 1e6 // nanoseconds per millisecond
 
+// hammerFor issues as many whole single-aggressor cycles on (0, row) as
+// fit in durNs.
+func hammerFor(t testing.TB, d *Device, row int, durNs, tAggOnNs, tRPNs float64) {
+	t.Helper()
+	if err := d.Hammer(0, row, int(durNs/(tAggOnNs+tRPNs)), tAggOnNs, tRPNs); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	d := newTestDevice(t, 1)
 	if err := d.WriteRowPattern(0, 3, PatAA); err != nil {
@@ -46,13 +55,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	FillWords(want, PatAA)
 	if CountMismatches(got, want) != 0 {
 		t.Fatal("immediate read must return written data unchanged")
-	}
-}
-
-func TestWriteRowLengthValidation(t *testing.T) {
-	d := newTestDevice(t, 1)
-	if err := d.WriteRow(0, 0, make([]uint64, 1)); err == nil {
-		t.Fatal("short row write must fail")
 	}
 }
 
@@ -77,7 +79,7 @@ func TestCommandStateMachine(t *testing.T) {
 	if err := d.Activate(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if d.OpenRow(0) != 5 {
+	if d.banks[0].openRow != 5 {
 		t.Fatal("open row not tracked")
 	}
 	if err := d.Activate(0, 6); err == nil {
@@ -87,7 +89,7 @@ func TestCommandStateMachine(t *testing.T) {
 	if err := d.Precharge(0); err != nil {
 		t.Fatal(err)
 	}
-	if d.OpenRow(0) != -1 {
+	if d.banks[0].openRow != -1 {
 		t.Fatal("bank should be precharged")
 	}
 }
@@ -147,9 +149,7 @@ func TestColumnDisturbSpansThreeSubarraysWithParity(t *testing.T) {
 	}
 	// Press for ~15 ms: ColumnDisturb bitflips appear (first at ~5 ms) but
 	// retention failures (first at ~50 ms) do not.
-	if _, err := d.HammerFor(0, agg, 15*msNs, 70200, 14); err != nil {
-		t.Fatal(err)
-	}
+	hammerFor(t, d, agg, 15*msNs, 70200, 14)
 
 	ones := make([]uint64, g.WordsPerRow())
 	FillWords(ones, PatFF)
@@ -200,9 +200,7 @@ func TestColumnDisturbDirectionIsOneToZero(t *testing.T) {
 		}
 	}
 	agg := g.SubarrayBase(1) + 5
-	if _, err := d.HammerFor(0, agg, 30*msNs, 70200, 14); err != nil {
-		t.Fatal(err)
-	}
+	hammerFor(t, d, agg, 30*msNs, 70200, 14)
 	zeros := make([]uint64, g.WordsPerRow())
 	for r := 0; r < g.RowsPerBank(); r++ {
 		if r >= agg-1 && r <= agg+1 {
@@ -240,9 +238,7 @@ func TestAllOneAggressorGentlerThanRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		if press {
-			if _, err := d.HammerFor(0, agg, 200*msNs, 70200, 14); err != nil {
-				t.Fatal(err)
-			}
+			hammerFor(t, d, agg, 200*msNs, 70200, 14)
 		} else {
 			d.AdvanceNs(200 * msNs)
 		}
@@ -278,9 +274,7 @@ func TestAggressorRowDoesNotFlipItself(t *testing.T) {
 	if err := d.WriteRowPattern(0, agg, PatFF); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.HammerFor(0, agg, 100*msNs, 70200, 14); err != nil {
-		t.Fatal(err)
-	}
+	hammerFor(t, d, agg, 100*msNs, 70200, 14)
 	got, err := d.ReadRow(0, agg)
 	if err != nil {
 		t.Fatal(err)
@@ -386,16 +380,21 @@ func TestActivationRestoresVictim(t *testing.T) {
 	if err := d.WriteRowPattern(0, row, PatFF); err != nil {
 		t.Fatal(err)
 	}
-	// Let it decay close to (but not past) failure, then refresh it.
+	// Let it decay close to (but not past) failure, then restore it with
+	// an ACT–tRAS–PRE.
 	d.AdvanceNs(40 * msNs)
-	if err := d.RefreshRow(0, row); err != nil {
+	if err := d.Activate(0, row); err != nil {
 		t.Fatal(err)
 	}
-	// Another 40 ms idle: without the refresh this would be 80 ms > the
+	d.AdvanceNs(d.Timing().TRASns)
+	if err := d.Precharge(0); err != nil {
+		t.Fatal(err)
+	}
+	// Another 40 ms idle: without the activation this would be 80 ms > the
 	// 50 ms first-failure point; with it, the row should survive in the
-	// common case. (Use the device determinism: compare to no refresh.)
+	// common case. (Use the device determinism: compare to no activation.)
 	d.AdvanceNs(40 * msNs)
-	withRefresh, err := d.ReadRow(0, row)
+	withAct, err := d.ReadRow(0, row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,14 +404,14 @@ func TestActivationRestoresVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2.AdvanceNs(80 * msNs)
-	noRefresh, err := d2.ReadRow(0, row)
+	noAct, err := d2.ReadRow(0, row)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ones := make([]uint64, g.WordsPerRow())
 	FillWords(ones, PatFF)
-	if CountMismatches(withRefresh, ones) > CountMismatches(noRefresh, ones) {
-		t.Fatal("refreshing mid-way must never increase bitflips")
+	if CountMismatches(withAct, ones) > CountMismatches(noAct, ones) {
+		t.Fatal("activating mid-way must never increase bitflips")
 	}
 }
 
@@ -426,9 +425,7 @@ func TestDeviceDeterminism(t *testing.T) {
 			}
 		}
 		agg := g.SubarrayBase(1) + 6
-		if _, err := d.HammerFor(0, agg, 20*msNs, 70200, 14); err != nil {
-			t.Fatal(err)
-		}
+		hammerFor(t, d, agg, 20*msNs, 70200, 14)
 		var all []uint64
 		for r := 0; r < g.RowsPerBank(); r++ {
 			got, err := d.ReadRow(0, r)
@@ -500,11 +497,59 @@ func TestHammerRejectsBadTimings(t *testing.T) {
 			t.Errorf("HammerTwo accepted tAggOn=%v ns, tRP=%v ns", tm[0], tm[1])
 		}
 	}
-	if d.NowNs() != 0 {
-		t.Fatalf("rejected patterns moved the clock to %v ns", d.NowNs())
+	// A tRP inside the RowClone window would make every literal ACT of the
+	// second row copy the first into it. A single aggressor re-opens its
+	// own row, so Hammer takes any tRP (the zero timings below).
+	window := d.Timing().RowCloneViolationNs
+	for _, tRP := range []float64{0, 2, math.Nextafter(window, 0)} {
+		if err := d.HammerTwo(0, base+3, base+8, 10, 36, tRP); err == nil {
+			t.Errorf("HammerTwo accepted tRP=%v ns inside the %v ns RowClone window", tRP, window)
+		}
+	}
+	if err := d.Hammer(0, base+3, -5, 36, 14); err == nil {
+		t.Error("Hammer accepted a negative activation count")
+	}
+	if err := d.HammerTwo(0, base+3, base+8, -5, 36, 14); err == nil {
+		t.Error("HammerTwo accepted a negative pair count")
+	}
+	if d.nowNs != 0 {
+		t.Fatalf("rejected patterns moved the clock to %v ns", d.nowNs)
+	}
+	if err := d.Hammer(0, base+3, 0, 36, 14); err != nil {
+		t.Fatalf("a zero count is a no-op: %v", err)
+	}
+	if err := d.HammerTwo(0, base+3, base+8, 0, 36, 14); err != nil {
+		t.Fatalf("a zero count is a no-op: %v", err)
+	}
+	if d.nowNs != 0 {
+		t.Fatalf("zero-count patterns moved the clock to %v ns", d.nowNs)
+	}
+	if err := d.HammerTwo(0, base+3, base+8, 10, 36, window); err != nil {
+		t.Fatalf("two-aggressor tRP at the RowClone window: %v", err)
 	}
 	if err := d.Hammer(0, base+3, 10, 0, 0); err != nil {
 		t.Fatalf("zero timings are a valid (degenerate) pattern: %v", err)
+	}
+}
+
+// A device starts at its parameters' reference temperature. A NaN or
+// infinite temperature is refused and leaves the device at its previous
+// temperature; a NaN would otherwise erase every decay flip.
+func TestSetTemperatureRejectsNonFinite(t *testing.T) {
+	d := newTestDevice(t, 16)
+	if ref := testParams(d.Geometry()).RefTempC; d.tempC != ref {
+		t.Fatalf("device starts at %v °C, want the %v °C reference", d.tempC, ref)
+	}
+	if err := d.SetTemperature(95); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := d.SetTemperature(c); err == nil {
+			t.Errorf("SetTemperature accepted %v °C", c)
+		}
+	}
+	if d.tempC != 95 {
+		t.Fatalf("rejected temperatures moved the device to %v °C", d.tempC)
 	}
 }
 
@@ -547,9 +592,7 @@ func TestTwoAggressorSlowerThanSingle(t *testing.T) {
 				t.Fatal(err)
 			}
 		} else {
-			if _, err := d.HammerFor(0, agg1, totalNs, tAggOn, tRP); err != nil {
-				t.Fatal(err)
-			}
+			hammerFor(t, d, agg1, totalNs, tAggOn, tRP)
 		}
 		ones := make([]uint64, g.WordsPerRow())
 		FillWords(ones, PatFF)

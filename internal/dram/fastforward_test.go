@@ -1,9 +1,6 @@
 package dram
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // literalHammer issues the single-aggressor pattern one command at a
 // time: n cycles of ACT row, tAggOn, PRE, tRP.
@@ -35,27 +32,38 @@ func literalHammerTwo(d *Device, bank, row1, row2, n int, tAggOnNs, tRPNs float6
 	return nil
 }
 
-// runPattern issues the single-aggressor pattern on row1 (row2 < 0) or the
-// two-aggressor pattern on row1 and row2, fast-forwarded or literally.
-func runPattern(d *Device, row1, row2, n int, tAggOnNs, tRPNs float64, literal bool) error {
+// hammerPattern is one access pattern of bank 0: n cycles of the
+// single-aggressor pattern on row1 (row2 < 0), or n pairs of the
+// two-aggressor pattern on row1 and row2.
+type hammerPattern struct {
+	row1, row2, n   int
+	tAggOnNs, tRPNs float64
+}
+
+// runPattern issues p fast-forwarded or literally.
+func runPattern(d *Device, p hammerPattern, literal bool) error {
 	switch {
-	case row2 < 0 && literal:
-		return literalHammer(d, 0, row1, n, tAggOnNs, tRPNs)
-	case row2 < 0:
-		return d.Hammer(0, row1, n, tAggOnNs, tRPNs)
+	case p.row2 < 0 && literal:
+		return literalHammer(d, 0, p.row1, p.n, p.tAggOnNs, p.tRPNs)
+	case p.row2 < 0:
+		return d.Hammer(0, p.row1, p.n, p.tAggOnNs, p.tRPNs)
 	case literal:
-		return literalHammerTwo(d, 0, row1, row2, n, tAggOnNs, tRPNs)
+		return literalHammerTwo(d, 0, p.row1, p.row2, p.n, p.tAggOnNs, p.tRPNs)
 	default:
-		return d.HammerTwo(0, row1, row2, n, tAggOnNs, tRPNs)
+		return d.HammerTwo(0, p.row1, p.row2, p.n, p.tAggOnNs, p.tRPNs)
 	}
 }
 
 // hammerReadback opens a fresh device, fills every row with all-1 victims,
-// writes all-0 into the first aggressor and all-1 into the second (the
-// complementary pair of §5.3; row2 < 0 means a single aggressor), runs
-// the pattern with fast-forward or literal commands, and returns every
-// row of the bank as read back afterwards.
-func hammerReadback(t testing.TB, seed uint64, row1, row2, n int, tAggOnNs, tRPNs float64, literal bool) [][]uint64 {
+// writes all-0 into the first pattern's first aggressor (its second
+// aggressor keeps all-1: the complementary pair of §5.3), runs the
+// patterns back to back with fast-forward or literal commands, and returns
+// every row of the bank as read back afterwards.
+//
+// A two-aggressor pattern whose tRP is inside the RowClone window is one
+// HammerTwo must refuse: the fast-forward side requires the error, and
+// neither side issues the pattern.
+func hammerReadback(t testing.TB, seed uint64, pats []hammerPattern, literal bool) [][]uint64 {
 	t.Helper()
 	g := SmallGeometry()
 	d, err := NewDevice(g, testParams(g), DDR4Timing(), seed)
@@ -67,11 +75,21 @@ func hammerReadback(t testing.TB, seed uint64, row1, row2, n int, tAggOnNs, tRPN
 			t.Fatal(err)
 		}
 	}
-	if err := d.WriteRowPattern(0, row1, Pat00); err != nil {
+	if err := d.WriteRowPattern(0, pats[0].row1, Pat00); err != nil {
 		t.Fatal(err)
 	}
-	if err := runPattern(d, row1, row2, n, tAggOnNs, tRPNs, literal); err != nil {
-		t.Fatal(err)
+	for _, p := range pats {
+		if p.row2 >= 0 && p.tRPNs < d.timing.RowCloneViolationNs {
+			if !literal {
+				if err := runPattern(d, p, false); err == nil {
+					t.Fatalf("HammerTwo accepted %+v: tRP is inside the %v ns RowClone window", p, d.timing.RowCloneViolationNs)
+				}
+			}
+			continue
+		}
+		if err := runPattern(d, p, literal); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rows := make([][]uint64, g.RowsPerBank())
 	for r := range rows {
@@ -82,29 +100,30 @@ func hammerReadback(t testing.TB, seed uint64, row1, row2, n int, tAggOnNs, tRPN
 	return rows
 }
 
-// checkMatchesLiteral requires the fast-forwarded pattern to leave every
+// checkMatchesLiteral requires the fast-forwarded patterns to leave every
 // row of the bank bit for bit as literal command-by-command execution
-// does. It returns the number of cells that flipped, so callers can make
-// sure the comparison was not vacuous.
-func checkMatchesLiteral(t testing.TB, seed uint64, row1, row2, n int, tAggOnNs, tRPNs float64) int {
+// does. It returns the fast-forward's read-back rows and the number of
+// cells that differ from the initial fill, so callers can make sure the
+// comparison was not vacuous.
+func checkMatchesLiteral(t testing.TB, seed uint64, pats ...hammerPattern) ([][]uint64, int) {
 	t.Helper()
-	fast := hammerReadback(t, seed, row1, row2, n, tAggOnNs, tRPNs, false)
-	lit := hammerReadback(t, seed, row1, row2, n, tAggOnNs, tRPNs, true)
+	fast := hammerReadback(t, seed, pats, false)
+	lit := hammerReadback(t, seed, pats, true)
 	flipped := 0
 	for r := range fast {
 		if mism := CountMismatches(fast[r], lit[r]); mism != 0 {
-			t.Fatalf("seed %d, rows %d/%d, n=%d, tAggOn=%v ns, tRP=%v ns: row %d differs in %d bits between fast-forward and literal execution",
-				seed, row1, row2, n, tAggOnNs, tRPNs, r, mism)
+			t.Fatalf("seed %d, patterns %+v: row %d differs in %d bits between fast-forward and literal execution",
+				seed, pats, r, mism)
 		}
 		want := make([]uint64, len(fast[r]))
 		pat := PatFF
-		if r == row1 {
+		if r == pats[0].row1 {
 			pat = Pat00
 		}
 		FillWords(want, pat)
 		flipped += CountMismatches(fast[r], want)
 	}
-	return flipped
+	return fast, flipped
 }
 
 func TestLoopFastForwardMatchesLiteral(t *testing.T) {
@@ -123,7 +142,8 @@ func TestLoopFastForwardMatchesLiteral(t *testing.T) {
 		{"two/refresh-interval", base + 12, 400, 7_800},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if flipped := checkMatchesLiteral(t, 2, base+7, c.row2, c.n, c.tAggOn, 14); c.tAggOn == 70_200 && flipped == 0 {
+			p := hammerPattern{row1: base + 7, row2: c.row2, n: c.n, tAggOnNs: c.tAggOn, tRPNs: 14}
+			if _, flipped := checkMatchesLiteral(t, 2, p); c.tAggOn == 70_200 && flipped == 0 {
 				t.Fatal("no cell flipped: the pressing case compares nothing")
 			}
 		})
@@ -145,7 +165,8 @@ func TestActivateAfterHammerIsNoRowClone(t *testing.T) {
 			if err := d.WriteRowPattern(0, victim, PatFF); err != nil {
 				t.Fatal(err)
 			}
-			if err := runPattern(d, base+7, agg2, 10, 36, 14, literal); err != nil {
+			p := hammerPattern{row1: base + 7, row2: agg2, n: 10, tAggOnNs: 36, tRPNs: 14}
+			if err := runPattern(d, p, literal); err != nil {
 				t.Fatal(err)
 			}
 			if err := literalHammer(d, 0, victim, 1, 36, 14); err != nil {
@@ -164,35 +185,78 @@ func TestActivateAfterHammerIsNoRowClone(t *testing.T) {
 	}
 }
 
-// FuzzHammerMatchesLiteral compares both fast-forwards with literal
-// execution over the seed, the aggressor rows, the cycle count and the
-// timings. The second row is folded into the first one's subarray; when
-// it lands on the first row the case is single-aggressor. tAggOn spans
-// [0, 100 µs]. tRP spans [RowCloneViolationNs, 100 µs]: a shorter gap
-// turns the two-aggressor pattern's second ACT into a RowClone copy, a
-// different command sequence from the one HammerTwo models.
+// A pattern's first ACT is an ordinary ACT: issued inside the RowClone
+// window of the previous pattern's last PRE, it copies that row into its
+// own. Row 40 holds all-0 and row 50 all-1, so the copy shows in every bit
+// of row 50.
+func TestHammerFirstActRowClones(t *testing.T) {
+	first := hammerPattern{row1: 40, row2: -1, n: 10, tAggOnNs: 7_800, tRPNs: 2}
+	for _, second := range []hammerPattern{
+		{row1: 50, row2: -1, n: 10, tAggOnNs: 7_800, tRPNs: 14},
+		{row1: 50, row2: 53, n: 10, tAggOnNs: 7_800, tRPNs: 14},
+	} {
+		rows, _ := checkMatchesLiteral(t, 5, first, second)
+		zeros := make([]uint64, len(rows[50]))
+		if n := CountMismatches(rows[50], zeros); n != 0 {
+			t.Errorf("second pattern %+v: row 50 differs from the copied all-0 row 40 in %d bits", second, n)
+		}
+	}
+}
+
+// fuzzShape packs one fuzzed pattern's rows and count into a uint64: row1
+// in bits 0–15, row2 in bits 16–31, the count in bits 32–47.
+func fuzzShape(row1, row2, n uint16) uint64 {
+	return uint64(row1) | uint64(row2)<<16 | uint64(n)<<32
+}
+
+// FuzzHammerMatchesLiteral runs one to three patterns back to back on one
+// device and compares the fast-forwards with literal execution over the
+// seed, the aggressor rows, the cycle counts and the timings. Every row
+// lands in the subarray of the first pattern's first aggressor, so a
+// pattern's first ACT can RowClone the previous pattern's last row; a
+// pattern whose second row equals its first is single-aggressor. tAggOn
+// and tRP span [0, 100 µs]. HammerTwo must fail exactly when tRP is inside
+// the RowClone window; every other pattern must leave every row bit for
+// bit as literal execution does.
 func FuzzHammerMatchesLiteral(f *testing.F) {
-	f.Add(uint64(2), uint16(39), uint16(44), uint16(150), 70_200.0, 14.0)
-	f.Add(uint64(3), uint16(39), uint16(39), uint16(3000), 36.0, 14.0)
-	f.Add(uint64(4), uint16(70), uint16(65), uint16(400), 7_800.0, 14.0)
-	f.Add(uint64(5), uint16(0), uint16(31), uint16(2000), 0.0, 6.0)
-	f.Fuzz(func(t *testing.T, seed uint64, row1, row2, n uint16, tAggOnNs, tRPNs float64) {
+	f.Add(uint64(2), uint8(0), fuzzShape(39, 44, 150), 70_200.0, 14.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(3), uint8(0), fuzzShape(39, 39, 3000), 36.0, 14.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(4), uint8(0), fuzzShape(70, 65, 400), 7_800.0, 14.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(5), uint8(0), fuzzShape(0, 31, 2000), 0.0, 6.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	// HammerTwo with tRP inside the RowClone window.
+	f.Add(uint64(1), uint8(0), fuzzShape(40, 44, 150), 70_200.0, 2.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	// A pattern's first ACT inside the RowClone window of the last PRE.
+	f.Add(uint64(5), uint8(1), fuzzShape(40, 40, 10), 7_800.0, 2.0, fuzzShape(50, 50, 10), 7_800.0, 14.0, uint64(0), 0.0, 0.0)
+	// A two-aggressor tRP of exactly the RowClone window: issued literally,
+	// ACT row2 lands at the rounded clock PRE + tRP, a gap that measured
+	// 5.999999999999999 ns from the PRE and so copied row 42 into row 50.
+	f.Add(uint64(32), uint8(0), fuzzShape(42, 50, 10), 7.738095238095237, 6.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, seed uint64, count uint8,
+		shape1 uint64, on1, rp1 float64,
+		shape2 uint64, on2, rp2 float64,
+		shape3 uint64, on3, rp3 float64) {
 		g := SmallGeometry()
-		tim := DDR4Timing()
-		r1 := int(row1) % g.RowsPerBank()
-		r2 := g.SubarrayBase(g.SubarrayOf(r1)) + int(row2)%g.RowsPerSubarray
-		if r2 == r1 {
-			r2 = -1
-		}
+		base := g.SubarrayBase(g.SubarrayOf(int(uint16(shape1)) % g.RowsPerBank()))
+		row := func(x uint64) int { return base + int(uint16(x))%g.RowsPerSubarray }
 		const maxNs = 100_000.0
-		if math.IsNaN(tAggOnNs) || math.IsNaN(tRPNs) {
-			return
+		shapes := [...]uint64{shape1, shape2, shape3}
+		ons := [...]float64{on1, on2, on3}
+		rps := [...]float64{rp1, rp2, rp3}
+		pats := make([]hammerPattern, 1+int(count)%3)
+		for i := range pats {
+			s := shapes[i]
+			p := hammerPattern{
+				row1:     row(s),
+				row2:     row(s >> 16),
+				n:        int(uint16(s>>32)) % 3001,
+				tAggOnNs: foldInto(ons[i], 0, maxNs),
+				tRPNs:    foldInto(rps[i], 0, maxNs),
+			}
+			if p.row2 == p.row1 {
+				p.row2 = -1
+			}
+			pats[i] = p
 		}
-		on := math.Mod(math.Abs(tAggOnNs), maxNs)
-		off := tim.RowCloneViolationNs + math.Mod(math.Abs(tRPNs), maxNs-tim.RowCloneViolationNs)
-		if math.IsNaN(on) || math.IsNaN(off) {
-			return // ±Inf inputs
-		}
-		checkMatchesLiteral(t, seed, r1, r2, int(n)%3001, on, off)
+		checkMatchesLiteral(t, seed, pats...)
 	})
 }

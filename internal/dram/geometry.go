@@ -1,6 +1,6 @@
 // Package dram models a DRAM module at device level: banks of subarrays in
 // the open-bitline architecture, per-cell data storage, the DDR command
-// state machine (ACT/PRE/RD/WR/REF) and RowClone timing-violation
+// state machine (ACT/PRE/RD/WR) and RowClone timing-violation
 // semantics. Rows are addressed by their physical index within the bank.
 //
 // The model is *fault-aware*: every read evaluates the accumulated
@@ -53,9 +53,6 @@ func (g Geometry) WordsPerRow() int { return g.Cols / 64 }
 
 // SubarrayOf returns the subarray index of a bank-level physical row.
 func (g Geometry) SubarrayOf(row int) int { return row / g.RowsPerSubarray }
-
-// RowInSubarray returns the row's index within its subarray.
-func (g Geometry) RowInSubarray(row int) int { return row % g.RowsPerSubarray }
 
 // SubarrayBase returns the first bank-level row of subarray sub.
 func (g Geometry) SubarrayBase(sub int) int { return sub * g.RowsPerSubarray }

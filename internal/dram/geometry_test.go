@@ -34,7 +34,7 @@ func TestGeometryHelpers(t *testing.T) {
 	if g.WordsPerRow() != 2 {
 		t.Fatal("words per row wrong")
 	}
-	if g.SubarrayOf(17) != 1 || g.RowInSubarray(17) != 1 {
+	if g.SubarrayOf(17) != 1 {
 		t.Fatal("subarray addressing wrong")
 	}
 	if g.SubarrayBase(2) != 32 {

@@ -26,7 +26,9 @@ func TestOnDieECCEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetTemperature(85)
+	if err := d.SetTemperature(85); err != nil {
+		t.Fatal(err)
+	}
 	agg := g.SubarrayBase(1) + g.RowsPerSubarray/2
 	out, err := charz.RunDisturb(d, charz.DisturbConfig{
 		Bank: 0, AggRow: agg, Mode: charz.ModeHammer,

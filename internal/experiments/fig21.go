@@ -61,7 +61,9 @@ func planFig21(cfg Config) (*Plan, error) {
 					if err != nil {
 						return nil, err
 					}
-					d.SetTemperature(65)
+					if err := d.SetTemperature(65); err != nil {
+						return nil, err
+					}
 					out, err := charz.RunDisturb(d, charz.DisturbConfig{
 						Bank: 0, AggRow: agg, Mode: charz.ModeHammer,
 						AggPattern: dram.Pat00, VictimPattern: dram.PatFF,

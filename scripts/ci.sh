@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI gate for every PR: build, vet, gofmt, race-enabled tests (the cdlab
 # end-to-end tests in cmd/cdlab included), a run of every example, WAL,
-# survival-skip, loose-log, zero-row-bound, commit-skip and
-# hammer-fast-forward fuzz passes, a compile-and-run pass over every
-# benchmark (one iteration each) and a perf-trajectory snapshot.
+# survival-skip, loose-log, zero-row-bound and commit-skip fuzz passes, a
+# hammer fast-forward fuzz pass (sequences of one to three patterns
+# against literal commands, and HammerTwo's rejection of a tRP inside the
+# RowClone window), a compile-and-run pass over every benchmark (one
+# iteration each) and a perf-trajectory snapshot.
 #
 # Usage: scripts/ci.sh [extra go-test flags...]
 set -euo pipefail
@@ -61,7 +63,7 @@ go test -run '^$' -fuzz FuzzZeroRowBound -fuzztime 5s ./internal/core
 echo "== cell-explicit commit skip fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzCommitFaults -fuzztime 5s ./internal/dram
 
-echo "== hammer fast-forward vs literal commands fuzz (seed inputs + 5s of new inputs) =="
+echo "== hammer fast-forward pattern sequences vs literal commands, and short-tRP rejection, fuzz (seed inputs + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzHammerMatchesLiteral -fuzztime 5s ./internal/dram
 
 echo "== benchmarks (1 iteration) =="
