@@ -364,7 +364,9 @@ func (r *Runner) followJob(ctx context.Context, id string) (columndisturb.Event,
 		progressed := false
 		var terminal *columndisturb.Event
 		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		// Event lines are short: start from the scanner's own small buffer,
+		// which grows on demand up to the 1 MiB line cap.
+		sc.Buffer(nil, 1<<20)
 		for sc.Scan() {
 			// DecodeEvent is the fuzz-hardened single decode path: JSON
 			// parse plus envelope/schema validation in one step.

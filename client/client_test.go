@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -522,5 +524,49 @@ func TestServerJobIDsNeverReroute(t *testing.T) {
 	want := []string{"DELETE /v1/jobs/job%3F1"}
 	if fmt.Sprint(jobRequests) != fmt.Sprint(want) {
 		t.Fatalf("job requests %q, want only %q", jobRequests, want)
+	}
+}
+
+// TestFollowJobAllocationBounded: reading one finished job's event stream
+// allocates in proportion to its few short lines, not a buffer sized to
+// the 1 MiB line cap.
+func TestFollowJobAllocationBounded(t *testing.T) {
+	_, remote := newServer(t, service.Options{Workers: 1}, nil)
+	var mu sync.Mutex
+	var job string
+	stop := remote.Subscribe(func(ev columndisturb.Event) {
+		mu.Lock()
+		job = ev.Job
+		mu.Unlock()
+	})
+	if _, err := remote.Run(context.Background(), columndisturb.Request{Experiments: []string{"table1"}}); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	mu.Lock()
+	id := job
+	mu.Unlock()
+
+	// TotalAlloc is process-wide, so the in-process server's side of the
+	// request counts too, and so does any other goroutine's work; the
+	// smallest of a few reads filters that out.
+	const bound = 64 << 10
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		terminal, err := remote.followJob(context.Background(), id)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if terminal.Type != service.EventJobFinished {
+			t.Fatalf("terminal event = %s", terminal.Type)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > bound {
+		t.Fatalf("following one job's events allocated %d bytes, want <= %d", least, bound)
 	}
 }

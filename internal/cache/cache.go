@@ -18,14 +18,23 @@
 // Disk entries are checksummed; a corrupted or truncated file is treated
 // as a miss, deleted to reclaim its bytes, and silently repaired by the
 // next Put, never surfaced as an error. Values are opaque bytes — encoding
-// is the caller's business (see Gob).
+// is the caller's business.
+//
+// Gob is the codec every caller uses. An entry is the part's registered
+// type name followed by a self-contained gob stream of the concrete value
+// (its type-definition messages, then one value message). Decode keeps, per
+// registered type, a few idle gob decoders that have already read a
+// stream's definition messages, and hands a later entry with byte-identical
+// definitions only its value message, so a replay of many entries of one
+// type compiles gob's decoding engine once, not once per entry. A warm
+// decoder that errors is dropped and the entry decoded fresh, so results
+// and errors never depend on which decoder ran.
 package cache
 
 import (
 	"bytes"
 	"container/list"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"io/fs"
@@ -467,42 +476,4 @@ func (s *Store) writeDisk(k Key, digest string, data []byte) error {
 	}
 	s.evictDiskLocked()
 	return nil
-}
-
-// Gob turns shard results into cacheable bytes and back: encoding/gob
-// behind an interface envelope, so one codec serves every experiment, the
-// cache and the remote worker reply path alike. It must round-trip values
-// exactly: the byte-identical-report guarantee rests on
-// Decode(Encode(v)) being indistinguishable from v to the experiment's
-// merge step. Each experiment registers the concrete type of its shard
-// results once via RegisterType (gob needs the type name ↔ type mapping
-// on both ends).
-type Gob struct{}
-
-// RegisterType records a concrete shard-result type with the gob codec.
-// Call it from the experiment's init alongside registration; encoding an
-// unregistered type is an error surfaced by Encode. Every experiment's
-// parts must round-trip this codec — the cache, the remote worker reply
-// path and the merge all depend on it — and the registry-wide audit test
-// (TestShardPartsGobEncodable in internal/experiments) fails any plan
-// whose parts are unregistered, carry unexported fields, or decode into a
-// different report.
-func RegisterType(v any) { gob.Register(v) }
-
-// Encode serializes v (whose concrete type must be registered).
-func (Gob) Encode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, fmt.Errorf("cache: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserializes bytes produced by Encode.
-func (Gob) Decode(data []byte) (any, error) {
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("cache: decode: %w", err)
-	}
-	return v, nil
 }

@@ -80,26 +80,27 @@ func (b *Bank) checkRow(row int) error {
 	return nil
 }
 
-// activate opens a row at time nowNs. If the preceding precharge was
-// interrupted (ACT issued within the RowClone violation window of the PRE)
-// and the previously open row is in the same subarray, the sense amplifiers
-// still hold the previous row's content and this activation overwrites the
-// new row with it — the RowClone in-DRAM copy the paper's methodology uses
-// to reverse engineer subarray boundaries (§3.2).
-func (b *Bank) activate(nowNs float64, row int) error {
+// activate opens a row at time nowNs. The sense amplifiers latch the row's
+// cells, so every fault pending since its last restore is committed first,
+// as a read's ACT commits them, and the activation then restores the
+// latched values and clears the neighbour aggression against the row. If
+// the preceding precharge was interrupted (ACT issued within the RowClone
+// violation window of the PRE) and the previously open row is in the same
+// subarray, the sense amplifiers still hold the previous row's content and
+// this activation overwrites the new row with it — the RowClone in-DRAM
+// copy the paper's methodology uses to reverse engineer subarray
+// boundaries (§3.2).
+func (b *Bank) activate(nowNs float64, row int, tempC float64, trial int) error {
 	if err := b.checkRow(row); err != nil {
 		return err
 	}
 	if b.openRow >= 0 {
 		return fmt.Errorf("dram: bank %d: ACT row %d while row %d open", b.index, row, b.openRow)
 	}
+	b.commitFaults(nowNs, row, tempC, trial)
 	b.rowClone(nowNs, row)
 	b.openRow = row
 	b.openedAtNs = nowNs
-	// Activation restores the row's charge through the sense amplifiers and
-	// clears any accumulated neighbour aggression against it.
-	b.restoredNs[row] = nowNs
-	b.aggression[row] = 0
 	return nil
 }
 
@@ -121,20 +122,8 @@ func (b *Bank) precharge(nowNs float64) error {
 	if b.openRow < 0 {
 		return fmt.Errorf("dram: bank %d: PRE while no row open", b.index)
 	}
-	open := nowNs - b.openedAtNs
-	if open > 0 {
-		snapshot := append([]uint64(nil), b.rows[b.openRow]...)
-		b.appendEpoch(epoch{
-			fromNs: b.openedAtNs,
-			toNs:   nowNs,
-			aggSub: b.geom.SubarrayOf(b.openRow),
-			data1:  snapshot,
-			rho: [4]float64{
-				b.params.RhoHammer(open, 0, 0),
-				b.params.RhoHammer(open, 0, 1),
-				0, 0,
-			},
-		})
+	if open := nowNs - b.openedAtNs; open > 0 {
+		b.appendEpoch(b.openEpoch(b.openRow, b.openedAtNs, nowNs))
 		// One activation held open for `open` ns: RowPress-equivalent
 		// damage on the immediate neighbours.
 		b.addNeighborAggression(b.openRow, b.params.PressEquivalentActs(1, open))
@@ -143,6 +132,22 @@ func (b *Bank) precharge(nowNs float64) error {
 	b.lastOpenRow = b.openRow
 	b.openRow = -1
 	return nil
+}
+
+// openEpoch is the exposure epoch of row held open from fromNs to toNs.
+func (b *Bank) openEpoch(row int, fromNs, toNs float64) epoch {
+	open := toNs - fromNs
+	return epoch{
+		fromNs: fromNs,
+		toNs:   toNs,
+		aggSub: b.geom.SubarrayOf(row),
+		data1:  append([]uint64(nil), b.rows[row]...),
+		rho: [4]float64{
+			b.params.RhoHammer(open, 0, 0),
+			b.params.RhoHammer(open, 0, 1),
+			0, 0,
+		},
+	}
 }
 
 // appendEpoch keeps the epoch list ordered and merges nothing; callers only
@@ -168,9 +173,11 @@ func (b *Bank) addNeighborAggression(aggRow int, equivActs float64) {
 
 // hammer fast-forwards numActs cycles of the single-aggressor pattern
 // ACT(row)–tAggOn–PRE–tRP–… starting at nowNs. The bank must be precharged.
-// Only the first ACT can RowClone: every later one re-opens row itself.
-// It returns the end time.
-func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs float64) (float64, error) {
+// The first ACT commits the row's pending faults, as activate does; later
+// ones re-open it a tAggOn+tRP after its last restore. Only the first ACT
+// can RowClone: every later one re-opens row itself. It returns the end
+// time.
+func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs, tempC float64, trial int) (float64, error) {
 	if err := b.checkRow(row); err != nil {
 		return nowNs, err
 	}
@@ -180,6 +187,7 @@ func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs float64) 
 	if numActs <= 0 {
 		return nowNs, nil
 	}
+	b.commitFaults(nowNs, row, tempC, trial)
 	b.rowClone(nowNs, row)
 	end := nowNs + float64(numActs)*(tAggOnNs+tRPNs)
 	snapshot := append([]uint64(nil), b.rows[row]...)
@@ -204,10 +212,11 @@ func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs float64) 
 
 // hammerTwo fast-forwards numPairs cycles of the two-aggressor pattern
 // ACT(row1)–tAggOn–PRE–tRP–ACT(row2)–tAggOn–PRE–tRP–…; each aggressor is
-// activated numPairs times. Only the first ACT can RowClone: the caller
-// keeps tRP outside the RowClone window, so no later ACT interrupts a
-// precharge.
-func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPNs float64) (float64, error) {
+// activated numPairs times. Each aggressor's first ACT commits its
+// pending faults, as activate does; row2's sees row1's first open
+// interval. Only the first ACT can RowClone: the caller keeps tRP outside
+// the RowClone window, so no later ACT interrupts a precharge.
+func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPNs, tempC float64, trial int) (float64, error) {
 	if err := b.checkRow(row1); err != nil {
 		return nowNs, err
 	}
@@ -223,7 +232,20 @@ func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPN
 	if numPairs <= 0 {
 		return nowNs, nil
 	}
+	b.commitFaults(nowNs, row1, tempC, trial)
 	b.rowClone(nowNs, row1)
+	// Row2's first ACT follows row1's first open interval and its PRE, as
+	// literal commands issue them: commit row2 against that interval's
+	// epoch and RowPress, then let the whole pattern's epoch replace it.
+	n := len(b.epochs)
+	if tAggOnNs > 0 {
+		b.appendEpoch(b.openEpoch(row1, nowNs, nowNs+tAggOnNs))
+		if row2 == row1-1 || row2 == row1+1 {
+			b.aggression[row2] += b.params.PressEquivalentActs(1, tAggOnNs)
+		}
+	}
+	b.commitFaults(nowNs+tAggOnNs+tRPNs, row2, tempC, trial)
+	b.epochs = b.epochs[:n]
 	end := nowNs + float64(numPairs)*2*(tAggOnNs+tRPNs)
 	d1 := append([]uint64(nil), b.rows[row1]...)
 	d2 := append([]uint64(nil), b.rows[row2]...)

@@ -92,7 +92,7 @@ func (d *Device) Activate(bank, row int) error {
 	if err != nil {
 		return err
 	}
-	return b.activate(d.nowNs, row)
+	return b.activate(d.nowNs, row, d.tempC, d.trial)
 }
 
 // Precharge issues PRE to the bank at the current time.
@@ -154,7 +154,7 @@ func (d *Device) Hammer(bank, row, numActs int, tAggOnNs, tRPNs float64) error {
 	if err != nil {
 		return err
 	}
-	end, err := b.hammer(d.nowNs, row, numActs, tAggOnNs, tRPNs)
+	end, err := b.hammer(d.nowNs, row, numActs, tAggOnNs, tRPNs, d.tempC, d.trial)
 	if err != nil {
 		return err
 	}
@@ -178,7 +178,7 @@ func (d *Device) HammerTwo(bank, row1, row2, numPairs int, tAggOnNs, tRPNs float
 	if err != nil {
 		return err
 	}
-	end, err := b.hammerTwo(d.nowNs, row1, row2, numPairs, tAggOnNs, tRPNs)
+	end, err := b.hammerTwo(d.nowNs, row1, row2, numPairs, tAggOnNs, tRPNs, d.tempC, d.trial)
 	if err != nil {
 		return err
 	}

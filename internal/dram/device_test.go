@@ -415,6 +415,49 @@ func TestActivationRestoresVictim(t *testing.T) {
 	}
 }
 
+// An ACT latches the faults pending on its row before it restores the
+// row: after 400 ms idle, opening and closing each all-1 row right before
+// reading it finds the retention flips a plain read finds, bit for bit.
+func TestActivateCommitsPendingFaults(t *testing.T) {
+	readAll := func(actFirst bool) [][]uint64 {
+		d := newTestDevice(t, 2)
+		g := d.Geometry()
+		for r := 0; r < g.RowsPerBank(); r++ {
+			if err := d.WriteRowPattern(0, r, PatFF); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.AdvanceNs(400 * msNs)
+		rows := make([][]uint64, g.RowsPerBank())
+		for r := range rows {
+			if actFirst {
+				if err := literalHammer(d, 0, r, 1, 36, 14); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := d.ReadRow(0, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows[r] = got
+		}
+		return rows
+	}
+	plain, acted := readAll(false), readAll(true)
+	ones := make([]uint64, len(plain[0]))
+	FillWords(ones, PatFF)
+	flips := 0
+	for r := range plain {
+		if n := CountMismatches(acted[r], plain[r]); n != 0 {
+			t.Fatalf("row %d: ACT–PRE before the read changed %d bits of what a plain read returns", r, n)
+		}
+		flips += CountMismatches(plain[r], ones)
+	}
+	if flips == 0 {
+		t.Fatal("no retention flips after 400 ms: the comparison is vacuous")
+	}
+}
+
 func TestDeviceDeterminism(t *testing.T) {
 	run := func() []uint64 {
 		d := newTestDevice(t, 11)

@@ -231,6 +231,11 @@ func FuzzHammerMatchesLiteral(f *testing.F) {
 	// ACT row2 lands at the rounded clock PRE + tRP, a gap that measured
 	// 5.999999999999999 ns from the PRE and so copied row 42 into row 50.
 	f.Add(uint64(32), uint8(0), fuzzShape(42, 50, 10), 7.738095238095237, 6.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	// Aggressors that idled since their write, about 210 ms under the first
+	// pattern's RowPress: each one's first ACT latches its retention and
+	// ColumnDisturb flips.
+	f.Add(uint64(2), uint8(1), fuzzShape(40, 40, 3000), 70_200.0, 14.0, fuzzShape(50, 50, 10), 7_800.0, 14.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(2), uint8(1), fuzzShape(40, 40, 3000), 70_200.0, 14.0, fuzzShape(50, 53, 10), 7_800.0, 14.0, uint64(0), 0.0, 0.0)
 	f.Fuzz(func(t *testing.T, seed uint64, count uint8,
 		shape1 uint64, on1, rp1 float64,
 		shape2 uint64, on2, rp2 float64,

@@ -107,7 +107,11 @@ func Full() Config {
 // Generation 5: the split plans share one split helper (split.go), and a
 // sub-shard's part is just its atoms' values ([]T) with no start offset, so
 // part types changed shape again; every report stayed byte-identical.
-const resultSchemaVersion = "cd-shards/5"
+//
+// Generation 6: a cache.Gob entry is the part's type name and a gob stream
+// of the concrete value, not an interface-wrapped stream, so no generation
+// 5 entry decodes; every report stayed byte-identical.
+const resultSchemaVersion = "cd-shards/6"
 
 // Digest returns a stable content digest of the configuration, used as the
 // config component of shard cache keys (cache.Key.ConfigDigest). It hashes

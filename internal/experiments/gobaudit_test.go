@@ -59,6 +59,9 @@ func checkExportedFields(t *testing.T, id string, typ reflect.Type, seen map[ref
 // merge into a byte-identical report. This is exactly the warm-cache and
 // remote-worker path — a plan whose parts fail here would compute fine
 // cold but corrupt or fail on every cache hit and every dispatched shard.
+// Every entry is decoded twice: the codec pools the decoder of the first
+// decode, so the second goes through a warm decoder, as a replay of many
+// entries does, and must return the same value and merge.
 func TestShardPartsGobEncodable(t *testing.T) {
 	cfg := auditConfig()
 	codec := cache.Gob{}
@@ -71,6 +74,7 @@ func TestShardPartsGobEncodable(t *testing.T) {
 			}
 			parts := make([]any, len(plan.Shards))
 			decoded := make([]any, len(plan.Shards))
+			warmDecoded := make([]any, len(plan.Shards))
 			seen := map[reflect.Type]bool{}
 			for i, sh := range plan.Shards {
 				v, err := sh.Run(context.Background())
@@ -92,6 +96,14 @@ func TestShardPartsGobEncodable(t *testing.T) {
 					t.Fatalf("shard %q: decoded type %v, want %v", sh.Label, got, want)
 				}
 				decoded[i] = back
+				again, err := codec.Decode(data)
+				if err != nil {
+					t.Fatalf("shard %q: second decode: %v", sh.Label, err)
+				}
+				if !reflect.DeepEqual(again, back) {
+					t.Fatalf("shard %q: second decode %#v differs from the first %#v", sh.Label, again, back)
+				}
+				warmDecoded[i] = again
 			}
 			fresh, err := plan.Merge(parts)
 			if err != nil {
@@ -103,6 +115,13 @@ func TestShardPartsGobEncodable(t *testing.T) {
 			}
 			if f, w := fresh.String(), warm.String(); f != w {
 				t.Fatalf("decoded parts merge differently — a warm cache would change the report:\n--- fresh ---\n%s\n--- decoded ---\n%s", f, w)
+			}
+			again, err := plan.Merge(warmDecoded)
+			if err != nil {
+				t.Fatalf("merge of parts decoded a second time: %v", err)
+			}
+			if f, a := fresh.String(), again.String(); f != a {
+				t.Fatalf("parts decoded a second time merge differently:\n--- fresh ---\n%s\n--- decoded again ---\n%s", f, a)
 			}
 		})
 	}

@@ -226,8 +226,11 @@ var (
 // The registry is global and rejects duplicate IDs, so the first call per
 // ID registers a plan that forwards to the latest registration's Plan:
 // a test rerun under -count=N then drives its own closures and channels,
-// not those of the first run. Each test still uses a unique ID.
+// not those of the first run. Each test still uses a unique ID. The
+// synthetic shards return bare strings, so string is registered as a part
+// type for the cache codec.
 func registerSynthetic(e experiments.Experiment) {
+	cache.RegisterType("")
 	syntheticMu.Lock()
 	defer syntheticMu.Unlock()
 	if _, ok := syntheticPlans[e.ID]; !ok {

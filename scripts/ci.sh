@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # CI gate for every PR: build, vet, gofmt, race-enabled tests (the cdlab
-# end-to-end tests in cmd/cdlab included), a run of every example, WAL,
-# survival-skip, loose-log, zero-row-bound and commit-skip fuzz passes, a
-# hammer fast-forward fuzz pass (sequences of one to three patterns
-# against literal commands, and HammerTwo's rejection of a tRP inside the
-# RowClone window), a compile-and-run pass over every benchmark (one
-# iteration each) and a perf-trajectory snapshot.
+# end-to-end tests in cmd/cdlab included), a run of every example, a
+# repeated race pass (the shard cache's pooled gob decoders included),
+# WAL, survival-skip, loose-log, zero-row-bound and commit-skip fuzz
+# passes, a hammer fast-forward fuzz pass (sequences of one to three
+# patterns against literal commands, and HammerTwo's rejection of a tRP
+# inside the RowClone window), a shard-cache codec fuzz pass (pooled and
+# fresh gob decoders agree on mutated entries), a compile-and-run pass
+# over every benchmark (one iteration each) and a perf-trajectory
+# snapshot.
 #
 # Usage: scripts/ci.sh [extra go-test flags...]
 set -euo pipefail
@@ -40,13 +43,13 @@ for ex in examples/*/; do
     go run "./$ex" >/dev/null
 done
 
-echo "== repeated race: shard scheduling, the WAL, remote clients and the cdlab processes =="
+echo "== repeated race: shard scheduling, the WAL, the cache codec, remote clients and the cdlab processes =="
 # The shard loop, the dispatch queue, the service's job lifecycle, the
-# WAL's single lock and the remote client and worker loops share
-# goroutines and settle-order invariants, and the end-to-end tests race
-# real processes; a flake there may show in only one run out of many, so
-# repeat them.
-go test -race -count=3 ./internal/engine ./internal/dispatch ./internal/wal ./internal/service ./client ./cmd/cdlab
+# WAL's single lock, the cache codec's decoder pool and the remote client
+# and worker loops share goroutines and settle-order invariants, and the
+# end-to-end tests race real processes; a flake there may show in only
+# one run out of many, so repeat them.
+go test -race -count=3 ./internal/engine ./internal/dispatch ./internal/wal ./internal/cache ./internal/service ./client ./cmd/cdlab
 
 echo "== wal decoder fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzReplaySegment -fuzztime 5s ./internal/wal
@@ -65,6 +68,9 @@ go test -run '^$' -fuzz FuzzCommitFaults -fuzztime 5s ./internal/dram
 
 echo "== hammer fast-forward pattern sequences vs literal commands, and short-tRP rejection, fuzz (seed inputs + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzHammerMatchesLiteral -fuzztime 5s ./internal/dram
+
+echo "== cache codec fuzz: pooled vs fresh gob decoders (seed inputs + 5s of new inputs) =="
+go test -run '^$' -fuzz FuzzGobDecode -fuzztime 5s ./internal/cache
 
 echo "== benchmarks (1 iteration) =="
 go test -run xxx -bench . -benchtime 1x "$@" ./...
