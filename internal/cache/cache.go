@@ -23,8 +23,8 @@
 // Gob is the codec every caller uses. An entry is the part's registered
 // type name followed by a self-contained gob stream of the concrete value
 // (its type-definition messages, then one value message). Decode keeps, per
-// registered type, a few idle gob decoders that have already read a
-// stream's definition messages, and hands a later entry with byte-identical
+// registered type, up to GOMAXPROCS idle gob decoders that have already
+// read one definition prefix, and hands a later entry with byte-identical
 // definitions only its value message, so a replay of many entries of one
 // type compiles gob's decoding engine once, not once per entry. A warm
 // decoder that errors is dropped and the entry decoded fresh, so results

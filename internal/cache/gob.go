@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 )
 
@@ -29,28 +30,18 @@ import (
 // fits.
 type Gob struct{}
 
-// Pool bounds, per registered type. Entries written by one process share
-// one definition prefix, so a cache filled by a serve and a few workers
-// needs a handful; a replay decodes on as many goroutines as it has shard
-// workers.
-const (
-	warmStreams = 4 // definition prefixes kept, most recently used first
-	warmIdle    = 4 // idle decoders kept per prefix
-)
-
-// gobType is one registered part type and its pool of warm decoders.
+// gobType is one registered part type and its pool of warm decoders. The
+// pool holds one definition prefix, the one every entry written by a
+// single process carries; an entry with other definition bytes replaces
+// it. Its idle list is bounded by GOMAXPROCS, the number of decodes the
+// engine and the dispatcher run at once by default.
 type gobType struct {
 	name string
 	typ  reflect.Type
 
-	mu      sync.Mutex
-	streams []*warmStream // most recently used first
-}
-
-// warmStream holds the idle decoders that consumed one definition prefix.
-type warmStream struct {
-	defs string
-	idle []*warmDecoder
+	mu   sync.Mutex
+	defs string         // the definition bytes every idle decoder consumed
+	idle []*warmDecoder // at most GOMAXPROCS
 }
 
 // warmDecoder is a gob.Decoder over a reader whose bytes are swapped per
@@ -95,8 +86,10 @@ func RegisterType(v any) {
 	registry.byType[t] = gt
 }
 
-// gobName is the name gob.Register gives t: a named type (or a pointer to
-// one) is qualified by its import path, any other type is its string.
+// gobName is the codec's own name for t, unique per type: a named type (or
+// a pointer to one) is qualified by its import path, any other type is its
+// string. It keys only the codec's registry and need not equal the name
+// gob.Register gives t.
 func gobName(t reflect.Type) string {
 	star := ""
 	rt := t
@@ -221,47 +214,28 @@ func gobUint(b []byte) (x uint64, width int, ok bool) {
 func (gt *gobType) take(defs []byte) *warmDecoder {
 	gt.mu.Lock()
 	defer gt.mu.Unlock()
-	for _, s := range gt.streams {
-		if s.defs != string(defs) {
-			continue
-		}
-		n := len(s.idle)
-		if n == 0 {
-			return nil
-		}
-		w := s.idle[n-1]
-		s.idle[n-1] = nil
-		s.idle = s.idle[:n-1]
-		return w
+	n := len(gt.idle)
+	if n == 0 || gt.defs != string(defs) {
+		return nil
 	}
-	return nil
+	w := gt.idle[n-1]
+	gt.idle[n-1] = nil
+	gt.idle = gt.idle[:n-1]
+	return w
 }
 
 // give returns a decoder that has consumed defs and then decoded one
-// value without error. A full prefix list drops its least recently used
-// prefix; a full idle list drops the decoder.
+// value without error. Other definition bytes replace the pool's prefix
+// and drop its idle decoders; a full idle list drops w.
 func (gt *gobType) give(defs []byte, w *warmDecoder) {
 	gt.mu.Lock()
 	defer gt.mu.Unlock()
-	i := 0
-	for i < len(gt.streams) && gt.streams[i].defs != string(defs) {
-		i++
+	if gt.defs != string(defs) {
+		clear(gt.idle)
+		gt.defs, gt.idle = string(defs), gt.idle[:0]
 	}
-	var s *warmStream
-	switch {
-	case i < len(gt.streams):
-		s = gt.streams[i]
-	case len(gt.streams) < warmStreams:
-		s = &warmStream{defs: string(defs)}
-		gt.streams = append(gt.streams, s)
-	default:
-		i--
-		s = &warmStream{defs: string(defs)}
-	}
-	copy(gt.streams[1:i+1], gt.streams[:i])
-	gt.streams[0] = s
-	if len(s.idle) < warmIdle {
-		s.idle = append(s.idle, w)
+	if len(gt.idle) < runtime.GOMAXPROCS(0) {
+		gt.idle = append(gt.idle, w)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -51,16 +52,13 @@ func decodeFresh(data []byte) (any, error) {
 }
 
 // idleDecoders counts the pooled decoders of v's registered type.
-func idleDecoders(v any) (streams, idle int) {
+func idleDecoders(v any) int {
 	registry.RLock()
 	gt := registry.byType[reflect.TypeOf(v)]
 	registry.RUnlock()
 	gt.mu.Lock()
 	defer gt.mu.Unlock()
-	for _, s := range gt.streams {
-		idle += len(s.idle)
-	}
-	return len(gt.streams), idle
+	return len(gt.idle)
 }
 
 // sameValue compares two decoded values by their Go-syntax text: unlike
@@ -85,8 +83,8 @@ func TestGobWarmDecodeMatchesFresh(t *testing.T) {
 				t.Fatalf("%T decode %d = %#v, want %#v", v, i, got, v)
 			}
 		}
-		if streams, idle := idleDecoders(v); streams != 1 || idle == 0 {
-			t.Fatalf("%T: pool holds %d prefixes and %d idle decoders, want 1 and some", v, streams, idle)
+		if idleDecoders(v) == 0 {
+			t.Fatalf("%T: no idle decoder after three decodes", v)
 		}
 	}
 }
@@ -104,7 +102,7 @@ func TestGobWarmDecoderErrorIsFresh(t *testing.T) {
 	if _, err := codec.Decode(data); err != nil {
 		t.Fatal(err)
 	}
-	_, before := idleDecoders(v)
+	before := idleDecoders(v)
 	// Retype the value message as a bool (gob type id 1, encoded 2): it
 	// still frames, so the pooled decoder reads it and fails.
 	gt, stream, err := splitName(data)
@@ -119,7 +117,7 @@ func TestGobWarmDecoderErrorIsFresh(t *testing.T) {
 	if warmErr == nil || freshErr == nil || warmErr.Error() != freshErr.Error() {
 		t.Fatalf("%s entry retyped as bool: Decode error %v, fresh decoder error %v", gt.name, warmErr, freshErr)
 	}
-	if _, after := idleDecoders(v); after != before-1 {
+	if after := idleDecoders(v); after != before-1 {
 		t.Fatalf("idle decoders %d after a failed warm decode, want %d", after, before-1)
 	}
 }
@@ -139,31 +137,27 @@ func TestGobOldFormatEntryIsError(t *testing.T) {
 	}
 }
 
-// TestGobPoolBounds: a type keeps at most warmStreams definition prefixes,
-// dropping the least recently used, and at most warmIdle idle decoders per
-// prefix.
+// TestGobPoolBounds: a type keeps one definition prefix with at most
+// GOMAXPROCS idle decoders, and other definition bytes replace the prefix
+// and its decoders.
 func TestGobPoolBounds(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
 	gt := &gobType{name: "bounds", typ: reflect.TypeOf("")}
-	for i := 0; i <= warmStreams; i++ {
-		gt.give([]byte{byte(i)}, newWarmDecoder())
+	for i := 0; i < procs+2; i++ {
+		gt.give([]byte{0}, newWarmDecoder())
 	}
-	if len(gt.streams) != warmStreams {
-		t.Fatalf("%d prefixes kept, want %d", len(gt.streams), warmStreams)
+	if len(gt.idle) != procs {
+		t.Fatalf("%d idle decoders kept, want GOMAXPROCS = %d", len(gt.idle), procs)
+	}
+	gt.give([]byte{1}, newWarmDecoder())
+	if gt.defs != "\x01" || len(gt.idle) != 1 {
+		t.Fatalf("after another prefix: prefix %q with %d idle decoders, want %q with 1", gt.defs, len(gt.idle), "\x01")
 	}
 	if gt.take([]byte{0}) != nil {
-		t.Fatal("the least recently used prefix was not dropped")
+		t.Fatal("a decoder of the replaced prefix was lent")
 	}
-	for i := 0; i < 2*warmIdle; i++ {
-		gt.give([]byte{1}, newWarmDecoder())
-	}
-	if gt.streams[0].defs != "\x01" || len(gt.streams[0].idle) != warmIdle {
-		t.Fatalf("front prefix %q holds %d idle decoders, want %q and %d",
-			gt.streams[0].defs, len(gt.streams[0].idle), "\x01", warmIdle)
-	}
-	for i := 0; i < warmIdle; i++ {
-		if gt.take([]byte{1}) == nil {
-			t.Fatalf("take %d found no idle decoder", i)
-		}
+	if gt.take([]byte{1}) == nil {
+		t.Fatal("no idle decoder for the current prefix")
 	}
 	if gt.take([]byte{1}) != nil {
 		t.Fatal("a decoder was lent twice")
@@ -206,8 +200,8 @@ func TestGobConcurrentMixedDecodes(t *testing.T) {
 	}
 	wg.Wait()
 	for _, v := range samples {
-		if streams, idle := idleDecoders(v); streams != 1 || idle > warmIdle {
-			t.Errorf("%T: pool holds %d prefixes and %d idle decoders", v, streams, idle)
+		if idle := idleDecoders(v); idle > runtime.GOMAXPROCS(0) {
+			t.Errorf("%T: pool holds %d idle decoders, more than GOMAXPROCS", v, idle)
 		}
 	}
 }

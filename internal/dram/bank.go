@@ -296,16 +296,18 @@ func (b *Bank) readRow(nowNs float64, row int, tempC float64, trial int) ([]uint
 }
 
 // commitFaults applies every disturbance accumulated since the row's last
-// restore and marks the row restored at nowNs. Each cell pays only for what
-// its outcome depends on: an uncharged cell draws no decay parameters, a
-// charged cell that RowFaults.Survives proves cannot flip skips its rates,
-// exposure and VRT draws, and hammer draws run only for rows under
-// aggression. Every other cell takes the exact per-cell arithmetic, and
+// restore and marks the row restored at nowNs. Aggression counts even
+// when no time has passed: a fast-forward marks its aggressors restored at
+// the pattern's end, yet one may carry the other's last RowPress. Each
+// cell pays only for what its outcome depends on: an uncharged cell draws
+// no decay parameters, a charged cell that RowFaults.Survives proves
+// cannot flip skips its rates, exposure and VRT draws, and hammer draws
+// run only for rows under aggression. Every other cell takes the exact per-cell arithmetic, and
 // draws are keyed by coordinates, so the committed bits are identical to
 // evaluating every cell in full.
 func (b *Bank) commitFaults(nowNs float64, row int, tempC float64, trial int) {
 	elapsedNs := nowNs - b.restoredNs[row]
-	if elapsedNs > 0 {
+	if elapsedNs > 0 || b.aggression[row] > 0 {
 		sub := b.geom.SubarrayOf(row)
 		words := b.rows[row]
 		elapsedMs := elapsedNs * 1e-6

@@ -36,11 +36,12 @@ func refNorm(parts ...uint64) float64 {
 // coordinates, and every charged cell integrates its exposure over the
 // bank's epochs. It reads the bank's state without changing it and
 // returns the row's committed words with the number of decay and hammer
-// flips.
+// flips. Its one change since: pending aggression is committed even when
+// no time has passed since the row's last restore.
 func refCommit(b *Bank, nowNs float64, row int, tempC float64, trial int) (words []uint64, decay, hammer int) {
 	words = append([]uint64(nil), b.rows[row]...)
 	elapsedNs := nowNs - b.restoredNs[row]
-	if elapsedNs <= 0 {
+	if elapsedNs <= 0 && b.aggression[row] == 0 {
 		return words, 0, 0
 	}
 	p := b.params

@@ -265,3 +265,58 @@ func FuzzHammerMatchesLiteral(f *testing.F) {
 		checkMatchesLiteral(t, seed, pats...)
 	})
 }
+
+// HammerTwo's second aggressor idles from its write until its first ACT,
+// which follows the first aggressor's first open interval. Literal
+// commands commit it against that interval's column drive and, when the
+// rows are adjacent, its RowPress. A tAggOn of milliseconds makes the
+// column drive flip all-1 cells of row2; one of 10 s at 0 °C makes
+// RowPress flip all-0 cells of an adjacent row2 while retention stays too
+// slow to undo them during row2's own open interval.
+func TestHammerTwoSecondAggressorSeesFirstOpen(t *testing.T) {
+	g := SmallGeometry()
+	base := g.SubarrayBase(1)
+	t.Run("column-disturb", func(t *testing.T) {
+		p := hammerPattern{row1: base + 7, row2: base + 12, n: 1, tAggOnNs: 20 * msNs, tRPNs: 14}
+		rows, _ := checkMatchesLiteral(t, 2, p)
+		ones := make([]uint64, len(rows[p.row2]))
+		FillWords(ones, PatFF)
+		if CountMismatches(rows[p.row2], ones) == 0 {
+			t.Fatal("row2 kept every bit: the comparison is vacuous")
+		}
+	})
+	t.Run("rowpress", func(t *testing.T) {
+		p := hammerPattern{row1: base + 7, row2: base + 8, n: 1, tAggOnNs: 10_000 * msNs, tRPNs: 14}
+		readAll := func(literal bool) [][]uint64 {
+			d := newTestDevice(t, 2)
+			if err := d.SetTemperature(0); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < g.RowsPerBank(); r++ {
+				if err := d.WriteRowPattern(0, r, Pat00); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := runPattern(d, p, literal); err != nil {
+				t.Fatal(err)
+			}
+			rows := make([][]uint64, g.RowsPerBank())
+			for r := range rows {
+				var err error
+				if rows[r], err = d.ReadRow(0, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return rows
+		}
+		fast, lit := readAll(false), readAll(true)
+		for r := range fast {
+			if n := CountMismatches(fast[r], lit[r]); n != 0 {
+				t.Fatalf("row %d differs in %d bits between fast-forward and literal execution", r, n)
+			}
+		}
+		if CountMismatches(fast[p.row2], make([]uint64, len(fast[p.row2]))) == 0 {
+			t.Fatal("row2 kept every bit: the comparison is vacuous")
+		}
+	})
+}
