@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"columndisturb/internal/cache"
@@ -188,8 +187,6 @@ type LocalOptions struct {
 	// order, so reports stay byte-identical to a serial local run no matter
 	// where shards computed.
 	Workers int
-	// MaxActiveJobs bounds how many jobs run concurrently (0 = unlimited).
-	MaxActiveJobs int
 	// NoLocalShards disables local shard execution: the process becomes a
 	// pure scheduler and every cache miss waits for a remote worker lease.
 	NoLocalShards bool
@@ -212,9 +209,9 @@ type LocalOptions struct {
 	CacheMaxBytes int64
 	// WALDir enables the job journal (internal/wal) in the given
 	// directory: submissions are durable before they are acknowledged, and
-	// the first Run/Handler call replays the journal — interrupted jobs
-	// re-run under their original IDs (settled shards return as cache
-	// hits), finished-but-possibly-unfetched reports are resurrected, and
+	// NewLocalRunner replays the journal — interrupted jobs re-run under
+	// their original IDs (settled shards return as cache hits),
+	// finished-but-possibly-unfetched reports are resurrected, and
 	// reconnecting clients resume their event streams across the restart.
 	WALDir string
 	// AuthToken, when non-empty, gates every mutating /v1 verb behind
@@ -234,20 +231,17 @@ type LocalOptions struct {
 // Close. Its HTTP face is Handler — `cdlab serve` is exactly
 // NewLocalRunner + Handler.
 type LocalRunner struct {
-	opts  LocalOptions
 	store *cache.Store
 	subs  service.Subscribers
-
-	mu     sync.Mutex
-	svc    *service.Service
-	closed bool
+	svc   *service.Service
 }
 
-// NewLocalRunner creates a runner. The dispatcher itself is created
-// lazily by the first Run (or Handler) call, sized by LocalOptions.Workers;
-// later requests share it.
+// NewLocalRunner creates a runner and starts it: it opens the cache and
+// the journal, starts the shard dispatcher (sized by LocalOptions.Workers)
+// that every request shares, and replays the journal. Release the runner
+// with Close or Shutdown.
 func NewLocalRunner(opts LocalOptions) (*LocalRunner, error) {
-	r := &LocalRunner{opts: opts}
+	r := &LocalRunner{}
 	if opts.CacheDir != "" || opts.CacheEntries > 0 || opts.CacheMaxBytes > 0 {
 		store, err := cache.New(cache.Options{
 			MaxEntries: opts.CacheEntries,
@@ -259,56 +253,43 @@ func NewLocalRunner(opts LocalOptions) (*LocalRunner, error) {
 		}
 		r.store = store
 	}
+	var jn *service.Journal
+	var recovered *service.Recovered
+	if opts.WALDir != "" {
+		var err error
+		jn, recovered, err = service.OpenJournal(opts.WALDir, opts.Logger)
+		if err != nil {
+			return nil, err
+		}
+	}
+	// One registry spans the whole serve plane — dispatcher queue/lease
+	// metrics and service job/shard/cache metrics export together at
+	// GET /v1/metrics.
+	reg := obs.NewRegistry()
+	d := dispatch.New(dispatch.Options{
+		LocalWorkers: opts.Workers,
+		NoLocal:      opts.NoLocalShards,
+		LeaseTTL:     opts.LeaseTTL,
+		Metrics:      reg,
+		Logger:       opts.Logger,
+	})
+	sopts := service.Options{
+		Dispatcher: d,
+		RetainJobs: opts.RetainJobs,
+		Journal:    jn,
+		AuthToken:  opts.AuthToken,
+		OnEvent:    r.subs.Emit,
+		Metrics:    reg,
+		Logger:     opts.Logger,
+	}
+	if r.store != nil {
+		// Assigned conditionally: a nil *cache.Store in the Backend
+		// interface field would read as "caching enabled" to the service.
+		sopts.Cache = r.store
+	}
+	r.svc = service.New(sopts)
+	r.svc.Recover(recovered)
 	return r, nil
-}
-
-// ensureService creates the underlying service on first use.
-func (r *LocalRunner) ensureService() (*service.Service, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, fmt.Errorf("columndisturb: runner is closed")
-	}
-	if r.svc == nil {
-		// One registry spans the whole serve plane — dispatcher queue/lease
-		// metrics and service job/shard/cache metrics export together at
-		// GET /v1/metrics.
-		reg := obs.NewRegistry()
-		var jn *service.Journal
-		var recovered *service.Recovered
-		if r.opts.WALDir != "" {
-			var err error
-			jn, recovered, err = service.OpenJournal(r.opts.WALDir, r.opts.Logger)
-			if err != nil {
-				return nil, err
-			}
-		}
-		d := dispatch.New(dispatch.Options{
-			LocalWorkers: r.opts.Workers,
-			NoLocal:      r.opts.NoLocalShards,
-			LeaseTTL:     r.opts.LeaseTTL,
-			Metrics:      reg,
-			Logger:       r.opts.Logger,
-		})
-		opts := service.Options{
-			MaxActiveJobs: r.opts.MaxActiveJobs,
-			Dispatcher:    d,
-			RetainJobs:    r.opts.RetainJobs,
-			Journal:       jn,
-			AuthToken:     r.opts.AuthToken,
-			OnEvent:       r.subs.Emit,
-			Metrics:       reg,
-			Logger:        r.opts.Logger,
-		}
-		if r.store != nil {
-			// Assigned conditionally: a nil *cache.Store in the Backend
-			// interface field would read as "caching enabled" to the service.
-			opts.Cache = r.store
-		}
-		r.svc = service.New(opts)
-		r.svc.Recover(recovered)
-	}
-	return r.svc, nil
 }
 
 // Subscribe implements Runner.
@@ -343,41 +324,19 @@ func (r *LocalRunner) CacheStats() CacheStats {
 // Handler exposes the runner's service over HTTP: the /v1 experiment API
 // (submit, status, event streams with replay, reports) and the /v1 worker
 // API. `cdlab serve` is this handler behind an http.Server.
-func (r *LocalRunner) Handler() (http.Handler, error) {
-	svc, err := r.ensureService()
-	if err != nil {
-		return nil, err
-	}
-	return svc.Handler(), nil
-}
+func (r *LocalRunner) Handler() http.Handler { return r.svc.Handler() }
 
 // Close cancels every running job, waits for them to settle and releases
 // the dispatcher. With a WAL, the cancellations are final: a restart
 // will not re-run them.
-func (r *LocalRunner) Close() {
-	r.mu.Lock()
-	r.closed = true
-	svc := r.svc
-	r.mu.Unlock()
-	if svc != nil {
-		svc.Close()
-	}
-}
+func (r *LocalRunner) Close() { r.svc.Close() }
 
 // Shutdown is Close for a process that intends to resume: with a WAL,
 // interrupted jobs are suspended rather than canceled — the next runner
 // opened on the same WALDir/CacheDir recovers and re-runs them under
 // their original IDs, and a clean-shutdown record tells it nothing
 // crashed mid-write. Without a WAL, Shutdown is Close.
-func (r *LocalRunner) Shutdown() {
-	r.mu.Lock()
-	r.closed = true
-	svc := r.svc
-	r.mu.Unlock()
-	if svc != nil {
-		svc.Shutdown()
-	}
-}
+func (r *LocalRunner) Shutdown() { r.svc.Shutdown() }
 
 // validateIDs returns the request IDs that name no known experiment,
 // sorted and deduplicated.
@@ -407,14 +366,9 @@ func (r *LocalRunner) Run(ctx context.Context, req Request) (*Result, error) {
 	if _, err := experiments.ResolveConfig(req.Profile, req.Overrides); err != nil {
 		return nil, err
 	}
-	svc, err := r.ensureService()
-	if err != nil {
-		return nil, err
-	}
-
 	jobs := make([]*service.Job, len(req.Experiments))
 	for i, id := range req.Experiments {
-		j, err := svc.Submit(service.JobSpec{
+		j, err := r.svc.Submit(service.JobSpec{
 			Experiment: id,
 			Profile:    req.Profile,
 			Overrides:  req.Overrides,

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"columndisturb/internal/experiments"
+	"columndisturb/internal/service"
 )
 
 // TestLocalRunnerMultiExperiment: one request fans several experiments
@@ -257,5 +261,29 @@ func TestRunnerPartialFailure(t *testing.T) {
 	cancel()
 	if _, err := r.Run(ctx, Request{Experiments: []string{"table1"}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run error = %v", err)
+	}
+}
+
+// TestClosedRunnerRefusesWork: a closed runner refuses new work at once.
+// Run returns the service's ErrClosed instead of waiting on the stopped
+// dispatcher, and POST /v1/jobs through Handler answers 503.
+func TestClosedRunnerRefusesWork(t *testing.T) {
+	r, err := NewLocalRunner(LocalOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := r.Run(ctx, Request{Experiments: []string{"table1"}}); !errors.Is(err, service.ErrClosed) {
+		t.Fatalf("Run after Close = %v, want service.ErrClosed", err)
+	}
+
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"experiment":"table1"}`))
+	r.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("POST /v1/jobs after Close = %d %s, want 503", rec.Code, rec.Body)
 	}
 }

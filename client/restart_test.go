@@ -32,11 +32,7 @@ func TestClientResumesAcrossServerRestart(t *testing.T) {
 		return r
 	}
 	serve := func(r *columndisturb.LocalRunner, ln net.Listener) *http.Server {
-		h, err := r.Handler()
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := &http.Server{Handler: h}
+		srv := &http.Server{Handler: r.Handler()}
 		go srv.Serve(ln)
 		return srv
 	}

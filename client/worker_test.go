@@ -43,11 +43,7 @@ func newDispatchServer(t *testing.T, leaseTTL time.Duration) (*columndisturb.Loc
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler, err := runner.Handler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(handler)
+	ts := httptest.NewServer(runner.Handler())
 	t.Cleanup(func() { ts.Close(); runner.Close() })
 	return runner, ts
 }
@@ -157,11 +153,7 @@ func TestFormerlySerialExperimentsDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler, err := runner.Handler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(handler)
+	ts := httptest.NewServer(runner.Handler())
 	t.Cleanup(func() { ts.Close(); runner.Close() })
 	for i := 0; i < 2; i++ {
 		startWorker(t, ts.URL, WorkerOptions{Capacity: 2, PollWait: 100 * time.Millisecond, RetryBackoff: 20 * time.Millisecond})

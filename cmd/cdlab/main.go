@@ -26,9 +26,9 @@
 // Run flags: -profile p, -set k=v (repeatable), -remote addr, -token t,
 // -retries N, -j N, -o dir, -progress, -json, -cache-dir d,
 // -cache-entries N, -cache-bytes N, -no-cache.
-// Serve flags: -addr, -j, -max-active, -cache-dir, -cache-entries,
-// -cache-bytes, -wal, -no-wal, -auth-token, -no-local-shards, -lease-ttl,
-// -retain, -log-level, -pprof.
+// Serve flags: -addr, -j, -cache-dir, -cache-entries, -cache-bytes, -wal,
+// -no-wal, -auth-token, -no-local-shards, -lease-ttl, -retain,
+// -log-level, -pprof.
 // Worker flags: -connect addr, -token t, -j N, -name s, -log-level.
 //
 // Durability: with -cache-dir (or an explicit -wal dir) a serve process
@@ -134,9 +134,9 @@ func usage() {
        cdlab run <id>...|all [-profile p] [-set k=v]... [-remote addr] [-token t]
                  [-j N] [-progress] [-json] [-o dir] [-cache-dir d] [-cache-entries N]
                  [-cache-bytes N] [-no-cache]
-       cdlab serve [-addr a] [-j N] [-max-active N] [-cache-dir d] [-cache-entries N]
-                 [-cache-bytes N] [-wal d] [-no-wal] [-auth-token t] [-no-local-shards]
-                 [-lease-ttl d] [-retain N] [-log-level l] [-pprof]
+       cdlab serve [-addr a] [-j N] [-cache-dir d] [-cache-entries N] [-cache-bytes N]
+                 [-wal d] [-no-wal] [-auth-token t] [-no-local-shards] [-lease-ttl d]
+                 [-retain N] [-log-level l] [-pprof]
        cdlab worker -connect addr [-token t] [-j N] [-name s] [-log-level l]
        cdlab workers -remote addr
        cdlab trace <job> -remote addr`)
@@ -467,7 +467,6 @@ func serve(args []string) int {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "worker bound for the shared experiment pool (local shard executors)")
-	maxActive := fs.Int("max-active", 0, "max concurrently running jobs (0 = unlimited)")
 	cacheDir := fs.String("cache-dir", "", "enable the shard-result cache, persisted in this directory")
 	cacheEntries := fs.Int("cache-entries", 0, "in-memory cache capacity in shard results (0 = default)")
 	cacheBytes := fs.Int64("cache-bytes", 0, "per-level cache capacity in payload bytes (0 = unbounded)")
@@ -518,7 +517,6 @@ func serve(args []string) int {
 	// runtime. Cache hits never reach it.
 	runner, err := columndisturb.NewLocalRunner(columndisturb.LocalOptions{
 		Workers:       *workers,
-		MaxActiveJobs: *maxActive,
 		NoLocalShards: *noLocal,
 		LeaseTTL:      *leaseTTL,
 		RetainJobs:    *retain,
@@ -533,17 +531,11 @@ func serve(args []string) int {
 		fmt.Fprintln(os.Stderr, "cdlab:", err)
 		return 1
 	}
-	handler, err := runner.Handler()
-	if err != nil {
-		runner.Close()
-		fmt.Fprintln(os.Stderr, "cdlab:", err)
-		return 1
-	}
 	// The /v1 API handler stays self-contained; the pprof routes mount on a
 	// wrapper mux only when asked for, so a production serve exposes no
 	// profiling surface by default.
 	mux := http.NewServeMux()
-	mux.Handle("/", handler)
+	mux.Handle("/", runner.Handler())
 	if *pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

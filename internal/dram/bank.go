@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"slices"
 
 	"columndisturb/internal/faultmodel"
 )
@@ -117,7 +118,8 @@ func (b *Bank) rowClone(nowNs float64, row int) {
 }
 
 // precharge closes the open row at time nowNs, recording the bitline
-// exposure epoch of the open interval.
+// exposure epoch of the open interval. The sense amplifiers held the row
+// at full charge until now, so its restore time is the PRE's.
 func (b *Bank) precharge(nowNs float64) error {
 	if b.openRow < 0 {
 		return fmt.Errorf("dram: bank %d: PRE while no row open", b.index)
@@ -128,6 +130,7 @@ func (b *Bank) precharge(nowNs float64) error {
 		// damage on the immediate neighbours.
 		b.addNeighborAggression(b.openRow, b.params.PressEquivalentActs(1, open))
 	}
+	b.restoredNs[b.openRow] = nowNs
 	b.cloneUntilNs = nowNs + b.rowCloneNs
 	b.lastOpenRow = b.openRow
 	b.openRow = -1
@@ -212,10 +215,16 @@ func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs, tempC fl
 
 // hammerTwo fast-forwards numPairs cycles of the two-aggressor pattern
 // ACT(row1)–tAggOn–PRE–tRP–ACT(row2)–tAggOn–PRE–tRP–…; each aggressor is
-// activated numPairs times. Each aggressor's first ACT commits its
-// pending faults, as activate does; row2's sees row1's first open
-// interval. Only the first ACT can RowClone: the caller keeps tRP outside
-// the RowClone window, so no later ACT interrupts a precharge.
+// activated numPairs times. Each aggressor idles while the other is open:
+// with a long tAggOn it decays and is pressed between its own ACTs, and
+// its flips change the column drive of its next open interval. So the
+// pairs are issued as literal commands until one pair after the first
+// changes neither aggressor. Every later pair would then repeat it bit
+// for bit, so all but the last collapse into one epoch of the pattern's
+// average drive, and the last pair is issued literally again, leaving
+// each aggressor restored at its own last PRE. Only the first ACT can
+// RowClone: the caller keeps tRP outside the RowClone window, so no later
+// ACT interrupts a precharge. It returns the end time.
 func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPNs, tempC float64, trial int) (float64, error) {
 	if err := b.checkRow(row1); err != nil {
 		return nowNs, err
@@ -229,26 +238,44 @@ func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPN
 	if !b.geom.SameSubarray(row1, row2) {
 		return nowNs, fmt.Errorf("dram: two-aggressor rows %d,%d must share a subarray", row1, row2)
 	}
-	if numPairs <= 0 {
-		return nowNs, nil
-	}
-	b.commitFaults(nowNs, row1, tempC, trial)
-	b.rowClone(nowNs, row1)
-	// Row2's first ACT follows row1's first open interval and its PRE, as
-	// literal commands issue them: commit row2 against that interval's
-	// epoch and RowPress, then let the whole pattern's epoch replace it.
-	n := len(b.epochs)
-	if tAggOnNs > 0 {
-		b.appendEpoch(b.openEpoch(row1, nowNs, nowNs+tAggOnNs))
-		if row2 == row1-1 || row2 == row1+1 {
-			b.aggression[row2] += b.params.PressEquivalentActs(1, tAggOnNs)
+	t := nowNs
+	prev1 := make([]uint64, len(b.rows[row1]))
+	prev2 := make([]uint64, len(b.rows[row2]))
+	steady := false
+	for i := 0; i < numPairs; i++ {
+		if steady && i < numPairs-1 {
+			t = b.repeatPairs(t, row1, row2, numPairs-1-i, tAggOnNs, tRPNs)
+			i = numPairs - 1
 		}
+		copy(prev1, b.rows[row1])
+		copy(prev2, b.rows[row2])
+		// The clock advances command by command, as Device.AdvanceNs
+		// moves it under literal commands, so both see the same times.
+		for _, row := range [...]int{row1, row2} {
+			if err := b.activate(t, row, tempC, trial); err != nil {
+				return nowNs, err
+			}
+			t += tAggOnNs
+			if err := b.precharge(t); err != nil {
+				return nowNs, err
+			}
+			t += tRPNs
+		}
+		steady = i > 0 && slices.Equal(prev1, b.rows[row1]) && slices.Equal(prev2, b.rows[row2])
 	}
-	b.commitFaults(nowNs+tAggOnNs+tRPNs, row2, tempC, trial)
-	b.epochs = b.epochs[:n]
-	end := nowNs + float64(numPairs)*2*(tAggOnNs+tRPNs)
-	d1 := append([]uint64(nil), b.rows[row1]...)
-	d2 := append([]uint64(nil), b.rows[row2]...)
+	return t, nil
+}
+
+// repeatPairs stands in for n pairs of the two-aggressor pattern from
+// nowNs in the steady state, where no pair changes either aggressor: one
+// epoch of the pattern's average drive, n pairs of RowPress on the
+// aggressors' neighbours, and both aggressors restored at the end. The
+// ACTs of the pair that follows then commit nothing literal commands
+// would not: row1's commit is empty, and row2's covers a tRP less idle
+// time than under literal commands, where it flipped nothing. It returns
+// the end time.
+func (b *Bank) repeatPairs(nowNs float64, row1, row2, n int, tAggOnNs, tRPNs float64) float64 {
+	end := nowNs + float64(n)*2*(tAggOnNs+tRPNs)
 	var rho [4]float64
 	for b2 := 0; b2 < 2; b2++ {
 		for b1 := 0; b1 < 2; b1++ {
@@ -258,17 +285,18 @@ func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPN
 	b.appendEpoch(epoch{
 		fromNs: nowNs, toNs: end,
 		aggSub: b.geom.SubarrayOf(row1),
-		data1:  d1, data2: d2,
-		rho: rho,
+		data1:  append([]uint64(nil), b.rows[row1]...),
+		data2:  append([]uint64(nil), b.rows[row2]...),
+		rho:    rho,
 	})
-	for _, r := range []int{row1, row2} {
+	press := b.params.PressEquivalentActs(n, tAggOnNs)
+	b.addNeighborAggression(row1, press)
+	b.addNeighborAggression(row2, press)
+	for _, r := range [...]int{row1, row2} {
 		b.restoredNs[r] = end
 		b.aggression[r] = 0
-		b.addNeighborAggression(r, b.params.PressEquivalentActs(numPairs, tAggOnNs))
 	}
-	b.cloneUntilNs = end + (b.rowCloneNs - tRPNs)
-	b.lastOpenRow = row2
-	return end, nil
+	return end
 }
 
 // writeRow overwrites a row's content and restores its charge (the
@@ -297,12 +325,12 @@ func (b *Bank) readRow(nowNs float64, row int, tempC float64, trial int) ([]uint
 
 // commitFaults applies every disturbance accumulated since the row's last
 // restore and marks the row restored at nowNs. Aggression counts even
-// when no time has passed: a fast-forward marks its aggressors restored at
-// the pattern's end, yet one may carry the other's last RowPress. Each
-// cell pays only for what its outcome depends on: an uncharged cell draws
-// no decay parameters, a charged cell that RowFaults.Survives proves
-// cannot flip skips its rates, exposure and VRT draws, and hammer draws
-// run only for rows under aggression. Every other cell takes the exact per-cell arithmetic, and
+// when no time has passed: it accrues per activation, not per unit of
+// time. Each cell pays only for what its outcome depends on: an uncharged
+// cell draws no decay parameters, a charged cell that RowFaults.Survives
+// proves cannot flip skips its rates, exposure and VRT draws, and hammer
+// draws run only for rows under aggression. Every other cell takes the
+// exact per-cell arithmetic, and
 // draws are keyed by coordinates, so the committed bits are identical to
 // evaluating every cell in full.
 func (b *Bank) commitFaults(nowNs float64, row int, tempC float64, trial int) {

@@ -458,6 +458,60 @@ func TestActivateCommitsPendingFaults(t *testing.T) {
 	}
 }
 
+// TestOpenRowHoldsCharge: the sense amplifiers hold an open row at full
+// charge until its PRE. A row written, held open for T, precharged and
+// read U later reads bit for bit like the same row written at the PRE's
+// time and read U later. Each row takes its turn on one device, so the
+// clocks of both devices agree at every command.
+func TestOpenRowHoldsCharge(t *testing.T) {
+	const openNs, idleNs = 200 * msNs, 100 * msNs
+	readAll := func(holdOpen bool) [][]uint64 {
+		d := newTestDevice(t, 3)
+		if err := d.SetTemperature(85); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]uint64, d.Geometry().RowsPerBank())
+		for r := range rows {
+			if holdOpen {
+				if err := d.WriteRowPattern(0, r, PatFF); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Activate(0, r); err != nil {
+					t.Fatal(err)
+				}
+				d.AdvanceNs(openNs)
+				if err := d.Precharge(0); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				d.AdvanceNs(openNs)
+				if err := d.WriteRowPattern(0, r, PatFF); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.AdvanceNs(idleNs)
+			var err error
+			if rows[r], err = d.ReadRow(0, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rows
+	}
+	held, written := readAll(true), readAll(false)
+	ones := make([]uint64, len(held[0]))
+	FillWords(ones, PatFF)
+	flips := 0
+	for r := range held {
+		if n := CountMismatches(held[r], written[r]); n != 0 {
+			t.Fatalf("row %d: holding it open for %v ms before the PRE changed %d bits", r, openNs/msNs, n)
+		}
+		flips += CountMismatches(written[r], ones)
+	}
+	if flips == 0 {
+		t.Fatalf("no retention flips %v ms after the write: the comparison is vacuous", idleNs/msNs)
+	}
+}
+
 func TestDeviceDeterminism(t *testing.T) {
 	run := func() []uint64 {
 		d := newTestDevice(t, 11)

@@ -1,6 +1,9 @@
 package dram
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // literalHammer issues the single-aggressor pattern one command at a
 // time: n cycles of ACT row, tAggOn, PRE, tRP.
@@ -54,20 +57,23 @@ func runPattern(d *Device, p hammerPattern, literal bool) error {
 	}
 }
 
-// hammerReadback opens a fresh device, fills every row with all-1 victims,
-// writes all-0 into the first pattern's first aggressor (its second
-// aggressor keeps all-1: the complementary pair of §5.3), runs the
-// patterns back to back with fast-forward or literal commands, and returns
-// every row of the bank as read back afterwards.
+// hammerReadback opens a fresh device at tempC, fills every row with
+// all-1 victims, writes all-0 into the first pattern's first aggressor
+// (its second aggressor keeps all-1: the complementary pair of §5.3),
+// runs the patterns back to back with fast-forward or literal commands,
+// and returns every row of the bank as read back afterwards.
 //
 // A two-aggressor pattern whose tRP is inside the RowClone window is one
 // HammerTwo must refuse: the fast-forward side requires the error, and
 // neither side issues the pattern.
-func hammerReadback(t testing.TB, seed uint64, pats []hammerPattern, literal bool) [][]uint64 {
+func hammerReadback(t testing.TB, seed uint64, tempC float64, pats []hammerPattern, literal bool) [][]uint64 {
 	t.Helper()
 	g := SmallGeometry()
 	d, err := NewDevice(g, testParams(g), DDR4Timing(), seed)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetTemperature(tempC); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < g.RowsPerBank(); r++ {
@@ -100,20 +106,27 @@ func hammerReadback(t testing.TB, seed uint64, pats []hammerPattern, literal boo
 	return rows
 }
 
-// checkMatchesLiteral requires the fast-forwarded patterns to leave every
-// row of the bank bit for bit as literal command-by-command execution
-// does. It returns the fast-forward's read-back rows and the number of
-// cells that differ from the initial fill, so callers can make sure the
-// comparison was not vacuous.
+// checkMatchesLiteral is checkMatchesLiteralAt the reference temperature,
+// 85 °C.
 func checkMatchesLiteral(t testing.TB, seed uint64, pats ...hammerPattern) ([][]uint64, int) {
 	t.Helper()
-	fast := hammerReadback(t, seed, pats, false)
-	lit := hammerReadback(t, seed, pats, true)
+	return checkMatchesLiteralAt(t, seed, testParams(SmallGeometry()).RefTempC, pats...)
+}
+
+// checkMatchesLiteralAt requires the fast-forwarded patterns to leave every
+// row of the bank bit for bit as literal command-by-command execution
+// does at tempC. It returns the fast-forward's read-back rows and the
+// number of cells that differ from the initial fill, so callers can make
+// sure the comparison was not vacuous.
+func checkMatchesLiteralAt(t testing.TB, seed uint64, tempC float64, pats ...hammerPattern) ([][]uint64, int) {
+	t.Helper()
+	fast := hammerReadback(t, seed, tempC, pats, false)
+	lit := hammerReadback(t, seed, tempC, pats, true)
 	flipped := 0
 	for r := range fast {
 		if mism := CountMismatches(fast[r], lit[r]); mism != 0 {
-			t.Fatalf("seed %d, patterns %+v: row %d differs in %d bits between fast-forward and literal execution",
-				seed, pats, r, mism)
+			t.Fatalf("seed %d, %v °C, patterns %+v: row %d differs in %d bits between fast-forward and literal execution",
+				seed, tempC, pats, r, mism)
 		}
 		want := make([]uint64, len(fast[r]))
 		pat := PatFF
@@ -203,40 +216,61 @@ func TestHammerFirstActRowClones(t *testing.T) {
 	}
 }
 
-// fuzzShape packs one fuzzed pattern's rows and count into a uint64: row1
-// in bits 0–15, row2 in bits 16–31, the count in bits 32–47.
-func fuzzShape(row1, row2, n uint16) uint64 {
-	return uint64(row1) | uint64(row2)<<16 | uint64(n)<<32
+// fuzzShape packs one fuzzed pattern's rows, count and tAggOn scale into
+// a uint64: row1 in bits 0–15, row2 in bits 16–31, the count in bits
+// 32–47 and the scale in bits 48–55.
+func fuzzShape(row1, row2, n uint16, scale uint8) uint64 {
+	return uint64(row1) | uint64(row2)<<16 | uint64(n)<<32 | uint64(scale)<<48
 }
 
 // FuzzHammerMatchesLiteral runs one to three patterns back to back on one
 // device and compares the fast-forwards with literal execution over the
-// seed, the aggressor rows, the cycle counts and the timings. Every row
-// lands in the subarray of the first pattern's first aggressor, so a
-// pattern's first ACT can RowClone the previous pattern's last row; a
-// pattern whose second row equals its first is single-aggressor. tAggOn
-// and tRP span [0, 100 µs]. HammerTwo must fail exactly when tRP is inside
-// the RowClone window; every other pattern must leave every row bit for
-// bit as literal execution does.
+// seed, the temperature (0 to 95 °C), the aggressor rows, the cycle counts
+// and the timings. Every row lands in the subarray of the first pattern's
+// first aggressor, so a pattern's first ACT can RowClone the previous
+// pattern's last row; a pattern whose second row equals its first is
+// single-aggressor. tRP spans [0, 100 µs]. tAggOn is a value in
+// [0, 100 µs] times 2^k, with k in 0–19 drawn from the shape's scale, so
+// its magnitude is log-uniform up to about 52 s. The count is capped at
+// max(3000>>k, 4), which keeps a pattern to about a second of simulated
+// time up to k = 9 and to at most four cycles beyond, so every case stays
+// cheap. Powers of two scale exactly, so a seed written at k = 0 keeps its
+// exact tAggOn.
+// HammerTwo must fail exactly when tRP is inside the RowClone window;
+// every other pattern must leave every row bit for bit as literal
+// execution does.
 func FuzzHammerMatchesLiteral(f *testing.F) {
-	f.Add(uint64(2), uint8(0), fuzzShape(39, 44, 150), 70_200.0, 14.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
-	f.Add(uint64(3), uint8(0), fuzzShape(39, 39, 3000), 36.0, 14.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
-	f.Add(uint64(4), uint8(0), fuzzShape(70, 65, 400), 7_800.0, 14.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
-	f.Add(uint64(5), uint8(0), fuzzShape(0, 31, 2000), 0.0, 6.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(2), uint8(0), 85.0, fuzzShape(39, 44, 150, 0), 70_200.0, 14.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(3), uint8(0), 85.0, fuzzShape(39, 39, 3000, 0), 36.0, 14.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(4), uint8(0), 85.0, fuzzShape(70, 65, 400, 0), 7_800.0, 14.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(5), uint8(0), 85.0, fuzzShape(0, 31, 2000, 0), 0.0, 6.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
 	// HammerTwo with tRP inside the RowClone window.
-	f.Add(uint64(1), uint8(0), fuzzShape(40, 44, 150), 70_200.0, 2.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(1), uint8(0), 85.0, fuzzShape(40, 44, 150, 0), 70_200.0, 2.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
 	// A pattern's first ACT inside the RowClone window of the last PRE.
-	f.Add(uint64(5), uint8(1), fuzzShape(40, 40, 10), 7_800.0, 2.0, fuzzShape(50, 50, 10), 7_800.0, 14.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(5), uint8(1), 85.0, fuzzShape(40, 40, 10, 0), 7_800.0, 2.0, fuzzShape(50, 50, 10, 0), 7_800.0, 14.0, uint64(0), 0.0, 0.0)
 	// A two-aggressor tRP of exactly the RowClone window: issued literally,
 	// ACT row2 lands at the rounded clock PRE + tRP, a gap that measured
 	// 5.999999999999999 ns from the PRE and so copied row 42 into row 50.
-	f.Add(uint64(32), uint8(0), fuzzShape(42, 50, 10), 7.738095238095237, 6.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(32), uint8(0), 85.0, fuzzShape(42, 50, 10, 0), 7.738095238095237, 6.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
 	// Aggressors that idled since their write, about 210 ms under the first
 	// pattern's RowPress: each one's first ACT latches its retention and
 	// ColumnDisturb flips.
-	f.Add(uint64(2), uint8(1), fuzzShape(40, 40, 3000), 70_200.0, 14.0, fuzzShape(50, 50, 10), 7_800.0, 14.0, uint64(0), 0.0, 0.0)
-	f.Add(uint64(2), uint8(1), fuzzShape(40, 40, 3000), 70_200.0, 14.0, fuzzShape(50, 53, 10), 7_800.0, 14.0, uint64(0), 0.0, 0.0)
-	f.Fuzz(func(t *testing.T, seed uint64, count uint8,
+	f.Add(uint64(2), uint8(1), 85.0, fuzzShape(40, 40, 3000, 0), 70_200.0, 14.0, fuzzShape(50, 50, 10, 0), 7_800.0, 14.0, uint64(0), 0.0, 0.0)
+	f.Add(uint64(2), uint8(1), 85.0, fuzzShape(40, 40, 3000, 0), 70_200.0, 14.0, fuzzShape(50, 53, 10, 0), 7_800.0, 14.0, uint64(0), 0.0, 0.0)
+	// Adjacent aggressors over many pairs: each ACT restores its row, so
+	// row1 carries only row2's last open interval of RowPress, not one per
+	// pair.
+	f.Add(uint64(2), uint8(1), 85.0, fuzzShape(39, 40, 3000, 0), 70_200.0, 14.0, fuzzShape(32, 50, 10, 0), 7_800.0, 14.0, uint64(0), 0.0, 0.0)
+	// All-1 aggressors open for 1 s (61,035.15625 ns × 2^14): each decays
+	// while the other is open, and row1 also after its last PRE.
+	f.Add(uint64(2), uint8(1), 85.0, fuzzShape(40, 40, 1, 0), 36.0, 14.0, fuzzShape(35, 50, 3, 14), 61_035.15625, 14.0, uint64(0), 0.0, 0.0)
+	// Aggressors open for 0.5 s (61,035.15625 ns × 2^13) whose first pair
+	// flips neither of them while a later pair does: the first pair's
+	// ACTs commit different intervals, so it cannot show a steady state.
+	f.Add(uint64(2), uint8(1), 85.0, fuzzShape(40, 40, 1, 0), 36.0, 14.0, fuzzShape(48, 53, 4, 13), 61_035.15625, 14.0, uint64(0), 0.0, 0.0)
+	// One aggressor open for 10 s (76,293.9453125 ns × 2^17) at 25 °C.
+	f.Add(uint64(3), uint8(0), 25.0, fuzzShape(39, 39, 2, 17), 76_293.9453125, 14.0, uint64(0), 0.0, 0.0, uint64(0), 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, seed uint64, count uint8, tempC float64,
 		shape1 uint64, on1, rp1 float64,
 		shape2 uint64, on2, rp2 float64,
 		shape3 uint64, on3, rp3 float64) {
@@ -250,11 +284,12 @@ func FuzzHammerMatchesLiteral(f *testing.F) {
 		pats := make([]hammerPattern, 1+int(count)%3)
 		for i := range pats {
 			s := shapes[i]
+			k := int(uint8(s>>48)) % 20
 			p := hammerPattern{
 				row1:     row(s),
 				row2:     row(s >> 16),
-				n:        int(uint16(s>>32)) % 3001,
-				tAggOnNs: foldInto(ons[i], 0, maxNs),
+				n:        int(uint16(s>>32)) % (max(3000>>k, 4) + 1),
+				tAggOnNs: math.Ldexp(foldInto(ons[i], 0, maxNs), k),
 				tRPNs:    foldInto(rps[i], 0, maxNs),
 			}
 			if p.row2 == p.row1 {
@@ -262,7 +297,7 @@ func FuzzHammerMatchesLiteral(f *testing.F) {
 			}
 			pats[i] = p
 		}
-		checkMatchesLiteral(t, seed, pats...)
+		checkMatchesLiteralAt(t, seed, foldInto(tempC, 0, 95), pats...)
 	})
 }
 

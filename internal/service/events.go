@@ -12,7 +12,7 @@ type EventType string
 const (
 	// EventJobQueued is emitted once when Submit accepts the job.
 	EventJobQueued EventType = "job_queued"
-	// EventJobStarted is emitted when the scheduler starts the job.
+	// EventJobStarted is emitted when the job's goroutine starts running it.
 	EventJobStarted EventType = "job_started"
 	// EventShardDone is emitted after each shard completes, with Done/Total
 	// progress and whether the shard was served from the result cache.

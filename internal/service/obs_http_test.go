@@ -213,7 +213,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"cdlab_jobs_total", "cdlab_jobs_active", "cdlab_jobs_pending",
+		"cdlab_jobs_total", "cdlab_jobs_active",
 		"cdlab_job_ms", "cdlab_shard_elapsed_ms", "cdlab_shards_total",
 		"cdlab_backend_workers",
 	} {
@@ -225,7 +225,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`cdlab_jobs_total{state="submitted"} 1`,
 		`cdlab_jobs_total{state="done"} 1`,
 		`cdlab_jobs_active 0`,
-		`cdlab_jobs_pending 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics export missing sample %q:\n%s", want, text)

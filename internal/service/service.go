@@ -1,6 +1,6 @@
 // Package service is the experiment service subsystem (DESIGN.md §8): a
-// job queue and cross-experiment scheduler that executes any number of
-// concurrently submitted experiments on ONE shared shard backend (the
+// job table that executes any number of concurrently submitted
+// experiments on ONE shared shard backend (the
 // dispatcher, internal/dispatch), with shard-level result caching, a typed
 // JSONL event stream per job, and (with a Journal) WAL-backed crash
 // recovery.
@@ -8,13 +8,12 @@
 // The layering:
 //
 //   - Submit validates a JobSpec, journals it durably (when a Journal is
-//     configured) and enqueues it. A job owns its computation: two
-//     identical jobs share work only through the result cache (DESIGN.md
-//     §14).
-//   - The scheduler starts queued jobs (optionally bounded by
-//     MaxActiveJobs); a started job feeds its shards into the shared
-//     dispatcher, where they interleave with every other running job's
-//     shards on local executors or remote workers.
+//     configured) and starts the job at once. A job owns its computation:
+//     two identical jobs share work only through the result cache
+//     (DESIGN.md §14).
+//   - A started job feeds its shards into the shared dispatcher, whose
+//     FIFO queue is the only scheduler: there they interleave with every
+//     other running job's shards on local executors or remote workers.
 //   - Before anything is scheduled, the service looks every shard up in
 //     the result cache under (experiment ID, config digest, shard label).
 //     A hit decodes the stored bytes and becomes its part directly; only
@@ -62,11 +61,6 @@ type Options struct {
 	// Dispatcher is nil (<= 0 selects GOMAXPROCS). Ignored when Dispatcher
 	// is set (the dispatcher's own options size its local executors).
 	Workers int
-	// MaxActiveJobs bounds how many jobs run concurrently (0 =
-	// unlimited). Shard-level parallelism is always bounded by Workers;
-	// this knob only serializes whole jobs, e.g. to keep per-job latency
-	// predictable.
-	MaxActiveJobs int
 	// Dispatcher is the shard backend: shards run on its local executors or
 	// on remote workers leased over the /v1 worker API, which Handler
 	// mounts. Nil makes New build one with Workers local executors. The
@@ -112,8 +106,7 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Service owns the shard backend (the dispatcher), the job table and the
-// scheduler.
+// Service owns the shard backend (the dispatcher) and the job table.
 type Service struct {
 	opts    Options
 	d       *dispatch.Dispatcher
@@ -141,10 +134,9 @@ type Service struct {
 	jobs    map[string]*Job
 	order   []string // job IDs in submission order
 	settled []string // settled job IDs in settle order (retention ring)
-	queue   []*Job
-	active  int
 	closed  bool
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // one per job goroutine
+	active  atomic.Int64   // jobs inside compute
 }
 
 // New starts a service. Callers must release it with Close (or Shutdown,
@@ -193,17 +185,7 @@ func (s *Service) registerMetrics(reg *obs.Registry) {
 	s.mRecovered = reg.Counter("cdlab_jobs_recovered_total",
 		"Jobs reconstructed from the WAL journal at startup (interrupted re-runs plus resurrected reports).")
 	reg.GaugeFunc("cdlab_jobs_active",
-		"Jobs currently running.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.active)
-		})
-	reg.GaugeFunc("cdlab_jobs_pending",
-		"Jobs queued behind the scheduler's MaxActiveJobs bound.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.queue))
-		})
+		"Jobs currently running.", func() float64 { return float64(s.active.Load()) })
 	reg.GaugeFunc("cdlab_backend_workers",
 		"The shard backend's local parallelism bound.", func() float64 {
 			return float64(s.d.Workers())
@@ -270,14 +252,14 @@ func (s *Service) CacheStats() cache.Stats {
 	return s.opts.Cache.Stats()
 }
 
-// Close cancels every running job, waits for them to settle and releases
-// the dispatcher. Jobs still queued are failed with context.Canceled. With a
-// journal, the cancellations are journaled as final — a later replay does
-// not resurrect them — and a clean-shutdown record closes the log.
+// Close cancels every job, waits for them to settle and releases the
+// dispatcher. With a journal, the cancellations are journaled as final —
+// a later replay does not resurrect them — and a clean-shutdown record
+// closes the log.
 func (s *Service) Close() { s.shutdown(false) }
 
-// Shutdown is Close for a serve process that intends to resume: queued
-// and running jobs are interrupted and their streams settled with
+// Shutdown is Close for a serve process that intends to resume: live
+// jobs are interrupted and their streams settled with
 // context.Canceled, but the journal records NO settle for them — so the
 // next OpenJournal recovers and re-runs them under their original IDs, and
 // reconnecting clients resume their streams across the restart. The WAL is fsynced and
@@ -537,7 +519,7 @@ func (j *Job) finish(res *experiments.Result, err error) {
 // Submit validates the spec — the experiment must exist and the
 // profile/override combination must resolve to a configuration — journals
 // it (when the service has a Journal: the job is durable before the
-// caller learns its ID) and queues it. Events begin with job_queued.
+// caller learns its ID) and starts it. Events begin with job_queued.
 func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	return s.submit(spec, "", time.Time{}, false)
 }
@@ -576,6 +558,9 @@ func (s *Service) submit(spec JobSpec, id string, at time.Time, boost bool) (*Jo
 		s.mu.Unlock()
 		return nil, fmt.Errorf("service: job %s already exists", id)
 	}
+	// Counted while s.closed is false under s.mu, so shutdown's Wait
+	// covers every job it did not refuse.
+	s.wg.Add(1)
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &Job{
 		id:        id,
@@ -611,21 +596,18 @@ func (s *Service) submit(spec JobSpec, id string, at time.Time, boost bool) (*Jo
 		}
 		s.mu.Unlock()
 		cancel()
+		s.wg.Done()
 		return nil, fmt.Errorf("service: journal submit: %w", err)
 	}
 	s.mJobs.With("submitted").Inc()
 	s.log.Info("job submitted",
 		"job", j.id, "experiment", spec.Experiment, "profile", profile, "trace", spec.TraceID)
 
-	// job_queued is emitted before the job enters the scheduler's queue:
-	// were the order reversed, the scheduler could start it and emit
-	// job_started first, tearing the stream's opening invariant.
+	// job_queued is emitted before the job's goroutine starts: were the
+	// order reversed, it could emit job_started first, tearing the
+	// stream's opening invariant.
 	j.emit(Event{Type: EventJobQueued}, JobQueued, nil)
-	s.mu.Lock()
-	s.wg.Add(1)
-	s.queue = append(s.queue, j)
-	s.startQueuedLocked()
-	s.mu.Unlock()
+	go s.runJob(j)
 	return j, nil
 }
 
@@ -710,34 +692,22 @@ func (s *Service) Jobs() []*Job {
 	return out
 }
 
-// startQueuedLocked pops queued jobs into runners while the scheduler has
-// capacity. Caller holds s.mu.
-func (s *Service) startQueuedLocked() {
-	for len(s.queue) > 0 && (s.opts.MaxActiveJobs <= 0 || s.active < s.opts.MaxActiveJobs) {
-		j := s.queue[0]
-		s.queue = s.queue[1:]
-		s.active++
-		go s.runJob(j)
-	}
-}
-
-// runJob executes one job and settles it. The scheduler slot is released
+// runJob executes one job and settles it. The job leaves the active count
 // first, so a job the runner settles no longer counts as active once its
 // Wait returns.
 func (s *Service) runJob(j *Job) {
 	defer s.wg.Done()
+	s.active.Add(1)
 	res, err := s.compute(j)
-	s.mu.Lock()
-	s.active--
-	s.startQueuedLocked()
-	s.mu.Unlock()
+	s.active.Add(-1)
 	j.finish(res, err)
 }
 
 // compute runs a job's plan: cache hits become their parts directly, and
 // only the misses are scheduled on the dispatcher.
 func (s *Service) compute(j *Job) (*experiments.Result, error) {
-	// A job cancelled while queued has settled already and runs nothing.
+	// A job cancelled before its goroutine got here has settled already
+	// and runs nothing.
 	if !j.emit(Event{Type: EventJobStarted}, JobRunning, nil) {
 		return nil, context.Canceled
 	}

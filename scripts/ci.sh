@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for every PR: build, vet, gofmt, race-enabled tests (the cdlab
 # end-to-end tests in cmd/cdlab included), a run of every example, a
-# repeated race pass (the shard cache's pooled gob decoders included),
+# repeated race pass (the shard cache's pooled gob decoders and the
+# LocalRunner included),
 # WAL, survival-skip, loose-log, zero-row-bound and commit-skip fuzz
 # passes, a hammer fast-forward fuzz pass (sequences of one to three
 # patterns against literal commands, and HammerTwo's rejection of a tRP
@@ -43,13 +44,14 @@ for ex in examples/*/; do
     go run "./$ex" >/dev/null
 done
 
-echo "== repeated race: shard scheduling, the WAL, the cache codec, remote clients and the cdlab processes =="
+echo "== repeated race: shard scheduling, the WAL, the cache codec, the local runner, remote clients and the cdlab processes =="
 # The shard loop, the dispatch queue, the service's job lifecycle, the
-# WAL's single lock, the cache codec's decoder pool and the remote client
-# and worker loops share goroutines and settle-order invariants, and the
-# end-to-end tests race real processes; a flake there may show in only
-# one run out of many, so repeat them.
-go test -race -count=3 ./internal/engine ./internal/dispatch ./internal/wal ./internal/cache ./internal/service ./client ./cmd/cdlab
+# WAL's single lock, the cache codec's decoder pool, the LocalRunner
+# (NewLocalRunner starts the dispatcher and service goroutines) and the
+# remote client and worker loops share goroutines and settle-order
+# invariants, and the end-to-end tests race real processes; a flake there
+# may show in only one run out of many, so repeat them.
+go test -race -count=3 . ./internal/engine ./internal/dispatch ./internal/wal ./internal/cache ./internal/service ./client ./cmd/cdlab
 
 echo "== wal decoder fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzReplaySegment -fuzztime 5s ./internal/wal
