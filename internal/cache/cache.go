@@ -109,7 +109,7 @@ type Store struct {
 
 	mu       sync.Mutex
 	ll       *list.List // front = most recently used
-	idx      map[string]*list.Element
+	idx      map[Key]*list.Element
 	memBytes int64
 	stats    Stats
 
@@ -124,8 +124,8 @@ type Store struct {
 }
 
 type entry struct {
-	digest string
-	data   []byte
+	key  Key
+	data []byte
 }
 
 type diskEntry struct {
@@ -144,7 +144,7 @@ func New(opts Options) (*Store, error) {
 	s := &Store{
 		opts: opts,
 		ll:   list.New(),
-		idx:  make(map[string]*list.Element),
+		idx:  make(map[Key]*list.Element),
 		dll:  list.New(),
 		didx: make(map[string]*list.Element),
 	}
@@ -176,11 +176,11 @@ var _ Backend = (*Store)(nil)
 
 // Get returns the cached bytes for k, consulting memory first and then the
 // on-disk level. The second result is false on a miss (including corrupted
-// disk entries).
+// disk entries). The memory level is keyed by k itself; only the disk
+// level hashes it, for a file name.
 func (s *Store) Get(k Key) ([]byte, bool) {
-	d := k.digest()
 	s.mu.Lock()
-	if el, ok := s.idx[d]; ok {
+	if el, ok := s.idx[k]; ok {
 		s.ll.MoveToFront(el)
 		s.stats.Hits++
 		data := el.Value.(*entry).data
@@ -190,12 +190,12 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 	s.mu.Unlock()
 
 	if s.opts.Dir != "" {
-		data, ok, corrupt := s.readDisk(k, d)
+		data, ok, corrupt := s.readDisk(k)
 		s.mu.Lock()
 		if ok {
 			s.stats.Hits++
 			s.stats.DiskHits++
-			s.insertLocked(d, data)
+			s.insertLocked(k, data)
 			s.mu.Unlock()
 			return data, true
 		}
@@ -217,15 +217,14 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 // returned error reports only disk-spill failures; the in-memory insert
 // always succeeds, so callers may treat the error as advisory.
 func (s *Store) Put(k Key, data []byte) error {
-	d := k.digest()
 	s.mu.Lock()
-	s.insertLocked(d, data)
+	s.insertLocked(k, data)
 	s.stats.Puts++
 	s.mu.Unlock()
 	if s.opts.Dir == "" {
 		return nil
 	}
-	return s.writeDisk(k, d, data)
+	return s.writeDisk(k, data)
 }
 
 // Stats returns a snapshot of the traffic counters and level sizes.
@@ -259,14 +258,14 @@ func (s *Store) DiskLen() int {
 // insertLocked adds or refreshes an entry, keeps the byte accounting, and
 // evicts from the LRU tail while either bound is exceeded. Caller holds
 // s.mu.
-func (s *Store) insertLocked(digest string, data []byte) {
-	if el, ok := s.idx[digest]; ok {
+func (s *Store) insertLocked(k Key, data []byte) {
+	if el, ok := s.idx[k]; ok {
 		e := el.Value.(*entry)
 		s.memBytes += int64(len(data)) - int64(len(e.data))
 		e.data = data
 		s.ll.MoveToFront(el)
 	} else {
-		s.idx[digest] = s.ll.PushFront(&entry{digest: digest, data: data})
+		s.idx[k] = s.ll.PushFront(&entry{key: k, data: data})
 		s.memBytes += int64(len(data))
 	}
 	for s.ll.Len() > 0 &&
@@ -274,7 +273,7 @@ func (s *Store) insertLocked(digest string, data []byte) {
 		tail := s.ll.Back()
 		e := tail.Value.(*entry)
 		s.ll.Remove(tail)
-		delete(s.idx, e.digest)
+		delete(s.idx, e.key)
 		s.memBytes -= int64(len(e.data))
 		s.stats.MemEvictions++
 	}
@@ -285,8 +284,8 @@ func (s *Store) insertLocked(digest string, data []byte) {
 // payload checksum so torn writes and bit rot degrade to misses.
 const diskMagic = "cdcache1\n"
 
-func (s *Store) diskPath(k Key, digest string) string {
-	return filepath.Join(s.opts.Dir, sanitize(k.Experiment), digest+".cds")
+func (s *Store) diskPath(k Key) string {
+	return filepath.Join(s.opts.Dir, sanitize(k.Experiment), k.digest()+".cds")
 }
 
 // sanitize maps an experiment ID onto a safe directory name.
@@ -408,8 +407,8 @@ func (s *Store) evictDiskLocked() {
 // corrupt reports a present-but-invalid file (bad magic, bad checksum,
 // truncation) — treated as a miss by the caller and deleted so its bytes
 // are reclaimed.
-func (s *Store) readDisk(k Key, digest string) (data []byte, ok, corrupt bool) {
-	path := s.diskPath(k, digest)
+func (s *Store) readDisk(k Key) (data []byte, ok, corrupt bool) {
+	path := s.diskPath(k)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, false
@@ -434,8 +433,8 @@ func (s *Store) readDisk(k Key, digest string) (data []byte, ok, corrupt bool) {
 
 // writeDisk spills one entry atomically and folds it into the disk level's
 // accounting, evicting older files if the byte bound is now exceeded.
-func (s *Store) writeDisk(k Key, digest string, data []byte) error {
-	path := s.diskPath(k, digest)
+func (s *Store) writeDisk(k Key, data []byte) error {
+	path := s.diskPath(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}

@@ -192,25 +192,6 @@ func TestRunDisturbCDvsRetention(t *testing.T) {
 	}
 }
 
-func TestRunDisturbTwoAggressor(t *testing.T) {
-	g := dram.SmallGeometry()
-	base := g.SubarrayBase(1)
-	d := newDevice(t, 12, 5, 50, 0)
-	f := &Filter{ExcludedRows: GuardRows(g, []int{base + 10, base + 20}, 4)}
-	out, err := RunDisturb(d, DisturbConfig{
-		Bank: 0, AggRow: base + 10, AggRow2: base + 20, Mode: ModeTwoAggressor,
-		AggPattern: dram.Pat00, Agg2Pattern: dram.PatFF, VictimPattern: dram.PatFF,
-		DurationMs: 100, TAggOnNs: 70200, TRPNs: 14,
-		Subarrays: []int{1},
-	}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[1]) == 0 {
-		t.Fatal("no rows read")
-	}
-}
-
 func TestRunDisturbRejectsTooShortDuration(t *testing.T) {
 	d := newDevice(t, 13, 5, 50, 0)
 	_, err := RunDisturb(d, DisturbConfig{

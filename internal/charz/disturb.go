@@ -18,9 +18,6 @@ const (
 	// tAggOn; the paper treats them as one pattern parameterized by
 	// tAggOn).
 	ModeHammer DisturbMode = iota
-	// ModeTwoAggressor alternates two aggressor rows with complementary
-	// data patterns (§5.3).
-	ModeTwoAggressor
 	// ModeIdle keeps the bank precharged: the retention failure baseline.
 	ModeIdle
 )
@@ -29,10 +26,8 @@ const (
 type DisturbConfig struct {
 	Bank          int
 	AggRow        int // aggressor row (ignored for ModeIdle)
-	AggRow2       int // second aggressor (ModeTwoAggressor)
 	Mode          DisturbMode
 	AggPattern    dram.DataPattern
-	Agg2Pattern   dram.DataPattern
 	VictimPattern dram.DataPattern
 	DurationMs    float64
 	TAggOnNs      float64
@@ -65,7 +60,7 @@ func RunDisturb(d *dram.Device, cfg DisturbConfig, f *Filter) (map[int][]RowFlip
 			return nil, err
 		}
 	}
-	// Initialize aggressor(s) and run the pattern.
+	// Initialize the aggressor and run the pattern.
 	switch cfg.Mode {
 	case ModeHammer:
 		if err := d.WriteRowPattern(cfg.Bank, cfg.AggRow, cfg.AggPattern); err != nil {
@@ -77,21 +72,6 @@ func RunDisturb(d *dram.Device, cfg DisturbConfig, f *Filter) (map[int][]RowFlip
 			return nil, fmt.Errorf("charz: duration %v ms too short for one cycle", cfg.DurationMs)
 		}
 		if err := d.Hammer(cfg.Bank, cfg.AggRow, acts, cfg.TAggOnNs, cfg.TRPNs); err != nil {
-			return nil, err
-		}
-	case ModeTwoAggressor:
-		if err := d.WriteRowPattern(cfg.Bank, cfg.AggRow, cfg.AggPattern); err != nil {
-			return nil, err
-		}
-		if err := d.WriteRowPattern(cfg.Bank, cfg.AggRow2, cfg.Agg2Pattern); err != nil {
-			return nil, err
-		}
-		cycle := 2 * (cfg.TAggOnNs + cfg.TRPNs)
-		pairs := int(cfg.DurationMs * 1e6 / cycle)
-		if pairs < 1 {
-			return nil, fmt.Errorf("charz: duration %v ms too short for one pair", cfg.DurationMs)
-		}
-		if err := d.HammerTwo(cfg.Bank, cfg.AggRow, cfg.AggRow2, pairs, cfg.TAggOnNs, cfg.TRPNs); err != nil {
 			return nil, err
 		}
 	case ModeIdle:

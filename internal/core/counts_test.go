@@ -192,58 +192,109 @@ func TestTTFDataPatternInsensitive(t *testing.T) {
 
 // TestCrossValidationAgainstCellTier is the tier-agreement check promised
 // in DESIGN.md: the statistical tier's expected counts must match a full
-// cell-explicit methodology run on the same parameters.
+// cell-explicit methodology run on the same parameters, for one aggressor
+// and for two aggressors of complementary data (§5.3).
 func TestCrossValidationAgainstCellTier(t *testing.T) {
 	g := dram.SmallGeometry()
 	p := calibrated(5, 50, g.TotalCells())
-
-	// Cell-explicit run: press the middle row of subarray 1 for 30 ms.
-	d, err := dram.NewDevice(g, p, dram.DDR4Timing(), 77)
-	if err != nil {
-		t.Fatal(err)
-	}
 	agg := g.SubarrayBase(1) + g.RowsPerSubarray/2
-	guard := charz.GuardRows(g, []int{agg}, 4)
-	out, err := charz.RunDisturb(d, charz.DisturbConfig{
-		Bank: 0, AggRow: agg, Mode: charz.ModeHammer,
-		AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
-		DurationMs: 30, TAggOnNs: 70200, TRPNs: 14,
-		Subarrays: []int{0, 1, 2},
-	}, &charz.Filter{ExcludedRows: guard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cellAgg := charz.Aggregate(out[1]).Flips
-	cellNbr := charz.Aggregate(out[0]).Flips + charz.Aggregate(out[2]).Flips
-
-	// Statistical tier with matching populations.
-	su := setup(dram.Pat00, dram.PatFF)
-	aggRows := g.RowsPerSubarray - guard.Len()
-	expAgg := ExpectedCount(SubarrayConfig{
-		Params: p, TempC: 85, DurationMs: 30,
-		Rows: aggRows, Cols: g.Cols,
-		Classes: AggressorSubarrayClasses(p, su),
-	})
-	expNbr := ExpectedCount(SubarrayConfig{
-		Params: p, TempC: 85, DurationMs: 30,
-		Rows: g.RowsPerSubarray, Cols: g.Cols,
-		Classes: UpperNeighborClasses(p, su),
-	}) + ExpectedCount(SubarrayConfig{
-		Params: p, TempC: 85, DurationMs: 30,
-		Rows: g.RowsPerSubarray, Cols: g.Cols,
-		Classes: LowerNeighborClasses(p, su),
-	})
-
-	check := func(name string, cell int, exp float64) {
-		if exp < 20 {
-			t.Fatalf("%s: expected count %v too small for a meaningful comparison", name, exp)
+	newDevice := func() *dram.Device {
+		d, err := dram.NewDevice(g, p, dram.DDR4Timing(), 77)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Allow binomial noise plus quadrature error.
-		tol := 4*math.Sqrt(exp) + 0.15*exp
-		if math.Abs(float64(cell)-exp) > tol {
-			t.Errorf("%s: cell tier %d vs statistical %v (tol %v)", name, cell, exp, tol)
-		}
+		return d
 	}
-	check("aggressor subarray", cellAgg, expAgg)
-	check("neighbour subarrays", cellNbr, expNbr)
+
+	// crossCheck compares the cell tier's flips in the aggressor subarray
+	// and in its two neighbours with the statistical tier's expected
+	// counts over matching populations: the aggressor subarray without
+	// its guard rows, the neighbours whole.
+	crossCheck := func(t *testing.T, su PatternSetup, durMs float64, guardRows, cellAgg, cellNbr int) {
+		expected := func(rows int, classes []ColumnClass) float64 {
+			return ExpectedCount(SubarrayConfig{
+				Params: p, TempC: 85, DurationMs: durMs,
+				Rows: rows, Cols: g.Cols, Classes: classes,
+			})
+		}
+		expAgg := expected(g.RowsPerSubarray-guardRows, AggressorSubarrayClasses(p, su))
+		expNbr := expected(g.RowsPerSubarray, UpperNeighborClasses(p, su)) +
+			expected(g.RowsPerSubarray, LowerNeighborClasses(p, su))
+		check := func(name string, cell int, exp float64) {
+			if exp < 20 {
+				t.Fatalf("%s: expected count %v too small for a meaningful comparison", name, exp)
+			}
+			// Allow binomial noise plus quadrature error.
+			tol := 4*math.Sqrt(exp) + 0.15*exp
+			if math.Abs(float64(cell)-exp) > tol {
+				t.Errorf("%s: cell tier %d vs statistical %v (tol %v)", name, cell, exp, tol)
+			}
+		}
+		check("aggressor subarray", cellAgg, expAgg)
+		check("neighbour subarrays", cellNbr, expNbr)
+	}
+
+	t.Run("single", func(t *testing.T) {
+		// Press the middle row of subarray 1 for 30 ms.
+		guard := charz.GuardRows(g, []int{agg}, 4)
+		out, err := charz.RunDisturb(newDevice(), charz.DisturbConfig{
+			Bank: 0, AggRow: agg, Mode: charz.ModeHammer,
+			AggPattern: dram.Pat00, VictimPattern: dram.PatFF,
+			DurationMs: 30, TAggOnNs: 70200, TRPNs: 14,
+			Subarrays: []int{0, 1, 2},
+		}, &charz.Filter{ExcludedRows: guard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		crossCheck(t, setup(dram.Pat00, dram.PatFF), 30, guard.Len(),
+			charz.Aggregate(out[1]).Flips,
+			charz.Aggregate(out[0]).Flips+charz.Aggregate(out[2]).Flips)
+	})
+
+	t.Run("two", func(t *testing.T) {
+		// An all-0 and an all-1 aggressor two rows apart in subarray 1,
+		// issued as literal ACT/PRE pairs for 45 ms: at 30 ms the
+		// aggressor subarray expects too few flips to compare.
+		const durMs = 45.0
+		tAggOn, tRP := 70200.0, 14.0
+		d := newDevice()
+		aggs := [...]int{agg, agg + 2}
+		for s := 0; s < 3; s++ {
+			first := g.SubarrayBase(s)
+			if err := charz.WriteRows(d, 0, first, first+g.RowsPerSubarray-1, dram.PatFF); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.WriteRowPattern(0, aggs[0], dram.Pat00); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < int(durMs*1e6/(2*(tAggOn+tRP))); i++ {
+			for _, row := range aggs {
+				if err := d.Activate(0, row); err != nil {
+					t.Fatal(err)
+				}
+				d.AdvanceNs(tAggOn)
+				if err := d.Precharge(0); err != nil {
+					t.Fatal(err)
+				}
+				d.AdvanceNs(tRP)
+			}
+		}
+		guard := charz.GuardRows(g, aggs[:], 4)
+		flips := func(s int) int {
+			var recs []charz.ReadRecord
+			for r := g.SubarrayBase(s); r < g.SubarrayBase(s)+g.RowsPerSubarray; r++ {
+				data, err := d.ReadRow(0, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs = append(recs, charz.ReadRecord{Row: r, Data: data})
+			}
+			return charz.Aggregate(charz.DiffReads(recs, dram.PatFF, &charz.Filter{ExcludedRows: guard})).Flips
+		}
+		su := setup(dram.Pat00, dram.PatFF)
+		su.TwoAggressor = true
+		su.Agg2Pattern = dram.PatFF
+		crossCheck(t, su, durMs, guard.Len(), flips(1), flips(0)+flips(2))
+	})
 }

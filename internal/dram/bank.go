@@ -2,26 +2,23 @@ package dram
 
 import (
 	"fmt"
-	"slices"
 
 	"columndisturb/internal/faultmodel"
 )
 
-// epoch records one span of bank history during which some aggressor row(s)
+// epoch records one span of bank history during which an aggressor row
 // drove the bank's bitlines. Gaps between epochs are idle (all bitlines
 // precharged at VDD/2). Epochs never overlap: a bank serializes commands.
 //
-// rho[b1+2*b2] is the effective coupling duty for a column whose shared
-// aggressor bit is b1 in the (first) aggressor row and b2 in the second
-// (0 when there is no second aggressor). The duty already folds in the
-// access-pattern shape (tAggOn duty, precharge gaps, settling dead time),
-// so a cell's exposure contribution is simply overlap × rho.
+// rho[b] is the effective coupling duty for a column whose shared
+// aggressor bit is b. The duty already folds in the access-pattern shape
+// (tAggOn duty, precharge gaps, settling dead time), so a cell's exposure
+// contribution is simply overlap × rho.
 type epoch struct {
 	fromNs, toNs float64
 	aggSub       int
-	data1        []uint64 // snapshot of the first aggressor row's content
-	data2        []uint64 // nil for single-aggressor epochs
-	rho          [4]float64
+	data         []uint64 // snapshot of the aggressor row's content
+	rho          [2]float64
 }
 
 // Bank models one DRAM bank: row storage, open-row state, per-row restore
@@ -144,11 +141,10 @@ func (b *Bank) openEpoch(row int, fromNs, toNs float64) epoch {
 		fromNs: fromNs,
 		toNs:   toNs,
 		aggSub: b.geom.SubarrayOf(row),
-		data1:  append([]uint64(nil), b.rows[row]...),
-		rho: [4]float64{
+		data:   append([]uint64(nil), b.rows[row]...),
+		rho: [2]float64{
 			b.params.RhoHammer(open, 0, 0),
 			b.params.RhoHammer(open, 0, 1),
-			0, 0,
 		},
 	}
 }
@@ -193,16 +189,14 @@ func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs, tempC fl
 	b.commitFaults(nowNs, row, tempC, trial)
 	b.rowClone(nowNs, row)
 	end := nowNs + float64(numActs)*(tAggOnNs+tRPNs)
-	snapshot := append([]uint64(nil), b.rows[row]...)
 	b.appendEpoch(epoch{
 		fromNs: nowNs,
 		toNs:   end,
 		aggSub: b.geom.SubarrayOf(row),
-		data1:  snapshot,
-		rho: [4]float64{
+		data:   append([]uint64(nil), b.rows[row]...),
+		rho: [2]float64{
 			b.params.RhoHammer(tAggOnNs, tRPNs, 0),
 			b.params.RhoHammer(tAggOnNs, tRPNs, 1),
-			0, 0,
 		},
 	})
 	b.restoredNs[row] = end // each activation restores the aggressor
@@ -211,92 +205,6 @@ func (b *Bank) hammer(nowNs float64, row, numActs int, tAggOnNs, tRPNs, tempC fl
 	b.cloneUntilNs = end + (b.rowCloneNs - tRPNs) // the last PRE was a full tRP before end
 	b.lastOpenRow = row
 	return end, nil
-}
-
-// hammerTwo fast-forwards numPairs cycles of the two-aggressor pattern
-// ACT(row1)–tAggOn–PRE–tRP–ACT(row2)–tAggOn–PRE–tRP–…; each aggressor is
-// activated numPairs times. Each aggressor idles while the other is open:
-// with a long tAggOn it decays and is pressed between its own ACTs, and
-// its flips change the column drive of its next open interval. So the
-// pairs are issued as literal commands until one pair after the first
-// changes neither aggressor. Every later pair would then repeat it bit
-// for bit, so all but the last collapse into one epoch of the pattern's
-// average drive, and the last pair is issued literally again, leaving
-// each aggressor restored at its own last PRE. Only the first ACT can
-// RowClone: the caller keeps tRP outside the RowClone window, so no later
-// ACT interrupts a precharge. It returns the end time.
-func (b *Bank) hammerTwo(nowNs float64, row1, row2, numPairs int, tAggOnNs, tRPNs, tempC float64, trial int) (float64, error) {
-	if err := b.checkRow(row1); err != nil {
-		return nowNs, err
-	}
-	if err := b.checkRow(row2); err != nil {
-		return nowNs, err
-	}
-	if b.openRow >= 0 {
-		return nowNs, fmt.Errorf("dram: bank %d: hammer while row %d open", b.index, b.openRow)
-	}
-	if !b.geom.SameSubarray(row1, row2) {
-		return nowNs, fmt.Errorf("dram: two-aggressor rows %d,%d must share a subarray", row1, row2)
-	}
-	t := nowNs
-	prev1 := make([]uint64, len(b.rows[row1]))
-	prev2 := make([]uint64, len(b.rows[row2]))
-	steady := false
-	for i := 0; i < numPairs; i++ {
-		if steady && i < numPairs-1 {
-			t = b.repeatPairs(t, row1, row2, numPairs-1-i, tAggOnNs, tRPNs)
-			i = numPairs - 1
-		}
-		copy(prev1, b.rows[row1])
-		copy(prev2, b.rows[row2])
-		// The clock advances command by command, as Device.AdvanceNs
-		// moves it under literal commands, so both see the same times.
-		for _, row := range [...]int{row1, row2} {
-			if err := b.activate(t, row, tempC, trial); err != nil {
-				return nowNs, err
-			}
-			t += tAggOnNs
-			if err := b.precharge(t); err != nil {
-				return nowNs, err
-			}
-			t += tRPNs
-		}
-		steady = i > 0 && slices.Equal(prev1, b.rows[row1]) && slices.Equal(prev2, b.rows[row2])
-	}
-	return t, nil
-}
-
-// repeatPairs stands in for n pairs of the two-aggressor pattern from
-// nowNs in the steady state, where no pair changes either aggressor: one
-// epoch of the pattern's average drive, n pairs of RowPress on the
-// aggressors' neighbours, and both aggressors restored at the end. The
-// ACTs of the pair that follows then commit nothing literal commands
-// would not: row1's commit is empty, and row2's covers a tRP less idle
-// time than under literal commands, where it flipped nothing. It returns
-// the end time.
-func (b *Bank) repeatPairs(nowNs float64, row1, row2, n int, tAggOnNs, tRPNs float64) float64 {
-	end := nowNs + float64(n)*2*(tAggOnNs+tRPNs)
-	var rho [4]float64
-	for b2 := 0; b2 < 2; b2++ {
-		for b1 := 0; b1 < 2; b1++ {
-			rho[b1+2*b2] = b.params.RhoTwoAggressor(tAggOnNs, tRPNs, float64(b1), float64(b2))
-		}
-	}
-	b.appendEpoch(epoch{
-		fromNs: nowNs, toNs: end,
-		aggSub: b.geom.SubarrayOf(row1),
-		data1:  append([]uint64(nil), b.rows[row1]...),
-		data2:  append([]uint64(nil), b.rows[row2]...),
-		rho:    rho,
-	})
-	press := b.params.PressEquivalentActs(n, tAggOnNs)
-	b.addNeighborAggression(row1, press)
-	b.addNeighborAggression(row2, press)
-	for _, r := range [...]int{row1, row2} {
-		b.restoredNs[r] = end
-		b.aggression[r] = 0
-	}
-	return end
 }
 
 // writeRow overwrites a row's content and restores its charge (the
@@ -448,12 +356,7 @@ func (b *Bank) exposureMs(overlaps []epochOverlap, sub, col int, totalNs, rhoIdl
 			// A cell in the aggressor row itself is restored by each
 			// activation; its exposure is irrelevant because restoredNs
 			// already advanced past the epoch. No special case needed.
-			b1 := WordBit(e.data1, aggCol)
-			b2 := byte(0)
-			if e.data2 != nil {
-				b2 = WordBit(e.data2, aggCol)
-			}
-			rho = e.rho[int(b1)+2*int(b2)]
+			rho = e.rho[WordBit(e.data, aggCol)]
 		}
 		exposure += o.ovNs * rho
 		covered += o.ovNs

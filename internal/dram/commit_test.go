@@ -124,12 +124,7 @@ func refExposureMs(b *Bank, fromNs, toNs float64, sub, col int, rhoIdle float64)
 		}
 		rho := rhoIdle
 		if aggCol, shared := b.geom.SharedAggressorColumn(e.aggSub, sub, col); shared {
-			b1 := WordBit(e.data1, aggCol)
-			b2 := byte(0)
-			if e.data2 != nil {
-				b2 = WordBit(e.data2, aggCol)
-			}
-			rho = e.rho[int(b1)+2*int(b2)]
+			rho = e.rho[WordBit(e.data, aggCol)]
 		}
 		exposure += ov * rho
 		covered += ov
@@ -203,10 +198,10 @@ func randomScenario(r *rng.Rand) commitScenario {
 }
 
 // run drives the scenario's device through a random history of hammer,
-// two-aggressor, press and idle spans, with temperature, trial and row
-// rewrites between them. Every commit — reads of one row, reads of every
-// row of a bank and a final read of every row — is checked bit for bit
-// against refCommit on the same pre-commit state. It returns the decay
+// literal two-aggressor, press and idle spans, with temperature, trial and
+// row rewrites between them. Every commit — reads of one row, reads of
+// every row of a bank and a final read of every row — is checked bit for
+// bit against refCommit on the same pre-commit state. It returns the decay
 // and hammer flips the reference committed.
 func (sc *commitScenario) run(t testing.TB) (decay, hammer int) {
 	t.Helper()
@@ -290,7 +285,10 @@ func (sc *commitScenario) run(t testing.TB) (decay, hammer int) {
 			base := g.SubarrayBase(g.SubarrayOf(row))
 			row2 := base + (row-base+1+r.Intn(g.RowsPerSubarray-1))%g.RowsPerSubarray
 			tOn := tAggOns[r.Intn(len(tAggOns))]
-			if err := d.HammerTwo(bank, row, row2, 1+int(span()/(2*(tOn+14))), tOn, 14); err != nil {
+			// Literal commands cost one epoch per open interval, so
+			// the pair count is capped to keep the history short.
+			pairs := min(1+int(span()/(2*(tOn+14))), 16)
+			if err := literalTwoAggressor(d, bank, row, row2, pairs, tOn, 14); err != nil {
 				t.Fatal(err)
 			}
 		case 3:

